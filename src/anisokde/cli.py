@@ -3,7 +3,8 @@ classification, hard-density generation, and risk sweeps.
 
 Every run writes its outputs plus a manifest holding the fully resolved
 configuration, the seed, and content hashes; feeding a manifest back in
-as the config reproduces every output byte for byte at any thread count.
+as the config reproduces every output byte for byte; --threads is accepted
+and validated but never changes results, and fits run on one thread.
 Exit codes: 0 success, 1 usage or configuration, 2 verification failure,
 3 numeric failure.
 """
@@ -214,9 +215,12 @@ def validate_config(doc: dict) -> None:
 
 
 def load_config(path: str) -> dict:
+    def reject(name: str):
+        raise ConfigError(f"config {path!r} holds {name}; numbers must be finite")
+
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -304,8 +308,9 @@ _CONFIG_OPT = click.option(
 _SEED_OPT = click.option("--seed", type=click.IntRange(min=0), default=None,
                          help="Override the config seed.")
 _THREADS_OPT = click.option("--threads", type=click.IntRange(min=1),
-                            default=os.cpu_count() or 1, show_default=True,
-                            help="Worker threads (never changes results).")
+                            default=1, show_default=True,
+                            help="Accepted for compatibility; fits run on one "
+                                 "thread and results never depend on it.")
 _OUT_OPT = click.option("--out", "out_flag", type=click.Path(file_okay=False),
                         default=None, help="Output directory.")
 _HEADER_OPT = click.option("--header/--no-header", default=True,

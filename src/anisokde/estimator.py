@@ -9,16 +9,23 @@ the widest support any of these kernels can reach) because the
 interpolated kernels are exactly zero outside their support; smaller
 per-bandwidth range queries would change nothing but the constant.
 
+One internal function, `_select_point`, runs the whole rule at a point
+and returns every per-point quantity at once: the raw sums, the
+criterion, the selected lattice index and the candidate count. Grid
+fits, the risk engine and the oracle lab all read that record, and the
+lattice tables it needs are built once per `EstimationSetup`.
+
 Per-axis kernel lookups are cached inside a point's computation: a
 lattice of size (E+1)^d has only (E+1) distinct axis scales and
 (E+1)(E+2)/2 distinct (scale, ratio) convolution lookups per axis,
-while the pair loop touches |H|^2 combinations of them.
+while the pair loop touches |H|^2 combinations of them. Points are fitted
+one after another on one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +105,10 @@ def build_dataset(points: np.ndarray) -> Dataset:
     return Dataset(points=pts, order=order, sorted_vals=sorted_vals)
 
 
+def _theory_floor(d: int, p: float, k_inf: float) -> float:
+    return (max(k_inf, 1.0) ** 2) * ((4 * d + 2) * p + 4 * (d + 1))
+
+
 @dataclass(frozen=True)
 class KappaPolicy:
     """Scale constant of the error majorants, with its derivation inputs.
@@ -125,7 +136,7 @@ class KappaPolicy:
 
     @property
     def theory_floor(self) -> float:
-        return (max(self.k_inf, 1.0) ** 2) * ((4 * self.d + 2) * self.p + 4 * (self.d + 1))
+        return _theory_floor(self.d, self.p, self.k_inf)
 
     @property
     def meets_theory_bound(self) -> bool:
@@ -138,8 +149,8 @@ def kappa_default(d: int, p: float, k_inf: float) -> KappaPolicy:
         raise InvalidParameterError(f"d must be a positive integer, got {d!r}")
     if not p >= 1:
         raise InvalidParameterError(f"p must be >= 1, got {p!r}")
-    kappa = (max(float(k_inf), 1.0) ** 2) * ((4 * d + 2) * p + 4 * (d + 1))
-    return KappaPolicy(kappa=kappa, d=int(d), p=float(p), k_inf=float(k_inf))
+    d, p, k_inf = int(d), float(p), float(k_inf)
+    return KappaPolicy(kappa=_theory_floor(d, p, k_inf), d=d, p=p, k_inf=k_inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +162,22 @@ class PointwiseFit:
     estimate: float
     criterion: dict[tuple[int, ...], float] | None
     counts: int
+
+
+class _GridTables:
+    """Precomputed lattice combinatorics shared by every evaluation point."""
+
+    def __init__(self, grid: BandwidthGrid):
+        exp = grid.exponent_matrix()
+        self.exp = exp
+        self.size = exp.shape[0]
+        self.exp_sum = exp.sum(axis=1)
+        self.volumes = 2.0 ** -self.exp_sum.astype(float)
+        radix = (grid.max_exponent + 1) ** np.arange(grid.dim - 1, -1, -1, dtype=np.int64)
+        joint = np.minimum(exp[:, None, :], exp[None, :, :])
+        self.join_index = (joint * radix).sum(axis=2)
+        # geq[i, j]: candidate eta = row j is >= h = row i coordinate-wise in value
+        self.geq = (exp[None, :, :] <= exp[:, None, :]).all(axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +196,11 @@ class EstimationSetup:
     def marginal(self) -> CompositeKernel1D:
         return self.kernel.per_dim[0]
 
+    @cached_property
+    def tables(self) -> _GridTables:
+        """Lattice combinatorics shared by every point, built on first use."""
+        return _GridTables(self.grid)
+
 
 def make_setup(
     n: int,
@@ -180,8 +212,7 @@ def make_setup(
     """Build kernel, envelope, and lattice for sample size n.
 
     Constructing the envelope tabulates every convolution ratio the
-    lattice can realize, so the process-wide cache is warm before any
-    parallel estimation begins.
+    lattice can realize, so fits only read tables that already exist.
     """
     composite = build_composite(build_base(ell, table_size))
     kernel = build_product(composite, dim)
@@ -235,7 +266,8 @@ def eval_A_hat(data: Dataset, g, h: Bandwidth, x: np.ndarray) -> float:
     return float(np.abs(gv).sum() / (data.n * h.volume))
 
 
-def _m_hat(a_hat: float, kappa: float, log_n: float, n: int, volume: float) -> float:
+def _m_hat(a_hat, kappa: float, log_n: float, n: int, volume):
+    """4 sqrt(A lam) + 4 lam, lam = kappa ln n / (n V); scalars or arrays."""
     lam = kappa * log_n / (n * volume)
     return 4.0 * np.sqrt(a_hat * lam) + 4.0 * lam
 
@@ -251,37 +283,22 @@ def eval_M_hat(
     return _m_hat(a_hat, policy.kappa, float(np.log(n)), n, h.volume)
 
 
-class _GridTables:
-    """Precomputed lattice combinatorics shared by every evaluation point."""
-
-    def __init__(self, grid: BandwidthGrid):
-        self.grid = grid
-        exp = grid.exponent_matrix()
-        self.exp = exp
-        self.size = exp.shape[0]
-        self.values = 2.0 ** -exp.astype(float)
-        self.volumes = 2.0 ** -exp.sum(axis=1).astype(float)
-        radix = (grid.max_exponent + 1) ** np.arange(grid.dim - 1, -1, -1, dtype=np.int64)
-        joint = np.minimum(exp[:, None, :], exp[None, :, :])
-        self.join_index = (joint * radix).sum(axis=2)
-        # geq[i, j]: candidate eta = row j is >= h = row i coordinate-wise in value
-        self.geq = (exp[None, :, :] <= exp[:, None, :]).all(axis=2)
-
-
 def _check_point(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise InvalidParameterError(f"evaluation point must have shape ({dim},)")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError(f"evaluation point must be finite, got {x.tolist()}")
     return x
 
 
-def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup,
-                  tables: _GridTables):
+def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     """Raw empirical sums at one point: estimates, absolute-kernel
     averages for kernel and envelope, and the full pair-estimate matrix."""
     n = data.n
     if n < 2:
         raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
+    tables = setup.tables
     H = tables.size
     dim = data.dim
 
@@ -346,33 +363,54 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup,
     return fhat, a_k, a_q, pair, int(idx.size)
 
 
-def _point_state(data: Dataset, x: np.ndarray, policy: KappaPolicy, setup: EstimationSetup,
-                 tables: _GridTables):
-    """All per-point quantities: criterion vector, estimates, visit count."""
-    fhat, a_k, a_q, pair, counts = _point_tables(data, x, setup, tables)
+@dataclass(frozen=True, eq=False)
+class _PointRecord:
+    """Everything the selection rule computes at one point.
+
+    fhat, a_k and a_q are indexed by lattice row, pair by a pair of rows;
+    best is the selected row and counts the size of the candidate set.
+    """
+
+    x: np.ndarray
+    fhat: np.ndarray
+    a_k: np.ndarray
+    a_q: np.ndarray
+    pair: np.ndarray
+    criterion: np.ndarray
+    best: int
+    selected: Bandwidth
+    counts: int
+
+    @property
+    def estimate(self) -> float:
+        return float(self.fhat[self.best])
+
+
+def _select_point(data: Dataset, x, policy: KappaPolicy,
+                  setup: EstimationSetup) -> _PointRecord:
+    """Run the selection rule at x: the single path every caller uses.
+
+    Lattice rows are in lexicographic order, so sorting by (criterion,
+    exponent sum, row) gives the documented tie-break.
+    """
+    x = _check_point(x, setup.grid.dim)
+    fhat, a_k, a_q, pair, counts = _point_tables(data, x, setup)
+    tables = setup.tables
     n = data.n
     log_n = float(np.log(n))
-    lam = policy.kappa * log_n / (n * tables.volumes)
-    m_k = 4.0 * np.sqrt(a_k * lam) + 4.0 * lam
-    m_q = 4.0 * np.sqrt(a_q * lam) + 4.0 * lam
+    m_k = _m_hat(a_k, policy.kappa, log_n, n, tables.volumes)
+    m_q = _m_hat(a_q, policy.kappa, log_n, n, tables.volumes)
 
     bracket = np.abs(pair - fhat[None, :]) - m_q[tables.join_index] - m_k[None, :]
     np.maximum(bracket, 0.0, out=bracket)
     sup_q = np.where(tables.geq, m_q[None, :], -np.inf).max(axis=1)
     criterion = bracket.max(axis=1) + sup_q + m_k
-    return criterion, fhat, counts
-
-
-def _select_index(criterion: np.ndarray, tables: _GridTables) -> int:
-    exp_sum = tables.exp.sum(axis=1)
-    best = 0
-    best_key = (criterion[0], int(exp_sum[0]), tuple(tables.exp[0]))
-    for i in range(1, criterion.size):
-        key = (criterion[i], int(exp_sum[i]), tuple(tables.exp[i]))
-        if key < best_key:
-            best = i
-            best_key = key
-    return best
+    best = int(np.lexsort((np.arange(tables.size), tables.exp_sum, criterion))[0])
+    return _PointRecord(
+        x=x, fhat=fhat, a_k=a_k, a_q=a_q, pair=pair, criterion=criterion,
+        best=best, selected=Bandwidth(tuple(int(k) for k in tables.exp[best])),
+        counts=counts,
+    )
 
 
 def eval_criterion(
@@ -382,10 +420,8 @@ def eval_criterion(
     """Selection criterion of one bandwidth at one point."""
     if h not in setup.grid:
         raise InvalidParameterError(f"bandwidth {h.exponents} not on the setup grid")
-    x = _check_point(x, setup.grid.dim)
-    tables = _GridTables(setup.grid)
-    criterion, _, _ = _point_state(data, x, policy, setup, tables)
-    return float(criterion[setup.grid.index(h)])
+    rec = _select_point(data, x, policy, setup)
+    return float(rec.criterion[setup.grid.index(h)])
 
 
 def select_and_estimate(
@@ -398,45 +434,30 @@ def select_and_estimate(
     lexicographically smallest exponents. The estimate is not clipped;
     it may be negative or exceed any density bound.
     """
-    x = _check_point(x, setup.grid.dim)
-    tables = _GridTables(setup.grid)
-    return _fit_point(data, x, policy, setup, tables, keep_criterion)
-
-
-def _fit_point(data, x, policy, setup, tables, keep_criterion) -> PointwiseFit:
-    criterion, fhat, counts = _point_state(data, x, policy, setup, tables)
-    best = _select_index(criterion, tables)
+    rec = _select_point(data, x, policy, setup)
     crit_map = None
     if keep_criterion:
-        crit_map = {
-            tuple(int(k) for k in tables.exp[i]): float(criterion[i])
-            for i in range(tables.size)
-        }
-    return PointwiseFit(
-        x=x.copy(),
-        selected=Bandwidth(tuple(int(k) for k in tables.exp[best])),
-        estimate=float(fhat[best]),
-        criterion=crit_map,
-        counts=counts,
-    )
+        exp = setup.tables.exp
+        crit_map = {tuple(int(k) for k in exp[i]): float(c)
+                    for i, c in enumerate(rec.criterion)}
+    return PointwiseFit(x=rec.x.copy(), selected=rec.selected, estimate=rec.estimate,
+                        criterion=crit_map, counts=rec.counts)
 
 
 def estimate_on_grid(
     data: Dataset, eval_points, policy: KappaPolicy, setup: EstimationSetup,
     threads: int = 1, keep_criterion: bool = False,
 ) -> list[PointwiseFit]:
-    """Independent per-point fits; order and values do not depend on threads."""
+    """Independent per-point fits, in point order.
+
+    threads is accepted for compatibility and ignored: points are
+    fitted one after another, so results never depend on it.
+    """
     pts = np.asarray(eval_points, dtype=float)
     if pts.size == 0:
         return []
     if pts.ndim != 2 or pts.shape[1] != setup.grid.dim:
         raise InvalidParameterError(f"eval_points must have shape (m, {setup.grid.dim})")
-    tables = _GridTables(setup.grid)
-
-    def one(i: int) -> PointwiseFit:
-        return _fit_point(data, pts[i], policy, setup, tables, keep_criterion)
-
-    if threads <= 1 or pts.shape[0] < 2:
-        return [one(i) for i in range(pts.shape[0])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(pts.shape[0])))
+    if not np.all(np.isfinite(pts)):
+        raise InvalidParameterError("eval_points must be finite")
+    return [select_and_estimate(data, x, policy, setup, keep_criterion) for x in pts]

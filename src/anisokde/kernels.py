@@ -12,8 +12,7 @@ cheap, consistent representation.
 Pair convolutions q_r(t) = int k(t - r*u) k(u) du, r in (0, 1], drive
 both the two-bandwidth estimators and the envelope kernel. They are
 tabulated once per (order, table_size, r) from the closed-form profile
-and cached for the life of the process; construction is single-threaded,
-so warm the cache (build_majorant does) before fanning out workers.
+and cached for the life of the process.
 """
 
 from __future__ import annotations

@@ -25,13 +25,7 @@ import numpy as np
 from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
 from .errors import InvalidParameterError
-from .estimator import (
-    EstimationSetup,
-    KappaPolicy,
-    _fit_point,
-    _GridTables,
-    _point_tables,
-)
+from .estimator import EstimationSetup, KappaPolicy, _PointRecord, _select_point
 from .kernels import convolve_ratio
 from .quadrature import DEFAULT_NODES, mesh_points, tensor_integral, trapezoid_rule
 
@@ -186,17 +180,15 @@ class _TrueTables:
     """Lattice-shaped true means and majorants at one point."""
 
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
-                 setup: EstimationSetup, tables: _GridTables, n: int, nodes: int):
-        exp = tables.exp
-        H, dim = exp.shape
+                 setup: EstimationSetup, n: int, nodes: int):
+        tables = setup.tables
         E = setup.grid.max_exponent
         terms = _product_terms(f)
         if terms is not None:
             mean_f, a_k, a_q, pair_mean, sm_bias = self._product(
-                f, terms, x, setup, exp, E, nodes)
+                f, terms, x, setup, tables.exp, E, nodes)
         else:
-            mean_f, a_k, a_q, pair_mean, sm_bias = self._generic(
-                f, x, setup, tables, nodes)
+            mean_f, a_k, a_q, pair_mean, sm_bias = self._generic(f, x, setup, nodes)
         fx = f(x)
         self.mean_f = mean_f
         self.bias = mean_f - fx
@@ -268,9 +260,9 @@ class _TrueTables:
                 sm[i, l] = dm.sum()
         return mean_f, a_k, a_q, pair_mean, sm
 
-    def _generic(self, f, x, setup, tables, nodes):
+    def _generic(self, f, x, setup, nodes):
         grid = setup.grid
-        H = tables.size
+        H = len(grid)
         mean_f = np.empty(H)
         a_k = np.empty(H)
         a_q = np.empty(H)
@@ -318,49 +310,26 @@ def _pair_mean_generic(f, setup, h: Bandwidth, eta: Bandwidth, x, nodes: int) ->
     return tensor_integral(integrand, box, nodes) / float(np.prod(scale))
 
 
-def _oracle_state(data, f, x, policy, setup, nodes):
-    x = np.asarray(x, dtype=float)
-    tables = _GridTables(setup.grid)
-    n = data.n
-    truth = _TrueTables(f, x, policy, setup, tables, n, nodes)
-    fhat, a_k_emp, a_q_emp, pair_emp, _ = _point_tables(data, x, setup, tables)
+def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _PointRecord, int]:
+    """The bound's terms, the selector's record they were built from, and
+    the lattice row that minimizes the bound."""
+    rec = _select_point(data, x, policy, setup)
+    tables = setup.tables
+    truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
 
-    xi_single = np.abs(fhat - truth.mean_f) - truth.m_k
-    xi_pair = np.abs(pair_emp - truth.pair_mean) - truth.m_q[tables.join_index]
+    xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
+    xi_pair = np.abs(rec.pair - truth.pair_mean) - truth.m_q[tables.join_index]
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
     chi = max(
-        float(np.max(np.abs(a_k_emp - truth.a_k) - truth.m_k)),
-        float(np.max(np.abs(a_q_emp - truth.a_q) - truth.m_q)),
+        float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
+        float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)),
         0.0,
     )
     m_q_sup = np.where(tables.geq, truth.m_q[None, :], -np.inf).max(axis=1)
-    return tables, truth, zeta, chi, m_q_sup
-
-
-def residual_zeta(data, f: TrueDensity, x, policy: KappaPolicy,
-                  setup: EstimationSetup, nodes: int = DEFAULT_NODES) -> float:
-    """Largest excess of a centered estimate over its true majorant."""
-    _, _, zeta, _, _ = _oracle_state(data, f, x, policy, setup, nodes)
-    return zeta
-
-
-def residual_chi(data, f: TrueDensity, x, policy: KappaPolicy,
-                 setup: EstimationSetup, nodes: int = DEFAULT_NODES) -> float:
-    """Largest excess of an empirical kernel average over its mean and majorant."""
-    _, _, _, chi, _ = _oracle_state(data, f, x, policy, setup, nodes)
-    return chi
-
-
-def oracle_terms(data, f: TrueDensity, x, policy: KappaPolicy,
-                 setup: EstimationSetup, nodes: int = DEFAULT_NODES) -> OracleTerms:
-    """Assemble every term of the pointwise bound at x."""
-    x = np.asarray(x, dtype=float)
-    tables, truth, zeta, chi, m_q_sup = _oracle_state(data, f, x, policy, setup, nodes)
     per_h = 4.0 * truth.bias_bar + 60.0 * m_q_sup + 61.0 * truth.m_k
     best = int(np.argmin(per_h))
-    bound = float(per_h[best] + 7.0 * zeta + 18.0 * chi)
-    return OracleTerms(
-        x=x.copy(),
+    terms = OracleTerms(
+        x=rec.x.copy(),
         exponents=tables.exp.copy(),
         bias=truth.bias,
         bias_bar=truth.bias_bar,
@@ -368,24 +337,42 @@ def oracle_terms(data, f: TrueDensity, x, policy: KappaPolicy,
         m_q_sup=m_q_sup,
         zeta=zeta,
         chi=chi,
-        bound=bound,
+        bound=float(per_h[best] + 7.0 * zeta + 18.0 * chi),
         argmin=tuple(int(k) for k in tables.exp[best]),
     )
+    return terms, rec, best
+
+
+def residual_zeta(data, f: TrueDensity, x, policy: KappaPolicy,
+                  setup: EstimationSetup, nodes: int = DEFAULT_NODES) -> float:
+    """Largest excess of a centered estimate over its true majorant."""
+    return oracle_terms(data, f, x, policy, setup, nodes).zeta
+
+
+def residual_chi(data, f: TrueDensity, x, policy: KappaPolicy,
+                 setup: EstimationSetup, nodes: int = DEFAULT_NODES) -> float:
+    """Largest excess of an empirical kernel average over its mean and majorant."""
+    return oracle_terms(data, f, x, policy, setup, nodes).chi
+
+
+def oracle_terms(data, f: TrueDensity, x, policy: KappaPolicy,
+                 setup: EstimationSetup, nodes: int = DEFAULT_NODES) -> OracleTerms:
+    """Assemble every term of the pointwise bound at x."""
+    return _oracle_terms(data, f, x, policy, setup, nodes)[0]
 
 
 def assert_oracle_inequality(data, f: TrueDensity, x, policy: KappaPolicy,
                              setup: EstimationSetup,
                              nodes: int = DEFAULT_NODES) -> dict:
-    """Check the per-realization pointwise bound; returns a JSON-friendly record."""
-    x = np.asarray(x, dtype=float)
-    terms = oracle_terms(data, f, x, policy, setup, nodes)
-    tables = _GridTables(setup.grid)
-    fit = _fit_point(data, x, policy, setup, tables, keep_criterion=False)
-    lhs = abs(fit.estimate - f(x))
-    per_h = 4.0 * terms.bias_bar + 60.0 * terms.m_q_sup + 61.0 * terms.m_k
-    best = int(np.argmin(per_h))
-    record = {
-        "x": [float(v) for v in x],
+    """Check the per-realization pointwise bound; returns a JSON-friendly record.
+
+    The selection and estimate come from the same selector pass that
+    built the bound's empirical terms.
+    """
+    terms, rec, best = _oracle_terms(data, f, x, policy, setup, nodes)
+    lhs = abs(rec.estimate - f(rec.x))
+    return {
+        "x": [float(v) for v in rec.x],
         "lhs": float(lhs),
         "rhs": float(terms.bound),
         "rhs_terms": {
@@ -395,10 +382,9 @@ def assert_oracle_inequality(data, f: TrueDensity, x, policy: KappaPolicy,
             "zeta": float(terms.zeta),
             "chi": float(terms.chi),
         },
-        "selected": [int(k) for k in fit.selected.exponents],
+        "selected": list(rec.selected.exponents),
         "holds": bool(lhs <= terms.bound * (1.0 + 1e-6)),
     }
-    return record
 
 
 def check_proportional(a_hat: float, a_true: float, policy: KappaPolicy,

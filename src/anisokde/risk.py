@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,7 @@ from .estimator import (
     DEFAULT_TABLE_SIZE,
     EstimationSetup,
     KappaPolicy,
-    _GridTables,
-    _point_state,
-    _select_index,
+    _select_point,
     kappa_default,
     make_setup,
 )
@@ -60,7 +57,7 @@ class ExperimentPlan:
     ell: int = 1
     table_size: int = DEFAULT_TABLE_SIZE
     max_exponent: int | None = None
-    threads: int = 1
+    threads: int = 1  # validated, never changes results: replicates run serially
     debug_truth: bool = False
 
     def __post_init__(self):
@@ -123,8 +120,8 @@ class ExperimentPlan:
         )
 
     def canonical(self) -> dict:
-        """Primitive-field view of the plan; worker count excluded so the
-        hash cannot depend on how the run is parallelized."""
+        """Primitive-field view of the plan; threads is excluded because it
+        never changes results, so the hash cannot depend on it."""
         return {
             "density": self.density.label,
             "density_box": np.asarray(self.density.box, dtype=float).tolist(),
@@ -169,7 +166,7 @@ class RiskReport:
 
     def payload(self) -> dict:
         """Deterministic content: identical plans give identical payloads
-        regardless of worker count or timing."""
+        regardless of thread count or timing."""
         return {
             "p": self.p,
             "plan_hash": self.plan_hash,
@@ -230,35 +227,12 @@ def _truth_on_grid(plan: ExperimentPlan) -> np.ndarray:
     return np.asarray(plan.density.grid_values(plan.grid.axes()), dtype=float)
 
 
-def _point_fields(data, mesh, policy, setup, tables, threads):
-    """Selected estimate and the full fixed-bandwidth row at every point."""
-    lattice = tables.size
-
-    def one(i):
-        criterion, fhat, _counts = _point_state(
-            data, mesh[i], policy, setup, tables
-        )
-        return float(fhat[_select_index(criterion, tables)]), fhat
-
-    m = mesh.shape[0]
-    if threads <= 1 or m < 2:
-        results = [one(i) for i in range(m)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(m)))
-    selected = np.array([r[0] for r in results])
-    per_h = np.empty((m, lattice))
-    for i, (_, fhat) in enumerate(results):
-        per_h[i] = fhat
-    return selected, per_h
-
-
 def risk_replicate(plan: ExperimentPlan, n: int, seed: int) -> float:
     """One Monte-Carlo draw: returns the p-th power error, not its root."""
-    return _replicate_value(plan, int(n), int(seed), plan.threads)
+    return _replicate_value(plan, int(n), int(seed))
 
 
-def _replicate_value(plan: ExperimentPlan, n: int, seed: int, threads: int) -> float:
+def _replicate_value(plan: ExperimentPlan, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     data = sample(plan.density, n, rng)
     truth = _truth_on_grid(plan)
@@ -266,9 +240,8 @@ def _replicate_value(plan: ExperimentPlan, n: int, seed: int, threads: int) -> f
         return 0.0
     setup = plan.setup_for(n)
     policy = plan.policy_for(setup)
-    tables = _GridTables(setup.grid)
-    mesh = plan.grid.mesh()
-    selected, _ = _point_fields(data, mesh, policy, setup, tables, threads)
+    selected = np.array([_select_point(data, x, policy, setup).estimate
+                         for x in plan.grid.mesh()])
     diff = np.abs(selected.reshape(plan.grid.shape) - truth) ** plan.p
     return float(plan.grid.integrate_values(diff))
 
@@ -278,25 +251,14 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
 
     Replicate k of the whole run (schedule-major order) is seeded with
     plan.seed + k, so extending the schedule never changes the draws of
-    rows already present, and the worker count cannot matter.
+    rows already present. Replicates run one after another; plan.threads
+    is validated but never changes anything.
     """
     start = time.perf_counter()
-    tasks = []
-    counter = 0
+    values = []
     for n in plan.n_schedule:
         for _ in range(plan.replicates):
-            tasks.append((n, plan.seed + counter))
-            counter += 1
-
-    def one(task):
-        n, seed = task
-        return _replicate_value(plan, n, seed, threads=1)
-
-    if plan.threads <= 1 or len(tasks) < 2:
-        values = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            values = list(pool.map(one, tasks))
+            values.append(_replicate_value(plan, n, plan.seed + len(values)))
 
     rows = []
     for i, n in enumerate(plan.n_schedule):
@@ -352,16 +314,18 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
         )
     setup = plan.setup_for(n)
     policy = plan.policy_for(setup)
-    tables = _GridTables(setup.grid)
     mesh = plan.grid.mesh()
     truth = _truth_on_grid(plan)
     ratios = []
     for k in range(int(replicates)):
         rng = np.random.default_rng(plan.seed + k)
         data = sample(plan.density, n, rng)
-        selected, per_h = _point_fields(
-            data, mesh, policy, setup, tables, plan.threads
-        )
+        selected = np.empty(mesh.shape[0])
+        per_h = np.empty((mesh.shape[0], len(setup.grid)))
+        for i, x in enumerate(mesh):
+            rec = _select_point(data, x, policy, setup)
+            selected[i] = rec.estimate
+            per_h[i] = rec.fhat
         num = lp_norm_on_grid(selected, truth, plan.p, plan.grid)
         den = min(
             lp_norm_on_grid(per_h[:, j], truth, plan.p, plan.grid)

@@ -64,6 +64,17 @@ class TestConfigValidation:
         assert main(["regime", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_rejected(self, tmp_path, capsys, constant):
+        path = tmp_path / "config.json"
+        path.write_text('{"class": {"beta": [1.0], "r": [2.0], "L": [1.0]}, '
+                        '"estimator": {"p": %s}}' % constant)
+        assert main(["regime", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"holds {constant}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["regime", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -206,6 +217,18 @@ class TestEstimateCommand:
         out = tmp_path / "run"
         assert main(["estimate", data, "--config", cfg, "--out", str(out)]) == 0
         assert (out / "fits.csv").read_text() == "x_1,fhat,k_1\n"
+
+    def test_non_finite_point_rejected(self, tmp_path, capsys):
+        data = self.data_file(tmp_path, "0.0\n0.5\n")
+        # JSON has no literal for infinity; 1e999 overflows to it on parsing
+        path = tmp_path / "config.json"
+        path.write_text('{"kernel": {"table_size": 64}, '
+                        '"estimate": {"points": [[0.25], [1e999]]}}')
+        out = tmp_path / "o"
+        assert main(["estimate", data, "--config", str(path),
+                     "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "fits.csv").exists()
 
     def test_bad_token_reports_line_number(self, tmp_path, capsys):
         data = self.data_file(tmp_path, "0.1\n0.2\nfrog\n")

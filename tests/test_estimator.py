@@ -39,6 +39,11 @@ class TestKappaPolicy:
     def test_default_meets_theory_bound(self):
         assert kappa_default(3, 1.5, 1.7).meets_theory_bound
 
+    def test_default_is_exactly_the_theory_floor(self):
+        for d, p, k_inf in ((1, 2.0, 1.0), (2, 1.5, 1.7), (3, 3.25, 0.4), (4, 2, 2)):
+            pol = kappa_default(d, p, k_inf)
+            assert pol.kappa == pol.theory_floor
+
     def test_small_kappa_is_legal_but_below_floor(self):
         pol = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=2.0)
         assert not pol.meets_theory_bound
@@ -304,16 +309,18 @@ class TestCriterionAndSelection:
 
     def test_selection_is_criterion_argmin(self):
         rng = np.random.default_rng(47)
-        data = build_dataset(rng.uniform(-1, 1, size=(64, 1)))
-        setup = make_setup(64, 1)
-        policy = kappa_default(1, 2.0, setup.kernel.k_inf)
-        fit = select_and_estimate(data, np.zeros(1), policy, setup, keep_criterion=True)
-        assert len(fit.criterion) == len(setup.grid)
-        best = min(fit.criterion.values())
-        assert fit.criterion[fit.selected.exponents] == best
-        # tie rule: widest bandwidth first, then lexicographic order
-        tied = [e for e, v in fit.criterion.items() if v == best]
-        assert fit.selected.exponents == min(tied, key=lambda e: (sum(e), e))
+        for d, n, max_exp in ((1, 64, None), (2, 32, 3), (2, 16, 2)):
+            data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
+            setup = make_setup(n, d, max_exponent=max_exp)
+            policy = kappa_default(d, 2.0, setup.kernel.k_inf)
+            for x in (np.zeros(d), rng.uniform(-0.5, 0.5, size=d)):
+                fit = select_and_estimate(data, x, policy, setup, keep_criterion=True)
+                assert len(fit.criterion) == len(setup.grid)
+                best = min(fit.criterion.values())
+                assert fit.criterion[fit.selected.exponents] == best
+                # tie rule: widest bandwidth first, then lexicographic order
+                tied = [e for e, v in fit.criterion.items() if v == best]
+                assert fit.selected.exponents == min(tied, key=lambda e: (sum(e), e))
 
     def test_selection_deterministic_across_calls(self):
         rng = np.random.default_rng(53)
@@ -372,6 +379,31 @@ class TestGridEstimation:
         policy = kappa_default(2, 2.0, setup.kernel.k_inf)
         with pytest.raises(InvalidParameterError):
             estimate_on_grid(data, np.zeros((3, 1)), policy, setup)
+
+
+NON_FINITE_POINTS = ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, np.nan])
+
+
+class TestNonFinitePoints:
+    @staticmethod
+    def fixture():
+        rng = np.random.default_rng(67)
+        data = build_dataset(rng.uniform(-1, 1, size=(16, 2)))
+        setup = make_setup(16, 2, max_exponent=2)
+        return data, setup, kappa_default(2, 2.0, setup.kernel.k_inf)
+
+    @pytest.mark.parametrize("x", NON_FINITE_POINTS)
+    def test_select_and_estimate_rejects(self, x):
+        data, setup, policy = self.fixture()
+        with pytest.raises(InvalidParameterError, match="finite"):
+            select_and_estimate(data, np.array(x), policy, setup)
+
+    @pytest.mark.parametrize("x", NON_FINITE_POINTS)
+    def test_estimate_on_grid_rejects(self, x):
+        data, setup, policy = self.fixture()
+        pts = np.array([[0.0, 0.0], x])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            estimate_on_grid(data, pts, policy, setup)
 
 
 class TestSetup:

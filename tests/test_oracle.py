@@ -11,7 +11,7 @@ from anisokde.densities import (
     smooth_product_density,
 )
 from anisokde.errors import InvalidParameterError
-from anisokde.estimator import kappa_default, make_setup
+from anisokde.estimator import kappa_default, make_setup, select_and_estimate
 from anisokde.oracle import (
     assert_oracle_inequality,
     bias,
@@ -189,6 +189,25 @@ class TestOracleInequality:
         parsed = json.loads(json.dumps(rec))
         assert parsed["lhs"] <= parsed["rhs"]
         assert set(parsed["rhs_terms"]) == {"bias_bar", "mK", "mQ", "zeta", "chi"}
+
+
+class TestOneSelectorPass:
+    @pytest.mark.parametrize("dim, n, seed", [(1, 64, 3), (1, 128, 8),
+                                              (2, 32, 5), (2, 64, 12)])
+    def test_record_matches_selector_and_terms(self, dim, n, seed):
+        f = smooth_product_density("raised_cosine", dim)
+        setup = make_setup(n, dim, max_exponent=4)
+        policy = kappa_default(dim, 2.0, setup.kernel.k_inf)
+        rng = np.random.default_rng(seed)
+        data = sample(f, n, rng)
+        box = np.asarray(f.box, dtype=float)
+        x = rng.uniform(box[:, 0], box[:, 1])
+        rec = assert_oracle_inequality(data, f, x, policy, setup, nodes=65)
+        fit = select_and_estimate(data, x, policy, setup)
+        terms = oracle_terms(data, f, x, policy, setup, nodes=65)
+        assert rec["selected"] == list(fit.selected.exponents)
+        assert rec["lhs"] == abs(fit.estimate - f(x))
+        assert rec["rhs"] == terms.bound
 
 
 class TestProportionalBrackets:
