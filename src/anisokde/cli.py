@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or configuration, 2 verification failure,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -104,6 +105,14 @@ def _csv_bytes(header: list[str], rows, include_header: bool) -> bytes:
 def _dat_bytes(rows) -> bytes:
     return ("".join(" ".join(_fmt(v) for v in row) + "\n" for row in rows)
             ).encode("utf-8")
+
+
+@contextlib.contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Record the wall time of the enclosed block as timings[name]."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
 
 
 class _Run:
@@ -401,28 +410,21 @@ def _read_points(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-@cli.command("estimate")
-@click.argument("data_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--clamp/--no-clamp", default=False, show_default=True,
-              help="Clip negative estimates to zero after selection.")
-@_run_options
-def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header):
-    """Fit the selector on a data file over the configured grid."""
-    resolved = _resolve(load_config(config_path), seed)
-    sec = _section(resolved, "estimate", "estimate")
-    run = _Run(_outdir(out_flag, resolved, "estimate"),
-               resolved["output"]["formats"])
-    t0 = time.perf_counter()
-    points = _read_points(data_file)
-    data = build_dataset(points)
-    dim = data.dim
+def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
+    """Evaluation points from estimate.points, or estimate.box and grid_nodes."""
     if sec.get("points") is not None:
-        mesh = np.asarray(sec["points"], dtype=float)
+        try:
+            mesh = np.asarray(sec["points"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"estimate.points must be rows of {dim} coordinates") from exc
         if mesh.size == 0:
             mesh = np.empty((0, dim))
         if mesh.ndim != 2 or mesh.shape[1] != dim:
             raise ConfigError(
                 f"estimate.points must be rows of {dim} coordinates")
+        if not np.all(np.isfinite(mesh)):
+            raise ConfigError("estimate.points must be finite")
     else:
         box = sec.get("box")
         nodes = sec.get("grid_nodes")
@@ -434,18 +436,41 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
                 f"estimate.box has {len(box)} axes but the data has {dim}")
         mesh = GridSpec(box=tuple((float(a), float(b)) for a, b in box),
                         nodes=(int(nodes),) * dim).mesh()
-    setup = make_setup(
-        data.n, dim, ell=int(resolved["kernel"]["ell"]),
-        table_size=int(resolved["kernel"]["table_size"]),
-        max_exponent=resolved["estimator"]["max_exponent"])
+    return mesh
+
+
+@cli.command("estimate")
+@click.argument("data_file", type=click.Path(exists=True, dir_okay=False))
+@click.option("--clamp/--no-clamp", default=False, show_default=True,
+              help="Clip negative estimates to zero after selection.")
+@_run_options
+def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header):
+    """Fit the selector on a data file over the configured grid."""
+    resolved = _resolve(load_config(config_path), seed)
+    sec = _section(resolved, "estimate", "estimate")
+    # every input is checked before the output directory exists
+    timings: dict[str, float] = {}
+    with _stage(timings, "index"):
+        data = build_dataset(_read_points(data_file))
+    dim = data.dim
+    mesh = _estimate_mesh(sec, dim)
+    with _stage(timings, "kernel_tables"):
+        setup = make_setup(
+            data.n, dim, ell=int(resolved["kernel"]["ell"]),
+            table_size=int(resolved["kernel"]["table_size"]),
+            max_exponent=resolved["estimator"]["max_exponent"])
     policy = _policy(resolved["estimator"], dim, setup.kernel.k_inf)
-    fits = estimate_on_grid(data, mesh, policy, setup, threads=threads)
-    run.timings["fit"] = time.perf_counter() - t0
-    cols = ([f"x_{j + 1}" for j in range(dim)] + ["fhat"]
-            + [f"k_{j + 1}" for j in range(dim)])
-    rows = [list(f.x) + [max(f.estimate, 0.0) if clamp else f.estimate]
-            + list(f.selected.exponents) for f in fits]
-    run.emit("fits.csv", _csv_bytes(cols, rows, header))
+    run = _Run(_outdir(out_flag, resolved, "estimate"),
+               resolved["output"]["formats"])
+    run.timings.update(timings)
+    with _stage(run.timings, "fit"):
+        fits = estimate_on_grid(data, mesh, policy, setup, threads=threads)
+    with _stage(run.timings, "write"):
+        cols = ([f"x_{j + 1}" for j in range(dim)] + ["fhat"]
+                + [f"k_{j + 1}" for j in range(dim)])
+        rows = [list(f.x) + [max(f.estimate, 0.0) if clamp else f.estimate]
+                + list(f.selected.exponents) for f in fits]
+        run.emit("fits.csv", _csv_bytes(cols, rows, header))
     run.finish("estimate", resolved, resolved["seed"])
     click.echo(f"estimate: {len(fits)} fits ({data.n} points) -> {run.outdir}")
 
@@ -457,27 +482,29 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
     resolved = _resolve(load_config(config_path), seed)
     sec = _section(resolved, "oracle", "oracle")
     density = _build_density(_section(resolved, "density", "oracle"))
-    run = _Run(_outdir(out_flag, resolved, "oracle"),
-               resolved["output"]["formats"])
-    t0 = time.perf_counter()
     instances = int(sec.get("instances", 20))
     n = int(sec.get("n", 256))
     nodes = int(sec.get("nodes", 129))
     if instances < 1:
         raise ConfigError("oracle.instances must be >= 1")
-    setup = make_setup(n, density.dim, ell=int(resolved["kernel"]["ell"]),
-                       table_size=int(resolved["kernel"]["table_size"]),
-                       max_exponent=resolved["estimator"]["max_exponent"])
+    timings: dict[str, float] = {}
+    with _stage(timings, "kernel_tables"):
+        setup = make_setup(n, density.dim, ell=int(resolved["kernel"]["ell"]),
+                           table_size=int(resolved["kernel"]["table_size"]),
+                           max_exponent=resolved["estimator"]["max_exponent"])
     policy = _policy(resolved["estimator"], density.dim, setup.kernel.k_inf)
+    run = _Run(_outdir(out_flag, resolved, "oracle"),
+               resolved["output"]["formats"])
+    run.timings.update(timings)
     box = np.asarray(density.box, dtype=float)
     records = []
-    for i in range(instances):
-        rng = np.random.default_rng(int(resolved["seed"]) + i)
-        data = sample(density, n, rng)
-        x = rng.uniform(box[:, 0], box[:, 1])
-        records.append(assert_oracle_inequality(
-            data, density, x, policy, setup, nodes=nodes))
-    run.timings["instances"] = time.perf_counter() - t0
+    with _stage(run.timings, "instances"):
+        for i in range(instances):
+            rng = np.random.default_rng(int(resolved["seed"]) + i)
+            data = sample(density, n, rng)
+            x = rng.uniform(box[:, 0], box[:, 1])
+            records.append(assert_oracle_inequality(
+                data, density, x, policy, setup, nodes=nodes))
     holds = sum(1 for r in records if r["holds"])
     run.emit("oracle.json", _json_bytes(
         {"instances": instances, "n": n, "holds": holds,

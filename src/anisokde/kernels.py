@@ -11,8 +11,11 @@ cheap, consistent representation.
 
 Pair convolutions q_r(t) = int k(t - r*u) k(u) du, r in (0, 1], drive
 both the two-bandwidth estimators and the envelope kernel. They are
-tabulated once per (order, table_size, r) from the closed-form profile
-and cached for the life of the process.
+tabulated once per (order, table_size, r) by the trapezoid rule over
+the closed-form profile and cached for the life of the process. Each
+mixture term is a shifted cosine on an interval, so the angle-addition
+formula turns every table node into a few prefix-sum differences over
+the quadrature nodes: O(m * ell) per table, m the node count.
 """
 
 from __future__ import annotations
@@ -88,19 +91,32 @@ class Tabulated1D:
         return (self.lo, self.hi)
 
 
+def _bump_shape(ell: int) -> tuple[int, float, float]:
+    """(amplitude, frequency, half-width) of the order-ell base bump
+    amplitude * (1 + cos(frequency * y)) on |y| <= half-width."""
+    return ell, 2.0 * np.pi * ell, 0.5 / ell
+
+
+def _mixture_terms(ell: int) -> tuple[tuple[float, int], ...]:
+    """(weight, dilation) of each term of the order-ell mixture
+    sum_i weight_i * bump(y / dilation_i)."""
+    return tuple((comb(ell, i) * (-1.0) ** (i + 1) / i, i) for i in range(1, ell + 1))
+
+
 def _cosine_bump(ell: int, y) -> np.ndarray:
     """Closed-form base profile of order ell on [-1/(2 ell), 1/(2 ell)]."""
     y = np.asarray(y, dtype=float)
-    out = ell * (1.0 + np.cos(2.0 * np.pi * ell * y))
-    return np.where(np.abs(y) <= 0.5 / ell, out, 0.0)
+    amp, freq, half = _bump_shape(ell)
+    out = amp * (1.0 + np.cos(freq * y))
+    return np.where(np.abs(y) <= half, out, 0.0)
 
 
 def _moment_corrected(ell: int, y) -> np.ndarray:
     """Closed-form alternating binomial mixture of dilated base bumps."""
     y = np.asarray(y, dtype=float)
     out = np.zeros(y.shape, dtype=float)
-    for i in range(1, ell + 1):
-        out += comb(ell, i) * (-1.0) ** (i + 1) / i * _cosine_bump(ell, y / i)
+    for weight, dil in _mixture_terms(ell):
+        out += weight * _cosine_bump(ell, y / dil)
     return out
 
 
@@ -271,9 +287,14 @@ def convolve_ratio(composite: CompositeKernel1D, ratio: float) -> ConvolvedProfi
 
     r is the smaller-to-larger bandwidth ratio along one axis. The
     integrand uses the closed-form order-ell profile (the tabulation is
-    a faithful rendering of it), integrated by trapezoid quadrature on
-    a grid matching the composite's per-unit node spacing. Results are
-    cached per (ell, table_size, r) for the process lifetime.
+    a faithful rendering of it), integrated by the trapezoid rule on a
+    grid matching the composite's per-unit node spacing. Each mixture
+    term c * (1 + cos(a*y)) on |y| <= s splits, by
+    cos(a(t - r*u)) = cos(a*t) cos(a*r*u) + sin(a*t) sin(a*r*u), into
+    three weighted sums over the u-nodes with |t - r*u| <= s. Those
+    nodes are contiguous, so each sum is a difference of two prefix
+    sums and the table costs O(m * ell) for m nodes. Results are cached
+    per (ell, table_size, r) for the process lifetime.
     """
     r = float(ratio)
     if not np.isfinite(r) or not 0.0 < r <= 1.0:
@@ -283,24 +304,32 @@ def convolve_ratio(composite: CompositeKernel1D, ratio: float) -> ConvolvedProfi
     if hit is not None:
         return hit
 
+    ell = composite.ell
     m = 2 * composite.table_size + 1
     t_nodes = np.linspace(-1.0, 1.0, m)
     u_nodes = np.linspace(-0.5, 0.5, m)
     du = 1.0 / (m - 1)
-    weighted_k = _moment_corrected(composite.ell, u_nodes) * du
+    weighted_k = _moment_corrected(ell, u_nodes) * du
     weighted_k[0] *= 0.5
     weighted_k[-1] *= 0.5
 
     # q_r is even, so compute t >= 0 and mirror
     half = m // 2
-    pos_vals = np.empty(half + 1)
-    block = 256
-    for a in range(0, half + 1, block):
-        b = min(a + block, half + 1)
-        tt = t_nodes[half + a: half + b]
-        pos_vals[a:b] = _moment_corrected(
-            composite.ell, tt[:, None] - r * u_nodes[None, :]
-        ) @ weighted_k
+    tt = t_nodes[half:]
+    ru = r * u_nodes  # increasing, so each support window is one index range
+    amp, freq, bump_half = _bump_shape(ell)
+    pos_vals = np.zeros(half + 1)
+    for weight, dil in _mixture_terms(ell):
+        a, s = freq / dil, bump_half * dil
+        lo = np.searchsorted(ru, tt - s, side="left")
+        hi = np.searchsorted(ru, tt + s, side="right")
+        for summand, phase in (
+            (weighted_k, 1.0),
+            (weighted_k * np.cos(a * ru), np.cos(a * tt)),
+            (weighted_k * np.sin(a * ru), np.sin(a * tt)),
+        ):
+            csum = np.concatenate(([0.0], np.cumsum(summand)))
+            pos_vals += (weight * amp) * phase * (csum[hi] - csum[lo])
     values = np.concatenate([pos_vals[:0:-1], pos_vals])
 
     out = ConvolvedProfile(ratio=r, profile=Tabulated1D(-1.0, 1.0, values))

@@ -228,7 +228,30 @@ class TestEstimateCommand:
         assert main(["estimate", data, "--config", str(path),
                      "--out", str(out)]) == 1
         assert "finite" in capsys.readouterr().err
-        assert not (out / "fits.csv").exists()
+        assert not out.exists()
+
+    def test_ragged_points_rejected(self, tmp_path, capsys):
+        data = self.data_file(tmp_path, "0.0 0.1\n0.5 0.2\n")
+        cfg = write_config(tmp_path, {
+            "kernel": {"table_size": 64},
+            "estimate": {"points": [[0.25, 0.0], [0.5]]},
+        })
+        out = tmp_path / "o"
+        assert main(["estimate", data, "--config", cfg, "--out", str(out)]) == 1
+        assert "estimate.points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_times_each_stage(self, tmp_path):
+        data = self.data_file(tmp_path, "0.0\n0.5\n")
+        cfg = write_config(tmp_path, {
+            "kernel": {"table_size": 64},
+            "estimate": {"points": [[0.25], [0.1]]},
+        })
+        out = tmp_path / "run"
+        assert main(["estimate", data, "--config", cfg, "--out", str(out)]) == 0
+        timings = read_json(out, "manifest.json")["timings"]
+        assert set(timings) == {"index", "kernel_tables", "fit", "write"}
+        assert all(v >= 0.0 for v in timings.values())
 
     def test_bad_token_reports_line_number(self, tmp_path, capsys):
         data = self.data_file(tmp_path, "0.1\n0.2\nfrog\n")

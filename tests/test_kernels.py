@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,48 @@ class TestConvolvedProfile:
         left = q(np.array([-t]))[0]
         right = q(np.array([t]))[0]
         assert left == pytest.approx(right, abs=1e-12)
+
+
+def _dense_pair_table(ell, table_size, r):
+    """The trapezoid sum behind convolve_ratio as a dense (m/2+1) x m
+    mat-vec over the closed-form mixture, written out independently."""
+
+    def k(y):
+        out = np.zeros_like(y)
+        for i in range(1, ell + 1):
+            w = math.comb(ell, i) * (-1.0) ** (i + 1) / i * ell
+            z = y / i
+            out += w * np.where(np.abs(z) <= 0.5 / ell,
+                                1.0 + np.cos(2.0 * math.pi * ell * z), 0.0)
+        return out
+
+    m = 2 * table_size + 1
+    t = np.linspace(-1.0, 1.0, m)
+    u = np.linspace(-0.5, 0.5, m)
+    wk = k(u) / (m - 1)
+    wk[0] *= 0.5
+    wk[-1] *= 0.5
+    pos = k(t[m // 2:, None] - r * u[None, :]) @ wk
+    return np.concatenate([pos[:0:-1], pos])
+
+
+class TestPrefixSumTabulation:
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1.0, 0.75, 0.5, 2.0 ** -5, 2.0 ** -10])
+    def test_matches_dense_trapezoid(self, ell, r):
+        comp = build_composite(build_base(ell, table_size=256))
+        vals = convolve_ratio(comp, r).profile.values
+        assert np.max(np.abs(vals - _dense_pair_table(ell, 256, r))) <= 1e-12
+        assert np.array_equal(vals, vals[::-1])
+
+    def test_cold_table_is_linear_time(self):
+        # an O(m^2) tabulation takes seconds at this size, the O(m * ell)
+        # one milliseconds. Ratio 0.3 is used by no other test, so this
+        # call builds its table from scratch.
+        comp = build_composite(build_base(3, table_size=4096))
+        t0 = time.perf_counter()
+        convolve_ratio(comp, 0.3)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestProductKernel:
