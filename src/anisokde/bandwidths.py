@@ -62,12 +62,13 @@ class BandwidthGrid:
     max_exponent: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidParameterError(f"dim must be >= 1, got {self.dim}")
-        if self.max_exponent < 0:
-            raise InvalidParameterError(
-                f"max_exponent must be >= 0, got {self.max_exponent}"
-            )
+        for name, low in (("dim", 1), ("max_exponent", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidParameterError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
 
     def __len__(self) -> int:
         return (self.max_exponent + 1) ** self.dim

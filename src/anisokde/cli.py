@@ -358,7 +358,7 @@ def cmd_kernel_check(config_path, seed, threads, out_flag, header):
     record("symmetry_defect", np.abs(composite(ts) - composite(-ts)).max(), 1e-12)
 
     ratios = tuple(2.0 ** -k for k in range(11))
-    env = build_majorant(composite, ratios, 1).per_dim_envelope[0]
+    env = build_majorant(composite, ratios, 1).factor.profile
     record("envelope_sup_excess",
            env.sup_norm() - composite.sup_norm ** 2, 1e-12)
     env_lo, env_hi = env.support()

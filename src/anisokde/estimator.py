@@ -12,8 +12,12 @@ per-bandwidth range queries would change nothing but the constant.
 One internal function, `_select_point`, runs the whole rule at a point
 and returns every per-point quantity at once: the raw sums, the
 criterion, the selected lattice index and the candidate count. Grid
-fits, the risk engine and the oracle lab all read that record, and the
-lattice tables it needs are built once per `EstimationSetup`.
+fits, the risk engine and the oracle lab all read that record.
+
+An `EstimationSetup` owns every table the rule reads: the product
+kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
+in `make_setup`), the envelope built from those tables, and the lattice
+combinatorics (built on first use). Nothing is cached per process.
 
 Per-axis kernel lookups are cached inside a point's computation: a
 lattice of size (E+1)^d has only (E+1) distinct axis scales and
@@ -33,15 +37,18 @@ from .bandwidths import Bandwidth, BandwidthGrid, build_grid
 from .errors import InvalidParameterError
 from .kernels import (
     DEFAULT_TABLE_SIZE,
-    CompositeKernel1D,
-    MajorantKernel,
+    Kernel1D,
     ProductKernel,
     build_base,
     build_composite,
-    build_majorant,
+    build_envelope,
     build_product,
     convolve_ratio,
 )
+
+# Largest peak the lattice tables and one point's selection may need,
+# as estimated by `_lattice_bytes`; make_setup refuses bigger lattices.
+MAX_LATTICE_BYTES = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,21 +187,41 @@ class _GridTables:
         self.geq = (exp[None, :, :] <= exp[:, None, :]).all(axis=2)
 
 
+def _lattice_bytes(grid: BandwidthGrid) -> int:
+    """Peak bytes of the lattice tables, or of one point's selection.
+
+    _GridTables builds join_index from two (H, H, d) int64 temporaries;
+    afterwards join_index (int64) and geq (bool) stay, and a point
+    holds about four (H, H) float64 arrays on top of them.
+    """
+    h2 = len(grid) ** 2
+    return h2 * max(16 * grid.dim + 8, 8 + 1 + 4 * 8)
+
+
 @dataclass(frozen=True, eq=False)
 class EstimationSetup:
-    """Immutable bundle the selection rule needs besides data and policy."""
+    """Immutable bundle the selection rule needs besides data and policy.
+
+    pair_tables[k] is the q_r table for the axis ratio r = 2^-k, one for
+    each exponent difference k = 0..E the lattice can realize.
+    """
 
     kernel: ProductKernel
-    majorant: MajorantKernel
+    majorant: ProductKernel
     grid: BandwidthGrid
+    pair_tables: tuple[Kernel1D, ...]
 
     def __post_init__(self):
         if self.kernel.dim != self.majorant.dim or self.kernel.dim != self.grid.dim:
             raise InvalidParameterError("kernel, majorant, and grid dims must agree")
+        if len(self.pair_tables) != self.grid.max_exponent + 1:
+            raise InvalidParameterError(
+                f"need one q_r table per lattice ratio ({self.grid.max_exponent + 1}), "
+                f"got {len(self.pair_tables)}")
 
     @property
-    def marginal(self) -> CompositeKernel1D:
-        return self.kernel.per_dim[0]
+    def marginal(self) -> Kernel1D:
+        return self.kernel.factor
 
     @cached_property
     def tables(self) -> _GridTables:
@@ -209,78 +236,34 @@ def make_setup(
     table_size: int = DEFAULT_TABLE_SIZE,
     max_exponent: int | None = None,
 ) -> EstimationSetup:
-    """Build kernel, envelope, and lattice for sample size n.
+    """Build kernel, q_r tables, envelope, and lattice for sample size n.
 
-    Constructing the envelope tabulates every convolution ratio the
-    lattice can realize, so fits only read tables that already exist.
+    The lattice comes first: its exponents are checked, and its memory
+    estimate against MAX_LATTICE_BYTES, before any table is built. Then
+    each lattice ratio 2^0..2^-E is tabulated exactly once; the setup
+    keeps those tables, the envelope is their pointwise max, and fits
+    and the oracle only read them.
     """
-    composite = build_composite(build_base(ell, table_size))
-    kernel = build_product(composite, dim)
     grid = build_grid(n, dim)
     if max_exponent is not None:
         grid = BandwidthGrid(dim=dim, max_exponent=max_exponent)
-    majorant = build_majorant(composite, grid.ratios(), dim)
-    return EstimationSetup(kernel=kernel, majorant=majorant, grid=grid)
-
-
-def eval_fhat(data: Dataset, K: ProductKernel, h: Bandwidth, x: np.ndarray) -> float:
-    """Single-bandwidth kernel estimate at x."""
-    x = _check_point(x, K.dim)
-    vals = h.values
-    half = vals * K.half_width
-    idx = data.box_indices(x - half, x + half)
-    if idx.size == 0:
-        return 0.0
-    kv = K((data.points[idx] - x) / vals)
-    return float(kv.sum() / (data.n * h.volume))
-
-
-def eval_fhat_pair(
-    data: Dataset, K: ProductKernel, h: Bandwidth, eta: Bandwidth, x: np.ndarray
-) -> float:
-    """Two-bandwidth estimate at x, symmetric in the bandwidth pair."""
-    x = _check_point(x, K.dim)
-    join_exp = np.minimum(h.exponents, eta.exponents)
-    scale = 2.0 ** -join_exp.astype(float)
-    idx = data.box_indices(x - scale, x + scale)
-    if idx.size == 0:
-        return 0.0
-    offs = data.points[idx] - x
-    vals = np.ones(idx.size)
-    for j in range(K.dim):
-        r = 2.0 ** -abs(h.exponents[j] - eta.exponents[j])
-        vals = vals * convolve_ratio(K.per_dim[j], r)(offs[:, j] / scale[j])
-    inv_vol = 2.0 ** float(join_exp.sum())
-    return float(vals.sum() * inv_vol / data.n)
-
-
-def eval_A_hat(data: Dataset, g, h: Bandwidth, x: np.ndarray) -> float:
-    """Empirical absolute-kernel average at x for g the kernel or envelope."""
-    x = _check_point(x, g.dim)
-    vals = h.values
-    half = vals * g.half_width
-    idx = data.box_indices(x - half, x + half)
-    if idx.size == 0:
-        return 0.0
-    gv = g((data.points[idx] - x) / vals)
-    return float(np.abs(gv).sum() / (data.n * h.volume))
+    need = _lattice_bytes(grid)
+    if need > MAX_LATTICE_BYTES:
+        raise InvalidParameterError(
+            f"a lattice of {len(grid)} bandwidths in {grid.dim} dimensions needs "
+            f"about {need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
+            f"{MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower max_exponent or the dimension")
+    composite = build_composite(build_base(ell, table_size))
+    pair_tables = tuple(convolve_ratio(composite, r) for r in grid.ratios())
+    return EstimationSetup(kernel=build_product(composite, dim),
+                           majorant=build_envelope(pair_tables, dim),
+                           grid=grid, pair_tables=pair_tables)
 
 
 def _m_hat(a_hat, kappa: float, log_n: float, n: int, volume):
     """4 sqrt(A lam) + 4 lam, lam = kappa ln n / (n V); scalars or arrays."""
     lam = kappa * log_n / (n * volume)
     return 4.0 * np.sqrt(a_hat * lam) + 4.0 * lam
-
-
-def eval_M_hat(
-    data: Dataset, g, h: Bandwidth, x: np.ndarray, policy: KappaPolicy, n: int | None = None
-) -> float:
-    """Empirical error majorant at x; n defaults to the dataset size."""
-    n = data.n if n is None else int(n)
-    if n < 2:
-        raise InvalidParameterError(f"majorants need n >= 2, got {n}")
-    a_hat = eval_A_hat(data, g, h, x)
-    return _m_hat(a_hat, policy.kappa, float(np.log(n)), n, h.volume)
 
 
 def _check_point(x, dim: int) -> np.ndarray:
@@ -306,8 +289,8 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     offs = data.points[idx] - x
 
     # per-axis lookup caches; the lattice reuses each scale many times
-    marg = [setup.kernel.per_dim[j] for j in range(dim)]
-    env = [setup.majorant.per_dim_envelope[j] for j in range(dim)]
+    marg = setup.kernel.factor
+    env = setup.majorant.factor
     k_ax: list[dict[int, np.ndarray]] = [{} for _ in range(dim)]
     e_ax: list[dict[int, np.ndarray]] = [{} for _ in range(dim)]
     q_ax: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in range(dim)]
@@ -315,14 +298,14 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     def k_axis(j: int, k_exp: int) -> np.ndarray:
         tab = k_ax[j].get(k_exp)
         if tab is None:
-            tab = marg[j](offs[:, j] * 2.0 ** k_exp)
+            tab = marg(offs[:, j] * 2.0 ** k_exp)
             k_ax[j][k_exp] = tab
         return tab
 
     def e_axis(j: int, k_exp: int) -> np.ndarray:
         tab = e_ax[j].get(k_exp)
         if tab is None:
-            tab = env[j](offs[:, j] * 2.0 ** k_exp)
+            tab = env(offs[:, j] * 2.0 ** k_exp)
             e_ax[j][k_exp] = tab
         return tab
 
@@ -330,8 +313,7 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
         key = (join_exp, diff)
         tab = q_ax[j].get(key)
         if tab is None:
-            q = convolve_ratio(marg[j], 2.0 ** -diff)
-            tab = q(offs[:, j] * 2.0 ** join_exp)
+            tab = setup.pair_tables[diff](offs[:, j] * 2.0 ** join_exp)
             q_ax[j][key] = tab
         return tab
 
@@ -411,17 +393,6 @@ def _select_point(data: Dataset, x, policy: KappaPolicy,
         best=best, selected=Bandwidth(tuple(int(k) for k in tables.exp[best])),
         counts=counts,
     )
-
-
-def eval_criterion(
-    data: Dataset, x: np.ndarray, h: Bandwidth, policy: KappaPolicy,
-    setup: EstimationSetup,
-) -> float:
-    """Selection criterion of one bandwidth at one point."""
-    if h not in setup.grid:
-        raise InvalidParameterError(f"bandwidth {h.exponents} not on the setup grid")
-    rec = _select_point(data, x, policy, setup)
-    return float(rec.criterion[setup.grid.index(h)])
 
 
 def select_and_estimate(

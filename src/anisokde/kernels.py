@@ -9,13 +9,20 @@ consumes uniform tabulations with linear interpolation that is exactly
 zero outside the support, so estimator sums and quadrature all see one
 cheap, consistent representation.
 
+Three types carry all of it: `Tabulated1D` (a uniform table),
+`Kernel1D` (an order-ell profile on such a table: the base bump, the
+moment-corrected mixture, a pair convolution, or the envelope of pair
+convolutions) and `ProductKernel` (one profile repeated across dim
+axes, for the kernel K as for the envelope).
+
 Pair convolutions q_r(t) = int k(t - r*u) k(u) du, r in (0, 1], drive
-both the two-bandwidth estimators and the envelope kernel. They are
-tabulated once per (order, table_size, r) by the trapezoid rule over
-the closed-form profile and cached for the life of the process. Each
-mixture term is a shifted cosine on an interval, so the angle-addition
-formula turns every table node into a few prefix-sum differences over
-the quadrature nodes: O(m * ell) per table, m the node count.
+both the two-bandwidth estimators and the envelope kernel.
+`convolve_ratio` tabulates one by the trapezoid rule over the
+closed-form profile; it keeps no state, and an estimation setup holds
+the tables for its lattice ratios. Each mixture term is a shifted
+cosine on an interval, so the angle-addition formula turns every table
+node into a few prefix-sum differences over the quadrature nodes:
+O(m * ell) per table, m the node count.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from math import comb
 
 import numpy as np
 
-from .bandwidths import Bandwidth
 from .errors import InvalidParameterError
 
 DEFAULT_TABLE_SIZE = 4096
@@ -130,8 +136,8 @@ def _check_order_and_table(ell: int, table_size: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class BaseKernel1D:
-    """Raised-cosine bump of order ell, tabulated on its own support."""
+class Kernel1D:
+    """An order-ell profile on a uniform table, zero outside it."""
 
     ell: int
     profile: Tabulated1D
@@ -150,109 +156,58 @@ class BaseKernel1D:
 
 
 @dataclass(frozen=True, eq=False)
-class CompositeKernel1D:
-    """Order-ell mixture with vanishing moments 1..ell-1 on [-1/2, 1/2]."""
-
-    ell: int
-    profile: Tabulated1D
-
-    @property
-    def table_size(self) -> int:
-        return self.profile.values.size - 1
-
-    @property
-    def sup_norm(self) -> float:
-        return self.profile.sup_norm()
-
-    def __call__(self, y) -> np.ndarray:
-        return self.profile(y)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvolvedProfile:
-    """Tabulation on [-1, 1] of q_r(t) = int k(t - r*u) k(u) du."""
-
-    ratio: float
-    profile: Tabulated1D
-
-    def __call__(self, y) -> np.ndarray:
-        return self.profile(y)
-
-
-@dataclass(frozen=True, eq=False)
 class ProductKernel:
-    """Tensor product of one composite profile across dim axes."""
+    """Tensor product of one profile across dim axes: the kernel K, whose
+    factor is the composite profile, or the envelope, whose factor is the
+    pointwise max of |q_r| over a ratio set."""
 
     dim: int
-    per_dim: tuple[CompositeKernel1D, ...]
+    factor: Kernel1D
+
+    def __post_init__(self):
+        if self.dim != int(self.dim) or self.dim < 1:
+            raise InvalidParameterError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
 
     @property
     def k_inf(self) -> float:
+        # one factor per axis, as in the product itself (not sup ** dim)
         out = 1.0
-        for marg in self.per_dim:
-            out *= marg.sup_norm
+        for _ in range(self.dim):
+            out *= self.factor.sup_norm
         return out
 
     @property
     def half_width(self) -> float:
         """Per-axis support half-width (profiles are symmetric)."""
-        return max(abs(m.profile.lo) for m in self.per_dim)
+        return abs(self.factor.profile.lo)
+
+    @property
+    def per_dim_envelope(self) -> tuple[Tabulated1D, ...]:
+        # read only by perfbench/worker.py (`table_bytes`); drop it when
+        # the benchmark reads `factor` instead
+        return (self.factor.profile,) * self.dim
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InvalidParameterError(f"expected points of shape (m, {self.dim})")
-        out = self.per_dim[0](pts[:, 0])
+        out = self.factor(pts[:, 0])
         for j in range(1, self.dim):
-            out = out * self.per_dim[j](pts[:, j])
+            out = out * self.factor(pts[:, j])
         return out
 
     def integral(self) -> float:
         out = 1.0
-        for marg in self.per_dim:
-            out *= marg.profile.integral()
+        for _ in range(self.dim):
+            out *= self.factor.profile.integral()
         return out
 
     def support(self) -> np.ndarray:
-        return np.array([list(m.profile.support()) for m in self.per_dim])
+        return np.tile(self.factor.profile.support(), (self.dim, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class MajorantKernel:
-    """Coordinate-wise envelope of |q_r| over a ratio set, on [-1, 1]^dim."""
-
-    per_dim_envelope: tuple[Tabulated1D, ...]
-    ratios: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.per_dim_envelope)
-
-    @property
-    def sup_norm(self) -> float:
-        out = 1.0
-        for env in self.per_dim_envelope:
-            out *= env.sup_norm()
-        return out
-
-    @property
-    def half_width(self) -> float:
-        return 1.0
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise InvalidParameterError(f"expected points of shape (m, {self.dim})")
-        out = self.per_dim_envelope[0](pts[:, 0])
-        for j in range(1, self.dim):
-            out = out * self.per_dim_envelope[j](pts[:, j])
-        return out
-
-    def support(self) -> np.ndarray:
-        return np.tile([-1.0, 1.0], (self.dim, 1))
-
-
-def build_base(ell: int, table_size: int = DEFAULT_TABLE_SIZE) -> BaseKernel1D:
+def build_base(ell: int, table_size: int = DEFAULT_TABLE_SIZE) -> Kernel1D:
     """Tabulate the raised-cosine base profile of order ell.
 
     table_size counts subintervals; the table carries table_size + 1
@@ -262,27 +217,22 @@ def build_base(ell: int, table_size: int = DEFAULT_TABLE_SIZE) -> BaseKernel1D:
     _check_order_and_table(ell, table_size)
     half = 0.5 / ell
     nodes = np.linspace(-half, half, int(table_size) + 1)
-    return BaseKernel1D(ell=int(ell), profile=Tabulated1D(-half, half, _cosine_bump(ell, nodes)))
+    return Kernel1D(ell=int(ell), profile=Tabulated1D(-half, half, _cosine_bump(ell, nodes)))
 
 
-def build_composite(base: BaseKernel1D) -> CompositeKernel1D:
+def build_composite(base: Kernel1D) -> Kernel1D:
     """Mix dilates of the base profile to cancel moments 1..ell-1."""
     nodes = np.linspace(-0.5, 0.5, base.table_size + 1)
     values = _moment_corrected(base.ell, nodes)
-    return CompositeKernel1D(ell=base.ell, profile=Tabulated1D(-0.5, 0.5, values))
+    return Kernel1D(ell=base.ell, profile=Tabulated1D(-0.5, 0.5, values))
 
 
-def build_product(composite: CompositeKernel1D, dim: int) -> ProductKernel:
+def build_product(composite: Kernel1D, dim: int) -> ProductKernel:
     """Tensor product of the composite profile across dim axes."""
-    if dim != int(dim) or dim < 1:
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    return ProductKernel(dim=int(dim), per_dim=(composite,) * int(dim))
+    return ProductKernel(dim=dim, factor=composite)
 
 
-_CONV_CACHE: dict[tuple[int, int, float], ConvolvedProfile] = {}
-
-
-def convolve_ratio(composite: CompositeKernel1D, ratio: float) -> ConvolvedProfile:
+def convolve_ratio(composite: Kernel1D, ratio: float) -> Kernel1D:
     """Tabulate q_r(t) = int k(t - r*u) k(u) du on [-1, 1].
 
     r is the smaller-to-larger bandwidth ratio along one axis. The
@@ -293,17 +243,12 @@ def convolve_ratio(composite: CompositeKernel1D, ratio: float) -> ConvolvedProfi
     cos(a(t - r*u)) = cos(a*t) cos(a*r*u) + sin(a*t) sin(a*r*u), into
     three weighted sums over the u-nodes with |t - r*u| <= s. Those
     nodes are contiguous, so each sum is a difference of two prefix
-    sums and the table costs O(m * ell) for m nodes. Results are cached
-    per (ell, table_size, r) for the process lifetime.
+    sums and the table costs O(m * ell) for m nodes. The function keeps
+    no state: every call builds a fresh order-ell table on [-1, 1].
     """
     r = float(ratio)
     if not np.isfinite(r) or not 0.0 < r <= 1.0:
         raise InvalidParameterError(f"ratio must lie in (0, 1], got {ratio!r}")
-    key = (composite.ell, composite.table_size, r)
-    hit = _CONV_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     ell = composite.ell
     m = 2 * composite.table_size + 1
     t_nodes = np.linspace(-1.0, 1.0, m)
@@ -331,56 +276,27 @@ def convolve_ratio(composite: CompositeKernel1D, ratio: float) -> ConvolvedProfi
             csum = np.concatenate(([0.0], np.cumsum(summand)))
             pos_vals += (weight * amp) * phase * (csum[hi] - csum[lo])
     values = np.concatenate([pos_vals[:0:-1], pos_vals])
-
-    out = ConvolvedProfile(ratio=r, profile=Tabulated1D(-1.0, 1.0, values))
-    _CONV_CACHE[key] = out
-    return out
+    return Kernel1D(ell=ell, profile=Tabulated1D(-1.0, 1.0, values))
 
 
-def eval_pair_kernel(K: ProductKernel, h: Bandwidth, eta: Bandwidth, t) -> float | np.ndarray:
-    """Evaluate the two-bandwidth convolution kernel at offset(s) t.
-
-    This is the kernel whose empirical mean over the offsets X_i - x
-    gives the smoothed-pair estimate. It factorizes across axes as a
-    volume-scaled product of cached q_r lookups, r the per-axis ratio
-    of the two bandwidths. A single point (shape (dim,)) yields a
-    float; a batch (m, dim) yields an (m,) array.
-    """
-    if h.dim != K.dim or eta.dim != K.dim:
-        raise InvalidParameterError(
-            f"bandwidths must have dim {K.dim}, got {h.dim} and {eta.dim}"
-        )
-    t = np.asarray(t, dtype=float)
-    single = t.ndim == 1
-    pts = t[None, :] if single else t
-    if pts.ndim != 2 or pts.shape[1] != K.dim:
-        raise InvalidParameterError(f"expected offsets of shape (m, {K.dim})")
-
-    big = np.minimum(h.exponents, eta.exponents)  # join exponents
-    scale = 2.0 ** -big.astype(float)
-    out = np.full(pts.shape[0], 2.0 ** float(big.sum()))  # 1 / V_join
-    for j in range(K.dim):
-        r = 2.0 ** -abs(h.exponents[j] - eta.exponents[j])
-        q = convolve_ratio(K.per_dim[j], r)
-        out = out * q(pts[:, j] / scale[j])
-    return float(out[0]) if single else out
-
-
-def build_majorant(
-    composite: CompositeKernel1D, ratio_set, dim: int
-) -> MajorantKernel:
-    """Per-axis pointwise max of |q_r| over the realizable ratio set.
+def build_envelope(pair_tables, dim: int) -> ProductKernel:
+    """Per-axis pointwise max of |q_r| over the given q_r tables.
 
     The factorized form is exact for product kernels: each axis of a
     pair kernel depends on its own ratio only, and every ratio vector
     in the set's cartesian power is realized by some bandwidth pair.
     """
-    if dim != int(dim) or dim < 1:
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    ratios = tuple(sorted({float(r) for r in ratio_set}))
-    if not ratios:
+    if not pair_tables:
         raise InvalidParameterError("ratio_set must be non-empty")
-    tables = [convolve_ratio(composite, r) for r in ratios]
-    stacked = np.abs(np.stack([t.profile.values for t in tables]))
-    envelope = Tabulated1D(-1.0, 1.0, stacked.max(axis=0))
-    return MajorantKernel(per_dim_envelope=(envelope,) * int(dim), ratios=ratios)
+    # a running max, so no (ratios x nodes) stack is ever allocated
+    env = np.abs(pair_tables[0].profile.values)
+    for q in pair_tables[1:]:
+        env = np.maximum(env, np.abs(q.profile.values))
+    return ProductKernel(dim=dim, factor=Kernel1D(ell=pair_tables[0].ell,
+                                                  profile=Tabulated1D(-1.0, 1.0, env)))
+
+
+def build_majorant(composite: Kernel1D, ratio_set, dim: int) -> ProductKernel:
+    """Envelope of |q_r| over the distinct ratios in ratio_set."""
+    ratios = sorted({float(r) for r in ratio_set})
+    return build_envelope([convolve_ratio(composite, r) for r in ratios], dim)

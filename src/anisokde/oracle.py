@@ -26,7 +26,6 @@ from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
 from .errors import InvalidParameterError
 from .estimator import EstimationSetup, KappaPolicy, _PointRecord, _select_point
-from .kernels import convolve_ratio
 from .quadrature import DEFAULT_NODES, mesh_points, tensor_integral, trapezoid_rule
 
 
@@ -59,6 +58,11 @@ def _smooth_1d(pdf, center: float, scale: float, profile, half_width: float,
 
 def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> float:
     """Mean of the single-bandwidth estimate minus the truth at x."""
+    return _bias(f, K, h.values, x, nodes)
+
+
+def _bias(f: TrueDensity, K, h_vals: np.ndarray, x, nodes: int) -> float:
+    """bias at per-axis bandwidth values h_vals, on or off the lattice."""
     x = np.asarray(x, dtype=float)
     terms = _product_terms(f)
     if terms is not None:
@@ -66,16 +70,16 @@ def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> floa
         for w, margs in terms:
             prod = w
             for j in range(f.dim):
-                prod *= _smooth_1d(margs[j].pdf, x[j], h.values[j], K.per_dim[j], 0.5, nodes)
+                prod *= _smooth_1d(margs[j].pdf, x[j], h_vals[j], K.factor, 0.5, nodes)
             mean += prod
         return mean - f(x)
 
-    box = np.stack([x - 0.5 * h.values, x + 0.5 * h.values], axis=1)
+    box = np.stack([x - 0.5 * h_vals, x + 0.5 * h_vals], axis=1)
 
     def integrand(pts):
-        return K((pts - x) / h.values) * f(pts)
+        return K((pts - x) / h_vals) * f(pts)
 
-    return tensor_integral(integrand, box, nodes) / h.volume - f(x)
+    return tensor_integral(integrand, box, nodes) / float(np.prod(h_vals)) - f(x)
 
 
 def _smoothed_bias_product(terms, dim, K, x, a_exp, b_exp, nodes) -> float:
@@ -89,7 +93,7 @@ def _smoothed_bias_product(terms, dim, K, x, a_exp, b_exp, nodes) -> float:
             sb = 2.0 ** -float(b_exp[j])
             us, wu = trapezoid_rule(-0.5, 0.5, nodes)
             vs, wv = trapezoid_rule(-0.5, 0.5, nodes)
-            kj = K.per_dim[j]
+            kj = K.factor
             pts = x[j] + sb * vs[:, None] + sa * us[None, :]
             inner = (wv * kj(vs)) @ np.asarray(margs[j].pdf(pts.ravel()),
                                                dtype=float).reshape(pts.shape) @ (wu * kj(us))
@@ -120,7 +124,7 @@ def _smoothed_bias_generic(f, K, x, h: Bandwidth, eta: Bandwidth, nodes: int) ->
     t_mesh = mesh_points([x[j] + eta.values[j] * us[j][0] for j in range(f.dim)])
     kw = None
     for j in range(f.dim):
-        col = us[j][1] * K.per_dim[j](us[j][0])
+        col = us[j][1] * K.factor(us[j][0])
         kw = col if kw is None else np.multiply.outer(kw, col)
     b_vals = np.array([bias(f, K, h, t, nodes) for t in t_mesh])
     return float(kw.ravel() @ b_vals)
@@ -139,9 +143,8 @@ def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
         for w, margs in terms:
             prod = w
             for j in range(f.dim):
-                gj = _axis_profile(g, j)
                 prod *= _smooth_1d(margs[j].pdf, x[j], h.values[j],
-                                   lambda u, gj=gj: np.abs(gj(u)), hw, nodes)
+                                   lambda u: np.abs(g.factor(u)), hw, nodes)
             a_true += prod
     else:
         box = np.stack([x - hw * h.values, x + hw * h.values], axis=1)
@@ -152,12 +155,6 @@ def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
         a_true = tensor_integral(integrand, box, nodes) / h.volume
     lam = policy.kappa * float(np.log(n)) / (n * h.volume)
     return float(np.sqrt(max(a_true, 0.0) * lam) + lam)
-
-
-def _axis_profile(g, j: int):
-    if hasattr(g, "per_dim"):
-        return g.per_dim[j]
-    return g.per_dim_envelope[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +207,12 @@ class _TrueTables:
         se = np.zeros((C, dim, E + 1))
         tq = np.zeros((C, dim, E + 1, E + 1))
         tt = np.zeros((C, dim, E + 1, E + 1))
+        kj = setup.kernel.factor
+        ej = setup.majorant.factor
+        us, wu = trapezoid_rule(-0.5, 0.5, nodes)
+        kus = np.asarray(kj(us), dtype=float)
         for c, (_, margs) in enumerate(terms):
             for j in range(dim):
-                kj = setup.kernel.per_dim[j]
-                ej = setup.majorant.per_dim_envelope[j]
                 pdf = margs[j].pdf
                 for a in range(E + 1):
                     s = 2.0**-a
@@ -221,11 +220,9 @@ class _TrueTables:
                     sa[c, j, a] = _smooth_1d(pdf, x[j], s,
                                              lambda u, kj=kj: np.abs(kj(u)), 0.5, nodes)
                     se[c, j, a] = _smooth_1d(pdf, x[j], s, ej, 1.0, nodes)
-                us, wu = trapezoid_rule(-0.5, 0.5, nodes)
-                kus = np.asarray(kj(us), dtype=float)
                 for a in range(E + 1):
                     for b in range(a, E + 1):
-                        q = convolve_ratio(kj, 2.0 ** -(b - a))
+                        q = setup.pair_tables[b - a]
                         tq[c, j, a, b] = tq[c, j, b, a] = _smooth_1d(
                             pdf, x[j], 2.0**-a, q, 1.0, nodes)
                         pts = x[j] + (2.0**-b) * us[:, None] + (2.0**-a) * us[None, :]
@@ -296,8 +293,7 @@ def _pair_mean_generic(f, setup, h: Bandwidth, eta: Bandwidth, x, nodes: int) ->
     join_exp = np.minimum(h.exponents, eta.exponents)
     scale = 2.0 ** -join_exp.astype(float)
     box = np.stack([x - scale, x + scale], axis=1)
-    qs = [convolve_ratio(setup.kernel.per_dim[j],
-                         2.0 ** -abs(h.exponents[j] - eta.exponents[j]))
+    qs = [setup.pair_tables[abs(h.exponents[j] - eta.exponents[j])]
           for j in range(f.dim)]
 
     def integrand(pts):
@@ -464,13 +460,13 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
                 part = None
                 for l in range(f_family.dim):
                     col = _smooth_axis(margs[l].pdf, axes[l], h_vals[l],
-                                       K.per_dim[l], nodes)
+                                       K.factor, nodes)
                     part = col if part is None else np.multiply.outer(part, col)
                 b_grid = w * part if b_grid is None else b_grid + w * part
             b_grid = b_grid - f_grid
         else:
             b_grid = np.array([
-                bias(f_family, K, _as_bandwidth_like(h_vals), np.array([t]), nodes)
+                _bias(f_family, K, h_vals, np.array([t]), nodes)
                 for t in axes[0]
             ])
         norms.append(_grid_norm(np.abs(b_grid), wts, r_j))
@@ -481,16 +477,6 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     slope = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
     return ScalingReport(slope=slope, degenerate=False, axis=j, r=float(r_j),
                          h_values=tuple(hs), norms=tuple(norms))
-
-
-class _FixedBandwidth:
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.volume = float(np.prod(self.values))
-
-
-def _as_bandwidth_like(h_vals):
-    return _FixedBandwidth(h_vals)
 
 
 def _smooth_axis(pdf, ax: np.ndarray, h: float, kj, nodes: int) -> np.ndarray:

@@ -229,17 +229,18 @@ def _truth_on_grid(plan: ExperimentPlan) -> np.ndarray:
 
 def risk_replicate(plan: ExperimentPlan, n: int, seed: int) -> float:
     """One Monte-Carlo draw: returns the p-th power error, not its root."""
-    return _replicate_value(plan, int(n), int(seed))
+    n = int(n)
+    setup = plan.setup_for(n)
+    return _replicate_value(plan, n, int(seed), setup, plan.policy_for(setup))
 
 
-def _replicate_value(plan: ExperimentPlan, n: int, seed: int) -> float:
+def _replicate_value(plan: ExperimentPlan, n: int, seed: int,
+                     setup: EstimationSetup, policy: KappaPolicy) -> float:
     rng = np.random.default_rng(seed)
     data = sample(plan.density, n, rng)
     truth = _truth_on_grid(plan)
     if plan.debug_truth:
         return 0.0
-    setup = plan.setup_for(n)
-    policy = plan.policy_for(setup)
     selected = np.array([_select_point(data, x, policy, setup).estimate
                          for x in plan.grid.mesh()])
     diff = np.abs(selected.reshape(plan.grid.shape) - truth) ** plan.p
@@ -251,14 +252,18 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
 
     Replicate k of the whole run (schedule-major order) is seeded with
     plan.seed + k, so extending the schedule never changes the draws of
-    rows already present. Replicates run one after another; plan.threads
-    is validated but never changes anything.
+    rows already present. Each n gets one setup and policy, shared by
+    its replicates. Replicates run one after another; plan.threads is
+    validated but never changes anything.
     """
     start = time.perf_counter()
     values = []
     for n in plan.n_schedule:
+        setup = plan.setup_for(n)
+        policy = plan.policy_for(setup)
         for _ in range(plan.replicates):
-            values.append(_replicate_value(plan, n, plan.seed + len(values)))
+            values.append(_replicate_value(plan, n, plan.seed + len(values),
+                                           setup, policy))
 
     rows = []
     for i, n in enumerate(plan.n_schedule):

@@ -61,10 +61,15 @@ def test_criterion_01_kernel_mass_and_vanishing_moments(composites):
             for k in itertools.product(range(ell), repeat=d):
                 if not 1 <= sum(k) <= ell - 1:
                     continue
-                powers = np.array(k, dtype=float)
 
-                def weighted(pts, powers=powers):
-                    return K(pts) * np.prod(pts ** powers, axis=1)
+                def weighted(pts, k=k):
+                    # integer powers by repeated multiplication: a float
+                    # exponent costs a pow() call per node
+                    out = K(pts)
+                    for j, power in enumerate(k):
+                        for _ in range(power):
+                            out = out * pts[:, j]
+                    return out
 
                 worst_moment = max(
                     worst_moment, abs(tensor_integral(weighted, box, nodes))
@@ -93,7 +98,7 @@ def test_criterion_02_majorant_support_supnorm_domination(composites):
             outside[:, 0] = (-1.0001, 1.0001, 2.0)
             support_ok &= bool(np.all(Q(outside) == 0.0))
             worst_excess = max(worst_excess,
-                               Q.sup_norm - comp.sup_norm ** (2 * d))
+                               Q.k_inf - comp.sup_norm ** (2 * d))
             ts = rng.uniform(-1.0, 1.0, size=(200, d))
             env_vals = Q(ts)
             for _ in range(20):

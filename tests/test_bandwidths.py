@@ -87,6 +87,32 @@ class TestGrid:
             with pytest.raises(InvalidParameterError):
                 build_grid(n, 1)
 
+    @pytest.mark.parametrize("dim, max_exponent", [
+        (2.0, 2), (True, 2), (1, 2.5), (1, float("nan")), (1, True), (1, "3"),
+        (1, 3.0), (np.float64(1.0), 2),
+    ])
+    def test_non_integer_sizes_rejected(self, dim, max_exponent):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            BandwidthGrid(dim=dim, max_exponent=max_exponent)
+
+    def test_numpy_integer_sizes_accepted(self):
+        grid = BandwidthGrid(dim=np.int64(2), max_exponent=np.int32(3))
+        assert type(grid.dim) is int and type(grid.max_exponent) is int
+        assert grid == BandwidthGrid(dim=2, max_exponent=3)
+        assert len(grid) == 16
+
+    @pytest.mark.parametrize("max_exponent", [2.5, float("nan"), True, 2.0])
+    def test_make_setup_rejects_non_integer_max_exponent(self, max_exponent, monkeypatch):
+        import anisokde.estimator as est
+
+        def no_tables(*args):
+            raise AssertionError("a kernel table was built before the check")
+
+        monkeypatch.setattr(est, "convolve_ratio", no_tables)
+        monkeypatch.setattr(est, "build_base", no_tables)
+        with pytest.raises(InvalidParameterError, match="max_exponent"):
+            est.make_setup(64, 1, max_exponent=max_exponent)
+
 
 class TestLatticeOps:
     def test_worked_pair(self):

@@ -230,6 +230,18 @@ class TestEstimateCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_lattice_rejected(self, tmp_path, capsys):
+        # d=4 at n=4096 is a lattice of 13^4 bandwidths; its tables would
+        # need tens of GB, so the run stops before creating anything
+        rows = np.random.default_rng(0).uniform(-1, 1, size=(4096, 4))
+        data = self.data_file(tmp_path, "".join(
+            " ".join(f"{v:.6f}" for v in row) + "\n" for row in rows))
+        cfg = write_config(tmp_path, {"estimate": {"points": [[0.0] * 4]}})
+        out = tmp_path / "o"
+        assert main(["estimate", data, "--config", cfg, "--out", str(out)]) == 1
+        assert "MAX_LATTICE_BYTES" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_points_rejected(self, tmp_path, capsys):
         data = self.data_file(tmp_path, "0.0 0.1\n0.5 0.2\n")
         cfg = write_config(tmp_path, {

@@ -1,22 +1,27 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from anisokde.bandwidths import Bandwidth, geq, join
 from anisokde.errors import InvalidParameterError
+from anisokde.kernels import convolve_ratio
 from anisokde.estimator import (
     KappaPolicy,
     build_dataset,
     estimate_on_grid,
+    kappa_default,
+    make_setup,
+    select_and_estimate,
+)
+from reference import (
     eval_A_hat,
     eval_criterion,
     eval_fhat,
     eval_fhat_pair,
     eval_M_hat,
-    kappa_default,
-    make_setup,
-    select_and_estimate,
+    eval_pair_kernel,
 )
 
 
@@ -151,8 +156,6 @@ class TestPairEstimates:
         assert ab == ba
 
     def test_matches_direct_pair_kernel_sum(self):
-        from anisokde.kernels import eval_pair_kernel
-
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1, 1, size=(80, 2))
         data = build_dataset(pts)
@@ -275,6 +278,20 @@ class TestCriterionAndSelection:
                 slow = naive_criterion(data, x, h, policy, setup)
                 assert fast == pytest.approx(slow, abs=1e-10)
 
+    def test_matches_naive_assembly_with_small_kappa(self):
+        # at the theory-floor kappa the majorants swamp every bracket;
+        # at 0.05 the pair estimates decide part of the criterion
+        rng = np.random.default_rng(89)
+        for d, n in ((1, 64), (2, 32)):
+            setup = make_setup(n, d, ell=2, table_size=256, max_exponent=3)
+            policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+            data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
+            x = rng.uniform(-0.5, 0.5, size=d)
+            for h in setup.grid:
+                fast = eval_criterion(data, x, h, policy, setup)
+                slow = naive_criterion(data, x, h, policy, setup)
+                assert fast == pytest.approx(slow, rel=1e-12, abs=1e-10)
+
     def test_far_data_criterion_closed_form(self):
         n = 32
         data = far_dataset(n, 1)
@@ -339,6 +356,34 @@ class TestCriterionAndSelection:
         policy = kappa_default(1, 2.0, setup.kernel.k_inf)
         with pytest.raises(InvalidParameterError):
             eval_criterion(data, np.zeros(1), Bandwidth((9,)), policy, setup)
+
+
+class TestRecordAgainstReference:
+    """Every entry of the selector's lattice-wide record against the
+    scalar reference evaluators."""
+
+    @pytest.mark.parametrize("d, n, max_exponent", [(1, 64, None), (2, 48, 3)])
+    def test_raw_tables_match_reference(self, d, n, max_exponent):
+        from anisokde.estimator import _select_point
+
+        rng = np.random.default_rng(83)
+        data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
+        setup = make_setup(n, d, ell=2, table_size=256, max_exponent=max_exponent)
+        policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+        x = rng.uniform(-0.5, 0.5, size=d)
+        rec = _select_point(data, x, policy, setup)
+        K, Q = setup.kernel, setup.majorant
+        grid = list(setup.grid)
+
+        def close(a, b):
+            return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+        for i, h in enumerate(grid):
+            assert close(rec.fhat[i], eval_fhat(data, K, h, x)), h
+            assert close(rec.a_k[i], eval_A_hat(data, K, h, x)), h
+            assert close(rec.a_q[i], eval_A_hat(data, Q, h, x)), h
+            for l, eta in enumerate(grid):
+                assert close(rec.pair[i, l], eval_fhat_pair(data, K, h, eta, x)), (h, eta)
 
 
 class TestGridEstimation:
@@ -426,4 +471,96 @@ class TestSetup:
         a = make_setup(8, 1)
         b = make_setup(8, 2)
         with pytest.raises(InvalidParameterError):
-            EstimationSetup(kernel=a.kernel, majorant=b.majorant, grid=a.grid)
+            EstimationSetup(kernel=a.kernel, majorant=b.majorant, grid=a.grid,
+                            pair_tables=a.pair_tables)
+        with pytest.raises(InvalidParameterError):
+            EstimationSetup(kernel=b.kernel, majorant=b.majorant, grid=a.grid,
+                            pair_tables=a.pair_tables)
+        with pytest.raises(InvalidParameterError):
+            EstimationSetup(kernel=a.kernel, majorant=a.majorant, grid=a.grid,
+                            pair_tables=a.pair_tables[:-1])
+
+
+class TestSetupOwnsTables:
+    @pytest.mark.parametrize("n, dim, ell", [(64, 1, 1), (256, 2, 2), (16, 3, 3)])
+    def test_pair_tables_are_the_lattice_ratio_tables(self, n, dim, ell):
+        setup = make_setup(n, dim, ell=ell, table_size=256)
+        E = setup.grid.max_exponent
+        assert len(setup.pair_tables) == E + 1
+        for k, q in enumerate(setup.pair_tables):
+            ref = convolve_ratio(setup.marginal, 2.0 ** -k)
+            assert np.array_equal(q.profile.values, ref.profile.values), k
+        stacked = np.abs(np.stack([q.profile.values for q in setup.pair_tables]))
+        assert np.array_equal(setup.majorant.factor.profile.values, stacked.max(axis=0))
+
+    def test_each_lattice_ratio_is_tabulated_once(self, monkeypatch, rc2):
+        import anisokde.estimator as est
+        import anisokde.kernels as kern
+        from anisokde.oracle import oracle_terms
+
+        calls = []
+
+        def counted(composite, ratio):
+            calls.append(ratio)
+            return convolve_ratio(composite, ratio)
+
+        monkeypatch.setattr(est, "convolve_ratio", counted)
+        monkeypatch.setattr(kern, "convolve_ratio", counted)
+        setup = est.make_setup(64, 2, table_size=128)
+        E = setup.grid.max_exponent
+        assert calls == [2.0 ** -k for k in range(E + 1)]
+        # fits and the oracle read the setup's tables and build none
+        data = build_dataset(np.random.default_rng(3).uniform(-1, 1, size=(64, 2)))
+        policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+        estimate_on_grid(data, np.array([[0.0, 0.0], [0.3, -0.2]]), policy, setup)
+        oracle_terms(data, rc2, np.array([0.1, 0.2]), policy, setup, nodes=17)
+        assert len(calls) == E + 1
+
+    def test_setups_built_together_fit_like_setups_built_alone(self):
+        configs = [(1, 64), (2, 128), (1, 256), (3, 64)]
+        rng = np.random.default_rng(71)
+        data = build_dataset(rng.uniform(-1, 1, size=(32, 2)))
+        pts = rng.uniform(-0.8, 0.8, size=(3, 2))
+
+        def fits(setup):
+            policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+            return [(f.selected.exponents, f.estimate)
+                    for f in estimate_on_grid(data, pts, policy, setup)]
+
+        alone = []
+        for ell, size in configs:
+            alone.append(fits(make_setup(32, 2, ell=ell, table_size=size)))
+        together = [make_setup(32, 2, ell=ell, table_size=size) for ell, size in configs]
+        assert [fits(s) for s in reversed(together)] == alone[::-1]
+
+
+class TestLatticeMemoryGuard:
+    def test_oversized_lattice_refused_before_any_allocation(self, monkeypatch):
+        import tracemalloc
+
+        import anisokde.estimator as est
+
+        def no_tables(*args):
+            raise AssertionError("a kernel table was built before the check")
+
+        monkeypatch.setattr(est, "convolve_ratio", no_tables)
+        monkeypatch.setattr(est, "build_base", no_tables)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
+                est.make_setup(4096, 4)  # H = 13^4 = 28561
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 2**20
+
+    def test_override_is_checked_too(self):
+        with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
+            make_setup(4, 4, max_exponent=12)
+
+    def test_d3_n256_still_builds(self):
+        setup = make_setup(256, 3, table_size=64)
+        assert len(setup.grid) == 729
+        assert setup.tables.join_index.shape == (729, 729)

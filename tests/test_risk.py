@@ -263,6 +263,19 @@ class TestRunPlan:
                 row.mean_risk_p ** (1.0 / plan.p), rel=1e-15
             )
 
+    def test_rows_equal_replicate_calls_exactly(self, rc1):
+        # run_plan shares one setup per n across its replicates; each
+        # risk_replicate call builds its own, and the values agree bit for bit
+        plan = small_plan(rc1, n_schedule=(4, 8, 16), replicates=3)
+        report = run_plan(plan)
+        seed = plan.seed
+        for row in report.rows:
+            chunk = np.array([risk_replicate(plan, row.n, seed + k)
+                              for k in range(plan.replicates)])
+            seed += plan.replicates
+            assert row.mean_risk_p == float(chunk.mean())
+            assert row.stderr == float(chunk.std(ddof=1) / np.sqrt(chunk.size))
+
     def test_payload_identical_across_thread_counts(self, rc1):
         serial = run_plan(small_plan(rc1, threads=1))
         threaded = run_plan(small_plan(rc1, threads=4))
