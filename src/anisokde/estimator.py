@@ -19,11 +19,13 @@ kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
 in `make_setup`), the envelope built from those tables, and the lattice
 combinatorics (built on first use). Nothing is cached per process.
 
-Per-axis kernel lookups are cached inside a point's computation: a
-lattice of size (E+1)^d has only (E+1) distinct axis scales and
-(E+1)(E+2)/2 distinct (scale, ratio) convolution lookups per axis,
-while the pair loop touches |H|^2 combinations of them. Points are fitted
-one after another on one thread.
+Each per-point quantity is a sum over candidates of a product of
+per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
+keys per axis. A point builds small per-axis (candidates x columns)
+matrices, contracts them (outer products, then one GEMM), summing over
+chunks of candidates so memory does not grow with n, and gathers the
+|H|^2 pair matrix from the contracted keys. Points are fitted one
+after another on one thread.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .kernels import (
 # Largest peak the lattice tables and one point's selection may need,
 # as estimated by `_lattice_bytes`; make_setup refuses bigger lattices.
 MAX_LATTICE_BYTES = 2**30
+# Largest working set of one chunk of candidates in `_point_tables`.
+_BLOCK_BYTES = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +78,11 @@ class Dataset:
         rest are filtered by masking, so cost is O(d log n + k) for k
         candidates along the thinnest axis.
         """
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
-        best = (-1, 0, 0)
-        best_count = None
-        for j in range(self.dim):
-            a = int(np.searchsorted(self.sorted_vals[j], lo[j], side="left"))
-            b = int(np.searchsorted(self.sorted_vals[j], hi[j], side="right"))
-            if best_count is None or b - a < best_count:
-                best_count = b - a
-                best = (j, a, b)
-        j, a, b = best
+        spans = [(int(np.searchsorted(v, lo[j], side="left")),
+                  int(np.searchsorted(v, hi[j], side="right")))
+                 for j, v in enumerate(self.sorted_vals)]
+        j = min(range(self.dim), key=lambda l: spans[l][1] - spans[l][0])
+        a, b = spans[j]
         idx = self.order[j][a:b]
         if self.dim == 1 or idx.size == 0:
             return idx
@@ -160,7 +158,7 @@ def kappa_default(d: int, p: float, k_inf: float) -> KappaPolicy:
     return KappaPolicy(kappa=_theory_floor(d, p, k_inf), d=d, p=p, k_inf=k_inf)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PointwiseFit:
     """Result of the selection rule at one evaluation point."""
 
@@ -172,30 +170,58 @@ class PointwiseFit:
 
 
 class _GridTables:
-    """Precomputed lattice combinatorics shared by every evaluation point."""
+    """Precomputed lattice combinatorics shared by every evaluation point.
+
+    On one axis a bandwidth pair reads q_r, r = 2^-k for the exponent
+    difference k, at its join exponent a; a + k <= E. Key (a, k) is
+    column key_starts[k] + a, and pair_key[i, l] the flat index of a
+    pair's per-axis keys, first axis slowest.
+    """
 
     def __init__(self, grid: BandwidthGrid):
+        E = grid.max_exponent
         exp = grid.exponent_matrix()
         self.exp = exp
         self.size = exp.shape[0]
         self.exp_sum = exp.sum(axis=1)
         self.volumes = 2.0 ** -self.exp_sum.astype(float)
-        radix = (grid.max_exponent + 1) ** np.arange(grid.dim - 1, -1, -1, dtype=np.int64)
-        joint = np.minimum(exp[:, None, :], exp[None, :, :])
-        self.join_index = (joint * radix).sum(axis=2)
+        self.bandwidths = tuple(grid)
+        self.scales = 2.0 ** np.arange(E + 1)
+        self.key_starts = np.concatenate(([0], np.cumsum(np.arange(E + 1, 0, -1))))
+        self.n_keys = int(self.key_starts[-1])
         # geq[i, j]: candidate eta = row j is >= h = row i coordinate-wise in value
         self.geq = (exp[None, :, :] <= exp[:, None, :]).all(axis=2)
+        a, b = np.indices((E + 1, E + 1))
+        key_of = self.key_starts[np.abs(b - a)] + np.minimum(a, b)  # by (join, larger)
+        axes = np.arange(grid.dim - 1, -1, -1, dtype=np.int64)
+        lo = np.minimum(exp[:, None, :], exp[None, :, :])
+        self.join_index = lo @ (E + 1) ** axes
+        keys = key_of[lo, np.maximum(exp[:, None, :], exp[None, :, :])]
+        self.pair_key = keys @ self.n_keys ** axes
+
+
+def _row_floats(dim: int, max_exponent: int) -> int:
+    """Floats one candidate holds in `_point_tables`: per axis its kernel,
+    |kernel| and envelope rows and its key columns, the interpolation
+    temporaries of one axis, and two outer-product rows of `_contract`."""
+    cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
+    return dim * (keys + 3 * cols) + 9 * cols + 2 * keys ** (dim - 1)
 
 
 def _lattice_bytes(grid: BandwidthGrid) -> int:
     """Peak bytes of the lattice tables, or of one point's selection.
 
-    _GridTables builds join_index from two (H, H, d) int64 temporaries;
-    afterwards join_index (int64) and geq (bool) stay, and a point
-    holds about four (H, H) float64 arrays on top of them.
+    _GridTables builds join_index and pair_key from three (H, H, d)
+    int64 temporaries; both (int64) and geq (bool) stay. A point adds
+    about five (H, H) float64 arrays, three of the P^d contracted key
+    sums (P = (E+1)(E+2)/2) and one chunk of candidates (_BLOCK_BYTES,
+    or one `_row_floats` row if more). Candidate offsets, a slice of
+    the sample, are not counted, so the estimate does not depend on n.
     """
-    h2 = len(grid) ** 2
-    return h2 * max(16 * grid.dim + 8, 8 + 1 + 4 * 8)
+    d, E = grid.dim, grid.max_exponent
+    h2, keys = len(grid) ** 2, (E + 1) * (E + 2) // 2
+    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E))
+    return max(h2 * (24 * d + 17), h2 * (17 + 5 * 8) + 24 * keys ** d + chunk)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,74 +301,53 @@ def _check_point(x, dim: int) -> np.ndarray:
     return x
 
 
+def _contract(mats: list[np.ndarray]) -> np.ndarray:
+    """Sum over rows (candidates) of the product of one column per
+    matrix, for every choice of columns, first matrix slowest: outer
+    products over all matrices but the last, then one GEMM with it."""
+    block = np.ones((mats[0].shape[0], 1))
+    for mat in mats[:-1]:
+        block = (block[:, :, None] * mat[:, None, :]).reshape(
+            block.shape[0], block.shape[1] * mat.shape[1])
+    return (block.T @ mats[-1]).ravel()
+
+
+def _chunk_sums(offs: np.ndarray, setup: EstimationSetup) -> list[np.ndarray]:
+    """Kernel, |kernel|, envelope and key sums over one chunk of
+    candidate offsets, each contracted over the chunk's rows."""
+    tables = setup.tables
+    scales, cols = tables.scales, tables.scales.size
+    k_ax, e_ax, q_ax = [], [], []
+    for y in offs.T:
+        ys = y[:, None] * scales
+        k_ax.append(setup.kernel.factor(ys) * scales)
+        e_ax.append(setup.majorant.factor(ys) * scales)
+        keys = np.empty((y.size, tables.n_keys))
+        for k, (q, start) in enumerate(zip(setup.pair_tables, tables.key_starts)):
+            keys[:, start:start + cols - k] = q(ys[:, :cols - k]) * scales[:cols - k]
+        q_ax.append(keys)
+    return [_contract(mats) for mats in (k_ax, [np.abs(kv) for kv in k_ax], e_ax, q_ax)]
+
+
 def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     """Raw empirical sums at one point: estimates, absolute-kernel
-    averages for kernel and envelope, and the full pair-estimate matrix."""
+    averages for kernel and envelope, and the full pair-estimate matrix,
+    from per-axis matrices (column a: the factor at scale 2^a; key
+    (a, k): q_r table k at join scale 2^a, one interpolation call per
+    table) whose columns carry their exact 2^a; |prod k_j| = prod |k_j|
+    gives the kernel's A-hat."""
     n = data.n
     if n < 2:
         raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
-    tables = setup.tables
-    H = tables.size
-    dim = data.dim
-
     idx = data.box_indices(x - 1.0, x + 1.0)
     offs = data.points[idx] - x
-
-    # per-axis lookup caches; the lattice reuses each scale many times
-    marg = setup.kernel.factor
-    env = setup.majorant.factor
-    k_ax: list[dict[int, np.ndarray]] = [{} for _ in range(dim)]
-    e_ax: list[dict[int, np.ndarray]] = [{} for _ in range(dim)]
-    q_ax: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in range(dim)]
-
-    def k_axis(j: int, k_exp: int) -> np.ndarray:
-        tab = k_ax[j].get(k_exp)
-        if tab is None:
-            tab = marg(offs[:, j] * 2.0 ** k_exp)
-            k_ax[j][k_exp] = tab
-        return tab
-
-    def e_axis(j: int, k_exp: int) -> np.ndarray:
-        tab = e_ax[j].get(k_exp)
-        if tab is None:
-            tab = env(offs[:, j] * 2.0 ** k_exp)
-            e_ax[j][k_exp] = tab
-        return tab
-
-    def q_axis(j: int, join_exp: int, diff: int) -> np.ndarray:
-        key = (join_exp, diff)
-        tab = q_ax[j].get(key)
-        if tab is None:
-            tab = setup.pair_tables[diff](offs[:, j] * 2.0 ** join_exp)
-            q_ax[j][key] = tab
-        return tab
-
-    fhat = np.empty(H)
-    a_k = np.empty(H)
-    a_q = np.empty(H)
-    for i in range(H):
-        exps = tables.exp[i]
-        inv_nv = 1.0 / (n * tables.volumes[i])
-        kv = k_axis(0, exps[0])
-        ev = e_axis(0, exps[0])
-        for j in range(1, dim):
-            kv = kv * k_axis(j, exps[j])
-            ev = ev * e_axis(j, exps[j])
-        fhat[i] = kv.sum() * inv_nv
-        a_k[i] = np.abs(kv).sum() * inv_nv
-        a_q[i] = ev.sum() * inv_nv
-
-    pair = np.empty((H, H))
-    for i in range(H):
-        for l in range(i, H):
-            join_exp = np.minimum(tables.exp[i], tables.exp[l])
-            pv = q_axis(0, join_exp[0], abs(tables.exp[i, 0] - tables.exp[l, 0]))
-            for j in range(1, dim):
-                pv = pv * q_axis(j, join_exp[j], abs(tables.exp[i, j] - tables.exp[l, j]))
-            val = pv.sum() * 2.0 ** float(join_exp.sum()) / n
-            pair[i, l] = val
-            pair[l, i] = val
-    return fhat, a_k, a_q, pair, int(idx.size)
+    # chunks of candidates bound the working set whatever the sample size
+    rows = max(1, _BLOCK_BYTES // (8 * _row_floats(data.dim, setup.grid.max_exponent)))
+    sums = [0.0] * 4
+    for lo in range(0, max(idx.size, 1), rows):
+        sums = [t + c for t, c in zip(sums, _chunk_sums(offs[lo:lo + rows], setup))]
+    fhat, a_k, a_q, pair = (total / n for total in sums)
+    return fhat, a_k, a_q, pair[setup.tables.pair_key], int(idx.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +395,7 @@ def _select_point(data: Dataset, x, policy: KappaPolicy,
     best = int(np.lexsort((np.arange(tables.size), tables.exp_sum, criterion))[0])
     return _PointRecord(
         x=x, fhat=fhat, a_k=a_k, a_q=a_q, pair=pair, criterion=criterion,
-        best=best, selected=Bandwidth(tuple(int(k) for k in tables.exp[best])),
-        counts=counts,
+        best=best, selected=tables.bandwidths[best], counts=counts,
     )
 
 
@@ -408,9 +412,8 @@ def select_and_estimate(
     rec = _select_point(data, x, policy, setup)
     crit_map = None
     if keep_criterion:
-        exp = setup.tables.exp
-        crit_map = {tuple(int(k) for k in exp[i]): float(c)
-                    for i, c in enumerate(rec.criterion)}
+        crit_map = {h.exponents: float(c)
+                    for h, c in zip(setup.tables.bandwidths, rec.criterion)}
     return PointwiseFit(x=rec.x.copy(), selected=rec.selected, estimate=rec.estimate,
                         criterion=crit_map, counts=rec.counts)
 

@@ -44,11 +44,6 @@ def _product_terms(f: TrueDensity):
     return None
 
 
-def _quad_1d(fn, lo: float, hi: float, nodes: int) -> float:
-    xs, wts = trapezoid_rule(lo, hi, nodes)
-    return float(wts @ np.asarray(fn(xs), dtype=float))
-
-
 def _smooth_1d(pdf, center: float, scale: float, profile, half_width: float,
                nodes: int) -> float:
     """integral of profile(u) * pdf(center + scale*u) over the profile support."""

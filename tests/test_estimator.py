@@ -326,7 +326,7 @@ class TestCriterionAndSelection:
 
     def test_selection_is_criterion_argmin(self):
         rng = np.random.default_rng(47)
-        for d, n, max_exp in ((1, 64, None), (2, 32, 3), (2, 16, 2)):
+        for d, n, max_exp in ((1, 64, None), (2, 32, 3), (2, 16, 2), (3, 32, 2)):
             data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
             setup = make_setup(n, d, max_exponent=max_exp)
             policy = kappa_default(d, 2.0, setup.kernel.k_inf)
@@ -362,13 +362,18 @@ class TestRecordAgainstReference:
     """Every entry of the selector's lattice-wide record against the
     scalar reference evaluators."""
 
-    @pytest.mark.parametrize("d, n, max_exponent", [(1, 64, None), (2, 48, 3)])
-    def test_raw_tables_match_reference(self, d, n, max_exponent):
+    @pytest.mark.parametrize("d, n, max_exponent, ell", [
+        pytest.param(1, 64, None, 2, id="1-64-None"),
+        pytest.param(2, 48, 3, 2, id="2-48-3"),
+        pytest.param(3, 32, 2, 1, id="3-32-2-ell1"),
+        pytest.param(3, 32, 2, 2, id="3-32-2-ell2"),
+    ])
+    def test_raw_tables_match_reference(self, d, n, max_exponent, ell):
         from anisokde.estimator import _select_point
 
         rng = np.random.default_rng(83)
         data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
-        setup = make_setup(n, d, ell=2, table_size=256, max_exponent=max_exponent)
+        setup = make_setup(n, d, ell=ell, table_size=256, max_exponent=max_exponent)
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         x = rng.uniform(-0.5, 0.5, size=d)
         rec = _select_point(data, x, policy, setup)
@@ -384,6 +389,50 @@ class TestRecordAgainstReference:
             assert close(rec.a_q[i], eval_A_hat(data, Q, h, x)), h
             for l, eta in enumerate(grid):
                 assert close(rec.pair[i, l], eval_fhat_pair(data, K, h, eta, x)), (h, eta)
+
+
+class TestPerAxisEngine:
+    @pytest.mark.parametrize("d, n", [(1, 512), (2, 128), (3, 32)])
+    def test_chunked_blocks_match_one_block(self, monkeypatch, d, n):
+        import anisokde.estimator as est
+
+        rng = np.random.default_rng(97)
+        data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
+        setup = make_setup(n, d, ell=2, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+        x = rng.uniform(-0.3, 0.3, size=d)
+        whole = est._select_point(data, x, policy, setup)
+        # seven candidates per chunk, so every contraction is chunked
+        monkeypatch.setattr(est, "_BLOCK_BYTES",
+                            8 * 7 * est._row_floats(d, setup.grid.max_exponent))
+        chunked = est._select_point(data, x, policy, setup)
+        assert chunked.best == whole.best
+        for name in ("fhat", "a_k", "a_q", "pair", "criterion"):
+            got, want = getattr(chunked, name), getattr(whole, name)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13), name
+
+    def test_fits_share_the_lattice_bandwidths(self):
+        rng = np.random.default_rng(101)
+        data = build_dataset(rng.uniform(-1, 1, size=(64, 2)))
+        setup = make_setup(64, 2, max_exponent=3)
+        policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+        fits = estimate_on_grid(data, rng.uniform(-0.5, 0.5, size=(4, 2)), policy, setup)
+        for fit in fits:
+            assert fit.selected is setup.tables.bandwidths[setup.grid.index(fit.selected)]
+            assert not hasattr(fit, "__dict__")
+
+    def test_d3_point_under_a_second(self):
+        from anisokde.estimator import _select_point
+
+        rng = np.random.default_rng(103)
+        data = build_dataset(rng.uniform(-1, 1, size=(256, 3)))
+        setup = make_setup(256, 3, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=3, p=2.0, k_inf=setup.kernel.k_inf)
+        assert setup.tables.size == 729  # built once per setup, outside the timed call
+        t0 = time.perf_counter()
+        rec = _select_point(data, np.array([0.1, -0.2, 0.05]), policy, setup)
+        assert time.perf_counter() - t0 < 1.0
+        assert rec.pair.shape == (729, 729) and rec.counts > 0
 
 
 class TestGridEstimation:
@@ -564,3 +613,28 @@ class TestLatticeMemoryGuard:
         setup = make_setup(256, 3, table_size=64)
         assert len(setup.grid) == 729
         assert setup.tables.join_index.shape == (729, 729)
+
+    @pytest.mark.parametrize("n, dim", [(2**18, 1), (2**17, 2)])
+    def test_default_lattices_of_large_samples_build(self, n, dim):
+        setup = make_setup(n, dim, table_size=64)
+        assert setup.grid.max_exponent == n.bit_length() - 1
+
+    @pytest.mark.parametrize("n, dim", [(256, 3), (1024, 2), (4096, 1), (2**15, 1)])
+    def test_fit_peak_stays_under_the_estimate(self, n, dim):
+        import tracemalloc
+
+        from anisokde.estimator import _lattice_bytes
+
+        rng = np.random.default_rng(107)
+        # every observation is a candidate of the point, the largest
+        # candidate set a sample of this size can give
+        data = build_dataset(rng.uniform(-0.9, 0.9, size=(n, dim)))
+        setup = make_setup(n, dim, table_size=64)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        tracemalloc.start()
+        try:
+            select_and_estimate(data, np.zeros(dim), policy, setup)  # builds setup.tables too
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _lattice_bytes(setup.grid)
