@@ -631,9 +631,7 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
     for need in ("n_schedule", "replicates"):
         if sec.get(need) is None:
             raise ConfigError(f"config key 'risk.{need}' is required")
-    run = _Run(_outdir(out_flag, resolved, "risk"),
-               resolved["output"]["formats"])
-    t0 = time.perf_counter()
+    # the plan checks every input before the output directory exists
     plan = ExperimentPlan(
         density=density,
         p=float(resolved["estimator"]["p"]),
@@ -647,6 +645,9 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
         max_exponent=resolved["estimator"]["max_exponent"],
         threads=threads,
     )
+    run = _Run(_outdir(out_flag, resolved, "risk"),
+               resolved["output"]["formats"])
+    t0 = time.perf_counter()
     report = run_plan(plan)
     run.timings["replicates"] = time.perf_counter() - t0
     doc = report.payload()

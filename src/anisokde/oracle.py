@@ -9,11 +9,21 @@ for every realization, the selected estimate's pointwise error is
 bounded by the best lattice bandwidth's bias/majorant budget plus
 residual terms.
 
-Product-form densities (and mixtures of them) factor every required
-integral into one-dimensional quadratures, which is what makes the
-verification batteries cheap at d = 2. Densities without product
-structure fall back to tensor quadrature whose cost grows as
-nodes**(2*dim) for the smoothed-bias terms; keep those to small grids.
+Every true quantity is a smoothing of f at x: the mean of a single
+estimate (by K_h), the true kernel and envelope averages (by |K_h| and
+the envelope), the mean of a pair estimate (by q_r at the join
+bandwidth), and the double smoothing (K_eta * K_h * f)(x) behind the
+smoothed bias. Each has one implementation. It tabulates the smoothing
+per axis group, one trapezoid sum per distinct (scale, weight) row in
+`_quadrature`, and one fancy-indexed product over (component, group)
+in `_combine` reads every lattice row or row pair from those tables.
+A product-form density (or a mixture of them) has one group per axis,
+so its tables are 1-d quadratures at the E+1 scales of each axis. Any
+other density is one group of all its axes: the same code then runs a
+tensor quadrature per bandwidth, at nodes**dim points per single and
+nodes**(2*dim) per double smoothing, so keep those to small grids.
+`bias`, `bias_bar` and `majorant_true` evaluate the same tables at the
+bandwidths they are given, so each equals its `_TrueTables` entry.
 """
 
 from __future__ import annotations
@@ -25,8 +35,17 @@ import numpy as np
 from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
 from .errors import InvalidParameterError
-from .estimator import EstimationSetup, KappaPolicy, _PointRecord, _select_point
-from .quadrature import DEFAULT_NODES, mesh_points, tensor_integral, trapezoid_rule
+from .estimator import (
+    EstimationSetup,
+    KappaPolicy,
+    _check_point,
+    _PointRecord,
+    _select_point,
+)
+from .quadrature import DEFAULT_NODES, mesh_points, trapezoid_rule
+
+# Most quadrature points `_quadrature` evaluates at once.
+_BLOCK_POINTS = 2**12
 
 
 def _product_terms(f: TrueDensity):
@@ -44,85 +63,173 @@ def _product_terms(f: TrueDensity):
     return None
 
 
-def _smooth_1d(pdf, center: float, scale: float, profile, half_width: float,
-               nodes: int) -> float:
-    """integral of profile(u) * pdf(center + scale*u) over the profile support."""
-    us, wts = trapezoid_rule(-half_width, half_width, nodes)
-    return float((wts * np.asarray(profile(us), dtype=float)) @ pdf(center + scale * us))
+def _factors(f: TrueDensity):
+    """(weights, groups): f(t) = sum_c weights[c] * prod over the groups
+    (cols, fns) of fns[c](t[:, cols]), each fn taking an (m, len(cols))
+    array. Product-form densities and mixtures of them have one group per
+    axis; any other density is one group of all its axes."""
+    terms = _product_terms(f)
+    if terms is None:
+        return np.ones(1), [(list(range(f.dim)), (f,))]
+    groups = [([j], tuple(lambda p, pdf=margs[j].pdf: pdf(p[:, 0]) for _, margs in terms))
+              for j in range(f.dim)]
+    return np.array([w for w, _ in terms]), groups
+
+
+def _node_weights(g, nodes: int, absolute: bool = False):
+    """Trapezoid nodes on the per-axis support of kernel g and the node
+    weights times g's factor (|factor| when absolute), as one table row."""
+    us, wts = trapezoid_rule(-g.half_width, g.half_width, nodes)
+    vals = np.asarray(g.factor(us), dtype=float)
+    return us, (wts * (np.abs(vals) if absolute else vals))[None, :]
+
+
+def _mesh(us: np.ndarray, dim: int):
+    """Tensor mesh of the nodes us in dim axes, and each point's node
+    index along every axis."""
+    return mesh_points([us] * dim), np.indices((us.size,) * dim).reshape(dim, -1)
+
+
+def _quadrature(fns, centres, scales, wtab, us, widx=None) -> np.ndarray:
+    """The one smoothing quadrature: for each fn and row r, the sum over
+    the tensor mesh u of the nodes us of prod_j wtab[widx[r, j], u_j] *
+    fn(centres[r] + scales[r] * u). widx defaults to table row 0 on every
+    axis of every row. Rows go in blocks of at most _BLOCK_POINTS points, and each row
+    is summed on its own, so a row's value does not depend on its block."""
+    rows, dim = scales.shape
+    mesh, node = _mesh(us, dim)
+    out = np.empty((len(fns), rows))
+    step = max(1, _BLOCK_POINTS // mesh.shape[0])
+    for lo in range(0, rows, step):
+        blk = slice(lo, lo + step)
+        wi = np.zeros((1, dim), dtype=np.int64) if widx is None else widx[blk]
+        w = wtab[wi[:, 0]][:, node[0]]
+        for j in range(1, dim):
+            w = w * wtab[wi[:, j]][:, node[j]]
+        pts = (centres[blk, None, :] + scales[blk, None, :] * mesh).reshape(-1, dim)
+        for c, fn in enumerate(fns):
+            vals = np.asarray(fn(pts), dtype=float).reshape(-1, mesh.shape[0])
+            out[c, blk] = (vals * w).sum(axis=1)
+    return out
+
+
+def _combine(weights: np.ndarray, tabs, idx) -> np.ndarray:
+    """sum_c weights[c] * prod_g tabs[g][c][idx[g]]: the per-group tables
+    contracted over (component, group), groups multiplied in order, with
+    idx[g] a tuple of index arrays that broadcast to the output shape."""
+    out = weights
+    for tab, ix in zip(tabs, idx):
+        term = tab[(slice(None),) + ix]
+        out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
+    return out.sum(axis=0)
+
+
+def _single(f: TrueDensity, x, g, hs: np.ndarray, nodes: int,
+            absolute: bool = False) -> np.ndarray:
+    """int g_h(t - x) f(t) dt, |g_h| when absolute, for every row h of the
+    bandwidth values hs: single-estimate means and true kernel averages."""
+    weights, groups = _factors(f)
+    us, wtab = _node_weights(g, nodes, absolute)
+    tabs, idx = [], []
+    for cols, fns in groups:
+        scales, inv = np.unique(hs[:, cols], axis=0, return_inverse=True)
+        tabs.append(_quadrature(fns, np.broadcast_to(x[cols], scales.shape), scales,
+                                wtab, us))
+        idx.append((inv.reshape(-1),))
+    return _combine(weights, tabs, idx)
+
+
+def _double(f: TrueDensity, x, K, h_rows: np.ndarray, eta_rows: np.ndarray,
+            nodes: int) -> np.ndarray:
+    """(K_eta * K_h * f)(x) for h in h_rows and eta in eta_rows (bandwidth
+    values). It is symmetric in (h, eta), so each group evaluates every
+    unordered pair once: the smoothing by the lexicographically larger
+    row at every node x + s*v of the smoothing by the smaller row s,
+    whose weights then sum over the nodes v."""
+    weights, groups = _factors(f)
+    us, wtab = _node_weights(K, nodes)
+    tabs, idx = [], []
+    for cols, fns in groups:
+        dim = len(cols)
+        hs, ih = np.unique(h_rows[:, cols], axis=0, return_inverse=True)
+        es, ie = np.unique(eta_rows[:, cols], axis=0, return_inverse=True)
+        pairs = np.stack(np.broadcast_arrays(hs[:, None, :], es[None, :, :]), axis=2)
+        pairs = pairs.reshape(-1, 2, dim)
+        first = (pairs[:, 0] != pairs[:, 1]).argmax(axis=1)
+        rows = np.arange(pairs.shape[0])
+        swap = pairs[rows, 0, first] < pairs[rows, 1, first]
+        pairs[swap] = pairs[swap, ::-1]
+        keys, inv = np.unique(pairs.reshape(-1, 2 * dim), axis=0, return_inverse=True)
+        mesh, node = _mesh(us, dim)
+        centres = x[cols] + keys[:, None, dim:] * mesh
+        vals = _quadrature(fns, centres.reshape(-1, dim),
+                           np.repeat(keys[:, :dim], mesh.shape[0], axis=0), wtab, us)
+        w_outer = np.prod(wtab[0][node], axis=0)
+        tab = (vals.reshape(len(fns), keys.shape[0], -1) * w_outer).sum(axis=-1)
+        tabs.append(tab[:, inv.reshape(-1)].reshape(len(fns), hs.shape[0], es.shape[0]))
+        idx.append((ih.reshape(-1)[:, None], ie.reshape(-1)[None, :]))
+    return _combine(weights, tabs, idx)
+
+
+def _pair_means(f: TrueDensity, x, pair_tables, exp: np.ndarray,
+                nodes: int) -> np.ndarray:
+    """Mean of the pair estimate of every row pair of the exponent matrix
+    exp: on each axis q_r, r = 2^-|a - b|, smoothing f at the join scale
+    2^-min(a, b)."""
+    weights, groups = _factors(f)
+    us, wts = trapezoid_rule(-1.0, 1.0, nodes)
+    wtab = np.stack([wts * np.asarray(q(us), dtype=float) for q in pair_tables])
+    tabs, idx = [], []
+    for cols, fns in groups:
+        keys, inv = np.unique(exp[:, cols], axis=0, return_inverse=True)
+        join = np.minimum(keys[:, None, :], keys[None, :, :]).reshape(-1, len(cols))
+        ratio = np.abs(keys[:, None, :] - keys[None, :, :]).reshape(-1, len(cols))
+        scales = 2.0 ** -join.astype(float)
+        vals = _quadrature(fns, np.broadcast_to(x[cols], scales.shape), scales,
+                           wtab, us, ratio)
+        tabs.append(vals.reshape(len(fns), keys.shape[0], keys.shape[0]))
+        inv = inv.reshape(-1)
+        idx.append((inv[:, None], inv[None, :]))
+    return _combine(weights, tabs, idx)
+
+
+def _bias_bar(bias: np.ndarray, smoothed: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Per row h: max(|bias_h|, max over eta of |(K_eta * K_h * f)(x) -
+    (K_eta * f)(x)|), from the double smoothings and the eta means."""
+    return np.maximum(np.abs(bias), np.abs(smoothed - means[None, :]).max(axis=1))
+
+
+def _majorant(a_true, kappa: float, n: int, volume):
+    """sqrt(kappa*A*ln n/(n*V)) + kappa*ln n/(n*V); scalars or arrays."""
+    lam = kappa * float(np.log(n)) / (n * volume)
+    return np.sqrt(np.maximum(a_true, 0.0) * lam) + lam
+
+
+def _checked_point(f: TrueDensity, x, *parts) -> np.ndarray:
+    """x as a finite point of f's dimension; every kernel, bandwidth and
+    grid in parts must have that dimension too."""
+    for part in parts:
+        if part.dim != f.dim:
+            raise InvalidParameterError(
+                f"{type(part).__name__} has dim {part.dim}, the density {f.dim}")
+    return _check_point(x, f.dim)
 
 
 def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> float:
     """Mean of the single-bandwidth estimate minus the truth at x."""
-    return _bias(f, K, h.values, x, nodes)
-
-
-def _bias(f: TrueDensity, K, h_vals: np.ndarray, x, nodes: int) -> float:
-    """bias at per-axis bandwidth values h_vals, on or off the lattice."""
-    x = np.asarray(x, dtype=float)
-    terms = _product_terms(f)
-    if terms is not None:
-        mean = 0.0
-        for w, margs in terms:
-            prod = w
-            for j in range(f.dim):
-                prod *= _smooth_1d(margs[j].pdf, x[j], h_vals[j], K.factor, 0.5, nodes)
-            mean += prod
-        return mean - f(x)
-
-    box = np.stack([x - 0.5 * h_vals, x + 0.5 * h_vals], axis=1)
-
-    def integrand(pts):
-        return K((pts - x) / h_vals) * f(pts)
-
-    return tensor_integral(integrand, box, nodes) / float(np.prod(h_vals)) - f(x)
-
-
-def _smoothed_bias_product(terms, dim, K, x, a_exp, b_exp, nodes) -> float:
-    """integral of K_eta(t-x) * bias_h(t) dt via nested 1-d quadratures."""
-    total = 0.0
-    for w, margs in terms:
-        double = w
-        single = w
-        for j in range(dim):
-            sa = 2.0 ** -float(a_exp[j])
-            sb = 2.0 ** -float(b_exp[j])
-            us, wu = trapezoid_rule(-0.5, 0.5, nodes)
-            vs, wv = trapezoid_rule(-0.5, 0.5, nodes)
-            kj = K.factor
-            pts = x[j] + sb * vs[:, None] + sa * us[None, :]
-            inner = (wv * kj(vs)) @ np.asarray(margs[j].pdf(pts.ravel()),
-                                               dtype=float).reshape(pts.shape) @ (wu * kj(us))
-            double *= inner
-            single *= _smooth_1d(margs[j].pdf, x[j], sb, kj, 0.5, nodes)
-        total += double - single
-    return total
+    x = _checked_point(f, x, K, h)
+    return float(_single(f, x, K, h.values[None, :], nodes)[0] - f(x))
 
 
 def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
              nodes: int = DEFAULT_NODES) -> float:
     """Max of |bias| and the largest |lattice-smoothed bias| at x."""
-    x = np.asarray(x, dtype=float)
-    b0 = abs(bias(f, K, h, x, nodes))
-    terms = _product_terms(f)
-    best = b0
-    for eta in grid:
-        if terms is not None:
-            val = _smoothed_bias_product(terms, f.dim, K, x, h.exponents, eta.exponents, nodes)
-        else:
-            val = _smoothed_bias_generic(f, K, x, h, eta, nodes)
-        best = max(best, abs(val))
-    return best
-
-
-def _smoothed_bias_generic(f, K, x, h: Bandwidth, eta: Bandwidth, nodes: int) -> float:
-    us = [trapezoid_rule(-0.5, 0.5, nodes) for _ in range(f.dim)]
-    t_mesh = mesh_points([x[j] + eta.values[j] * us[j][0] for j in range(f.dim)])
-    kw = None
-    for j in range(f.dim):
-        col = us[j][1] * K.factor(us[j][0])
-        kw = col if kw is None else np.multiply.outer(kw, col)
-    b_vals = np.array([bias(f, K, h, t, nodes) for t in t_mesh])
-    return float(kw.ravel() @ b_vals)
+    x = _checked_point(f, x, K, grid, h)
+    etas = 2.0 ** -grid.exponent_matrix().astype(float)
+    h_row = h.values[None, :]
+    b = _single(f, x, K, h_row, nodes) - f(x)
+    return float(_bias_bar(b, _double(f, x, K, h_row, etas, nodes),
+                           _single(f, x, K, etas, nodes))[0])
 
 
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
@@ -130,26 +237,9 @@ def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
     """True (un-quadrupled) error majorant sqrt(kappa*A*ln n/(n*V)) + kappa*ln n/(n*V)."""
     if n < 2:
         raise InvalidParameterError(f"majorants need n >= 2, got {n}")
-    x = np.asarray(x, dtype=float)
-    hw = g.half_width
-    terms = _product_terms(f)
-    if terms is not None:
-        a_true = 0.0
-        for w, margs in terms:
-            prod = w
-            for j in range(f.dim):
-                prod *= _smooth_1d(margs[j].pdf, x[j], h.values[j],
-                                   lambda u: np.abs(g.factor(u)), hw, nodes)
-            a_true += prod
-    else:
-        box = np.stack([x - hw * h.values, x + hw * h.values], axis=1)
-
-        def integrand(pts):
-            return np.abs(g((pts - x) / h.values)) * f(pts)
-
-        a_true = tensor_integral(integrand, box, nodes) / h.volume
-    lam = policy.kappa * float(np.log(n)) / (n * h.volume)
-    return float(np.sqrt(max(a_true, 0.0) * lam) + lam)
+    x = _checked_point(f, x, g, h)
+    a_true = _single(f, x, g, h.values[None, :], nodes, absolute=True)[0]
+    return float(_majorant(a_true, policy.kappa, n, h.volume))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,131 +264,16 @@ class _TrueTables:
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
         tables = setup.tables
-        E = setup.grid.max_exponent
-        terms = _product_terms(f)
-        if terms is not None:
-            mean_f, a_k, a_q, pair_mean, sm_bias = self._product(
-                f, terms, x, setup, tables.exp, E, nodes)
-        else:
-            mean_f, a_k, a_q, pair_mean, sm_bias = self._generic(f, x, setup, nodes)
-        fx = f(x)
-        self.mean_f = mean_f
-        self.bias = mean_f - fx
-        self.pair_mean = pair_mean
-        # smoothed bias of h by eta = (K_eta * K_h * f)(x) - (K_eta * f)(x)
-        smoothed = sm_bias - mean_f[None, :]
-        self.bias_bar = np.maximum(np.abs(self.bias), np.abs(smoothed).max(axis=1))
-        lam = policy.kappa * float(np.log(n)) / (n * tables.volumes)
-        self.m_k = np.sqrt(np.maximum(a_k, 0.0) * lam) + lam
-        self.m_q = np.sqrt(np.maximum(a_q, 0.0) * lam) + lam
-        self.a_k = a_k
-        self.a_q = a_q
-
-    def _product(self, f, terms, x, setup, exp, E, nodes):
-        dim = exp.shape[1]
-        C = len(terms)
-        sk = np.zeros((C, dim, E + 1))
-        sa = np.zeros((C, dim, E + 1))
-        se = np.zeros((C, dim, E + 1))
-        tq = np.zeros((C, dim, E + 1, E + 1))
-        tt = np.zeros((C, dim, E + 1, E + 1))
-        kj = setup.kernel.factor
-        ej = setup.majorant.factor
-        us, wu = trapezoid_rule(-0.5, 0.5, nodes)
-        kus = np.asarray(kj(us), dtype=float)
-        for c, (_, margs) in enumerate(terms):
-            for j in range(dim):
-                pdf = margs[j].pdf
-                for a in range(E + 1):
-                    s = 2.0**-a
-                    sk[c, j, a] = _smooth_1d(pdf, x[j], s, kj, 0.5, nodes)
-                    sa[c, j, a] = _smooth_1d(pdf, x[j], s,
-                                             lambda u, kj=kj: np.abs(kj(u)), 0.5, nodes)
-                    se[c, j, a] = _smooth_1d(pdf, x[j], s, ej, 1.0, nodes)
-                for a in range(E + 1):
-                    for b in range(a, E + 1):
-                        q = setup.pair_tables[b - a]
-                        tq[c, j, a, b] = tq[c, j, b, a] = _smooth_1d(
-                            pdf, x[j], 2.0**-a, q, 1.0, nodes)
-                        pts = x[j] + (2.0**-b) * us[:, None] + (2.0**-a) * us[None, :]
-                        vals = np.asarray(pdf(pts.ravel()), dtype=float).reshape(pts.shape)
-                        tt[c, j, a, b] = tt[c, j, b, a] = (wu * kus) @ vals @ (wu * kus)
-        weights = np.array([w for w, _ in terms])
-        idx = exp  # (H, dim) exponent indices
-
-        def combine(tab3):  # (C, dim, E+1) -> (H,)
-            prod = np.ones((C, idx.shape[0]))
-            for j in range(dim):
-                prod = prod * tab3[:, j, idx[:, j]]
-            return weights @ prod
-
-        mean_f = combine(sk)
-        a_k = combine(sa)
-        a_q = combine(se)
-        H = idx.shape[0]
-        pair_mean = np.empty((H, H))
-        sm = np.empty((H, H))
-        for i in range(H):
-            for l in range(i, H):
-                pm = weights.copy()
-                for j in range(idx.shape[1]):
-                    pm = pm * tq[:, j, idx[i, j], idx[l, j]]
-                pair_mean[i, l] = pair_mean[l, i] = pm.sum()
-        for i in range(H):
-            for l in range(H):
-                dm = weights.copy()
-                for j in range(idx.shape[1]):
-                    dm = dm * tt[:, j, idx[i, j], idx[l, j]]
-                sm[i, l] = dm.sum()
-        return mean_f, a_k, a_q, pair_mean, sm
-
-    def _generic(self, f, x, setup, nodes):
-        grid = setup.grid
-        H = len(grid)
-        mean_f = np.empty(H)
-        a_k = np.empty(H)
-        a_q = np.empty(H)
-        bw = list(grid)
-        for i, h in enumerate(bw):
-            mean_f[i] = bias(f, setup.kernel, h, x, nodes) + f(x)
-            a_k[i] = _a_true_generic(f, setup.kernel, h, x, nodes)
-            a_q[i] = _a_true_generic(f, setup.majorant, h, x, nodes)
-        pair_mean = np.empty((H, H))
-        sm = np.empty((H, H))
-        for i, h in enumerate(bw):
-            for l, eta in enumerate(bw):
-                if l >= i:
-                    pair_mean[i, l] = _pair_mean_generic(f, setup, h, eta, x, nodes)
-                    pair_mean[l, i] = pair_mean[i, l]
-                sm[i, l] = _smoothed_bias_generic(f, setup.kernel, x, h, eta, nodes) \
-                    + mean_f[l]
-        return mean_f, a_k, a_q, pair_mean, sm
-
-def _a_true_generic(f, g, h: Bandwidth, x, nodes: int) -> float:
-    hw = g.half_width
-    box = np.stack([x - hw * h.values, x + hw * h.values], axis=1)
-
-    def integrand(pts):
-        return np.abs(g((pts - x) / h.values)) * f(pts)
-
-    return tensor_integral(integrand, box, nodes) / h.volume
-
-
-def _pair_mean_generic(f, setup, h: Bandwidth, eta: Bandwidth, x, nodes: int) -> float:
-    join_exp = np.minimum(h.exponents, eta.exponents)
-    scale = 2.0 ** -join_exp.astype(float)
-    box = np.stack([x - scale, x + scale], axis=1)
-    qs = [setup.pair_tables[abs(h.exponents[j] - eta.exponents[j])]
-          for j in range(f.dim)]
-
-    def integrand(pts):
-        u = (pts - x) / scale
-        out = np.ones(pts.shape[0])
-        for j, q in enumerate(qs):
-            out = out * q(u[:, j])
-        return out * f(pts)
-
-    return tensor_integral(integrand, box, nodes) / float(np.prod(scale))
+        hs = 2.0 ** -tables.exp.astype(float)
+        self.mean_f = _single(f, x, setup.kernel, hs, nodes)
+        self.bias = self.mean_f - f(x)
+        self.pair_mean = _pair_means(f, x, setup.pair_tables, tables.exp, nodes)
+        self.bias_bar = _bias_bar(self.bias, _double(f, x, setup.kernel, hs, hs, nodes),
+                                  self.mean_f)
+        self.a_k = _single(f, x, setup.kernel, hs, nodes, absolute=True)
+        self.a_q = _single(f, x, setup.majorant, hs, nodes, absolute=True)
+        self.m_k = _majorant(self.a_k, policy.kappa, n, tables.volumes)
+        self.m_q = _majorant(self.a_q, policy.kappa, n, tables.volumes)
 
 
 def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _PointRecord, int]:
@@ -435,8 +410,8 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
         raise InvalidParameterError(f"axis {j} out of range for dim {f_family.dim}")
     if not (r_j == np.inf or r_j >= 1):
         raise InvalidParameterError(f"r must be >= 1 or inf, got {r_j!r}")
-    terms = _product_terms(f_family)
-    if terms is None and f_family.dim > 1:
+    weights, groups = _factors(f_family)
+    if len(groups) < f_family.dim:
         raise InvalidParameterError(
             "bias_norm_scaling needs a product-form density beyond d = 1")
 
@@ -444,26 +419,18 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     f_grid = f_family.grid_values(axes)
     wts = [np.gradient(ax) for ax in axes]
     pinned = hs[0]
+    us, wtab = _node_weights(K, nodes)
+    # axis l's table is read along axis l of the grid
+    idx = [(np.arange(ax.size).reshape([-1 if m == l else 1 for m in range(len(axes))]),)
+           for l, ax in enumerate(axes)]
 
     norms = []
     for hj in hs:
         h_vals = np.full(f_family.dim, pinned)
         h_vals[j] = hj
-        if terms is not None:
-            b_grid = None
-            for w, margs in terms:
-                part = None
-                for l in range(f_family.dim):
-                    col = _smooth_axis(margs[l].pdf, axes[l], h_vals[l],
-                                       K.factor, nodes)
-                    part = col if part is None else np.multiply.outer(part, col)
-                b_grid = w * part if b_grid is None else b_grid + w * part
-            b_grid = b_grid - f_grid
-        else:
-            b_grid = np.array([
-                _bias(f_family, K, h_vals, np.array([t]), nodes)
-                for t in axes[0]
-            ])
+        tabs = [_quadrature(fns, ax[:, None], np.full((ax.size, 1), h_vals[l]), wtab, us)
+                for l, (ax, (_, fns)) in enumerate(zip(axes, groups))]
+        b_grid = _combine(weights, tabs, idx) - f_grid
         norms.append(_grid_norm(np.abs(b_grid), wts, r_j))
 
     if min(norms) < 1e-14:
@@ -472,14 +439,6 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     slope = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
     return ScalingReport(slope=slope, degenerate=False, axis=j, r=float(r_j),
                          h_values=tuple(hs), norms=tuple(norms))
-
-
-def _smooth_axis(pdf, ax: np.ndarray, h: float, kj, nodes: int) -> np.ndarray:
-    us, wu = trapezoid_rule(-0.5, 0.5, nodes)
-    wk = wu * np.asarray(kj(us), dtype=float)
-    pts = ax[:, None] + h * us[None, :]
-    vals = np.asarray(pdf(pts.ravel()), dtype=float).reshape(pts.shape)
-    return vals @ wk
 
 
 def _grid_norm(abs_vals: np.ndarray, wts: list[np.ndarray], r: float) -> float:

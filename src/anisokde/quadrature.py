@@ -73,15 +73,6 @@ def tensor_integral(fn, box: np.ndarray, nodes: int = DEFAULT_NODES) -> float:
     return contract(shaped, weights_list)
 
 
-def intersect_box(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection of two (d, 2) boxes; may be empty (lo > hi)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.maximum(a[:, 0], b[:, 0])
-    hi = np.minimum(a[:, 1], b[:, 1])
-    return np.stack([lo, hi], axis=1)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned tensor grid: a box plus per-axis node counts."""

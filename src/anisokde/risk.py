@@ -58,7 +58,6 @@ class ExperimentPlan:
     table_size: int = DEFAULT_TABLE_SIZE
     max_exponent: int | None = None
     threads: int = 1  # validated, never changes results: replicates run serially
-    debug_truth: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
@@ -135,7 +134,6 @@ class ExperimentPlan:
             "ell": int(self.ell),
             "table_size": int(self.table_size),
             "max_exponent": self.max_exponent,
-            "debug_truth": bool(self.debug_truth),
         }
 
     @property
@@ -231,16 +229,14 @@ def risk_replicate(plan: ExperimentPlan, n: int, seed: int) -> float:
     """One Monte-Carlo draw: returns the p-th power error, not its root."""
     n = int(n)
     setup = plan.setup_for(n)
-    return _replicate_value(plan, n, int(seed), setup, plan.policy_for(setup))
+    return _replicate_value(plan, n, int(seed), setup, plan.policy_for(setup),
+                            _truth_on_grid(plan))
 
 
-def _replicate_value(plan: ExperimentPlan, n: int, seed: int,
-                     setup: EstimationSetup, policy: KappaPolicy) -> float:
+def _replicate_value(plan: ExperimentPlan, n: int, seed: int, setup: EstimationSetup,
+                     policy: KappaPolicy, truth: np.ndarray) -> float:
     rng = np.random.default_rng(seed)
     data = sample(plan.density, n, rng)
-    truth = _truth_on_grid(plan)
-    if plan.debug_truth:
-        return 0.0
     selected = np.array([_select_point(data, x, policy, setup).estimate
                          for x in plan.grid.mesh()])
     diff = np.abs(selected.reshape(plan.grid.shape) - truth) ** plan.p
@@ -253,17 +249,19 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
     Replicate k of the whole run (schedule-major order) is seeded with
     plan.seed + k, so extending the schedule never changes the draws of
     rows already present. Each n gets one setup and policy, shared by
-    its replicates. Replicates run one after another; plan.threads is
-    validated but never changes anything.
+    its replicates, and the truth on the grid is computed once per plan.
+    Replicates run one after another; plan.threads is validated but
+    never changes anything.
     """
     start = time.perf_counter()
+    truth = _truth_on_grid(plan)
     values = []
     for n in plan.n_schedule:
         setup = plan.setup_for(n)
         policy = plan.policy_for(setup)
         for _ in range(plan.replicates):
             values.append(_replicate_value(plan, n, plan.seed + len(values),
-                                           setup, policy))
+                                           setup, policy, truth))
 
     rows = []
     for i, n in enumerate(plan.n_schedule):

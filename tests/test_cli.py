@@ -82,6 +82,7 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"density": {"kind": "raised_cosine"}})
         assert main(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "needs config section 'risk'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRegimeCommand:
@@ -404,6 +405,17 @@ class TestLowerboundCommand:
 
 
 class TestRiskCommand:
+    @pytest.mark.parametrize("risk, message", [
+        ({"n_schedule": [64, 32], "replicates": 2}, "strictly increasing"),
+        ({"n_schedule": [4, 8], "replicates": 1}, "replicates"),
+    ])
+    def test_invalid_plan_rejected_before_output(self, tmp_path, capsys, risk, message):
+        cfg = toy_risk_config(tmp_path, risk=risk)
+        out = tmp_path / "o"
+        assert main(["risk", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toy_curve_files(self, tmp_path):
         cfg = toy_risk_config(tmp_path)
         out = tmp_path / "run"

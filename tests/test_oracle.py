@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from anisokde.bandwidths import Bandwidth
 from anisokde.densities import (
     TrueDensity,
+    build_f_theta,
     flat_top_density,
     sample,
     smooth_product_density,
 )
 from anisokde.errors import InvalidParameterError
-from anisokde.estimator import kappa_default, make_setup, select_and_estimate
+from anisokde.estimator import KappaPolicy, kappa_default, make_setup, select_and_estimate
 from anisokde.oracle import (
     assert_oracle_inequality,
     bias,
@@ -23,6 +25,7 @@ from anisokde.oracle import (
     residual_chi,
     residual_zeta,
 )
+from anisokde.quadrature import tensor_integral
 
 
 def wrap_non_product(f: TrueDensity) -> TrueDensity:
@@ -68,6 +71,20 @@ class TestBias:
         prod = bias(rc1, setup.kernel, h, x, nodes=257)
         generic = bias(wrap_non_product(rc1), setup.kernel, h, x, nodes=257)
         assert generic == pytest.approx(prod, abs=1e-9)
+
+    def test_d2_mixture_matches_tensor_quadrature(self):
+        # an independent route: the kernel-weighted density on the box
+        # x +- h/2, integrated by the tensor trapezoid rule
+        f = build_f_theta(16.0, 0.3, 2)
+        setup = make_setup(16, 2)
+        x = np.array([7.6, -0.3])
+        for exps in ((0, 0), (1, 3), (2, 0)):
+            h = Bandwidth(exps)
+            box = np.stack([x - 0.5 * h.values, x + 0.5 * h.values], axis=1)
+            mean = tensor_integral(lambda t: setup.kernel((t - x) / h.values) * f(t),
+                                   box, 65) / h.volume
+            got = bias(f, setup.kernel, h, x, nodes=65)
+            assert got == pytest.approx(mean - f(x), rel=1e-12, abs=1e-15)
 
     def test_shrinks_with_bandwidth(self, rc1):
         setup = make_setup(64, 1)
@@ -131,6 +148,24 @@ class TestTrueMajorant:
         policy = kappa_default(1, 2.0, setup.kernel.k_inf)
         with pytest.raises(InvalidParameterError):
             majorant_true(rc1, setup.kernel, Bandwidth((0,)), np.zeros(1), policy, 1)
+
+
+class TestScalarInputs:
+    # each of these calls once returned a plausible number
+    @pytest.mark.parametrize("call", [
+        lambda f, s1, s2, policy: bias(f, s1.kernel, Bandwidth((1,)), [np.nan]),
+        lambda f, s1, s2, policy: majorant_true(f, s1.kernel, Bandwidth((1,)), [np.inf],
+                                                policy, 32),
+        lambda f, s1, s2, policy: majorant_true(f, s1.kernel, Bandwidth((1,)), [0.1, 3.0],
+                                                policy, 32),
+        lambda f, s1, s2, policy: bias_bar(f, s1.kernel, s2.grid, Bandwidth((1,)), [0.1]),
+        lambda f, s1, s2, policy: bias(f, s2.kernel, Bandwidth((1, 1)), [0.1]),
+    ], ids=["nan_point", "inf_point", "long_point", "grid_dim", "kernel_and_bandwidth_dim"])
+    def test_rejected(self, rc1, call):
+        s1, s2 = make_setup(32, 1), make_setup(32, 2)
+        policy = kappa_default(1, 2.0, s1.kernel.k_inf)
+        with pytest.raises(InvalidParameterError):
+            call(rc1, s1, s2, policy)
 
 
 class TestResiduals:
@@ -211,21 +246,55 @@ class TestOneSelectorPass:
 
 
 class TestTrueTables:
-    def test_product_and_generic_paths_agree(self, rc1):
-        # one density with and without its product structure: the per-axis
-        # and the tensor quadratures of every true term, pair means read
-        # from the setup's q_r tables included, use the same nodes
-        from anisokde.estimator import KappaPolicy
+    @staticmethod
+    def assert_routes_agree(f, x, max_exponent, nodes):
         from anisokde.oracle import _TrueTables
 
-        setup = make_setup(32, 1, ell=2, table_size=256, max_exponent=3)
-        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
-        x = np.array([0.1])
-        prod = _TrueTables(rc1, x, policy, setup, 32, 33)
-        generic = _TrueTables(wrap_non_product(rc1), x, policy, setup, 32, 33)
+        dim = f.dim
+        setup = make_setup(32, dim, ell=2, table_size=256, max_exponent=max_exponent)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        prod = _TrueTables(f, x, policy, setup, 32, nodes)
+        generic = _TrueTables(wrap_non_product(f), x, policy, setup, 32, nodes)
         for name in ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q"):
             assert np.allclose(getattr(prod, name), getattr(generic, name),
                                rtol=0.0, atol=1e-12), name
+
+    def test_product_and_generic_paths_agree(self, rc1):
+        # one density with and without its product structure: the per-axis
+        # tables against the tensor quadratures of every true term, pair
+        # means read from the setup's q_r tables included, on the same nodes
+        self.assert_routes_agree(rc1, np.array([0.1]), 3, 33)
+
+    def test_mixture_routes_agree_in_two_dimensions(self):
+        # two mixture components at d=2: the combine over (component, axis)
+        # against one tensor quadrature of the whole density
+        self.assert_routes_agree(build_f_theta(16.0, 0.3, 2), np.array([7.6, -8.2]), 2, 9)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_public_scalars_read_the_tables(self, dim):
+        from anisokde.oracle import _TrueTables
+
+        f = build_f_theta(16.0, 0.3, dim)
+        setup = make_setup(32, dim, ell=2, table_size=256, max_exponent=3)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        x = np.full(dim, 7.6)
+        truth = _TrueTables(f, x, policy, setup, 32, 33)
+        for row, h in enumerate(setup.grid):
+            assert bias(f, setup.kernel, h, x, 33) == truth.bias[row]
+            assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == truth.bias_bar[row]
+            assert majorant_true(f, setup.kernel, h, x, policy, 32, 33) == truth.m_k[row]
+            assert majorant_true(f, setup.majorant, h, x, policy, 32, 33) == truth.m_q[row]
+
+    def test_d3_terms_stay_fast(self):
+        f = smooth_product_density("raised_cosine", 3)
+        setup = make_setup(64, 3, table_size=256)
+        policy = kappa_default(3, 2.0, setup.kernel.k_inf)
+        data = sample(f, 64, np.random.default_rng(4))
+        x = np.array([0.1, -0.2, 0.05])
+        oracle_terms(data, f, x, policy, setup, nodes=33)  # warm the lattice tables
+        t0 = time.perf_counter()
+        oracle_terms(data, f, x, policy, setup, nodes=33)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestProportionalBrackets:

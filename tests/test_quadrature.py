@@ -6,7 +6,6 @@ from anisokde.quadrature import (
     GridSpec,
     contract,
     grid_and_weights,
-    intersect_box,
     mesh_points,
     tensor_integral,
     trapezoid_rule,
@@ -78,20 +77,6 @@ class TestHelpers:
         vals = rng.uniform(size=(5, 5))
         expect = float(weights[0] @ vals @ weights[1])
         assert contract(vals, weights) == pytest.approx(expect, rel=1e-14)
-
-
-class TestIntersectBox:
-    def test_overlapping(self):
-        got = intersect_box([(0.0, 2.0)], [(1.0, 3.0)])
-        assert np.array_equal(got, [[1.0, 2.0]])
-
-    def test_disjoint_is_inverted(self):
-        got = intersect_box([(0.0, 1.0)], [(2.0, 3.0)])
-        assert got[0, 0] > got[0, 1]
-
-    def test_touching_edges_degenerate(self):
-        got = intersect_box([(0.0, 1.0)], [(1.0, 2.0)])
-        assert np.array_equal(got, [[1.0, 1.0]])
 
 
 class TestGridSpec:

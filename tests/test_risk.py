@@ -202,7 +202,6 @@ class TestPlanHash:
     def test_hash_tracks_content(self, rc1):
         base = small_plan(rc1)
         assert small_plan(rc1, seed=12).plan_hash != base.plan_hash
-        assert small_plan(rc1, debug_truth=True).plan_hash != base.plan_hash
         assert small_plan(rc1, kappa=0.3).plan_hash != base.plan_hash
 
 
@@ -232,10 +231,6 @@ class TestRiskReplicate:
         truth = np.asarray(plan.density.grid_values(plan.grid.axes()))
         manual = plan.grid.integrate_values(np.abs(est - truth) ** plan.p)
         assert value == pytest.approx(manual, rel=1e-12)
-
-    def test_debug_truth_short_circuits(self, rc1):
-        plan = small_plan(rc1, debug_truth=True)
-        assert risk_replicate(plan, 16, 7) == 0.0
 
 
 class TestRunPlan:
