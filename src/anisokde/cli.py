@@ -647,9 +647,8 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
     )
     run = _Run(_outdir(out_flag, resolved, "risk"),
                resolved["output"]["formats"])
-    t0 = time.perf_counter()
     report = run_plan(plan)
-    run.timings["replicates"] = time.perf_counter() - t0
+    run.timings.update(report.timings)
     doc = report.payload()
     if len(report.rows) >= 3 and all(r.risk > 0 for r in report.rows):
         fit = fit_rate(report)

@@ -21,16 +21,19 @@ combinatorics (built on first use). Nothing is cached per process.
 
 Each per-point quantity is a sum over candidates of a product of
 per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
-keys per axis. A point builds small per-axis (candidates x columns)
-matrices, contracts them (outer products, then one GEMM), summing over
-chunks of candidates so memory does not grow with n, and gathers the
-|H|^2 pair matrix from the contracted keys. Points are fitted one
-after another on one thread.
+keys per axis. Each in-support (candidate, scale) entry of an axis
+takes one index and fraction into `EstimationSetup.stack` and one
+gather gives all its factors (`_entry_rows`). At d = 1 the entries are
+summed directly; at d >= 2 they fill per-axis (candidates x columns)
+matrices, contracted (outer products, then one GEMM), and the |H|^2
+pair matrix is gathered from the contracted keys. Candidates are taken
+in chunks so memory does not grow with n. Points are fitted one after
+another on one thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +44,8 @@ from .kernels import (
     DEFAULT_TABLE_SIZE,
     Kernel1D,
     ProductKernel,
+    Tabulated1D,
+    _check_order_and_table,
     build_base,
     build_composite,
     build_envelope,
@@ -76,7 +81,8 @@ class Dataset:
 
         Binary search picks the axis with the fewest candidates; the
         rest are filtered by masking, so cost is O(d log n + k) for k
-        candidates along the thinnest axis.
+        candidates along the thinnest axis. At d = 1 the indices come
+        in ascending order of the observations.
         """
         spans = [(int(np.searchsorted(v, lo[j], side="left")),
                   int(np.searchsorted(v, hi[j], side="right")))
@@ -175,7 +181,9 @@ class _GridTables:
     On one axis a bandwidth pair reads q_r, r = 2^-k for the exponent
     difference k, at its join exponent a; a + k <= E. Key (a, k) is
     column key_starts[k] + a, and pair_key[i, l] the flat index of a
-    pair's per-axis keys, first axis slowest.
+    pair's per-axis keys, first axis slowest. col_map[a] places the
+    stack rows at scale 2^a in a per-axis [kernel | envelope | keys |
+    spare] matrix, q_k with a + k > E (read by no pair) in the spare.
     """
 
     def __init__(self, grid: BandwidthGrid):
@@ -193,6 +201,9 @@ class _GridTables:
         self.geq = (exp[None, :, :] <= exp[:, None, :]).all(axis=2)
         a, b = np.indices((E + 1, E + 1))
         key_of = self.key_starts[np.abs(b - a)] + np.minimum(a, b)  # by (join, larger)
+        key_at = np.where(a + b <= E, self.key_starts[b] + a, self.n_keys)  # by (scale, k)
+        self.col_map = np.column_stack((a[:, 0], a[:, 0] + E + 1, key_at + 2 * (E + 1)))
+        self.width = 2 * (E + 1) + self.n_keys + 1
         axes = np.arange(grid.dim - 1, -1, -1, dtype=np.int64)
         lo = np.minimum(exp[:, None, :], exp[None, :, :])
         self.join_index = lo @ (E + 1) ** axes
@@ -201,11 +212,15 @@ class _GridTables:
 
 
 def _row_floats(dim: int, max_exponent: int) -> int:
-    """Floats one candidate holds in `_point_tables`: per axis its kernel,
-    |kernel| and envelope rows and its key columns, the interpolation
-    temporaries of one axis, and two outer-product rows of `_contract`."""
+    """Floats one candidate holds in `_point_tables`: up to one entry per
+    scale, each with its stack gathers and index temporaries (2(E+3) +
+    10, above the tracemalloc peak); at d >= 2 also its per-axis matrix
+    rows, their |kernel| copies and two outer-product rows of `_contract`."""
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
-    return dim * (keys + 3 * cols) + 9 * cols + 2 * keys ** (dim - 1)
+    entries = cols * (2 * (max_exponent + 3) + 10)
+    if dim == 1:
+        return entries
+    return entries + dim * (3 * cols + keys + 1) + 2 * keys ** (dim - 1)
 
 
 def _lattice_bytes(grid: BandwidthGrid) -> int:
@@ -214,14 +229,16 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     _GridTables builds join_index and pair_key from three (H, H, d)
     int64 temporaries; both (int64) and geq (bool) stay. A point adds
     about five (H, H) float64 arrays, three of the P^d contracted key
-    sums (P = (E+1)(E+2)/2) and one chunk of candidates (_BLOCK_BYTES,
-    or one `_row_floats` row if more). Candidate offsets, a slice of
-    the sample, are not counted, so the estimate does not depend on n.
+    sums (P = (E+1)(E+2)/2), the d = 1 sums (one per matrix column) and
+    one chunk of candidates (_BLOCK_BYTES, or one `_row_floats` row if
+    more). Candidate offsets, a slice of the sample, are not counted,
+    so the estimate does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
     h2, keys = len(grid) ** 2, (E + 1) * (E + 2) // 2
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E))
-    return max(h2 * (24 * d + 17), h2 * (17 + 5 * 8) + 24 * keys ** d + chunk)
+    point = h2 * (17 + 5 * 8) + 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
+    return max(h2 * (24 * d + 17), point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,12 +247,18 @@ class EstimationSetup:
 
     pair_tables[k] is the q_r table for the axis ratio r = 2^-k, one for
     each exponent difference k = 0..E the lattice can realize.
+
+    stack has as rows, on the [-1, 1] grid of the q_r tables (step 1/m),
+    the kernel zero-padded (zeros for an odd table size m, whose kernel
+    nodes sit half a step off), the envelope and q_0..q_E; the last two
+    are read-only views of it, so their values are stored once.
     """
 
     kernel: ProductKernel
     majorant: ProductKernel
     grid: BandwidthGrid
     pair_tables: tuple[Kernel1D, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kernel.dim != self.majorant.dim or self.kernel.dim != self.grid.dim:
@@ -244,6 +267,20 @@ class EstimationSetup:
             raise InvalidParameterError(
                 f"need one q_r table per lattice ratio ({self.grid.max_exponent + 1}), "
                 f"got {len(self.pair_tables)}")
+        m = self.kernel.factor.table_size
+        wide = (self.majorant.factor, *self.pair_tables)
+        if any(t.profile.support() != (-1.0, 1.0) or t.table_size != 2 * m for t in wide):
+            raise InvalidParameterError(
+                f"envelope and q_r tables need {2 * m} steps on [-1, 1]")
+        kernel = self.kernel.factor.profile.values
+        pad = np.zeros(2 * m + 1) if m % 2 else np.pad(kernel, m // 2)
+        stack = np.stack([pad, *(t.profile.values for t in wide)])
+        stack.setflags(write=False)
+        rows = [Kernel1D(t.ell, Tabulated1D(-1.0, 1.0, row))
+                for t, row in zip(wide, stack[1:])]
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "majorant", ProductKernel(self.majorant.dim, rows[0]))
+        object.__setattr__(self, "pair_tables", tuple(rows[1:]))
 
     @property
     def marginal(self) -> Kernel1D:
@@ -255,21 +292,11 @@ class EstimationSetup:
         return _GridTables(self.grid)
 
 
-def make_setup(
-    n: int,
-    dim: int,
-    ell: int = 1,
-    table_size: int = DEFAULT_TABLE_SIZE,
-    max_exponent: int | None = None,
-) -> EstimationSetup:
-    """Build kernel, q_r tables, envelope, and lattice for sample size n.
-
-    The lattice comes first: its exponents are checked, and its memory
-    estimate against MAX_LATTICE_BYTES, before any table is built. Then
-    each lattice ratio 2^0..2^-E is tabulated exactly once; the setup
-    keeps those tables, the envelope is their pointwise max, and fits
-    and the oracle only read them.
-    """
+def _checked_grid(n: int, dim: int, ell: int, table_size: int,
+                  max_exponent: int | None) -> BandwidthGrid:
+    """The lattice of `make_setup`, once every argument and the memory
+    estimate (against MAX_LATTICE_BYTES) are checked; builds no table."""
+    _check_order_and_table(ell, table_size)
     grid = build_grid(n, dim)
     if max_exponent is not None:
         grid = BandwidthGrid(dim=dim, max_exponent=max_exponent)
@@ -279,6 +306,24 @@ def make_setup(
             f"a lattice of {len(grid)} bandwidths in {grid.dim} dimensions needs "
             f"about {need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
             f"{MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower max_exponent or the dimension")
+    return grid
+
+
+def make_setup(
+    n: int,
+    dim: int,
+    ell: int = 1,
+    table_size: int = DEFAULT_TABLE_SIZE,
+    max_exponent: int | None = None,
+) -> EstimationSetup:
+    """Build kernel, q_r tables, envelope, and lattice for sample size n.
+
+    Every argument is checked first (`_checked_grid`), before any table
+    is built. Then each lattice ratio 2^0..2^-E is tabulated exactly
+    once; the setup keeps those tables, the envelope is their pointwise
+    max, and fits and the oracle only read them.
+    """
+    grid = _checked_grid(n, dim, ell, table_size, max_exponent)
     composite = build_composite(build_base(ell, table_size))
     pair_tables = tuple(convolve_ratio(composite, r) for r in grid.ratios())
     return EstimationSetup(kernel=build_product(composite, dim),
@@ -312,30 +357,64 @@ def _contract(mats: list[np.ndarray]) -> np.ndarray:
     return (block.T @ mats[-1]).ravel()
 
 
+def _entry_rows(ys: np.ndarray, scale: np.ndarray, setup: EstimationSetup) -> np.ndarray:
+    """Every stack row at the in-support entries ys (|ys| <= 1, entry e
+    scaled by 2^scale[e]), each times its 2^a: one index and one
+    fraction per entry serve all the rows."""
+    m = setup.marginal.table_size
+    pos = (ys + 1.0) * m
+    idx = np.minimum(pos.astype(np.int64), 2 * m - 1)
+    frac = pos - idx
+    vals = setup.stack[:, idx]
+    vals *= 1.0 - frac
+    upper = setup.stack[:, idx + 1]
+    upper *= frac
+    vals += upper
+    if m % 2:  # the kernel's nodes sit half a step off the stack grid
+        vals[0] = setup.marginal(ys)
+    vals *= setup.tables.scales[scale]
+    return vals
+
+
 def _chunk_sums(offs: np.ndarray, setup: EstimationSetup) -> list[np.ndarray]:
     """Kernel, |kernel|, envelope and key sums over one chunk of
-    candidate offsets, each contracted over the chunk's rows."""
+    candidate offsets: at d = 1 (sorted offsets) the window sums, at
+    d >= 2 the contracted per-axis matrices."""
     tables = setup.tables
-    scales, cols = tables.scales, tables.scales.size
-    k_ax, e_ax, q_ax = [], [], []
+    cols = tables.scales.size
+    if offs.shape[1] == 1:
+        y = offs[:, 0]
+        lo = np.searchsorted(y, -1.0 / tables.scales, side="left")
+        hi = np.searchsorted(y, 1.0 / tables.scales, side="right")
+        scale = np.repeat(np.arange(cols), hi - lo)
+        ys = np.concatenate([y[i:j] for i, j in zip(lo, hi)]) * tables.scales[scale]
+        vals = _entry_rows(ys, scale, setup)
+        sums = np.bincount(tables.col_map[scale].ravel(), vals.T.ravel(),
+                           minlength=tables.width)
+        abs_k = np.bincount(scale, np.abs(vals[0]), minlength=cols)
+        return [sums[:cols], abs_k, sums[cols:2 * cols], sums[2 * cols:-1]]
+    mats = []
     for y in offs.T:
-        ys = y[:, None] * scales
-        k_ax.append(setup.kernel.factor(ys) * scales)
-        e_ax.append(setup.majorant.factor(ys) * scales)
-        keys = np.empty((y.size, tables.n_keys))
-        for k, (q, start) in enumerate(zip(setup.pair_tables, tables.key_starts)):
-            keys[:, start:start + cols - k] = q(ys[:, :cols - k]) * scales[:cols - k]
-        q_ax.append(keys)
-    return [_contract(mats) for mats in (k_ax, [np.abs(kv) for kv in k_ax], e_ax, q_ax)]
+        ys = y[:, None] * tables.scales
+        cand, scale = np.nonzero(np.abs(ys) <= 1.0)
+        mat = np.zeros((y.size, tables.width))
+        vals = _entry_rows(ys[cand, scale], scale, setup)
+        mat[cand[:, None], tables.col_map[scale]] = vals.T
+        mats.append(mat)
+    k_ax = [mat[:, :cols] for mat in mats]
+    e_ax = [mat[:, cols:2 * cols] for mat in mats]
+    q_ax = [mat[:, 2 * cols:-1] for mat in mats]
+    return [_contract(m) for m in (k_ax, [np.abs(kv) for kv in k_ax], e_ax, q_ax)]
 
 
 def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     """Raw empirical sums at one point: estimates, absolute-kernel
-    averages for kernel and envelope, and the full pair-estimate matrix,
-    from per-axis matrices (column a: the factor at scale 2^a; key
-    (a, k): q_r table k at join scale 2^a, one interpolation call per
-    table) whose columns carry their exact 2^a; |prod k_j| = prod |k_j|
-    gives the kernel's A-hat."""
+    averages for kernel and envelope, and the full pair-estimate matrix.
+    Per axis, each (candidate, scale 2^a) entry in support takes one
+    index and fraction into the setup's stack, and one gather gives its
+    kernel, envelope and key (a, k) (q_r table k at join scale 2^a)
+    values, times their exact 2^a; |prod k_j| = prod |k_j| gives the
+    kernel's A-hat."""
     n = data.n
     if n < 2:
         raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")

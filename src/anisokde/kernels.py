@@ -56,7 +56,9 @@ class Tabulated1D:
     """A function of one variable stored on a uniform node grid.
 
     Every profile in this package vanishes at its table endpoints, so
-    zero extension keeps the interpolant continuous on all of R.
+    zero extension keeps the interpolant continuous on all of R. A
+    writeable array is copied; a read-only one (such as a row of an
+    estimation setup's stacked table) is shared.
     """
 
     lo: float
@@ -69,8 +71,9 @@ class Tabulated1D:
             raise InvalidParameterError("tabulation needs a 1-d array of >= 2 values")
         if not self.hi > self.lo:
             raise InvalidParameterError(f"empty table interval [{self.lo}, {self.hi}]")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable:
+            vals = vals.copy()
+            vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property

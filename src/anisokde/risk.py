@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .estimator import (
     DEFAULT_TABLE_SIZE,
     EstimationSetup,
     KappaPolicy,
+    _checked_grid,
     _select_point,
     kappa_default,
     make_setup,
@@ -45,7 +46,8 @@ def default_grid(density: TrueDensity, nodes: int) -> GridSpec:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Declarative description of one risk experiment."""
+    """Declarative description of one risk experiment; construction
+    checks every input, the setup of the largest n included."""
 
     density: TrueDensity
     p: float
@@ -98,6 +100,8 @@ class ExperimentPlan:
             raise InvalidParameterError(f"kappa must be > 0, got {self.kappa!r}")
         if self.threads < 1:
             raise InvalidParameterError("threads must be >= 1")
+        _checked_grid(self.n_schedule[-1], self.density.dim, self.ell, self.table_size,
+                     self.max_exponent)
 
     def setup_for(self, n: int) -> EstimationSetup:
         return make_setup(
@@ -154,13 +158,16 @@ class RiskRow:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Risk curve plus provenance; wall_time stays out of payload()."""
+    """Risk curve plus provenance; wall_time and timings (wall seconds
+    per stage: kernel_tables, truth_grid, replicates) stay out of
+    payload()."""
 
     rows: tuple[RiskRow, ...]
     p: float
     plan_hash: str
     seed: int
     wall_time: float
+    timings: dict[str, float] = field(default_factory=dict)
 
     def payload(self) -> dict:
         """Deterministic content: identical plans give identical payloads
@@ -255,13 +262,20 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
     """
     start = time.perf_counter()
     truth = _truth_on_grid(plan)
+    timings = {"kernel_tables": 0.0, "truth_grid": time.perf_counter() - start,
+               "replicates": 0.0}
     values = []
     for n in plan.n_schedule:
+        t0 = time.perf_counter()
         setup = plan.setup_for(n)
         policy = plan.policy_for(setup)
+        t1 = time.perf_counter()
         for _ in range(plan.replicates):
             values.append(_replicate_value(plan, n, plan.seed + len(values),
                                            setup, policy, truth))
+        timings["kernel_tables"] += t1 - t0
+        timings["replicates"] += time.perf_counter() - t1
+        del setup  # the next n's tables are built without this n's alive
 
     rows = []
     for i, n in enumerate(plan.n_schedule):
@@ -280,6 +294,7 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
         plan_hash=plan.plan_hash,
         seed=int(plan.seed),
         wall_time=time.perf_counter() - start,
+        timings=timings,
     )
 
 

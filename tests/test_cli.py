@@ -416,6 +416,28 @@ class TestRiskCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param({"kernel": {"ell": 0}}, "kernel order", id="kernel"),
+        pytest.param({"density": {"kind": "raised_cosine", "dim": 4},
+                      "risk": {"n_schedule": [4096, 8192], "replicates": 2, "grid_nodes": 3}},
+                     "MAX_LATTICE_BYTES", id="lattice"),
+    ])
+    def test_rejected_setup_leaves_no_directory(self, tmp_path, capsys, extra, message):
+        cfg = toy_risk_config(tmp_path, **extra)
+        out = tmp_path / "o"
+        assert main(["risk", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_times_each_stage(self, tmp_path):
+        cfg = toy_risk_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["risk", "--config", cfg, "--out", str(out)]) == 0
+        timings = read_json(out, "manifest.json")["timings"]
+        assert set(timings) == {"kernel_tables", "truth_grid", "replicates"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert "timings" not in read_json(out, "risk.json")
+
     def test_toy_curve_files(self, tmp_path):
         cfg = toy_risk_config(tmp_path)
         out = tmp_path / "run"

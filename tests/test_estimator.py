@@ -358,37 +358,86 @@ class TestCriterionAndSelection:
             eval_criterion(data, np.zeros(1), Bandwidth((9,)), policy, setup)
 
 
+def assert_record_matches_reference(data, x, setup):
+    from anisokde.estimator import _select_point
+
+    policy = KappaPolicy(kappa=0.05, d=data.dim, p=2.0, k_inf=setup.kernel.k_inf)
+    rec = _select_point(data, x, policy, setup)
+    K, Q = setup.kernel, setup.majorant
+    grid = list(setup.grid)
+
+    def close(a, b):
+        return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    for i, h in enumerate(grid):
+        assert close(rec.fhat[i], eval_fhat(data, K, h, x)), h
+        assert close(rec.a_k[i], eval_A_hat(data, K, h, x)), h
+        assert close(rec.a_q[i], eval_A_hat(data, Q, h, x)), h
+        for l, eta in enumerate(grid):
+            assert close(rec.pair[i, l], eval_fhat_pair(data, K, h, eta, x)), (h, eta)
+    return rec
+
+
 class TestRecordAgainstReference:
     """Every entry of the selector's lattice-wide record against the
     scalar reference evaluators."""
 
-    @pytest.mark.parametrize("d, n, max_exponent, ell", [
-        pytest.param(1, 64, None, 2, id="1-64-None"),
-        pytest.param(2, 48, 3, 2, id="2-48-3"),
-        pytest.param(3, 32, 2, 1, id="3-32-2-ell1"),
-        pytest.param(3, 32, 2, 2, id="3-32-2-ell2"),
+    @pytest.mark.parametrize("d, n, max_exponent, ell, table_size", [
+        pytest.param(1, 64, None, 2, 256, id="1-64-None"),
+        pytest.param(2, 48, 3, 2, 256, id="2-48-3"),
+        pytest.param(3, 32, 2, 1, 256, id="3-32-2-ell1"),
+        pytest.param(3, 32, 2, 2, 256, id="3-32-2-ell2"),
+        # odd table sizes put the kernel's nodes half a step off the q_r grid
+        pytest.param(1, 64, None, 1, 65, id="1-64-None-ell1-m65"),
+        pytest.param(2, 48, 3, 2, 65, id="2-48-3-m65"),
+        pytest.param(3, 32, 2, 2, 65, id="3-32-2-ell2-m65"),
     ])
-    def test_raw_tables_match_reference(self, d, n, max_exponent, ell):
-        from anisokde.estimator import _select_point
-
+    def test_raw_tables_match_reference(self, d, n, max_exponent, ell, table_size):
         rng = np.random.default_rng(83)
         data = build_dataset(rng.uniform(-1, 1, size=(n, d)))
-        setup = make_setup(n, d, ell=ell, table_size=256, max_exponent=max_exponent)
-        policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
-        x = rng.uniform(-0.5, 0.5, size=d)
-        rec = _select_point(data, x, policy, setup)
-        K, Q = setup.kernel, setup.majorant
-        grid = list(setup.grid)
+        setup = make_setup(n, d, ell=ell, table_size=table_size, max_exponent=max_exponent)
+        assert_record_matches_reference(data, rng.uniform(-0.5, 0.5, size=d), setup)
 
-        def close(a, b):
-            return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("d, ell, table_size", [
+        (1, 1, 64), (1, 2, 65), (2, 2, 64), (2, 1, 65), (3, 2, 64), (3, 1, 65),
+    ])
+    def test_support_edges_and_chunks_match_reference(self, monkeypatch, d, ell, table_size):
+        import anisokde.estimator as est
 
-        for i, h in enumerate(grid):
-            assert close(rec.fhat[i], eval_fhat(data, K, h, x)), h
-            assert close(rec.a_k[i], eval_A_hat(data, K, h, x)), h
-            assert close(rec.a_q[i], eval_A_hat(data, Q, h, x)), h
-            for l, eta in enumerate(grid):
-                assert close(rec.pair[i, l], eval_fhat_pair(data, K, h, eta, x)), (h, eta)
+        E = 4 if d == 1 else 2
+        x = np.full(d, 0.25)
+        # offsets +-2^-a and +-2^-a/2: the edges of the q_r and kernel supports
+        edges = np.array([s * 2.0 ** -b for b in range(E + 2) for s in (-1.0, 1.0)] + [0.0])
+        rng = np.random.default_rng(89)
+        offs = rng.choice(edges, size=(40, d))
+        offs[:edges.size, 0] = edges
+        data = build_dataset(np.vstack([x + offs, rng.uniform(-1, 1.5, size=(8, d))]))
+        assert np.array_equal(data.points[:edges.size, 0] - x[0], edges)
+        setup = make_setup(data.n, d, ell=ell, table_size=table_size, max_exponent=E)
+        # five candidates per chunk, so the chunk loop runs many times
+        monkeypatch.setattr(est, "_BLOCK_BYTES", 8 * 5 * est._row_floats(d, E))
+        rec = assert_record_matches_reference(data, x, setup)
+        assert rec.counts > 10
+        far = assert_record_matches_reference(data, np.full(d, 9.0), setup)
+        assert far.counts == 0 and not far.pair.any()
+
+    def test_selections_match_recorded_ones(self):
+        """Selections on seeded samples are pinned: reordering the table
+        arithmetic may move the sums in their last bits, not a choice."""
+        recorded = [
+            [(4,), (7,), (5,), (8,), (5,), (8,), (8,), (2,)],
+            [(1, 3), (3, 3), (1, 2), (3, 1), (2, 4), (6, 3), (3, 2), (2, 2)],
+            [(7,), (3,), (6,), (7,), (4,), (6,), (1,), (8,)],
+            [(0, 4), (2, 1), (1, 0), (4, 4), (3, 3), (0, 3), (1, 1), (1, 1)],
+        ]
+        for (d, n, m), want in zip(((1, 512, 4096), (2, 256, 4096), (1, 300, 65),
+                                    (2, 200, 65)), recorded):
+            rng = np.random.default_rng(113)
+            data = build_dataset(rng.normal(0.0, 0.3, size=(n, d)))
+            setup = make_setup(n, d, table_size=m)
+            policy = KappaPolicy(kappa=0.002, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+            fits = estimate_on_grid(data, rng.uniform(-1.0, 1.0, size=(8, d)), policy, setup)
+            assert [f.selected.exponents for f in fits] == want, (d, n, m)
 
 
 class TestPerAxisEngine:
@@ -542,6 +591,33 @@ class TestSetupOwnsTables:
         stacked = np.abs(np.stack([q.profile.values for q in setup.pair_tables]))
         assert np.array_equal(setup.majorant.factor.profile.values, stacked.max(axis=0))
 
+    @pytest.mark.parametrize("table_size", [64, 65])
+    def test_stack_holds_each_table_once(self, table_size):
+        setup = make_setup(16, 2, ell=2, table_size=table_size)
+        stack, m = setup.stack, table_size
+        assert stack.shape == (setup.grid.max_exponent + 3, 2 * m + 1)
+        assert not stack.flags.writeable
+        kernel = setup.marginal.profile.values
+        if m % 2:
+            assert not stack[0].any()
+        else:
+            assert np.array_equal(stack[0], np.pad(kernel, m // 2))
+        tables = (setup.majorant.factor, *setup.pair_tables)
+        for row, table in zip(stack[1:], tables):
+            assert np.shares_memory(row, table.profile.values)
+            assert np.array_equal(row, table.profile.values)
+
+    def test_tables_off_the_kernel_grid_rejected(self):
+        from anisokde.estimator import EstimationSetup
+
+        a, b = make_setup(8, 1, table_size=64), make_setup(8, 1, table_size=128)
+        with pytest.raises(InvalidParameterError, match="steps on"):
+            EstimationSetup(kernel=a.kernel, majorant=b.majorant, grid=a.grid,
+                            pair_tables=a.pair_tables)
+        with pytest.raises(InvalidParameterError, match="steps on"):
+            EstimationSetup(kernel=a.kernel, majorant=a.majorant, grid=a.grid,
+                            pair_tables=b.pair_tables)
+
     def test_each_lattice_ratio_is_tabulated_once(self, monkeypatch, rc2):
         import anisokde.estimator as est
         import anisokde.kernels as kern
@@ -619,7 +695,7 @@ class TestLatticeMemoryGuard:
         setup = make_setup(n, dim, table_size=64)
         assert setup.grid.max_exponent == n.bit_length() - 1
 
-    @pytest.mark.parametrize("n, dim", [(256, 3), (1024, 2), (4096, 1), (2**15, 1)])
+    @pytest.mark.parametrize("n, dim", [(256, 3), (1024, 2), (4096, 1), (2**15, 1), (8192, 1)])
     def test_fit_peak_stays_under_the_estimate(self, n, dim):
         import tracemalloc
 
@@ -638,3 +714,24 @@ class TestLatticeMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < _lattice_bytes(setup.grid)
+
+    @pytest.mark.parametrize("n, dim", [(8192, 1), (256, 3)])
+    def test_peak_with_every_entry_in_support_stays_under_the_estimate(self, n, dim):
+        import tracemalloc
+
+        from anisokde.estimator import _lattice_bytes, _select_point
+
+        # every observation at the point: each candidate is in support at
+        # every scale, the most (candidate, scale) entries a chunk can hold
+        data = build_dataset(np.zeros((n, dim)))
+        setup = make_setup(n, dim, table_size=64)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        assert setup.tables.size == len(setup.grid)  # lattice tables built outside
+        tracemalloc.start()
+        try:
+            rec = _select_point(data, np.zeros(dim), policy, setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.counts == n
+        assert peak <= _lattice_bytes(setup.grid)
