@@ -8,14 +8,15 @@ binary-indexed perturbation families whose pairwise L_p distances are
 known in closed form. A discretized strong maximal operator and its
 tail quasi-norm classify how heavy a density's effective support is.
 
-All tabulations are computed once at import from closed forms, so
-every object here is deterministic across runs and platforms with the
-same numpy build.
+All tabulations are computed from closed forms, the shared bump tables
+once per process on first use, so every object here is deterministic
+across runs and platforms with the same numpy build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -30,9 +31,6 @@ from .errors import (
 from .estimator import Dataset, build_dataset
 from .quadrature import GridSpec
 
-# profile tabulation: 2**16 subintervals on [-1, 1]
-_PROFILE_GRID = np.linspace(-1.0, 1.0, (1 << 16) + 1)
-
 
 def _raw_bump(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
@@ -43,25 +41,38 @@ def _raw_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_profile_tables():
-    vals = _raw_bump(_PROFILE_GRID)
-    dx = _PROFILE_GRID[1] - _PROFILE_GRID[0]
+@cache
+def _profile_tables() -> tuple[np.ndarray, float, np.ndarray]:
+    """(grid, normalizer, cdf): 2**16 subintervals on [-1, 1], 1 / the
+    bump's trapezoid integral on them and its normalized CDF at the
+    nodes. Built on first use; only the bump-based densities read it."""
+    grid = np.linspace(-1.0, 1.0, (1 << 16) + 1)
+    vals = _raw_bump(grid)
+    dx = grid[1] - grid[0]
     cdf = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * (0.5 * dx))])
     total = cdf[-1]
-    return 1.0 / total, cdf / total
+    cdf /= total
+    grid.setflags(write=False)
+    cdf.setflags(write=False)
+    return grid, 1.0 / total, cdf
 
 
-BUMP_NORMALIZER, _BUMP_CDF = _build_profile_tables()
+def __getattr__(name: str):
+    # the normalizer is computed with the profile tables, on first use
+    if name == "BUMP_NORMALIZER":
+        return _profile_tables()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def bump(t) -> np.ndarray:
     """Normalized smooth bump on [-1, 1]: all derivatives vanish at the edges."""
-    return BUMP_NORMALIZER * _raw_bump(t)
+    return _profile_tables()[1] * _raw_bump(t)
 
 
 def bump_cdf(t) -> np.ndarray:
     """Antiderivative of the bump, 0 left of -1 and 1 right of 1."""
-    return np.interp(np.asarray(t, dtype=float), _PROFILE_GRID, _BUMP_CDF)
+    grid, _, cdf = _profile_tables()
+    return np.interp(np.asarray(t, dtype=float), grid, cdf)
 
 
 def g_profile(t) -> np.ndarray:
@@ -82,17 +93,15 @@ def g_lp_norm(p: float, nodes: int = (1 << 15) + 1) -> float:
     return float(np.trapezoid(vals, xs) ** (1.0 / p))
 
 
-def _profile_derivative_sups():
+@cache
+def _profile_derivative_sups() -> tuple[float, float]:
     # sup|d/dt bump| and sup|d^2/dt^2 bump| from closed forms on the table grid
-    t = _PROFILE_GRID[1:-1]
+    t = _profile_tables()[0][1:-1]
     lam = bump(t)
     u = 1.0 - t * t
     d1 = lam * (-2.0 * t / u**2)
     d2 = lam * ((2.0 * t / u**2) ** 2 - 2.0 / u**2 - 8.0 * t * t / u**3)
     return float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
-
-
-_BUMP_D1_SUP, _BUMP_D2_SUP = _profile_derivative_sups()
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,7 +532,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
             raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta!r}")
         marg = _smoothed_uniform_marginal(delta)
         meta = {"beta": (2.0,) * dim, "r": (np.inf,) * dim,
-                "L": (2.0 * _BUMP_D1_SUP / delta**2,) * dim, "M": 1.0}
+                "L": (2.0 * _profile_derivative_sups()[0] / delta**2,) * dim, "M": 1.0}
         sup = 1.0
     elif kind == "bump_mixture":
         centers = tuple(float(c) for c in params.pop("centers", (-0.5, 0.5)))
@@ -537,7 +546,8 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
             raise InvalidParameterError("scales must be positive and weights a probability vector")
         marg = _bump_mixture_marginal(centers, scales, weights)
         m1 = sum(w * bump(0.0) / s for w, s in zip(weights, scales))
-        L1 = sum(w * _BUMP_D2_SUP / s**3 for w, s in zip(weights, scales))
+        d2_sup = _profile_derivative_sups()[1]
+        L1 = sum(w * d2_sup / s**3 for w, s in zip(weights, scales))
         meta = {"beta": (2.0,) * dim, "r": (np.inf,) * dim, "L": (float(L1),) * dim,
                 "M": float(m1) ** dim}
         sup = float(m1) ** dim

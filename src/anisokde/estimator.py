@@ -191,14 +191,13 @@ class _GridTables:
         exp = grid.exponent_matrix()
         self.exp = exp
         self.size = exp.shape[0]
+        self.shape = (E + 1,) * grid.dim
         self.exp_sum = exp.sum(axis=1)
         self.volumes = 2.0 ** -self.exp_sum.astype(float)
         self.bandwidths = tuple(grid)
         self.scales = 2.0 ** np.arange(E + 1)
         self.key_starts = np.concatenate(([0], np.cumsum(np.arange(E + 1, 0, -1))))
         self.n_keys = int(self.key_starts[-1])
-        # geq[i, j]: candidate eta = row j is >= h = row i coordinate-wise in value
-        self.geq = (exp[None, :, :] <= exp[:, None, :]).all(axis=2)
         a, b = np.indices((E + 1, E + 1))
         key_of = self.key_starts[np.abs(b - a)] + np.minimum(a, b)  # by (join, larger)
         key_at = np.where(a + b <= E, self.key_starts[b] + a, self.n_keys)  # by (scale, k)
@@ -209,6 +208,16 @@ class _GridTables:
         self.join_index = lo @ (E + 1) ** axes
         keys = key_of[lo, np.maximum(exp[:, None, :], exp[None, :, :])]
         self.pair_key = keys @ self.n_keys ** axes
+
+
+def _coarser_sup(values: np.ndarray, tables: _GridTables) -> np.ndarray:
+    """Per lattice row h, the max of values over the rows eta >= h
+    coordinate-wise in value (exponents <= h's): rows are the (E+1)^d
+    lattice array in C order, so a running maximum along each axis."""
+    out = values.reshape(tables.shape)
+    for axis in range(out.ndim):
+        out = np.maximum.accumulate(out, axis=axis)
+    return out.reshape(-1)
 
 
 def _row_floats(dim: int, max_exponent: int) -> int:
@@ -226,8 +235,8 @@ def _row_floats(dim: int, max_exponent: int) -> int:
 def _lattice_bytes(grid: BandwidthGrid) -> int:
     """Peak bytes of the lattice tables, or of one point's selection.
 
-    _GridTables builds join_index and pair_key from three (H, H, d)
-    int64 temporaries; both (int64) and geq (bool) stay. A point adds
+    _GridTables builds join_index and pair_key (int64, both kept) from
+    three (H, H, d) int64 temporaries. A point adds
     about five (H, H) float64 arrays, three of the P^d contracted key
     sums (P = (E+1)(E+2)/2), the d = 1 sums (one per matrix column) and
     one chunk of candidates (_BLOCK_BYTES, or one `_row_floats` row if
@@ -237,8 +246,8 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     d, E = grid.dim, grid.max_exponent
     h2, keys = len(grid) ** 2, (E + 1) * (E + 2) // 2
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E))
-    point = h2 * (17 + 5 * 8) + 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
-    return max(h2 * (24 * d + 17), point)
+    point = h2 * (16 + 5 * 8) + 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
+    return max(h2 * (24 * d + 16), point)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,8 +478,7 @@ def _select_point(data: Dataset, x, policy: KappaPolicy,
 
     bracket = np.abs(pair - fhat[None, :]) - m_q[tables.join_index] - m_k[None, :]
     np.maximum(bracket, 0.0, out=bracket)
-    sup_q = np.where(tables.geq, m_q[None, :], -np.inf).max(axis=1)
-    criterion = bracket.max(axis=1) + sup_q + m_k
+    criterion = bracket.max(axis=1) + _coarser_sup(m_q, tables) + m_k
     best = int(np.lexsort((np.arange(tables.size), tables.exp_sum, criterion))[0])
     return _PointRecord(
         x=x, fhat=fhat, a_k=a_k, a_q=a_q, pair=pair, criterion=criterion,

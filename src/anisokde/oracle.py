@@ -11,19 +11,21 @@ residual terms.
 
 Every true quantity is a smoothing of f at x: the mean of a single
 estimate (by K_h), the true kernel and envelope averages (by |K_h| and
-the envelope), the mean of a pair estimate (by q_r at the join
-bandwidth), and the double smoothing (K_eta * K_h * f)(x) behind the
-smoothed bias. Each has one implementation. It tabulates the smoothing
-per axis group, one trapezoid sum per distinct (scale, weight) row in
-`_quadrature`, and one fancy-indexed product over (component, group)
-in `_combine` reads every lattice row or row pair from those tables.
-A product-form density (or a mixture of them) has one group per axis,
-so its tables are 1-d quadratures at the E+1 scales of each axis. Any
-other density is one group of all its axes: the same code then runs a
-tensor quadrature per bandwidth, at nodes**dim points per single and
-nodes**(2*dim) per double smoothing, so keep those to small grids.
-`bias`, `bias_bar` and `majorant_true` evaluate the same tables at the
-bandwidths they are given, so each equals its `_TrueTables` entry.
+the envelope) and the mean of a pair estimate (by q_r at the join
+bandwidth). On each axis K_h * K_eta is q_r at the join bandwidth, so
+the pair means are also the double smoothings (K_eta * K_h * f)(x)
+behind the smoothed bias. Each quantity has one implementation. It
+tabulates the smoothing per axis group, one trapezoid sum per distinct
+(scale, weight) row in `_quadrature`, and one fancy-indexed product
+over (component, group) in `_combine` reads every lattice row or row
+pair from those tables. A product-form density (or a mixture of them)
+has one group per axis, so its tables are 1-d quadratures at the
+E+1 scales of each axis. Any other density is one group of all its
+axes: the same code then runs a tensor quadrature of nodes**dim
+points per bandwidth and per bandwidth pair, so keep those to small
+grids. `bias`, `bias_bar` and `majorant_true` evaluate the same tables
+at the bandwidths they are given, so each equals its `_TrueTables`
+entry.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .estimator import (
     EstimationSetup,
     KappaPolicy,
     _check_point,
+    _coarser_sup,
     _PointRecord,
     _select_point,
 )
+from .kernels import convolve_ratio
 from .quadrature import DEFAULT_NODES, mesh_points, trapezoid_rule
 
 # Most quadrature points `_quadrature` evaluates at once.
@@ -84,12 +88,6 @@ def _node_weights(g, nodes: int, absolute: bool = False):
     return us, (wts * (np.abs(vals) if absolute else vals))[None, :]
 
 
-def _mesh(us: np.ndarray, dim: int):
-    """Tensor mesh of the nodes us in dim axes, and each point's node
-    index along every axis."""
-    return mesh_points([us] * dim), np.indices((us.size,) * dim).reshape(dim, -1)
-
-
 def _quadrature(fns, centres, scales, wtab, us, widx=None) -> np.ndarray:
     """The one smoothing quadrature: for each fn and row r, the sum over
     the tensor mesh u of the nodes us of prod_j wtab[widx[r, j], u_j] *
@@ -97,7 +95,8 @@ def _quadrature(fns, centres, scales, wtab, us, widx=None) -> np.ndarray:
     axis of every row. Rows go in blocks of at most _BLOCK_POINTS points, and each row
     is summed on its own, so a row's value does not depend on its block."""
     rows, dim = scales.shape
-    mesh, node = _mesh(us, dim)
+    mesh = mesh_points([us] * dim)
+    node = np.indices((us.size,) * dim).reshape(dim, -1)
     out = np.empty((len(fns), rows))
     step = max(1, _BLOCK_POINTS // mesh.shape[0])
     for lo in range(0, rows, step):
@@ -139,63 +138,34 @@ def _single(f: TrueDensity, x, g, hs: np.ndarray, nodes: int,
     return _combine(weights, tabs, idx)
 
 
-def _double(f: TrueDensity, x, K, h_rows: np.ndarray, eta_rows: np.ndarray,
-            nodes: int) -> np.ndarray:
-    """(K_eta * K_h * f)(x) for h in h_rows and eta in eta_rows (bandwidth
-    values). It is symmetric in (h, eta), so each group evaluates every
-    unordered pair once: the smoothing by the lexicographically larger
-    row at every node x + s*v of the smoothing by the smaller row s,
-    whose weights then sum over the nodes v."""
-    weights, groups = _factors(f)
-    us, wtab = _node_weights(K, nodes)
-    tabs, idx = [], []
-    for cols, fns in groups:
-        dim = len(cols)
-        hs, ih = np.unique(h_rows[:, cols], axis=0, return_inverse=True)
-        es, ie = np.unique(eta_rows[:, cols], axis=0, return_inverse=True)
-        pairs = np.stack(np.broadcast_arrays(hs[:, None, :], es[None, :, :]), axis=2)
-        pairs = pairs.reshape(-1, 2, dim)
-        first = (pairs[:, 0] != pairs[:, 1]).argmax(axis=1)
-        rows = np.arange(pairs.shape[0])
-        swap = pairs[rows, 0, first] < pairs[rows, 1, first]
-        pairs[swap] = pairs[swap, ::-1]
-        keys, inv = np.unique(pairs.reshape(-1, 2 * dim), axis=0, return_inverse=True)
-        mesh, node = _mesh(us, dim)
-        centres = x[cols] + keys[:, None, dim:] * mesh
-        vals = _quadrature(fns, centres.reshape(-1, dim),
-                           np.repeat(keys[:, :dim], mesh.shape[0], axis=0), wtab, us)
-        w_outer = np.prod(wtab[0][node], axis=0)
-        tab = (vals.reshape(len(fns), keys.shape[0], -1) * w_outer).sum(axis=-1)
-        tabs.append(tab[:, inv.reshape(-1)].reshape(len(fns), hs.shape[0], es.shape[0]))
-        idx.append((ih.reshape(-1)[:, None], ie.reshape(-1)[None, :]))
-    return _combine(weights, tabs, idx)
-
-
-def _pair_means(f: TrueDensity, x, pair_tables, exp: np.ndarray,
+def _pair_means(f: TrueDensity, x, pair_tables, exp_h: np.ndarray, exp_eta: np.ndarray,
                 nodes: int) -> np.ndarray:
-    """Mean of the pair estimate of every row pair of the exponent matrix
-    exp: on each axis q_r, r = 2^-|a - b|, smoothing f at the join scale
-    2^-min(a, b)."""
+    """Mean of the pair estimate of every pair (h, eta) of rows of the
+    exponent matrices exp_h and exp_eta: on each axis q_r, r = 2^-|a - b|
+    (pair_tables[k] for r = 2^-k), smoothing f at the join scale
+    2^-min(a, b). Per axis K_h * K_eta is q_r at the join bandwidth, so
+    this is also the double smoothing (K_eta * K_h * f)(x)."""
     weights, groups = _factors(f)
     us, wts = trapezoid_rule(-1.0, 1.0, nodes)
     wtab = np.stack([wts * np.asarray(q(us), dtype=float) for q in pair_tables])
     tabs, idx = [], []
     for cols, fns in groups:
-        keys, inv = np.unique(exp[:, cols], axis=0, return_inverse=True)
-        join = np.minimum(keys[:, None, :], keys[None, :, :]).reshape(-1, len(cols))
-        ratio = np.abs(keys[:, None, :] - keys[None, :, :]).reshape(-1, len(cols))
+        a, ia = np.unique(exp_h[:, cols], axis=0, return_inverse=True)
+        b, ib = np.unique(exp_eta[:, cols], axis=0, return_inverse=True)
+        join = np.minimum(a[:, None, :], b[None, :, :]).reshape(-1, len(cols))
+        ratio = np.abs(a[:, None, :] - b[None, :, :]).reshape(-1, len(cols))
         scales = 2.0 ** -join.astype(float)
         vals = _quadrature(fns, np.broadcast_to(x[cols], scales.shape), scales,
                            wtab, us, ratio)
-        tabs.append(vals.reshape(len(fns), keys.shape[0], keys.shape[0]))
-        inv = inv.reshape(-1)
-        idx.append((inv[:, None], inv[None, :]))
+        tabs.append(vals.reshape(len(fns), a.shape[0], b.shape[0]))
+        idx.append((ia.reshape(-1)[:, None], ib.reshape(-1)[None, :]))
     return _combine(weights, tabs, idx)
 
 
 def _bias_bar(bias: np.ndarray, smoothed: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Per row h: max(|bias_h|, max over eta of |(K_eta * K_h * f)(x) -
-    (K_eta * f)(x)|), from the double smoothings and the eta means."""
+    (K_eta * f)(x)|), from the pair means (row h, column eta) and the eta
+    means."""
     return np.maximum(np.abs(bias), np.abs(smoothed - means[None, :]).max(axis=1))
 
 
@@ -223,13 +193,23 @@ def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> floa
 
 def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
              nodes: int = DEFAULT_NODES) -> float:
-    """Max of |bias| and the largest |lattice-smoothed bias| at x."""
+    """Max of |bias| and the largest |lattice-smoothed bias| at x.
+
+    The smoothings K_eta * K_h * f are the pair means, read from q_r
+    tables of K's profile for every exponent difference the (h, eta)
+    pairs need, so h may lie off the grid."""
     x = _checked_point(f, x, K, grid, h)
-    etas = 2.0 ** -grid.exponent_matrix().astype(float)
-    h_row = h.values[None, :]
-    b = _single(f, x, K, h_row, nodes) - f(x)
-    return float(_bias_bar(b, _double(f, x, K, h_row, etas, nodes),
-                           _single(f, x, K, etas, nodes))[0])
+    if K.half_width != 0.5:
+        raise InvalidParameterError(
+            f"bias_bar needs the kernel K, supported on [-1/2, 1/2] per axis; "
+            f"got half-width {K.half_width}")
+    exp = grid.exponent_matrix()
+    h_exp = np.asarray(h.exponents, dtype=np.int64)[None, :]
+    pair_tables = [convolve_ratio(K.factor, 2.0 ** -k)
+                   for k in range(int(np.abs(exp - h_exp).max()) + 1)]
+    b = _single(f, x, K, h.values[None, :], nodes) - f(x)
+    return float(_bias_bar(b, _pair_means(f, x, pair_tables, h_exp, exp, nodes),
+                           _single(f, x, K, 2.0 ** -exp.astype(float), nodes))[0])
 
 
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
@@ -267,9 +247,9 @@ class _TrueTables:
         hs = 2.0 ** -tables.exp.astype(float)
         self.mean_f = _single(f, x, setup.kernel, hs, nodes)
         self.bias = self.mean_f - f(x)
-        self.pair_mean = _pair_means(f, x, setup.pair_tables, tables.exp, nodes)
-        self.bias_bar = _bias_bar(self.bias, _double(f, x, setup.kernel, hs, hs, nodes),
-                                  self.mean_f)
+        self.pair_mean = _pair_means(f, x, setup.pair_tables, tables.exp, tables.exp,
+                                     nodes)
+        self.bias_bar = _bias_bar(self.bias, self.pair_mean, self.mean_f)
         self.a_k = _single(f, x, setup.kernel, hs, nodes, absolute=True)
         self.a_q = _single(f, x, setup.majorant, hs, nodes, absolute=True)
         self.m_k = _majorant(self.a_k, policy.kappa, n, tables.volumes)
@@ -291,7 +271,7 @@ def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _Point
         float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)),
         0.0,
     )
-    m_q_sup = np.where(tables.geq, truth.m_q[None, :], -np.inf).max(axis=1)
+    m_q_sup = _coarser_sup(truth.m_q, tables)
     per_h = 4.0 * truth.bias_bar + 60.0 * m_q_sup + 61.0 * truth.m_k
     best = int(np.argmin(per_h))
     terms = OracleTerms(

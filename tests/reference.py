@@ -4,7 +4,8 @@ Each function computes one quantity for one bandwidth (or bandwidth
 pair) at one point, straight from its definition: a range query, the
 kernel at the scaled offsets, and a sum. The package computes the same
 quantities for the whole lattice at once (`estimator._select_point`);
-the tests compare the two.
+the tests compare the two. `eval_double_smoothing` does the same for
+the oracle's smoothed bias, by a route the package no longer takes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from anisokde.bandwidths import Bandwidth
 from anisokde.errors import InvalidParameterError
 from anisokde.estimator import select_and_estimate
 from anisokde.kernels import ProductKernel, convolve_ratio
+from anisokde.quadrature import trapezoid_rule
 
 
 def _point(x, dim: int) -> np.ndarray:
@@ -112,3 +114,20 @@ def eval_criterion(data, x, h: Bandwidth, policy, setup) -> float:
         raise InvalidParameterError(f"bandwidth {h.exponents} not on the setup grid")
     fit = select_and_estimate(data, x, policy, setup, keep_criterion=True)
     return fit.criterion[h.exponents]
+
+
+def eval_double_smoothing(f, K: ProductKernel, h: Bandwidth, eta: Bandwidth, x,
+                          nodes: int = 513) -> float:
+    """(K_eta * K_h * f)(x) for a product-form density f, by nested
+    quadrature: per axis the trapezoid sum over nodes**2 points (u, v) of
+    k(u) k(v) f_j(x_j - h_j u - eta_j v), multiplied over the axes."""
+    if f.marginals is None:
+        raise InvalidParameterError("the double smoothing needs a product-form density")
+    x = _point(x, f.dim)
+    us, wts = trapezoid_rule(-K.half_width, K.half_width, nodes)
+    w = wts * K.factor(us)
+    out = 1.0
+    for j, marg in enumerate(f.marginals):
+        t = x[j] - h.values[j] * us[:, None] - eta.values[j] * us[None, :]
+        out *= float(w @ marg.pdf(t) @ w)
+    return out

@@ -59,6 +59,54 @@ class TestBumpProfile:
         assert np.all(np.diff(F) >= 0)
         assert bump_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_lazy_tables_equal_an_eager_build(self):
+        from anisokde.densities import _profile_derivative_sups
+
+        grid = np.linspace(-1.0, 1.0, (1 << 16) + 1)
+        vals = np.zeros_like(grid)
+        inside = np.abs(grid) < 1.0
+        vals[inside] = np.exp(-1.0 / (1.0 - grid[inside] ** 2))
+        dx = grid[1] - grid[0]
+        cdf = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * (0.5 * dx))])
+        assert BUMP_NORMALIZER == 1.0 / cdf[-1]
+        ts = np.linspace(-1.2, 1.2, 10001)
+        assert np.array_equal(bump_cdf(ts), np.interp(ts, grid, cdf / cdf[-1]))
+        t = grid[1:-1]
+        lam = (1.0 / cdf[-1]) * vals[1:-1]
+        u = 1.0 - t * t
+        d1 = lam * (-2.0 * t / u**2)
+        d2 = lam * ((2.0 * t / u**2) ** 2 - 2.0 / u**2 - 8.0 * t * t / u**3)
+        assert _profile_derivative_sups() == (float(np.max(np.abs(d1))),
+                                              float(np.max(np.abs(d2))))
+
+    def test_raised_cosine_work_builds_no_bump_table(self):
+        # a fresh process: importing the package and fitting, sampling and
+        # bounding a raised-cosine density never reads the bump tables
+        import os
+        import subprocess
+        import sys
+
+        import anisokde
+
+        script = (
+            "import numpy as np, anisokde as ak\n"
+            "from anisokde import densities\n"
+            "f = ak.smooth_product_density('raised_cosine', 2)\n"
+            "setup = ak.make_setup(64, 2, table_size=64)\n"
+            "policy = ak.kappa_default(2, 2.0, setup.kernel.k_inf)\n"
+            "data = ak.sample(f, 64, np.random.default_rng(0))\n"
+            "ak.select_and_estimate(data, np.zeros(2), policy, setup)\n"
+            "ak.assert_oracle_inequality(data, f, np.zeros(2), policy, setup, nodes=17)\n"
+            "print(densities._profile_tables.cache_info().currsize,"
+            " densities._profile_derivative_sups.cache_info().currsize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(anisokde.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["0", "0"]
+
 
 class TestWiggleProfile:
     def test_odd_symmetry(self):

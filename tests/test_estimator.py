@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from anisokde.bandwidths import Bandwidth, geq, join
+from anisokde.bandwidths import Bandwidth, BandwidthGrid, geq, join
 from anisokde.errors import InvalidParameterError
 from anisokde.kernels import convolve_ratio
 from anisokde.estimator import (
@@ -291,6 +291,19 @@ class TestCriterionAndSelection:
                 fast = eval_criterion(data, x, h, policy, setup)
                 slow = naive_criterion(data, x, h, policy, setup)
                 assert fast == pytest.approx(slow, rel=1e-12, abs=1e-10)
+
+    @pytest.mark.parametrize("dim, max_exponent", [(1, 7), (2, 4), (3, 3)])
+    def test_coarser_sup_matches_brute_force(self, dim, max_exponent):
+        from anisokde.estimator import _coarser_sup, _GridTables
+
+        grid = BandwidthGrid(dim=dim, max_exponent=max_exponent)
+        tables = _GridTables(grid)
+        rng = np.random.default_rng(dim)
+        for values in (rng.standard_normal(len(grid)),
+                       rng.integers(0, 3, len(grid)).astype(float)):
+            want = [max(values[j] for j, eta in enumerate(grid) if geq(eta, h))
+                    for h in grid]
+            assert np.array_equal(_coarser_sup(values, tables), want)
 
     def test_far_data_criterion_closed_form(self):
         n = 32

@@ -26,6 +26,7 @@ from anisokde.oracle import (
     residual_zeta,
 )
 from anisokde.quadrature import tensor_integral
+from reference import eval_double_smoothing
 
 
 def wrap_non_product(f: TrueDensity) -> TrueDensity:
@@ -114,6 +115,25 @@ class TestBiasBar:
         )
         assert generic == pytest.approx(prod, abs=1e-7)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pair_means_converge_to_the_double_smoothing(self, dim):
+        # per axis K_h * K_eta is q_r at the join bandwidth, so the pair
+        # means (fine nodes) and the nested double smoothing (fine nodes)
+        # are one quantity up to quadrature error
+        from anisokde.oracle import _pair_means
+
+        f = smooth_product_density("raised_cosine", dim)
+        setup = make_setup(256, dim, max_exponent=3)
+        exp = setup.tables.exp
+        x = np.array([0.13, -0.31][:dim])
+        means = _pair_means(f, x, setup.pair_tables, exp, exp, 1025)
+        rows = range(len(exp)) if dim == 1 else (0, 5, 9, 15)
+        for i in rows:
+            for j in rows:
+                ref = eval_double_smoothing(f, setup.kernel, Bandwidth(tuple(exp[i])),
+                                            Bandwidth(tuple(exp[j])), x, 513)
+                assert means[i, j] == pytest.approx(ref, abs=1e-7), (i, j)
+
 
 class TestTrueMajorant:
     def test_closed_form_on_plateau(self):
@@ -160,7 +180,9 @@ class TestScalarInputs:
                                                 policy, 32),
         lambda f, s1, s2, policy: bias_bar(f, s1.kernel, s2.grid, Bandwidth((1,)), [0.1]),
         lambda f, s1, s2, policy: bias(f, s2.kernel, Bandwidth((1, 1)), [0.1]),
-    ], ids=["nan_point", "inf_point", "long_point", "grid_dim", "kernel_and_bandwidth_dim"])
+        lambda f, s1, s2, policy: bias_bar(f, s1.majorant, s1.grid, Bandwidth((1,)), [0.1]),
+    ], ids=["nan_point", "inf_point", "long_point", "grid_dim", "kernel_and_bandwidth_dim",
+            "envelope_as_kernel"])
     def test_rejected(self, rc1, call):
         s1, s2 = make_setup(32, 1), make_setup(32, 2)
         policy = kappa_default(1, 2.0, s1.kernel.k_inf)
@@ -284,6 +306,16 @@ class TestTrueTables:
             assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == truth.bias_bar[row]
             assert majorant_true(f, setup.kernel, h, x, policy, 32, 33) == truth.m_k[row]
             assert majorant_true(f, setup.majorant, h, x, policy, 32, 33) == truth.m_q[row]
+        # an h with an exponent above E: its pair means are those of a
+        # larger lattice, read on the rows of this one
+        h = Bandwidth((5,) + (1,) * (dim - 1))
+        big = make_setup(32, dim, ell=2, table_size=256, max_exponent=5)
+        wide = _TrueTables(f, x, policy, big, 32, 33)
+        row = big.grid.index(h)
+        sub = (big.tables.exp <= 3).all(axis=1)
+        want = max(abs(wide.bias[row]),
+                   np.abs(wide.pair_mean[row, sub] - wide.mean_f[sub]).max())
+        assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == want
 
     def test_d3_terms_stay_fast(self):
         f = smooth_product_density("raised_cosine", 3)
@@ -295,6 +327,21 @@ class TestTrueTables:
         t0 = time.perf_counter()
         oracle_terms(data, f, x, policy, setup, nodes=33)
         assert time.perf_counter() - t0 < 0.5
+
+    def test_d2_non_product_terms_stay_fast(self):
+        # one tensor quadrature group of both axes: nodes**2 points per
+        # single and per pair mean, none per nested double smoothing
+        f = smooth_product_density("raised_cosine", 2)
+        setup = make_setup(64, 2, table_size=256)
+        policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+        data = sample(f, 64, np.random.default_rng(6))
+        x = np.array([0.1, -0.2])
+        prod = oracle_terms(data, f, x, policy, setup, nodes=33)
+        t0 = time.perf_counter()
+        generic = oracle_terms(data, wrap_non_product(f), x, policy, setup, nodes=33)
+        assert time.perf_counter() - t0 < 2.0
+        assert generic.bound == pytest.approx(prod.bound, rel=1e-9)
+        assert generic.argmin == prod.argmin
 
 
 class TestProportionalBrackets:
