@@ -270,6 +270,16 @@ def _resolve(doc: dict, seed_flag: int | None) -> dict:
     return out
 
 
+def _node_count(sec: dict, name: str, key: str, default: int) -> int:
+    """Config key name.key as a node count: the default when the key is
+    absent or null, a config error below 2."""
+    value = sec.get(key)
+    value = default if value is None else int(value)
+    if value < 2:
+        raise ConfigError(f"config key '{name}.{key}' must be >= 2, got {value}")
+    return value
+
+
 def _build_density(sec: dict) -> TrueDensity:
     kind = sec.get("kind")
     dim = int(sec.get("dim", 1))
@@ -484,7 +494,7 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
     density = _build_density(_section(resolved, "density", "oracle"))
     instances = int(sec.get("instances", 20))
     n = int(sec.get("n", 256))
-    nodes = int(sec.get("nodes", 129))
+    nodes = _node_count(sec, "oracle", "nodes", 129)
     if instances < 1:
         raise ConfigError("oracle.instances must be >= 1")
     timings: dict[str, float] = {}
@@ -569,6 +579,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     for need in ("N", "sigma", "amplitude"):
         if sec.get(need) is None:
             raise ConfigError(f"config key 'lowerbound.{need}' is required")
+    slice_nodes = _node_count(sec, "lowerbound", "slice_nodes", 257)
     run = _Run(_outdir(out_flag, resolved, "lowerbound"),
                resolved["output"]["formats"])
     t0 = time.perf_counter()
@@ -577,7 +588,6 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     sigma = tuple(float(v) for v in sec["sigma"])
     amplitude = float(sec["amplitude"])
     kappa_scale = float(sec.get("kappa_scale") or 1.0)
-    slice_nodes = int(sec.get("slice_nodes") or 257)
     base = flat_top_density(N, dim, kappa_scale)
     counts = tuple(
         int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
@@ -637,7 +647,7 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
         p=float(resolved["estimator"]["p"]),
         n_schedule=tuple(int(v) for v in sec["n_schedule"]),
         replicates=int(sec["replicates"]),
-        grid=default_grid(density, int(sec.get("grid_nodes") or 65)),
+        grid=default_grid(density, _node_count(sec, "risk", "grid_nodes", 65)),
         seed=int(resolved["seed"]),
         kappa=resolved["estimator"]["kappa"],
         ell=int(resolved["kernel"]["ell"]),

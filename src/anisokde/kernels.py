@@ -43,12 +43,15 @@ def _trapezoid_sum(values: np.ndarray, dx: float) -> float:
 
 
 def _interp_uniform(lo: float, step: float, values: np.ndarray, y) -> np.ndarray:
-    """Linear interpolation on a uniform grid, exactly 0 outside the table."""
+    """Linear interpolation on a uniform grid, exactly 0 outside the table;
+    tables stacked along the leading axes of values share one index and
+    fraction computation."""
+    size = values.shape[-1]
     pos = (np.asarray(y, dtype=float) - lo) / step
-    idx = np.clip(np.floor(pos), 0, values.size - 2).astype(np.int64)
+    idx = np.clip(np.floor(pos), 0, size - 2).astype(np.int64)
     frac = pos - idx
-    out = values[idx] * (1.0 - frac) + values[idx + 1] * frac
-    return np.where((pos >= 0.0) & (pos <= values.size - 1.0), out, 0.0)
+    out = values[..., idx] * (1.0 - frac) + values[..., idx + 1] * frac
+    return np.where((pos >= 0.0) & (pos <= size - 1.0), out, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,23 +9,19 @@ for every realization, the selected estimate's pointwise error is
 bounded by the best lattice bandwidth's bias/majorant budget plus
 residual terms.
 
-Every true quantity is a smoothing of f at x: the mean of a single
-estimate (by K_h), the true kernel and envelope averages (by |K_h| and
-the envelope) and the mean of a pair estimate (by q_r at the join
-bandwidth). On each axis K_h * K_eta is q_r at the join bandwidth, so
-the pair means are also the double smoothings (K_eta * K_h * f)(x)
-behind the smoothed bias. Each quantity has one implementation. It
-tabulates the smoothing per axis group, one trapezoid sum per distinct
-(scale, weight) row in `_quadrature`, and one fancy-indexed product
-over (component, group) in `_combine` reads every lattice row or row
-pair from those tables. A product-form density (or a mixture of them)
-has one group per axis, so its tables are 1-d quadratures at the
-E+1 scales of each axis. Any other density is one group of all its
-axes: the same code then runs a tensor quadrature of nodes**dim
-points per bandwidth and per bandwidth pair, so keep those to small
-grids. `bias`, `bias_bar` and `majorant_true` evaluate the same tables
-at the bandwidths they are given, so each equals its `_TrueTables`
-entry.
+Every true quantity is a smoothing of f at x: by K_h (single-estimate
+means), |K_h| and the envelope (true kernel averages) and q_r at the
+join bandwidth (pair means; per axis q_r is K_h * K_eta, so these are
+also the double smoothings behind the smoothed bias). One builder,
+`_Smoothing`, evaluates f's factors once per axis group and distinct
+scale vector, x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K
+at 2^-a is t = a+1), and sums every table row (one per kernel, and one
+per per-axis (join, ratio) key) from those values. A product-form
+density (or a mixture of them) has one group per axis: E+2 point sets
+of `nodes` points per axis and component. Any other density is one
+group of all axes, (E+2)**dim sets of nodes**dim points. `bias`,
+`bias_bar` and `majorant_true` build the same rows at their bandwidths,
+so each equals its `_TrueTables` entry.
 """
 
 from __future__ import annotations
@@ -45,26 +41,11 @@ from .estimator import (
     _PointRecord,
     _select_point,
 )
-from .kernels import convolve_ratio
+from .kernels import _interp_uniform, convolve_ratio
 from .quadrature import DEFAULT_NODES, mesh_points, trapezoid_rule
 
-# Most quadrature points `_quadrature` evaluates at once.
+# Most quadrature points `_Smoothing` evaluates or sums at once.
 _BLOCK_POINTS = 2**12
-
-
-def _product_terms(f: TrueDensity):
-    """Decompose f into weighted product components, or None."""
-    if f.marginals is not None:
-        return [(1.0, f.marginals)]
-    if f.components is not None:
-        out = []
-        for w, comp in f.components:
-            sub = _product_terms(comp)
-            if sub is None:
-                return None
-            out.extend((w * wi, m) for wi, m in sub)
-        return out
-    return None
 
 
 def _factors(f: TrueDensity):
@@ -72,94 +53,117 @@ def _factors(f: TrueDensity):
     (cols, fns) of fns[c](t[:, cols]), each fn taking an (m, len(cols))
     array. Product-form densities and mixtures of them have one group per
     axis; any other density is one group of all its axes."""
-    terms = _product_terms(f)
-    if terms is None:
+    def terms(g):  # weighted product components of g, or None
+        if g.marginals is not None:
+            return [(1.0, g.marginals)]
+        subs = [(w, terms(comp)) for w, comp in g.components or ()]
+        if g.components is None or any(sub is None for _, sub in subs):
+            return None
+        return [(w * wi, m) for w, sub in subs for wi, m in sub]
+    found = terms(f)
+    if found is None:
         return np.ones(1), [(list(range(f.dim)), (f,))]
-    groups = [([j], tuple(lambda p, pdf=margs[j].pdf: pdf(p[:, 0]) for _, margs in terms))
+    groups = [([j], tuple(lambda p, pdf=margs[j].pdf: pdf(p[:, 0]) for _, margs in found))
               for j in range(f.dim)]
-    return np.array([w for w, _ in terms]), groups
+    return np.array([w for w, _ in found]), groups
 
 
-def _node_weights(g, nodes: int, absolute: bool = False):
+def _node_weights(g, nodes: int):
     """Trapezoid nodes on the per-axis support of kernel g and the node
-    weights times g's factor (|factor| when absolute), as one table row."""
+    weights times g's factor, as one table row. The weights are positive,
+    so the row's |.| is exactly the row of |g|."""
     us, wts = trapezoid_rule(-g.half_width, g.half_width, nodes)
-    vals = np.asarray(g.factor(us), dtype=float)
-    return us, (wts * (np.abs(vals) if absolute else vals))[None, :]
+    return us, (wts * np.asarray(g.factor(us), dtype=float))[None, :]
 
 
-def _quadrature(fns, centres, scales, wtab, us, widx=None) -> np.ndarray:
-    """The one smoothing quadrature: for each fn and row r, the sum over
-    the tensor mesh u of the nodes us of prod_j wtab[widx[r, j], u_j] *
-    fn(centres[r] + scales[r] * u). widx defaults to table row 0 on every
-    axis of every row. Rows go in blocks of at most _BLOCK_POINTS points, and each row
-    is summed on its own, so a row's value does not depend on its block."""
-    rows, dim = scales.shape
-    mesh = mesh_points([us] * dim)
-    node = np.indices((us.size,) * dim).reshape(dim, -1)
-    out = np.empty((len(fns), rows))
-    step = max(1, _BLOCK_POINTS // mesh.shape[0])
-    for lo in range(0, rows, step):
-        blk = slice(lo, lo + step)
-        wi = np.zeros((1, dim), dtype=np.int64) if widx is None else widx[blk]
-        w = wtab[wi[:, 0]][:, node[0]]
-        for j in range(1, dim):
-            w = w * wtab[wi[:, j]][:, node[j]]
-        pts = (centres[blk, None, :] + scales[blk, None, :] * mesh).reshape(-1, dim)
-        for c, fn in enumerate(fns):
-            vals = np.asarray(fn(pts), dtype=float).reshape(-1, mesh.shape[0])
-            out[c, blk] = (vals * w).sum(axis=1)
-    return out
+def _distinct(values: np.ndarray):
+    """np.unique(values, return_inverse=True) for non-negative integers."""
+    seen = np.bincount(values.ravel()) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
 
 
-def _combine(weights: np.ndarray, tabs, idx) -> np.ndarray:
-    """sum_c weights[c] * prod_g tabs[g][c][idx[g]]: the per-group tables
-    contracted over (component, group), groups multiplied in order, with
-    idx[g] a tuple of index arrays that broadcast to the output shape."""
-    out = weights
-    for tab, ix in zip(tabs, idx):
-        term = tab[(slice(None),) + ix]
-        out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
-    return out.sum(axis=0)
+class _Smoothing:
+    """Smoothings of f at x by kernel weight rows at dyadic scales.
+
+    A key p is the weight row wtab[wid[p]] (trapezoid weights times a
+    kernel factor on the nodes us) at scale 2^-sid[p], sid[p] <= top. A
+    table row takes one key per axis of a group and sums, over the
+    group's mesh, the product of the rows times f's factor at
+    x + 2^-t u. f's factors are evaluated once per scale vector t, when
+    a row first needs it, and each row is summed on its own, so its
+    value does not depend on the other rows."""
+
+    def __init__(self, f: TrueDensity, x: np.ndarray, us: np.ndarray, top: int):
+        self.weights, groups = _factors(f)
+        self.x, self.span = x, top + 1
+        self.groups = [(cols, fns, mesh_points([us] * len(cols)),
+                        np.indices((us.size,) * len(cols)).reshape(len(cols), -1),
+                        np.empty((len(fns), self.span ** len(cols), us.size ** len(cols))),
+                        np.zeros(self.span ** len(cols), dtype=bool))
+                       for cols, fns in groups]
+
+    def table(self, wtab: np.ndarray, wid: np.ndarray, sid: np.ndarray) -> list:
+        """Per group, the rows of every combination of one key per axis,
+        shaped (components,) + (keys,) * group size."""
+        out = []
+        for cols, fns, mesh, node, vals, done in self.groups:
+            dim, step = len(cols), max(1, _BLOCK_POINTS // mesh.shape[0])
+            keys = np.indices((wid.size,) * dim).reshape(dim, -1)
+            need = np.ravel_multi_index(sid[keys], (self.span,) * dim)
+            todo = np.flatnonzero(~done & (np.bincount(need, minlength=done.size) > 0))
+            for lo in range(0, todo.size, step):
+                blk = todo[lo:lo + step]
+                t = np.stack(np.unravel_index(blk, (self.span,) * dim), axis=-1)
+                pts = (self.x[cols] + (2.0 ** -t)[:, None, :] * mesh).reshape(-1, dim)
+                for c, fn in enumerate(fns):
+                    vals[c, blk] = np.asarray(fn(pts), dtype=float).reshape(blk.size, -1)
+            done[todo] = True
+            sums = np.empty((len(fns), need.size))
+            for lo in range(0, need.size, step):
+                blk = slice(lo, lo + step)
+                w = wtab[wid[keys[0, blk]]][:, node[0]]
+                for j in range(1, dim):
+                    w = w * wtab[wid[keys[j, blk]]][:, node[j]]
+                sums[:, blk] = (vals[:, need[blk]] * w).sum(axis=-1)
+            out.append(sums.reshape((len(fns),) + (wid.size,) * dim))
+        return out
+
+    def read(self, tabs: list, idx: list) -> np.ndarray:
+        """sum_c weights[c] * prod over groups of tab[c][idx[j] for j in
+        cols]; idx[j] holds axis j's key positions, broadcasting together."""
+        out = self.weights
+        for tab, (cols, *_) in zip(tabs, self.groups):
+            term = tab[(slice(None),) + tuple(idx[j] for j in cols)]
+            out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
+        return out.sum(axis=0)
+
+    def single(self, row: np.ndarray, exps: np.ndarray, shift: int = 0) -> np.ndarray:
+        """Smoothing by the weight row at 2^-(a + shift) on each axis, for
+        every row a of the exponent matrix exps."""
+        keys, inv = _distinct(exps)
+        tabs = self.table(row, np.zeros(keys.size, dtype=np.int64), keys + shift)
+        return self.read(tabs, list(inv.T))
+
+    def pairs(self, q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> np.ndarray:
+        """Mean of the pair estimate of every pair (h, eta) of rows of
+        exp_h and exp_eta: on each axis q_r, r = 2^-|a - b| (weight row
+        q_rows[|a - b|]), smoothing f at the join scale 2^-min(a, b).
+        Each per-axis (join, ratio) key is summed once."""
+        a, b = np.ogrid[:int(exp_h.max()) + 1, :int(exp_eta.max()) + 1]
+        width = max(a.size, b.size)
+        code, key = _distinct(np.minimum(a, b) * width + np.abs(a - b))
+        tabs = self.table(q_rows, code % width, code // width)
+        return self.read(tabs, [key.ravel().take(ah[:, None] * b.size + be[None, :])
+                                for ah, be in zip(exp_h.T, exp_eta.T)])
 
 
-def _single(f: TrueDensity, x, g, hs: np.ndarray, nodes: int,
-            absolute: bool = False) -> np.ndarray:
-    """int g_h(t - x) f(t) dt, |g_h| when absolute, for every row h of the
-    bandwidth values hs: single-estimate means and true kernel averages."""
-    weights, groups = _factors(f)
-    us, wtab = _node_weights(g, nodes, absolute)
-    tabs, idx = [], []
-    for cols, fns in groups:
-        scales, inv = np.unique(hs[:, cols], axis=0, return_inverse=True)
-        tabs.append(_quadrature(fns, np.broadcast_to(x[cols], scales.shape), scales,
-                                wtab, us))
-        idx.append((inv.reshape(-1),))
-    return _combine(weights, tabs, idx)
-
-
-def _pair_means(f: TrueDensity, x, pair_tables, exp_h: np.ndarray, exp_eta: np.ndarray,
-                nodes: int) -> np.ndarray:
-    """Mean of the pair estimate of every pair (h, eta) of rows of the
-    exponent matrices exp_h and exp_eta: on each axis q_r, r = 2^-|a - b|
-    (pair_tables[k] for r = 2^-k), smoothing f at the join scale
-    2^-min(a, b). Per axis K_h * K_eta is q_r at the join bandwidth, so
-    this is also the double smoothing (K_eta * K_h * f)(x)."""
-    weights, groups = _factors(f)
+def _truth(f: TrueDensity, x: np.ndarray, wide: np.ndarray, top: int, nodes: int):
+    """A smoothing of f at x on the [-1, 1] nodes (K at 2^-a reads them
+    at 2^-(a + 1): K's own nodes at 2^-a, bit for bit) and the weight
+    rows of the equal-size tables on [-1, 1] stacked in wide."""
     us, wts = trapezoid_rule(-1.0, 1.0, nodes)
-    wtab = np.stack([wts * np.asarray(q(us), dtype=float) for q in pair_tables])
-    tabs, idx = [], []
-    for cols, fns in groups:
-        a, ia = np.unique(exp_h[:, cols], axis=0, return_inverse=True)
-        b, ib = np.unique(exp_eta[:, cols], axis=0, return_inverse=True)
-        join = np.minimum(a[:, None, :], b[None, :, :]).reshape(-1, len(cols))
-        ratio = np.abs(a[:, None, :] - b[None, :, :]).reshape(-1, len(cols))
-        scales = 2.0 ** -join.astype(float)
-        vals = _quadrature(fns, np.broadcast_to(x[cols], scales.shape), scales,
-                           wtab, us, ratio)
-        tabs.append(vals.reshape(len(fns), a.shape[0], b.shape[0]))
-        idx.append((ia.reshape(-1)[:, None], ib.reshape(-1)[None, :]))
-    return _combine(weights, tabs, idx)
+    return (_Smoothing(f, x, us, top + 1),
+            wts * _interp_uniform(-1.0, 2.0 / (wide.shape[1] - 1), wide, us))
 
 
 def _bias_bar(bias: np.ndarray, smoothed: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -185,19 +189,25 @@ def _checked_point(f: TrueDensity, x, *parts) -> np.ndarray:
     return _check_point(x, f.dim)
 
 
+def _at(f: TrueDensity, g, h: Bandwidth, x, nodes: int, absolute: bool = False) -> float:
+    """int g_h(t - x) f(t) dt, |g_h| when absolute, on g's own nodes."""
+    us, row = _node_weights(g, nodes)
+    exps = np.asarray(h.exponents, dtype=np.int64)[None, :]
+    sm = _Smoothing(f, x, us, int(exps.max()))
+    return float(sm.single(np.abs(row) if absolute else row, exps)[0])
+
+
 def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> float:
     """Mean of the single-bandwidth estimate minus the truth at x."""
     x = _checked_point(f, x, K, h)
-    return float(_single(f, x, K, h.values[None, :], nodes)[0] - f(x))
+    return float(_at(f, K, h, x, nodes) - f(x))
 
 
 def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
              nodes: int = DEFAULT_NODES) -> float:
-    """Max of |bias| and the largest |lattice-smoothed bias| at x.
-
-    The smoothings K_eta * K_h * f are the pair means, read from q_r
-    tables of K's profile for every exponent difference the (h, eta)
-    pairs need, so h may lie off the grid."""
+    """Max of |bias| and the largest |lattice-smoothed bias| at x. The
+    smoothings K_eta * K_h * f are the pair means, read from q_r tables of
+    K's profile for every exponent difference needed, so h may lie off the grid."""
     x = _checked_point(f, x, K, grid, h)
     if K.half_width != 0.5:
         raise InvalidParameterError(
@@ -205,11 +215,12 @@ def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
             f"got half-width {K.half_width}")
     exp = grid.exponent_matrix()
     h_exp = np.asarray(h.exponents, dtype=np.int64)[None, :]
-    pair_tables = [convolve_ratio(K.factor, 2.0 ** -k)
-                   for k in range(int(np.abs(exp - h_exp).max()) + 1)]
-    b = _single(f, x, K, h.values[None, :], nodes) - f(x)
-    return float(_bias_bar(b, _pair_means(f, x, pair_tables, h_exp, exp, nodes),
-                           _single(f, x, K, 2.0 ** -exp.astype(float), nodes))[0])
+    top = max(grid.max_exponent, int(h_exp.max()))
+    sm, q_rows = _truth(f, x, np.stack([convolve_ratio(K.factor, 2.0 ** -k).profile.values
+                                        for k in range(top + 1)]), top, nodes)
+    k_row = _node_weights(K, nodes)[1]
+    return float(_bias_bar(sm.single(k_row, h_exp, 1) - f(x), sm.pairs(q_rows, h_exp, exp),
+                           sm.single(k_row, exp, 1))[0])
 
 
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
@@ -218,8 +229,7 @@ def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
     if n < 2:
         raise InvalidParameterError(f"majorants need n >= 2, got {n}")
     x = _checked_point(f, x, g, h)
-    a_true = _single(f, x, g, h.values[None, :], nodes, absolute=True)[0]
-    return float(_majorant(a_true, policy.kappa, n, h.volume))
+    return float(_majorant(_at(f, g, h, x, nodes, absolute=True), policy.kappa, n, h.volume))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,19 +249,21 @@ class OracleTerms:
 
 
 class _TrueTables:
-    """Lattice-shaped true means and majorants at one point."""
+    """Lattice-shaped true means and majorants at one point, all read
+    from one smoothing of f."""
 
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
         tables = setup.tables
-        hs = 2.0 ** -tables.exp.astype(float)
-        self.mean_f = _single(f, x, setup.kernel, hs, nodes)
+        exp = tables.exp
+        sm, wide = _truth(f, x, setup.stack[1:], setup.grid.max_exponent, nodes)
+        k_row = _node_weights(setup.kernel, nodes)[1]
+        self.mean_f = sm.single(k_row, exp, 1)
         self.bias = self.mean_f - f(x)
-        self.pair_mean = _pair_means(f, x, setup.pair_tables, tables.exp, tables.exp,
-                                     nodes)
+        self.pair_mean = sm.pairs(wide[1:], exp, exp)
         self.bias_bar = _bias_bar(self.bias, self.pair_mean, self.mean_f)
-        self.a_k = _single(f, x, setup.kernel, hs, nodes, absolute=True)
-        self.a_q = _single(f, x, setup.majorant, hs, nodes, absolute=True)
+        self.a_k = sm.single(np.abs(k_row), exp, 1)
+        self.a_q = sm.single(np.abs(wide[:1]), exp)
         self.m_k = _majorant(self.a_k, policy.kappa, n, tables.volumes)
         self.m_q = _majorant(self.a_q, policy.kappa, n, tables.volumes)
 
@@ -262,30 +274,19 @@ def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _Point
     rec = _select_point(data, x, policy, setup)
     tables = setup.tables
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
-
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
     xi_pair = np.abs(rec.pair - truth.pair_mean) - truth.m_q[tables.join_index]
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
-    chi = max(
-        float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
-        float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)),
-        0.0,
-    )
+    chi = max(float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
+              float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)), 0.0)
     m_q_sup = _coarser_sup(truth.m_q, tables)
     per_h = 4.0 * truth.bias_bar + 60.0 * m_q_sup + 61.0 * truth.m_k
     best = int(np.argmin(per_h))
     terms = OracleTerms(
-        x=rec.x.copy(),
-        exponents=tables.exp.copy(),
-        bias=truth.bias,
-        bias_bar=truth.bias_bar,
-        m_k=truth.m_k,
-        m_q_sup=m_q_sup,
-        zeta=zeta,
-        chi=chi,
+        x=rec.x.copy(), exponents=tables.exp.copy(), bias=truth.bias,
+        bias_bar=truth.bias_bar, m_k=truth.m_k, m_q_sup=m_q_sup, zeta=zeta, chi=chi,
         bound=float(per_h[best] + 7.0 * zeta + 18.0 * chi),
-        argmin=tuple(int(k) for k in tables.exp[best]),
-    )
+        argmin=tuple(int(k) for k in tables.exp[best]))
     return terms, rec, best
 
 
@@ -399,25 +400,24 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     f_grid = f_family.grid_values(axes)
     wts = [np.gradient(ax) for ax in axes]
     pinned = hs[0]
-    us, wtab = _node_weights(K, nodes)
-    # axis l's table is read along axis l of the grid
-    idx = [(np.arange(ax.size).reshape([-1 if m == l else 1 for m in range(len(axes))]),)
-           for l, ax in enumerate(axes)]
+    us, wrow = _node_weights(K, nodes)
 
     norms = []
     for hj in hs:
         h_vals = np.full(f_family.dim, pinned)
         h_vals[j] = hj
-        tabs = [_quadrature(fns, ax[:, None], np.full((ax.size, 1), h_vals[l]), wtab, us)
-                for l, (ax, (_, fns)) in enumerate(zip(axes, groups))]
-        b_grid = _combine(weights, tabs, idx) - f_grid
-        norms.append(_grid_norm(np.abs(b_grid), wts, r_j))
+        # axis l's smoothings at every grid node of axis l, along axis l
+        out = weights.reshape((-1,) + (1,) * f_family.dim)
+        for l, (ax, (_, fns)) in enumerate(zip(axes, groups)):
+            pts = (ax[:, None] + h_vals[l] * us).reshape(-1, 1)
+            tab = np.stack([(np.asarray(fn(pts), dtype=float).reshape(ax.size, -1) * wrow)
+                            .sum(axis=1) for fn in fns])
+            out = out * tab.reshape([len(fns)] + [-1 if m == l else 1 for m in range(len(axes))])
+        norms.append(_grid_norm(np.abs(out.sum(axis=0) - f_grid), wts, r_j))
 
-    if min(norms) < 1e-14:
-        return ScalingReport(slope=None, degenerate=True, axis=j, r=float(r_j),
-                             h_values=tuple(hs), norms=tuple(norms))
-    slope = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
-    return ScalingReport(slope=slope, degenerate=False, axis=j, r=float(r_j),
+    degenerate = min(norms) < 1e-14
+    slope = None if degenerate else float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
+    return ScalingReport(slope=slope, degenerate=degenerate, axis=j, r=float(r_j),
                          h_values=tuple(hs), norms=tuple(norms))
 
 

@@ -364,6 +364,17 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "instances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", [1, 0])
+    def test_bad_node_count_leaves_no_directory(self, tmp_path, capsys, nodes):
+        cfg = write_config(tmp_path, {
+            "density": {"kind": "raised_cosine", "dim": 1},
+            "oracle": {"instances": 1, "n": 16, "nodes": nodes},
+        })
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
+        assert "oracle.nodes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLowerboundCommand:
     CONFIG = {
@@ -394,6 +405,15 @@ class TestLowerboundCommand:
         manifest = read_json(out, "manifest.json")
         assert manifest["seed"] == 5
         assert manifest["resolved_config"]["seed"] == 5
+
+    @pytest.mark.parametrize("nodes", [1, 0])
+    def test_bad_slice_node_count_leaves_no_directory(self, tmp_path, capsys, nodes):
+        doc = {"lowerbound": dict(self.CONFIG["lowerbound"], slice_nodes=nodes)}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["lowerbound", "--config", cfg, "--out", str(out)]) == 1
+        assert "lowerbound.slice_nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_sigma_is_a_config_error(self, tmp_path, capsys):
         doc = {"lowerbound": {"N": 16, "dim": 1, "sigma": [0.5],
@@ -427,6 +447,15 @@ class TestRiskCommand:
         out = tmp_path / "o"
         assert main(["risk", "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nodes", [1, 0])
+    def test_bad_grid_node_count_leaves_no_directory(self, tmp_path, capsys, nodes):
+        cfg = toy_risk_config(tmp_path, risk={"n_schedule": [4, 8], "replicates": 2,
+                                              "grid_nodes": nodes})
+        out = tmp_path / "o"
+        assert main(["risk", "--config", cfg, "--out", str(out)]) == 1
+        assert "risk.grid_nodes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_times_each_stage(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from anisokde.oracle import (
     residual_zeta,
 )
 from anisokde.quadrature import tensor_integral
-from reference import eval_double_smoothing
+from reference import eval_double_smoothing, reference_true_tables
 
 
 def wrap_non_product(f: TrueDensity) -> TrueDensity:
@@ -38,6 +39,28 @@ def wrap_non_product(f: TrueDensity) -> TrueDensity:
         sup_bound=f.sup_bound,
         pdf_fn=lambda pts: f._eval(pts),
     )
+
+
+TABLE_FIELDS = ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q")
+
+
+def counting(f: TrueDensity, counts: dict, tag=()) -> TrueDensity:
+    """f whose evaluations add their point counts to counts: each
+    marginal pdf under tag + (j,), j its axis and tag its mixture
+    component path, and a density without product form under tag."""
+    def wrap(fn, key):
+        def counted(pts):
+            counts[key] = counts.get(key, 0) + len(pts)
+            return fn(pts)
+        return counted
+
+    if f.marginals is not None:
+        return replace(f, marginals=tuple(replace(m, pdf=wrap(m.pdf, tag + (j,)))
+                                          for j, m in enumerate(f.marginals)))
+    if f.components is not None:
+        return replace(f, components=tuple((w, counting(c, counts, tag + (i,)))
+                                           for i, (w, c) in enumerate(f.components)))
+    return replace(f, pdf_fn=wrap(f.pdf_fn, tag))
 
 
 class TestBias:
@@ -120,13 +143,14 @@ class TestBiasBar:
         # per axis K_h * K_eta is q_r at the join bandwidth, so the pair
         # means (fine nodes) and the nested double smoothing (fine nodes)
         # are one quantity up to quadrature error
-        from anisokde.oracle import _pair_means
+        from anisokde.oracle import _truth
 
         f = smooth_product_density("raised_cosine", dim)
         setup = make_setup(256, dim, max_exponent=3)
         exp = setup.tables.exp
         x = np.array([0.13, -0.31][:dim])
-        means = _pair_means(f, x, setup.pair_tables, exp, exp, 1025)
+        smoothing, q_rows = _truth(f, x, setup.stack[2:], 3, 1025)
+        means = smoothing.pairs(q_rows, exp, exp)
         rows = range(len(exp)) if dim == 1 else (0, 5, 9, 15)
         for i in rows:
             for j in rows:
@@ -316,6 +340,73 @@ class TestTrueTables:
         want = max(abs(wide.bias[row]),
                    np.abs(wide.pair_mean[row, sub] - wide.mean_f[sub]).max())
         assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == want
+
+    @pytest.mark.parametrize("kind, dim, ell, table_size, nodes, max_exponent", [
+        pytest.param("raised_cosine", 1, 1, 256, 65, None, id="rc-d1-ell1-m256-n65"),
+        pytest.param("raised_cosine", 2, 2, 257, 33, None, id="rc-d2-ell2-m257-n33"),
+        pytest.param("raised_cosine", 3, 3, 64, 17, 3, id="rc-d3-ell3-m64-n17"),
+        pytest.param("bump_mixture", 2, 1, 4096, 64, None, id="bump-d2-ell1-m4096-n64"),
+        pytest.param("smoothed_uniform", 1, 2, 257, 129, None, id="su-d1-ell2-m257-n129"),
+        pytest.param("f_theta", 2, 2, 256, 33, 4, id="ftheta-d2-ell2-m256-n33"),
+    ])
+    def test_tables_equal_the_per_quantity_quadratures(self, kind, dim, ell, table_size,
+                                                        nodes, max_exponent):
+        # one evaluation of f per smoothing scale gives, bit for bit, the
+        # tables of one quadrature per quantity (tests/reference.py)
+        from anisokde.oracle import _TrueTables
+
+        f = (build_f_theta(16.0, 0.3, dim) if kind == "f_theta"
+             else smooth_product_density(kind, dim))
+        setup = make_setup(256, dim, ell=ell, table_size=table_size,
+                           max_exponent=max_exponent)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        box = np.asarray(f.box, dtype=float)
+        rng = np.random.default_rng(dim * 100 + ell)
+        for x in (rng.uniform(box[:, 0], box[:, 1]), box.mean(axis=1)):
+            got = _TrueTables(f, x, policy, setup, 256, nodes)
+            want = reference_true_tables(f, x, policy, setup, 256, nodes)
+            for name in TABLE_FIELDS:
+                assert np.array_equal(getattr(got, name), want[name]), name
+
+    def test_non_product_tables_match_the_per_quantity_quadratures(self):
+        from anisokde.oracle import _TrueTables
+
+        f = wrap_non_product(smooth_product_density("raised_cosine", 2))
+        setup = make_setup(64, 2, ell=2, table_size=256, max_exponent=3)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        x = np.array([0.1, -0.2])
+        got = _TrueTables(f, x, policy, setup, 64, 17)
+        want = reference_true_tables(f, x, policy, setup, 64, 17)
+        for name in TABLE_FIELDS:
+            np.testing.assert_allclose(getattr(got, name), want[name], rtol=1e-13, atol=0.0,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_product_route_evaluates_each_scale_once(self, dim):
+        # per axis and mixture component at most E+2 point sets of `nodes`
+        # points (scales 2^0..2^-(E+1)), plus the one point f(x)
+        from anisokde.oracle import _TrueTables
+
+        counts = {}
+        f = counting(build_f_theta(16.0, 0.3, dim), counts)
+        setup = make_setup(256, dim, table_size=256, max_exponent=4 if dim == 3 else None)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        _TrueTables(f, np.full(dim, 7.6), policy, setup, 256, 33)
+        assert len(counts) == 2 * dim  # two components, dim axes each
+        E = setup.grid.max_exponent
+        for key, points in counts.items():
+            assert points <= (E + 2) * 33 + 1, key
+
+    def test_non_product_route_evaluates_each_scale_vector_once(self):
+        from anisokde.oracle import _TrueTables
+
+        counts = {}
+        f = counting(wrap_non_product(smooth_product_density("raised_cosine", 2)), counts)
+        setup = make_setup(64, 2, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        _TrueTables(f, np.array([0.1, -0.2]), policy, setup, 64, 17)
+        E = setup.grid.max_exponent
+        assert counts[()] <= (E + 2) ** 2 * 17 ** 2 + 1
 
     def test_d3_terms_stay_fast(self):
         f = smooth_product_density("raised_cosine", 3)
