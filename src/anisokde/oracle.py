@@ -12,7 +12,7 @@ residual terms.
 Every true quantity is a smoothing of f at x: by K_h (single-estimate
 means), |K_h| and the envelope (true kernel averages) and q_r at the
 join bandwidth (pair means; per axis q_r is K_h * K_eta, so these are
-also the double smoothings behind the smoothed bias). One builder,
+also the double smoothings behind the smoothed bias). One class,
 `_Smoothing`, evaluates f's factors once per axis group and distinct
 scale vector, x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K
 at 2^-a is t = a+1), and sums every table row (one per kernel, and one
