@@ -241,10 +241,12 @@ def load_config(path: str) -> dict:
 
 
 def _section(doc: dict, name: str, command: str) -> dict:
+    """The resolved config's own section, so defaults set in it reach the
+    manifest."""
     sec = doc.get(name)
     if sec is None:
         raise ConfigError(f"command '{command}' needs config section '{name}'")
-    return dict(sec)
+    return sec
 
 
 def _resolve(doc: dict, seed_flag: int | None) -> dict:
@@ -270,13 +272,27 @@ def _resolve(doc: dict, seed_flag: int | None) -> dict:
     return out
 
 
-def _node_count(sec: dict, name: str, key: str, default: int) -> int:
-    """Config key name.key as a node count: the default when the key is
-    absent or null, a config error below 2."""
-    value = sec.get(key)
-    value = default if value is None else int(value)
-    if value < 2:
-        raise ConfigError(f"config key '{name}.{key}' must be >= 2, got {value}")
+def _given(sec: dict, key: str, default):
+    """sec[key], or the default when the key is absent or null; a default
+    is written into sec, so the manifest records it."""
+    if sec.get(key) is None:
+        sec[key] = default
+    return sec[key]
+
+
+def _count(sec: dict, name: str, key: str, default: int, least: int) -> int:
+    """Config key name.key as an integer, a config error below least."""
+    value = int(_given(sec, key, default))
+    if value < least:
+        raise ConfigError(f"config key '{name}.{key}' must be >= {least}, got {value}")
+    return value
+
+
+def _positive(sec: dict, name: str, key: str, default: float) -> float:
+    """Config key name.key as a number, a config error at or below 0."""
+    value = float(_given(sec, key, default))
+    if not value > 0:
+        raise ConfigError(f"config key '{name}.{key}' must be > 0, got {value!r}")
     return value
 
 
@@ -492,11 +508,9 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
     resolved = _resolve(load_config(config_path), seed)
     sec = _section(resolved, "oracle", "oracle")
     density = _build_density(_section(resolved, "density", "oracle"))
-    instances = int(sec.get("instances", 20))
-    n = int(sec.get("n", 256))
-    nodes = _node_count(sec, "oracle", "nodes", 129)
-    if instances < 1:
-        raise ConfigError("oracle.instances must be >= 1")
+    instances = _count(sec, "oracle", "instances", 20, 1)
+    n = _count(sec, "oracle", "n", 256, 2)
+    nodes = _count(sec, "oracle", "nodes", 129, 2)
     timings: dict[str, float] = {}
     with _stage(timings, "kernel_tables"):
         setup = make_setup(n, density.dim, ell=int(resolved["kernel"]["ell"]),
@@ -537,7 +551,7 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
         if sec.get(need) is None:
             raise ConfigError(f"config key 'class.{need}' is required")
     spec = ClassSpec(beta=tuple(sec["beta"]), r=tuple(sec["r"]),
-                     L=tuple(sec["L"]), M=float(sec.get("M") or 1.0))
+                     L=tuple(sec["L"]), M=_positive(sec, "class", "M", 1.0))
     p = float(resolved["estimator"]["p"])
     report = classify(spec, p)
     doc = {
@@ -558,7 +572,7 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
     }
     if sec.get("theta") is not None:
         tail = TailSpec(theta=float(sec["theta"]),
-                        R=float(sec.get("R") or 1.0))
+                        R=_positive(sec, "class", "R", 1.0))
         tc = classify_tail(spec, p, tail)
         doc["tail"] = {"theta": tail.theta, "nu_theta": tc.nu_theta,
                        "mu_theta_exponent": tc.mu_theta_exponent}
@@ -579,15 +593,13 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     for need in ("N", "sigma", "amplitude"):
         if sec.get(need) is None:
             raise ConfigError(f"config key 'lowerbound.{need}' is required")
-    slice_nodes = _node_count(sec, "lowerbound", "slice_nodes", 257)
-    run = _Run(_outdir(out_flag, resolved, "lowerbound"),
-               resolved["output"]["formats"])
+    slice_nodes = _count(sec, "lowerbound", "slice_nodes", 257, 2)
+    dim = _count(sec, "lowerbound", "dim", 1, 1)
+    kappa_scale = _positive(sec, "lowerbound", "kappa_scale", 1.0)
     t0 = time.perf_counter()
     N = float(sec["N"])
-    dim = int(sec.get("dim") or 1)
     sigma = tuple(float(v) for v in sec["sigma"])
     amplitude = float(sec["amplitude"])
-    kappa_scale = float(sec.get("kappa_scale") or 1.0)
     base = flat_top_density(N, dim, kappa_scale)
     counts = tuple(
         int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
@@ -599,7 +611,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     w = packing.members[0]
     density = build_perturbed(N, sigma, amplitude, w, dim,
                               kappa_scale=kappa_scale)
-    run.timings["build"] = time.perf_counter() - t0
+    build_s = time.perf_counter() - t0
 
     lo, hi = float(density.box[0, 0]), float(density.box[0, 1])
     xs = np.linspace(lo, hi, slice_nodes)
@@ -607,8 +619,12 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     pts[:, 0] = xs
     rows = [(x, fv, bv) for x, fv, bv in
             zip(xs, density(pts), base(pts))]
-    run.emit("plot/fw_slice.dat", _dat_bytes(rows))
     hamming = _min_hamming(packing.members)
+    # every input is checked and every value built before the directory exists
+    run = _Run(_outdir(out_flag, resolved, "lowerbound"),
+               resolved["output"]["formats"])
+    run.timings["build"] = build_s
+    run.emit("plot/fw_slice.dat", _dat_bytes(rows))
     run.emit("lowerbound.json", _json_bytes({
         "N": N, "dim": dim, "sigma": list(sigma), "amplitude": amplitude,
         "kappa_scale": kappa_scale, "wiggles_per_axis": list(counts),
@@ -647,7 +663,7 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
         p=float(resolved["estimator"]["p"]),
         n_schedule=tuple(int(v) for v in sec["n_schedule"]),
         replicates=int(sec["replicates"]),
-        grid=default_grid(density, _node_count(sec, "risk", "grid_nodes", 65)),
+        grid=default_grid(density, _count(sec, "risk", "grid_nodes", 65, 2)),
         seed=int(resolved["seed"]),
         kappa=resolved["estimator"]["kappa"],
         ell=int(resolved["kernel"]["ell"]),

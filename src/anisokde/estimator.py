@@ -10,9 +10,11 @@ interpolated kernels are exactly zero outside their support; smaller
 per-bandwidth range queries would change nothing but the constant.
 
 One internal function, `_select_point`, runs the whole rule at a point
-and returns every per-point quantity at once: the raw sums, the
-criterion, the selected lattice index and the candidate count. Grid
-fits, the risk engine and the oracle lab all read that record.
+and returns the raw sums, the selected lattice index and the candidate
+count. It evaluates the criterion only on the rows that a lower bound
+does not rule out; the full record (the criterion of every row and the
+|H|^2 pair matrix) is built on request, for the oracle lab and
+`keep_criterion`. Grid fits and the risk engine read the pruned record.
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
@@ -24,17 +26,18 @@ per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
 keys per axis. Each in-support (candidate, scale) entry of an axis
 takes one index and fraction into `EstimationSetup.stack` and one
 gather gives all its factors (`_entry_rows`). At d = 1 the entries are
-summed directly; at d >= 2 they fill per-axis (candidates x columns)
-matrices, contracted (outer products, then one GEMM), and the |H|^2
-pair matrix is gathered from the contracted keys. Candidates are taken
-in chunks so memory does not grow with n. Points are fitted one after
-another on one thread.
+summed directly; at d >= 2 one pass over the entries of every axis
+fills per-axis (candidates x columns) matrices, contracted (outer
+products, then one GEMM). A pair estimate reads the contracted keys
+through per-axis (E+1) x (E+1) tables (`_pair_read`), only for the rows
+the selection evaluates. Candidates are taken in chunks so memory does
+not grow with n. Points are fitted one after another on one thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -58,6 +61,9 @@ from .kernels import (
 MAX_LATTICE_BYTES = 2**30
 # Largest working set of one chunk of candidates in `_point_tables`.
 _BLOCK_BYTES = 2**24
+# Lattices of at most this many pairs have every row's criterion evaluated
+# at once: there numpy's per-call cost, not the pair count, sets the time.
+_WHOLE_PAIRS = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +186,14 @@ class _GridTables:
 
     On one axis a bandwidth pair reads q_r, r = 2^-k for the exponent
     difference k, at its join exponent a; a + k <= E. Key (a, k) is
-    column key_starts[k] + a, and pair_key[i, l] the flat index of a
-    pair's per-axis keys, first axis slowest. col_map[a] places the
-    stack rows at scale 2^a in a per-axis [kernel | envelope | keys |
-    spare] matrix, q_k with a + k > E (read by no pair) in the spare.
+    column key_starts[k] + a. pair_axes[j] and join_axes[j] are
+    (E+1) x (E+1) tables, by the pair's two exponents on axis j, of its
+    key and its join exponent times axis j's stride in the contracted
+    key sums and in the lattice (first axis slowest); a pair's flat
+    indices are their sums over the axes (`_pair_read`). col_map[a]
+    places the stack rows at scale 2^a in a per-axis [kernel | envelope
+    | keys | spare] matrix, q_k with a + k > E (read by no pair) in the
+    spare.
     """
 
     def __init__(self, grid: BandwidthGrid):
@@ -203,11 +213,35 @@ class _GridTables:
         key_at = np.where(a + b <= E, self.key_starts[b] + a, self.n_keys)  # by (scale, k)
         self.col_map = np.column_stack((a[:, 0], a[:, 0] + E + 1, key_at + 2 * (E + 1)))
         self.width = 2 * (E + 1) + self.n_keys + 1
-        axes = np.arange(grid.dim - 1, -1, -1, dtype=np.int64)
-        lo = np.minimum(exp[:, None, :], exp[None, :, :])
-        self.join_index = lo @ (E + 1) ** axes
-        keys = key_of[lo, np.maximum(exp[:, None, :], exp[None, :, :])]
-        self.pair_key = keys @ self.n_keys ** axes
+        strides = range(grid.dim - 1, -1, -1)
+        self.pair_axes = [key_of * self.n_keys ** s for s in strides]
+        self.join_axes = [np.minimum(a, b) * (E + 1) ** s for s in strides]
+        self.all_pairs = self.pairs_of(np.arange(self.size))
+
+    def pairs_of(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The key and join tables' `_per_axis` parts for some lattice
+        rows; all_pairs holds them for every row."""
+        exp = self.exp[rows]
+        return _per_axis(self.pair_axes, exp), _per_axis(self.join_axes, exp)
+
+
+def _per_axis(tabs: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
+    """tabs[j][rows[:, j]] for every axis j of the exponent rows, shaped
+    to broadcast together to (len(rows), c_0, ..., c_{d-1}), c_j =
+    tabs[j].shape[1]: each row against every column of the lattice the
+    tables span, in C order."""
+    d = rows.shape[1]
+    return [tab[rows[:, j]].reshape((-1,) + (1,) * j + tab.shape[1:] + (1,) * (d - 1 - j))
+            for j, tab in enumerate(tabs)]
+
+
+def _pair_read(values: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+    """values at every pair (row, lattice row), one row each, from the
+    `_per_axis` parts of per-axis flat-index tables: a pair's flat index
+    is the sum of its parts."""
+    # the last axes first: the full-size sums then run along long rows
+    flat = reduce(np.add, reversed(parts))
+    return values.take(flat).reshape(flat.shape[0], -1)
 
 
 def _coarser_sup(values: np.ndarray, tables: _GridTables) -> np.ndarray:
@@ -222,32 +256,33 @@ def _coarser_sup(values: np.ndarray, tables: _GridTables) -> np.ndarray:
 
 def _row_floats(dim: int, max_exponent: int) -> int:
     """Floats one candidate holds in `_point_tables`: up to one entry per
-    scale, each with its stack gathers and index temporaries (2(E+3) +
-    10, above the tracemalloc peak); at d >= 2 also its per-axis matrix
-    rows, their |kernel| copies and two outer-product rows of `_contract`."""
+    (axis, scale), each with its stack gathers and index temporaries
+    (2(E+3) + 10, above the tracemalloc peak, the scatter index
+    included); at d >= 2 also its per-axis matrix rows, their |kernel|
+    copies and two outer-product rows of `_contract`."""
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
     entries = cols * (2 * (max_exponent + 3) + 10)
     if dim == 1:
         return entries
-    return entries + dim * (3 * cols + keys + 1) + 2 * keys ** (dim - 1)
+    return dim * (entries + 3 * cols + keys + 1) + 2 * keys ** (dim - 1)
 
 
 def _lattice_bytes(grid: BandwidthGrid) -> int:
-    """Peak bytes of the lattice tables, or of one point's selection.
+    """Peak bytes of one point's selection; the lattice tables, O(H d E)
+    values, are not counted.
 
-    _GridTables builds join_index and pair_key (int64, both kept) from
-    three (H, H, d) int64 temporaries. A point adds
-    about five (H, H) float64 arrays, three of the P^d contracted key
-    sums (P = (E+1)(E+2)/2), the d = 1 sums (one per matrix column) and
-    one chunk of candidates (_BLOCK_BYTES, or one `_row_floats` row if
-    more). Candidate offsets, a slice of the sample, are not counted,
-    so the estimate does not depend on n.
+    A point holds three of the P^d contracted key sums (P = (E+1)(E+2)/2),
+    the d = 1 sums (one per matrix column) and one chunk of candidates
+    (_BLOCK_BYTES, or one `_row_floats` row if more). The full record,
+    which the oracle and keep_criterion read, adds about five (H, H)
+    8-byte arrays: the pair matrix, the flat indices of `_pair_read`
+    and the criterion's temporaries. Candidate offsets, a slice of the
+    sample, are not counted, so the estimate does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
     h2, keys = len(grid) ** 2, (E + 1) * (E + 2) // 2
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E))
-    point = h2 * (16 + 5 * 8) + 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
-    return max(h2 * (24 * d + 16), point)
+    return h2 * 5 * 8 + 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +375,8 @@ def make_setup(
                            grid=grid, pair_tables=pair_tables)
 
 
-def _m_hat(a_hat, kappa: float, log_n: float, n: int, volume):
-    """4 sqrt(A lam) + 4 lam, lam = kappa ln n / (n V); scalars or arrays."""
-    lam = kappa * log_n / (n * volume)
+def _m_hat(a_hat: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """4 sqrt(A lam) + 4 lam, lam = kappa ln n / (n V) per lattice row."""
     return 4.0 * np.sqrt(a_hat * lam) + 4.0 * lam
 
 
@@ -350,7 +384,7 @@ def _check_point(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise InvalidParameterError(f"evaluation point must have shape ({dim},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidParameterError(f"evaluation point must be finite, got {x.tolist()}")
     return x
 
@@ -359,8 +393,8 @@ def _contract(mats: list[np.ndarray]) -> np.ndarray:
     """Sum over rows (candidates) of the product of one column per
     matrix, for every choice of columns, first matrix slowest: outer
     products over all matrices but the last, then one GEMM with it."""
-    block = np.ones((mats[0].shape[0], 1))
-    for mat in mats[:-1]:
+    block = mats[0]
+    for mat in mats[1:-1]:
         block = (block[:, :, None] * mat[:, None, :]).reshape(
             block.shape[0], block.shape[1] * mat.shape[1])
     return (block.T @ mats[-1]).ravel()
@@ -402,23 +436,24 @@ def _chunk_sums(offs: np.ndarray, setup: EstimationSetup) -> list[np.ndarray]:
                            minlength=tables.width)
         abs_k = np.bincount(scale, np.abs(vals[0]), minlength=cols)
         return [sums[:cols], abs_k, sums[cols:2 * cols], sums[2 * cols:-1]]
-    mats = []
-    for y in offs.T:
-        ys = y[:, None] * tables.scales
-        cand, scale = np.nonzero(np.abs(ys) <= 1.0)
-        mat = np.zeros((y.size, tables.width))
-        vals = _entry_rows(ys[cand, scale], scale, setup)
-        mat[cand[:, None], tables.col_map[scale]] = vals.T
-        mats.append(mat)
-    k_ax = [mat[:, :cols] for mat in mats]
-    e_ax = [mat[:, cols:2 * cols] for mat in mats]
-    q_ax = [mat[:, 2 * cols:-1] for mat in mats]
-    return [_contract(m) for m in (k_ax, [np.abs(kv) for kv in k_ax], e_ax, q_ax)]
+    # one pass over the in-support entries of every (axis, candidate, scale)
+    ys = offs.T[:, :, None] * tables.scales
+    entry = np.flatnonzero(np.abs(ys) <= 1.0)
+    scale = entry % cols
+    vals = _entry_rows(ys.take(entry), scale, setup)
+    mats = np.zeros(ys.shape[:2] + (tables.width,))
+    at = tables.col_map.take(scale, axis=0)
+    at += (entry // cols * tables.width)[:, None]
+    mats.reshape(-1)[at] = vals.T
+    k_ax = mats[:, :, :cols]
+    return [_contract(list(m)) for m in (k_ax, np.abs(k_ax), mats[:, :, cols:2 * cols],
+                                          mats[:, :, 2 * cols:-1])]
 
 
 def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     """Raw empirical sums at one point: estimates, absolute-kernel
-    averages for kernel and envelope, and the full pair-estimate matrix.
+    averages for kernel and envelope, and the contracted key sums that
+    every pair estimate reads (`_pair_read`).
     Per axis, each (candidate, scale 2^a) entry in support takes one
     index and fraction into the setup's stack, and one gather gives its
     kernel, envelope and key (a, k) (q_r table k at join scale 2^a)
@@ -434,24 +469,25 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     sums = [0.0] * 4
     for lo in range(0, max(idx.size, 1), rows):
         sums = [t + c for t, c in zip(sums, _chunk_sums(offs[lo:lo + rows], setup))]
-    fhat, a_k, a_q, pair = (total / n for total in sums)
-    return fhat, a_k, a_q, pair[setup.tables.pair_key], int(idx.size)
+    fhat, a_k, a_q, keys = (total / n for total in sums)
+    return fhat, a_k, a_q, keys, int(idx.size)
 
 
 @dataclass(frozen=True, eq=False)
 class _PointRecord:
     """Everything the selection rule computes at one point.
 
-    fhat, a_k and a_q are indexed by lattice row, pair by a pair of rows;
-    best is the selected row and counts the size of the candidate set.
+    fhat, a_k and a_q are indexed by lattice row; best is the selected
+    row and counts the size of the candidate set. pair (by a pair of
+    rows) and criterion are kept only for a full record, else None.
     """
 
     x: np.ndarray
     fhat: np.ndarray
     a_k: np.ndarray
     a_q: np.ndarray
-    pair: np.ndarray
-    criterion: np.ndarray
+    pair: np.ndarray | None
+    criterion: np.ndarray | None
     best: int
     selected: Bandwidth
     counts: int
@@ -462,26 +498,49 @@ class _PointRecord:
 
 
 def _select_point(data: Dataset, x, policy: KappaPolicy,
-                  setup: EstimationSetup) -> _PointRecord:
+                  setup: EstimationSetup, full: bool = False) -> _PointRecord:
     """Run the selection rule at x: the single path every caller uses.
 
-    Lattice rows are in lexicographic order, so sorting by (criterion,
-    exponent sum, row) gives the documented tie-break.
+    The criterion of row h is fl(fl(b + s) + m): its bracket b >= 0,
+    s the sup of m_q over coarser rows and m = m_k. Rounding is
+    monotone, so LB = fl(s + m) bounds it from below. The first row of
+    least LB is evaluated, then every row whose LB is at most its
+    criterion: any row left out has a criterion strictly above the
+    minimum, so the minimum and all its ties are evaluated. full, and
+    lattices of at most _WHOLE_PAIRS pairs, evaluate every row at once;
+    full keeps the (H, H) pair matrix and the criterion, for the callers
+    that read them. Lattice rows are in lexicographic order, so sorting
+    by (criterion, exponent sum, row) gives the documented tie-break.
     """
     x = _check_point(x, setup.grid.dim)
-    fhat, a_k, a_q, pair, counts = _point_tables(data, x, setup)
+    fhat, a_k, a_q, keys, counts = _point_tables(data, x, setup)
     tables = setup.tables
-    n = data.n
-    log_n = float(np.log(n))
-    m_k = _m_hat(a_k, policy.kappa, log_n, n, tables.volumes)
-    m_q = _m_hat(a_q, policy.kappa, log_n, n, tables.volumes)
+    lam = policy.kappa * float(np.log(data.n)) / (data.n * tables.volumes)
+    m_k = _m_hat(a_k, lam)
+    m_q = _m_hat(a_q, lam)
+    sup_q = _coarser_sup(m_q, tables)
 
-    bracket = np.abs(pair - fhat[None, :]) - m_q[tables.join_index] - m_k[None, :]
-    np.maximum(bracket, 0.0, out=bracket)
-    criterion = bracket.max(axis=1) + _coarser_sup(m_q, tables) + m_k
-    best = int(np.lexsort((np.arange(tables.size), tables.exp_sum, criterion))[0])
+    def evaluate(rows, parts):
+        pair = _pair_read(keys, parts[0])
+        bracket = np.abs(pair - fhat) - _pair_read(m_q, parts[1]) - m_k
+        np.maximum(bracket, 0.0, out=bracket)
+        return pair, bracket.max(axis=1) + sup_q[rows] + m_k[rows]
+
+    if full or tables.size ** 2 <= _WHOLE_PAIRS:
+        rows = np.arange(tables.size)
+        pair, criterion = evaluate(rows, tables.all_pairs)
+    else:
+        lb = sup_q + m_k
+        rows = lb.argmin(keepdims=True)
+        pair, criterion = evaluate(rows, tables.pairs_of(rows))
+        more = np.flatnonzero(lb <= criterion[0])
+        if more.size > 1:
+            rows = more
+            pair, criterion = evaluate(rows, tables.pairs_of(rows))
+    best = int(rows[np.lexsort((rows, tables.exp_sum[rows], criterion))[0]])
     return _PointRecord(
-        x=x, fhat=fhat, a_k=a_k, a_q=a_q, pair=pair, criterion=criterion,
+        x=x, fhat=fhat, a_k=a_k, a_q=a_q, pair=pair if full else None,
+        criterion=criterion if full else None,
         best=best, selected=tables.bandwidths[best], counts=counts,
     )
 
@@ -496,7 +555,7 @@ def select_and_estimate(
     lexicographically smallest exponents. The estimate is not clipped;
     it may be negative or exceed any density bound.
     """
-    rec = _select_point(data, x, policy, setup)
+    rec = _select_point(data, x, policy, setup, full=keep_criterion)
     crit_map = None
     if keep_criterion:
         crit_map = {h.exponents: float(c)

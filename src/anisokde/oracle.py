@@ -38,6 +38,8 @@ from .estimator import (
     KappaPolicy,
     _check_point,
     _coarser_sup,
+    _pair_read,
+    _per_axis,
     _PointRecord,
     _select_point,
 )
@@ -145,16 +147,17 @@ class _Smoothing:
         return self.read(tabs, list(inv.T))
 
     def pairs(self, q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> np.ndarray:
-        """Mean of the pair estimate of every pair (h, eta) of rows of
-        exp_h and exp_eta: on each axis q_r, r = 2^-|a - b| (weight row
-        q_rows[|a - b|]), smoothing f at the join scale 2^-min(a, b).
+        """Mean of the pair estimate of every pair (h, eta) of a row of
+        exp_h and a row of exp_eta, whose rows are the full lattice
+        {0..max}^d in C order: on each axis q_r, r = 2^-|a - b| (weight
+        row q_rows[|a - b|]), smoothing f at the join scale 2^-min(a, b).
         Each per-axis (join, ratio) key is summed once."""
         a, b = np.ogrid[:int(exp_h.max()) + 1, :int(exp_eta.max()) + 1]
         width = max(a.size, b.size)
         code, key = _distinct(np.minimum(a, b) * width + np.abs(a - b))
         tabs = self.table(q_rows, code % width, code // width)
-        return self.read(tabs, [key.ravel().take(ah[:, None] * b.size + be[None, :])
-                                for ah, be in zip(exp_h.T, exp_eta.T)])
+        return self.read(tabs, _per_axis([key] * exp_h.shape[1], exp_h)).reshape(
+            exp_h.shape[0], -1)
 
 
 def _truth(f: TrueDensity, x: np.ndarray, wide: np.ndarray, top: int, nodes: int):
@@ -271,11 +274,12 @@ class _TrueTables:
 def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _PointRecord, int]:
     """The bound's terms, the selector's record they were built from, and
     the lattice row that minimizes the bound."""
-    rec = _select_point(data, x, policy, setup)
+    rec = _select_point(data, x, policy, setup, full=True)
     tables = setup.tables
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
-    xi_pair = np.abs(rec.pair - truth.pair_mean) - truth.m_q[tables.join_index]
+    m_q_join = _pair_read(truth.m_q, tables.all_pairs[1])
+    xi_pair = np.abs(rec.pair - truth.pair_mean) - m_q_join
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
     chi = max(float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
               float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)), 0.0)

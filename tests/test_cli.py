@@ -131,6 +131,19 @@ class TestRegimeCommand:
         assert main(["regime", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "'class'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"M": 0}, "M"), ({"M": -1.0}, "M"), ({"theta": 1.0, "R": 0}, "R"),
+        ({"theta": 1.0, "R": -2}, "R"),
+    ])
+    def test_explicit_bound_at_or_below_zero_is_rejected(self, tmp_path, capsys, extra, key):
+        cfg = write_config(tmp_path, {
+            "class": {"beta": [1.0], "r": [2.0], "L": [1.0], **extra},
+        })
+        out = tmp_path / "o"
+        assert main(["regime", "--config", cfg, "--out", str(out)]) == 1
+        assert f"class.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beta_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"class": {"r": [2.0], "L": [1.0]}})
         assert main(["regime", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -364,6 +377,19 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "instances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("oracle, key, default", [
+        ({"instances": 1, "n": None, "nodes": 17}, "n", 256),
+        ({"instances": None, "n": 16, "nodes": 17}, "instances", 20),
+    ])
+    def test_null_count_means_the_default(self, tmp_path, oracle, key, default):
+        cfg = write_config(tmp_path, {
+            "density": {"kind": "raised_cosine", "dim": 1}, "oracle": oracle,
+        })
+        out = tmp_path / "run"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out, "oracle.json")[key] == default
+        assert read_json(out, "manifest.json")["resolved_config"]["oracle"][key] == default
+
     @pytest.mark.parametrize("nodes", [1, 0])
     def test_bad_node_count_leaves_no_directory(self, tmp_path, capsys, nodes):
         cfg = write_config(tmp_path, {
@@ -413,6 +439,34 @@ class TestLowerboundCommand:
         out = tmp_path / "o"
         assert main(["lowerbound", "--config", cfg, "--out", str(out)]) == 1
         assert "lowerbound.slice_nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", 0), ("dim", -1), ("kappa_scale", 0), ("kappa_scale", -0.5),
+    ])
+    def test_explicit_value_at_or_below_zero_is_rejected(self, tmp_path, capsys, key, value):
+        doc = {"lowerbound": dict(self.CONFIG["lowerbound"], **{key: value})}
+        out = tmp_path / "o"
+        assert main(["lowerbound", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        assert f"lowerbound.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, default", [("dim", 1), ("kappa_scale", 1.0)])
+    def test_null_means_the_default(self, tmp_path, key, default):
+        doc = {"lowerbound": dict(self.CONFIG["lowerbound"], **{key: None})}
+        out = tmp_path / "run"
+        assert main(["lowerbound", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert read_json(out, "lowerbound.json")[key] == default
+        assert read_json(out, "manifest.json")["resolved_config"]["lowerbound"][key] == default
+
+    def test_rejected_packing_leaves_no_directory(self, tmp_path, capsys):
+        doc = {"lowerbound": {"N": 16, "dim": 1, "sigma": [0.5], "amplitude": 1.0}}
+        out = tmp_path / "o"
+        assert main(["lowerbound", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_sigma_is_a_config_error(self, tmp_path, capsys):

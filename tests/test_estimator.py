@@ -371,11 +371,31 @@ class TestCriterionAndSelection:
             eval_criterion(data, np.zeros(1), Bandwidth((9,)), policy, setup)
 
 
-def assert_record_matches_reference(data, x, setup):
+def full_record_argmin(rec, setup):
+    """The documented choice read off a full record: least criterion,
+    then smallest exponent sum, then first lattice row."""
+    sums = setup.tables.exp_sum
+    return min(range(setup.tables.size), key=lambda i: (rec.criterion[i], sums[i], i))
+
+
+def assert_pruned_matches_full(data, x, policy, setup):
+    """The pruned selection against the full record's argmin; returns
+    the full record."""
     from anisokde.estimator import _select_point
 
+    full = _select_point(data, x, policy, setup, full=True)
+    pruned = _select_point(data, x, policy, setup)
+    assert pruned.pair is None and pruned.criterion is None
+    assert pruned.best == full.best == full_record_argmin(full, setup)
+    assert pruned.selected is full.selected and pruned.counts == full.counts
+    for name in ("fhat", "a_k", "a_q"):
+        assert np.array_equal(getattr(pruned, name), getattr(full, name)), name
+    return full
+
+
+def assert_record_matches_reference(data, x, setup):
     policy = KappaPolicy(kappa=0.05, d=data.dim, p=2.0, k_inf=setup.kernel.k_inf)
-    rec = _select_point(data, x, policy, setup)
+    rec = assert_pruned_matches_full(data, x, policy, setup)
     K, Q = setup.kernel, setup.majorant
     grid = list(setup.grid)
 
@@ -453,6 +473,61 @@ class TestRecordAgainstReference:
             assert [f.selected.exponents for f in fits] == want, (d, n, m)
 
 
+class TestPrunedSelection:
+    """The selector evaluates only the rows whose lower bound
+    sup_q + m_k is at most a criterion it has seen; its choice must be
+    the full record's argmin, exact ties and tie-break included."""
+
+    @pytest.mark.parametrize("d, n, ell, table_size", [
+        (1, 256, 1, 64), (1, 128, 2, 65), (2, 128, 2, 256), (2, 256, 1, 65),
+        (3, 64, 1, 64), (3, 48, 2, 65),
+    ])
+    def test_choice_is_the_full_record_argmin(self, d, n, ell, table_size):
+        rng = np.random.default_rng(127)
+        data = build_dataset(rng.normal(0.0, 0.4, size=(n, d)))
+        setup = make_setup(n, d, ell=ell, table_size=table_size)
+        for kappa in (0.002, 0.05, kappa_default(d, 2.0, setup.kernel.k_inf).kappa):
+            policy = KappaPolicy(kappa=kappa, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+            for x in [*rng.uniform(-1.0, 1.0, size=(4, d)), np.full(d, 9.0)]:
+                assert_pruned_matches_full(data, x, policy, setup)
+
+    def test_rows_tied_by_swapping_axes(self):
+        # observations on the diagonal, evaluated on the diagonal: the
+        # per-axis matrices are equal, so rows (a, b) and (b, a) tie exactly
+        rng = np.random.default_rng(0)
+        u = rng.normal(0.0, 0.3, size=64)
+        data = build_dataset(np.column_stack((u, u)))
+        setup = make_setup(64, 2, table_size=256)
+        policy = KappaPolicy(kappa=0.002, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        full = assert_pruned_matches_full(data, np.array([0.3, 0.3]), policy, setup)
+        crit = {h.exponents: c for h, c in zip(setup.grid, full.criterion)}
+        assert all(crit[(a, b)] == crit[(b, a)] for a, b in crit)
+        assert full.selected.exponents == (2, 3)
+        assert crit[(2, 3)] == crit[(3, 2)] == min(crit.values())
+
+    @pytest.mark.parametrize("spoil, want", [(0.0, (0, 1)), (10.0, (1, 1))])
+    def test_lower_bound_equal_to_the_best_criterion(self, monkeypatch, spoil, want):
+        """Hand-built sums (m_hat made the identity, so every term is an
+        exact small integer). Row (1, 1) has the least lower bound,
+        1 + 1 = 2, and criterion (2 + 1) + 1 = 4. Row (0, 1) has lower
+        bound 1 + 3 = 4, exactly that criterion: with an empty bracket it
+        ties and wins on exponent sum; spoiling its bracket leaves (1, 1)."""
+        import anisokde.estimator as est
+
+        setup = make_setup(8, 2, max_exponent=1)  # rows (0,0) (0,1) (1,0) (1,1)
+        keys = np.zeros(setup.tables.n_keys ** 2)
+        keys[4] = 4.0  # pair ((1,1), (1,1)): key (join 1, ratio 0) on both axes
+        keys[2] = spoil  # pair ((0,1), (0,0)), read by no row of least criterion
+        sums = (np.zeros(4), np.array([8.0, 3.0, 8.0, 1.0]), np.ones(4), keys, 0)
+        monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
+        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup: sums)
+        policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        full = assert_pruned_matches_full(far_dataset(8, 2), np.zeros(2), policy, setup)
+        assert full.criterion[3] == 4.0
+        assert full.criterion[1] == (4.0 if spoil == 0.0 else 5.0)
+        assert full.selected.exponents == want
+
+
 class TestPerAxisEngine:
     @pytest.mark.parametrize("d, n", [(1, 512), (2, 128), (3, 32)])
     def test_chunked_blocks_match_one_block(self, monkeypatch, d, n):
@@ -463,11 +538,11 @@ class TestPerAxisEngine:
         setup = make_setup(n, d, ell=2, table_size=256)
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         x = rng.uniform(-0.3, 0.3, size=d)
-        whole = est._select_point(data, x, policy, setup)
+        whole = est._select_point(data, x, policy, setup, full=True)
         # seven candidates per chunk, so every contraction is chunked
         monkeypatch.setattr(est, "_BLOCK_BYTES",
                             8 * 7 * est._row_floats(d, setup.grid.max_exponent))
-        chunked = est._select_point(data, x, policy, setup)
+        chunked = assert_pruned_matches_full(data, x, policy, setup)
         assert chunked.best == whole.best
         for name in ("fhat", "a_k", "a_q", "pair", "criterion"):
             got, want = getattr(chunked, name), getattr(whole, name)
@@ -492,7 +567,7 @@ class TestPerAxisEngine:
         policy = KappaPolicy(kappa=0.05, d=3, p=2.0, k_inf=setup.kernel.k_inf)
         assert setup.tables.size == 729  # built once per setup, outside the timed call
         t0 = time.perf_counter()
-        rec = _select_point(data, np.array([0.1, -0.2, 0.05]), policy, setup)
+        rec = _select_point(data, np.array([0.1, -0.2, 0.05]), policy, setup, full=True)
         assert time.perf_counter() - t0 < 1.0
         assert rec.pair.shape == (729, 729) and rec.counts > 0
 
@@ -699,9 +774,22 @@ class TestLatticeMemoryGuard:
             make_setup(4, 4, max_exponent=12)
 
     def test_d3_n256_still_builds(self):
+        from anisokde.estimator import _select_point
+
         setup = make_setup(256, 3, table_size=64)
         assert len(setup.grid) == 729
-        assert setup.tables.join_index.shape == (729, 729)
+        policy = kappa_default(3, 2.0, setup.kernel.k_inf)
+        rec = _select_point(far_dataset(256, 3), np.zeros(3), policy, setup, full=True)
+        assert rec.pair.shape == (729, 729)
+        # the lattice tables hold no (H, H) array: per-axis (E+1) x (E+1)
+        # tables and their rows for each of the H bandwidths, at most H (E+1)
+        def arrays(v):
+            if isinstance(v, np.ndarray):
+                return [v]
+            return [a for u in v for a in arrays(u)] if isinstance(v, (list, tuple)) else []
+
+        held = arrays(list(vars(setup.tables).values()))
+        assert len(held) > 3 and max(a.size for a in held) <= 729 * 9
 
     @pytest.mark.parametrize("n, dim", [(2**18, 1), (2**17, 2)])
     def test_default_lattices_of_large_samples_build(self, n, dim):
