@@ -599,6 +599,9 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     t0 = time.perf_counter()
     N = float(sec["N"])
     sigma = tuple(float(v) for v in sec["sigma"])
+    if not all(v > 0 for v in sigma):
+        raise ConfigError(f"config key 'lowerbound.sigma' must hold numbers > 0, "
+                          f"got {list(sigma)}")
     amplitude = float(sec["amplitude"])
     base = flat_top_density(N, dim, kappa_scale)
     counts = tuple(

@@ -443,6 +443,7 @@ class TestLowerboundCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("dim", 0), ("dim", -1), ("kappa_scale", 0), ("kappa_scale", -0.5),
+        ("sigma", [0.05, 0.0]),
     ])
     def test_explicit_value_at_or_below_zero_is_rejected(self, tmp_path, capsys, key, value):
         doc = {"lowerbound": dict(self.CONFIG["lowerbound"], **{key: value})}

@@ -476,13 +476,18 @@ class TestRecordAgainstReference:
 class TestPrunedSelection:
     """The selector evaluates only the rows whose lower bound
     sup_q + m_k is at most a criterion it has seen; its choice must be
-    the full record's argmin, exact ties and tie-break included."""
+    the full record's argmin, exact ties and tie-break included. Small
+    lattices are evaluated whole, so these tests set _WHOLE_PAIRS to 0
+    to prune every lattice."""
 
     @pytest.mark.parametrize("d, n, ell, table_size", [
         (1, 256, 1, 64), (1, 128, 2, 65), (2, 128, 2, 256), (2, 256, 1, 65),
         (3, 64, 1, 64), (3, 48, 2, 65),
     ])
-    def test_choice_is_the_full_record_argmin(self, d, n, ell, table_size):
+    def test_choice_is_the_full_record_argmin(self, monkeypatch, d, n, ell, table_size):
+        import anisokde.estimator as est
+
+        monkeypatch.setattr(est, "_WHOLE_PAIRS", 0)
         rng = np.random.default_rng(127)
         data = build_dataset(rng.normal(0.0, 0.4, size=(n, d)))
         setup = make_setup(n, d, ell=ell, table_size=table_size)
@@ -491,7 +496,10 @@ class TestPrunedSelection:
             for x in [*rng.uniform(-1.0, 1.0, size=(4, d)), np.full(d, 9.0)]:
                 assert_pruned_matches_full(data, x, policy, setup)
 
-    def test_rows_tied_by_swapping_axes(self):
+    def test_rows_tied_by_swapping_axes(self, monkeypatch):
+        import anisokde.estimator as est
+
+        monkeypatch.setattr(est, "_WHOLE_PAIRS", 0)
         # observations on the diagonal, evaluated on the diagonal: the
         # per-axis matrices are equal, so rows (a, b) and (b, a) tie exactly
         rng = np.random.default_rng(0)
@@ -519,6 +527,7 @@ class TestPrunedSelection:
         keys[4] = 4.0  # pair ((1,1), (1,1)): key (join 1, ratio 0) on both axes
         keys[2] = spoil  # pair ((0,1), (0,0)), read by no row of least criterion
         sums = (np.zeros(4), np.array([8.0, 3.0, 8.0, 1.0]), np.ones(4), keys, 0)
+        monkeypatch.setattr(est, "_WHOLE_PAIRS", 0)
         monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
         monkeypatch.setattr(est, "_point_tables", lambda data, x, setup: sums)
         policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
