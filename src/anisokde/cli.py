@@ -48,7 +48,7 @@ from .estimator import (
     make_setup,
 )
 from .kernels import build_base, build_composite, build_majorant, convolve_ratio
-from .oracle import assert_oracle_inequality
+from .oracle import _check_pair_bytes, assert_oracle_inequality
 from .quadrature import GridSpec
 from .regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
 from .risk import ExperimentPlan, default_grid, fit_rate, run_plan
@@ -516,6 +516,7 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
         setup = make_setup(n, density.dim, ell=int(resolved["kernel"]["ell"]),
                            table_size=int(resolved["kernel"]["table_size"]),
                            max_exponent=resolved["estimator"]["max_exponent"])
+    _check_pair_bytes(setup.grid)
     policy = _policy(resolved["estimator"], density.dim, setup.kernel.k_inf)
     run = _Run(_outdir(out_flag, resolved, "oracle"),
                resolved["output"]["formats"])

@@ -12,9 +12,8 @@ per-bandwidth range queries would change nothing but the constant.
 One internal function, `_select_point`, runs the whole rule at a point
 and returns the raw sums, the selected lattice index and the candidate
 count. It evaluates the criterion only on the rows that a lower bound
-does not rule out; the full record (the criterion of every row and the
-|H|^2 pair matrix) is built on request, for the oracle lab and
-`keep_criterion`. Grid fits and the risk engine read the pruned record.
+does not rule out, or on every row for `keep_criterion`. The oracle lab
+reads the |H|^2 pair matrix from the record's contracted key sums.
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
@@ -61,9 +60,10 @@ from .kernels import (
 MAX_LATTICE_BYTES = 2**30
 # Largest working set of one chunk of candidates in `_point_tables`.
 _BLOCK_BYTES = 2**24
-# Lattices of at most this many pairs have every row's criterion evaluated
-# at once: there numpy's per-call cost, not the pair count, sets the time.
-_WHOLE_PAIRS = 2**10
+# Most (row, lattice row) pairs one block of criterion rows holds in
+# `_select_point`: blocks of a few hundred kB each run faster than one
+# (H, H) pass at d = 3.
+_BLOCK_PAIRS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,11 +216,9 @@ class _GridTables:
         strides = range(grid.dim - 1, -1, -1)
         self.pair_axes = [key_of * self.n_keys ** s for s in strides]
         self.join_axes = [np.minimum(a, b) * (E + 1) ** s for s in strides]
-        self.all_pairs = self.pairs_of(np.arange(self.size))
 
     def pairs_of(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The key and join tables' `_per_axis` parts for some lattice
-        rows; all_pairs holds them for every row."""
+        """The key and join tables' `_per_axis` parts for some lattice rows."""
         exp = self.exp[rows]
         return _per_axis(self.pair_axes, exp), _per_axis(self.join_axes, exp)
 
@@ -272,17 +270,18 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     values, are not counted.
 
     A point holds three of the P^d contracted key sums (P = (E+1)(E+2)/2),
-    the d = 1 sums (one per matrix column) and one chunk of candidates
-    (_BLOCK_BYTES, or one `_row_floats` row if more). The full record,
-    which the oracle and keep_criterion read, adds about five (H, H)
-    8-byte arrays: the pair matrix, the flat indices of `_pair_read`
-    and the criterion's temporaries. Candidate offsets, a slice of the
-    sample, are not counted, so the estimate does not depend on n.
+    the d = 1 sums (one per matrix column) and then either one chunk of
+    candidates (_BLOCK_BYTES, or one `_row_floats` row if more) or one
+    block of criterion rows: about five 8-byte arrays of
+    max(_BLOCK_PAIRS, H) pairs. No (H, H) array is held. Candidate
+    offsets, a slice of the sample, are not counted, so the estimate
+    does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
-    h2, keys = len(grid) ** 2, (E + 1) * (E + 2) // 2
-    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E))
-    return h2 * 5 * 8 + 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
+    keys = (E + 1) * (E + 2) // 2
+    block = 40 * max(_BLOCK_PAIRS, len(grid))
+    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), block)
+    return 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,13 +343,17 @@ def _checked_grid(n: int, dim: int, ell: int, table_size: int,
     grid = build_grid(n, dim)
     if max_exponent is not None:
         grid = BandwidthGrid(dim=dim, max_exponent=max_exponent)
-    need = _lattice_bytes(grid)
+    _check_bytes(_lattice_bytes(grid),
+                 f"a lattice of {len(grid)} bandwidths in {grid.dim} dimensions")
+    return grid
+
+
+def _check_bytes(need: int, what: str) -> None:
+    """Refuse, naming what, a need of more than MAX_LATTICE_BYTES."""
     if need > MAX_LATTICE_BYTES:
         raise InvalidParameterError(
-            f"a lattice of {len(grid)} bandwidths in {grid.dim} dimensions needs "
-            f"about {need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
+            f"{what} needs about {need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
             f"{MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower max_exponent or the dimension")
-    return grid
 
 
 def make_setup(
@@ -477,16 +480,17 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
 class _PointRecord:
     """Everything the selection rule computes at one point.
 
-    fhat, a_k and a_q are indexed by lattice row; best is the selected
-    row and counts the size of the candidate set. pair (by a pair of
-    rows) and criterion are kept only for a full record, else None.
+    fhat, a_k and a_q are indexed by lattice row, keys holds the
+    contracted key sums every pair estimate reads (`_pair_read`); best
+    is the selected row and counts the size of the candidate set.
+    criterion (of every row) is kept only on request, else None.
     """
 
     x: np.ndarray
     fhat: np.ndarray
     a_k: np.ndarray
     a_q: np.ndarray
-    pair: np.ndarray | None
+    keys: np.ndarray
     criterion: np.ndarray | None
     best: int
     selected: Bandwidth
@@ -498,7 +502,7 @@ class _PointRecord:
 
 
 def _select_point(data: Dataset, x, policy: KappaPolicy,
-                  setup: EstimationSetup, full: bool = False) -> _PointRecord:
+                  setup: EstimationSetup, keep_criterion: bool = False) -> _PointRecord:
     """Run the selection rule at x: the single path every caller uses.
 
     The criterion of row h is fl(fl(b + s) + m): its bracket b >= 0,
@@ -506,11 +510,12 @@ def _select_point(data: Dataset, x, policy: KappaPolicy,
     monotone, so LB = fl(s + m) bounds it from below. The first row of
     least LB is evaluated, then every row whose LB is at most its
     criterion: any row left out has a criterion strictly above the
-    minimum, so the minimum and all its ties are evaluated. full, and
-    lattices of at most _WHOLE_PAIRS pairs, evaluate every row at once;
-    full keeps the (H, H) pair matrix and the criterion, for the callers
-    that read them. Lattice rows are in lexicographic order, so sorting
-    by (criterion, exponent sum, row) gives the documented tie-break.
+    minimum, so the minimum and all its ties are evaluated.
+    keep_criterion, and every d = 1 lattice, evaluate every row;
+    keep_criterion keeps the criterion. Rows are evaluated in blocks of
+    about _BLOCK_PAIRS pairs.
+    Lattice rows are in lexicographic order, so sorting by (criterion,
+    exponent sum, row) gives the documented tie-break.
     """
     x = _check_point(x, setup.grid.dim)
     fhat, a_k, a_q, keys, counts = _point_tables(data, x, setup)
@@ -519,28 +524,30 @@ def _select_point(data: Dataset, x, policy: KappaPolicy,
     m_k = _m_hat(a_k, lam)
     m_q = _m_hat(a_q, lam)
     sup_q = _coarser_sup(m_q, tables)
+    step = max(1, _BLOCK_PAIRS // tables.size)
 
-    def evaluate(rows, parts):
-        pair = _pair_read(keys, parts[0])
-        bracket = np.abs(pair - fhat) - _pair_read(m_q, parts[1]) - m_k
-        np.maximum(bracket, 0.0, out=bracket)
-        return pair, bracket.max(axis=1) + sup_q[rows] + m_k[rows]
+    def evaluate(rows):
+        brackets = []
+        for lo in range(0, rows.size, step):
+            key, join = tables.pairs_of(rows[lo:lo + step])
+            bracket = np.abs(_pair_read(keys, key) - fhat) - _pair_read(m_q, join) - m_k
+            np.maximum(bracket, 0.0, out=bracket)
+            brackets.append(bracket.max(axis=1))
+        return np.concatenate(brackets) + sup_q[rows] + m_k[rows]
 
-    if full or tables.size ** 2 <= _WHOLE_PAIRS:
-        rows = np.arange(tables.size)
-        pair, criterion = evaluate(rows, tables.all_pairs)
-    else:
-        lb = sup_q + m_k
-        rows = lb.argmin(keepdims=True)
-        pair, criterion = evaluate(rows, tables.pairs_of(rows))
+    lb = sup_q + m_k
+    # at d = 1 (H = E + 1 rows) one pass over every row is faster than two
+    whole = keep_criterion or setup.grid.dim == 1
+    rows = np.arange(tables.size) if whole else lb.argmin(keepdims=True)
+    criterion = evaluate(rows)
+    if not whole:
         more = np.flatnonzero(lb <= criterion[0])
         if more.size > 1:
-            rows = more
-            pair, criterion = evaluate(rows, tables.pairs_of(rows))
+            rows, criterion = more, evaluate(more)
     best = int(rows[np.lexsort((rows, tables.exp_sum[rows], criterion))[0]])
     return _PointRecord(
-        x=x, fhat=fhat, a_k=a_k, a_q=a_q, pair=pair if full else None,
-        criterion=criterion if full else None,
+        x=x, fhat=fhat, a_k=a_k, a_q=a_q, keys=keys,
+        criterion=criterion if keep_criterion else None,
         best=best, selected=tables.bandwidths[best], counts=counts,
     )
 
@@ -555,7 +562,7 @@ def select_and_estimate(
     lexicographically smallest exponents. The estimate is not clipped;
     it may be negative or exceed any density bound.
     """
-    rec = _select_point(data, x, policy, setup, full=keep_criterion)
+    rec = _select_point(data, x, policy, setup, keep_criterion)
     crit_map = None
     if keep_criterion:
         crit_map = {h.exponents: float(c)

@@ -36,6 +36,7 @@ from .errors import InvalidParameterError
 from .estimator import (
     EstimationSetup,
     KappaPolicy,
+    _check_bytes,
     _check_point,
     _coarser_sup,
     _pair_read,
@@ -271,15 +272,23 @@ class _TrueTables:
         self.m_q = _majorant(self.a_q, policy.kappa, n, tables.volumes)
 
 
+def _check_pair_bytes(grid: BandwidthGrid) -> None:
+    """Refuse lattices whose (H, H) arrays would pass MAX_LATTICE_BYTES:
+    one oracle point holds about five of 8 bytes at once (pair means and
+    estimates, flat indices and temporaries)."""
+    _check_bytes(40 * len(grid) ** 2, f"the oracle on a lattice of {len(grid)} bandwidths")
+
+
 def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _PointRecord, int]:
     """The bound's terms, the selector's record they were built from, and
     the lattice row that minimizes the bound."""
-    rec = _select_point(data, x, policy, setup, full=True)
+    _check_pair_bytes(setup.grid)
+    rec = _select_point(data, x, policy, setup)
     tables = setup.tables
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
-    m_q_join = _pair_read(truth.m_q, tables.all_pairs[1])
-    xi_pair = np.abs(rec.pair - truth.pair_mean) - m_q_join
+    key, join = tables.pairs_of(np.arange(tables.size))
+    xi_pair = np.abs(_pair_read(rec.keys, key) - truth.pair_mean) - _pair_read(truth.m_q, join)
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
     chi = max(float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
               float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)), 0.0)

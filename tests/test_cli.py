@@ -369,6 +369,18 @@ class TestOracleCommand:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_oversized_pair_arrays_leave_no_directory(self, tmp_path, capsys):
+        # d=4 at n=256 is a lattice of 9^4 bandwidths: the selector's
+        # memory estimate admits it, the oracle's (H, H) arrays do not
+        cfg = write_config(tmp_path, {
+            "density": {"kind": "raised_cosine", "dim": 4},
+            "oracle": {"instances": 1, "n": 256, "nodes": 17},
+        })
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
+        assert "MAX_LATTICE_BYTES" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_instance_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "density": {"kind": "raised_cosine", "dim": 1},

@@ -378,17 +378,26 @@ def full_record_argmin(rec, setup):
     return min(range(setup.tables.size), key=lambda i: (rec.criterion[i], sums[i], i))
 
 
+def pair_matrix(rec, setup):
+    """The record's (H, H) pair estimates, read from its key sums as the
+    oracle reads them."""
+    from anisokde.estimator import _pair_read
+
+    tables = setup.tables
+    return _pair_read(rec.keys, tables.pairs_of(np.arange(tables.size))[0])
+
+
 def assert_pruned_matches_full(data, x, policy, setup):
     """The pruned selection against the full record's argmin; returns
     the full record."""
     from anisokde.estimator import _select_point
 
-    full = _select_point(data, x, policy, setup, full=True)
+    full = _select_point(data, x, policy, setup, keep_criterion=True)
     pruned = _select_point(data, x, policy, setup)
-    assert pruned.pair is None and pruned.criterion is None
+    assert pruned.criterion is None
     assert pruned.best == full.best == full_record_argmin(full, setup)
     assert pruned.selected is full.selected and pruned.counts == full.counts
-    for name in ("fhat", "a_k", "a_q"):
+    for name in ("fhat", "a_k", "a_q", "keys"):
         assert np.array_equal(getattr(pruned, name), getattr(full, name)), name
     return full
 
@@ -402,12 +411,13 @@ def assert_record_matches_reference(data, x, setup):
     def close(a, b):
         return a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
+    pair = pair_matrix(rec, setup)
     for i, h in enumerate(grid):
         assert close(rec.fhat[i], eval_fhat(data, K, h, x)), h
         assert close(rec.a_k[i], eval_A_hat(data, K, h, x)), h
         assert close(rec.a_q[i], eval_A_hat(data, Q, h, x)), h
         for l, eta in enumerate(grid):
-            assert close(rec.pair[i, l], eval_fhat_pair(data, K, h, eta, x)), (h, eta)
+            assert close(pair[i, l], eval_fhat_pair(data, K, h, eta, x)), (h, eta)
     return rec
 
 
@@ -452,7 +462,7 @@ class TestRecordAgainstReference:
         rec = assert_record_matches_reference(data, x, setup)
         assert rec.counts > 10
         far = assert_record_matches_reference(data, np.full(d, 9.0), setup)
-        assert far.counts == 0 and not far.pair.any()
+        assert far.counts == 0 and not pair_matrix(far, setup).any()
 
     def test_selections_match_recorded_ones(self):
         """Selections on seeded samples are pinned: reordering the table
@@ -476,18 +486,14 @@ class TestRecordAgainstReference:
 class TestPrunedSelection:
     """The selector evaluates only the rows whose lower bound
     sup_q + m_k is at most a criterion it has seen; its choice must be
-    the full record's argmin, exact ties and tie-break included. Small
-    lattices are evaluated whole, so these tests set _WHOLE_PAIRS to 0
-    to prune every lattice."""
+    the full record's argmin, exact ties and tie-break included (d = 1
+    lattices are evaluated whole)."""
 
     @pytest.mark.parametrize("d, n, ell, table_size", [
         (1, 256, 1, 64), (1, 128, 2, 65), (2, 128, 2, 256), (2, 256, 1, 65),
         (3, 64, 1, 64), (3, 48, 2, 65),
     ])
-    def test_choice_is_the_full_record_argmin(self, monkeypatch, d, n, ell, table_size):
-        import anisokde.estimator as est
-
-        monkeypatch.setattr(est, "_WHOLE_PAIRS", 0)
+    def test_choice_is_the_full_record_argmin(self, d, n, ell, table_size):
         rng = np.random.default_rng(127)
         data = build_dataset(rng.normal(0.0, 0.4, size=(n, d)))
         setup = make_setup(n, d, ell=ell, table_size=table_size)
@@ -496,10 +502,7 @@ class TestPrunedSelection:
             for x in [*rng.uniform(-1.0, 1.0, size=(4, d)), np.full(d, 9.0)]:
                 assert_pruned_matches_full(data, x, policy, setup)
 
-    def test_rows_tied_by_swapping_axes(self, monkeypatch):
-        import anisokde.estimator as est
-
-        monkeypatch.setattr(est, "_WHOLE_PAIRS", 0)
+    def test_rows_tied_by_swapping_axes(self):
         # observations on the diagonal, evaluated on the diagonal: the
         # per-axis matrices are equal, so rows (a, b) and (b, a) tie exactly
         rng = np.random.default_rng(0)
@@ -527,7 +530,6 @@ class TestPrunedSelection:
         keys[4] = 4.0  # pair ((1,1), (1,1)): key (join 1, ratio 0) on both axes
         keys[2] = spoil  # pair ((0,1), (0,0)), read by no row of least criterion
         sums = (np.zeros(4), np.array([8.0, 3.0, 8.0, 1.0]), np.ones(4), keys, 0)
-        monkeypatch.setattr(est, "_WHOLE_PAIRS", 0)
         monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
         monkeypatch.setattr(est, "_point_tables", lambda data, x, setup: sums)
         policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
@@ -538,6 +540,21 @@ class TestPrunedSelection:
 
 
 class TestPerAxisEngine:
+    def test_criterion_blocks_match_one_block(self, monkeypatch):
+        import anisokde.estimator as est
+
+        rng = np.random.default_rng(131)
+        data = build_dataset(rng.normal(0.0, 0.4, size=(128, 2)))
+        setup = make_setup(128, 2, table_size=64)
+        policy = KappaPolicy(kappa=0.002, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        x = np.array([0.1, -0.1])
+        whole = est._select_point(data, x, policy, setup, keep_criterion=True)
+        # criterion rows evaluated three at a time
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", 3 * setup.tables.size)
+        blocked = assert_pruned_matches_full(data, x, policy, setup)
+        assert np.array_equal(blocked.criterion, whole.criterion)
+        assert blocked.best == whole.best
+
     @pytest.mark.parametrize("d, n", [(1, 512), (2, 128), (3, 32)])
     def test_chunked_blocks_match_one_block(self, monkeypatch, d, n):
         import anisokde.estimator as est
@@ -547,15 +564,17 @@ class TestPerAxisEngine:
         setup = make_setup(n, d, ell=2, table_size=256)
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         x = rng.uniform(-0.3, 0.3, size=d)
-        whole = est._select_point(data, x, policy, setup, full=True)
+        whole = est._select_point(data, x, policy, setup, keep_criterion=True)
         # seven candidates per chunk, so every contraction is chunked
         monkeypatch.setattr(est, "_BLOCK_BYTES",
                             8 * 7 * est._row_floats(d, setup.grid.max_exponent))
         chunked = assert_pruned_matches_full(data, x, policy, setup)
         assert chunked.best == whole.best
-        for name in ("fhat", "a_k", "a_q", "pair", "criterion"):
+        for name in ("fhat", "a_k", "a_q", "keys", "criterion"):
             got, want = getattr(chunked, name), getattr(whole, name)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13), name
+        assert np.allclose(pair_matrix(chunked, setup), pair_matrix(whole, setup),
+                           rtol=1e-13, atol=1e-13)
 
     def test_fits_share_the_lattice_bandwidths(self):
         rng = np.random.default_rng(101)
@@ -576,9 +595,11 @@ class TestPerAxisEngine:
         policy = KappaPolicy(kappa=0.05, d=3, p=2.0, k_inf=setup.kernel.k_inf)
         assert setup.tables.size == 729  # built once per setup, outside the timed call
         t0 = time.perf_counter()
-        rec = _select_point(data, np.array([0.1, -0.2, 0.05]), policy, setup, full=True)
+        rec = _select_point(data, np.array([0.1, -0.2, 0.05]), policy, setup,
+                            keep_criterion=True)
         assert time.perf_counter() - t0 < 1.0
-        assert rec.pair.shape == (729, 729) and rec.counts > 0
+        assert rec.criterion.shape == (729,) and rec.counts > 0
+        assert pair_matrix(rec, setup).shape == (729, 729)
 
 
 class TestGridEstimation:
@@ -788,8 +809,9 @@ class TestLatticeMemoryGuard:
         setup = make_setup(256, 3, table_size=64)
         assert len(setup.grid) == 729
         policy = kappa_default(3, 2.0, setup.kernel.k_inf)
-        rec = _select_point(far_dataset(256, 3), np.zeros(3), policy, setup, full=True)
-        assert rec.pair.shape == (729, 729)
+        rec = _select_point(far_dataset(256, 3), np.zeros(3), policy, setup,
+                            keep_criterion=True)
+        assert pair_matrix(rec, setup).shape == (729, 729)
         # the lattice tables hold no (H, H) array: per-axis (E+1) x (E+1)
         # tables and their rows for each of the H bandwidths, at most H (E+1)
         def arrays(v):
@@ -799,6 +821,33 @@ class TestLatticeMemoryGuard:
 
         held = arrays(list(vars(setup.tables).values()))
         assert len(held) > 3 and max(a.size for a in held) <= 729 * 9
+
+    def test_d4_lattice_selects_within_the_estimate(self):
+        import tracemalloc
+
+        from anisokde.estimator import _lattice_bytes, _select_point
+        from anisokde.oracle import oracle_terms
+        from anisokde.densities import smooth_product_density
+
+        # H = 9^4 = 6561: one (H, H) array would be 344 MB, the estimate
+        # counts none, and every block of criterion rows stays under it
+        setup = make_setup(256, 4, table_size=64)
+        assert _lattice_bytes(setup.grid) < 2**27
+        data = build_dataset(np.random.default_rng(137).uniform(-1, 1, size=(64, 4)))
+        policy = KappaPolicy(kappa=0.05, d=4, p=2.0, k_inf=setup.kernel.k_inf)
+        assert setup.tables.size == 6561
+        for keep in (False, True):
+            tracemalloc.start()
+            try:
+                rec = _select_point(data, np.zeros(4), policy, setup, keep_criterion=keep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.counts > 0 and peak <= _lattice_bytes(setup.grid)
+        assert rec.criterion.shape == (6561,)
+        with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
+            oracle_terms(data, smooth_product_density("raised_cosine", 4), np.zeros(4),
+                         policy, setup, nodes=17)
 
     @pytest.mark.parametrize("n, dim", [(2**18, 1), (2**17, 2)])
     def test_default_lattices_of_large_samples_build(self, n, dim):
