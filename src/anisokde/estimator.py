@@ -222,6 +222,12 @@ class _GridTables:
         exp = self.exp[rows]
         return _per_axis(self.pair_axes, exp), _per_axis(self.join_axes, exp)
 
+    @cached_property
+    def every_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """pairs_of every lattice row, built on first use: the passes over
+        the whole lattice (d = 1, keep_criterion, the oracle) read it."""
+        return self.pairs_of(np.arange(self.size))
+
 
 def _per_axis(tabs: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
     """tabs[j][rows[:, j]] for every axis j of the exponent rows, shaped
@@ -529,7 +535,8 @@ def _select_point(data: Dataset, x, policy: KappaPolicy,
     def evaluate(rows):
         brackets = []
         for lo in range(0, rows.size, step):
-            key, join = tables.pairs_of(rows[lo:lo + step])
+            block = rows[lo:lo + step]  # every row, in order, if of size H
+            key, join = tables.every_pair if block.size == tables.size else tables.pairs_of(block)
             bracket = np.abs(_pair_read(keys, key) - fhat) - _pair_read(m_q, join) - m_k
             np.maximum(bracket, 0.0, out=bracket)
             brackets.append(bracket.max(axis=1))

@@ -287,7 +287,7 @@ def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _Point
     tables = setup.tables
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
-    key, join = tables.pairs_of(np.arange(tables.size))
+    key, join = tables.every_pair
     xi_pair = np.abs(_pair_read(rec.keys, key) - truth.pair_mean) - _pair_read(truth.m_q, join)
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
     chi = max(float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),

@@ -383,8 +383,7 @@ def pair_matrix(rec, setup):
     oracle reads them."""
     from anisokde.estimator import _pair_read
 
-    tables = setup.tables
-    return _pair_read(rec.keys, tables.pairs_of(np.arange(tables.size))[0])
+    return _pair_read(rec.keys, setup.tables.every_pair[0])
 
 
 def assert_pruned_matches_full(data, x, policy, setup):
