@@ -151,10 +151,13 @@ class _Run:
 # ---------------------------------------------------------------------------
 # configuration schema
 
+_NUMS, _INTS, _STRS, _ROWS = ("list of numbers", "list of integers", "list of strings",
+                              "list of number lists")
+
 _DENSITY_PARAMS = {
     "raised_cosine": {},
     "smoothed_uniform": {"delta": "num"},
-    "bump_mixture": {"centers": "list", "scales": "list", "weights": "list"},
+    "bump_mixture": {"centers": _NUMS, "scales": _NUMS, "weights": _NUMS},
     "flat_top": {"N": "num", "kappa_scale": "num"},
     "f_theta": {"N": "num", "theta": "num"},
 }
@@ -163,23 +166,39 @@ _SCHEMA = {
     "seed": "int",
     "kernel": {"ell": "int", "table_size": "int"},
     "density": {"kind": "str", "dim": "int", "params": "params"},
-    "class": {"beta": "list", "r": "list", "L": "list", "M": "num",
+    "class": {"beta": _NUMS, "r": _NUMS, "L": _NUMS, "M": "num",
               "theta": "num", "R": "num"},
     "estimator": {"p": "num", "kappa": "num", "max_exponent": "int"},
-    "estimate": {"box": "list", "grid_nodes": "int", "points": "list"},
+    "estimate": {"box": _ROWS, "grid_nodes": "int", "points": _ROWS},
     "oracle": {"instances": "int", "n": "int", "nodes": "int"},
-    "risk": {"n_schedule": "list", "replicates": "int", "grid_nodes": "int"},
-    "lowerbound": {"N": "num", "dim": "int", "sigma": "list",
+    "risk": {"n_schedule": _INTS, "replicates": "int", "grid_nodes": "int"},
+    "lowerbound": {"N": "num", "dim": "int", "sigma": _NUMS,
                    "amplitude": "num", "kappa_scale": "num",
                    "slice_nodes": "int"},
-    "output": {"directory": "str", "formats": "list"},
+    "output": {"directory": "str", "formats": _STRS},
 }
 
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(u) for u in v)
+
+
 _KIND_CHECK = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "num": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "int": _is_int,
+    "num": _is_num,
     "str": lambda v: isinstance(v, str),
-    "list": lambda v: isinstance(v, list),
+    _NUMS: _list_of(_is_num),
+    _INTS: _list_of(_is_int),
+    _STRS: _list_of(lambda v: isinstance(v, str)),
+    _ROWS: _list_of(_list_of(_is_num)),
 }
 
 

@@ -9,11 +9,12 @@ the widest support any of these kernels can reach) because the
 interpolated kernels are exactly zero outside their support; smaller
 per-bandwidth range queries would change nothing but the constant.
 
-One internal function, `_select_point`, runs the whole rule at a point
-and returns the raw sums, the selected lattice index and the candidate
-count. It evaluates the criterion only on the rows that a lower bound
-does not rule out, or on every row for `keep_criterion`. The oracle lab
-reads the |H|^2 pair matrix from the record's contracted key sums.
+One internal function, `_select_points`, runs the whole rule at a block
+of points and returns, per point, the raw sums, the selected lattice
+index and the candidate count. It evaluates the criterion only on the
+rows that a lower bound does not rule out, or on every row for
+`keep_criterion` and at d = 1. The oracle lab reads the |H|^2 pair
+matrix from a record's contracted key sums.
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
@@ -23,14 +24,17 @@ combinatorics (built on first use). Nothing is cached per process.
 Each per-point quantity is a sum over candidates of a product of
 per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
 keys per axis. Each in-support (candidate, scale) entry of an axis
-takes one index and fraction into `EstimationSetup.stack` and one
-gather gives all its factors (`_entry_rows`). At d = 1 the entries are
-summed directly; at d >= 2 one pass over the entries of every axis
-fills per-axis (candidates x columns) matrices, contracted (outer
-products, then one GEMM). A pair estimate reads the contracted keys
-through per-axis (E+1) x (E+1) tables (`_pair_read`), only for the rows
-the selection evaluates. Candidates are taken in chunks so memory does
-not grow with n. Points are fitted one after another on one thread.
+takes one index and fraction into `EstimationSetup.stack`, stored node
+by node, and one gather gives all its factors (`_entry_rows`). At d = 1
+a block of points takes its entries in passes of at most _BLOCK_ENTRIES
+and sums every (point, scale) window with one `bincount` per pass,
+bit for bit the one-point sums (`_window_sums`). At d >= 2 each point
+is its own block: one pass over the entries of every axis fills
+per-axis (candidates x columns) matrices, contracted (outer products,
+then one GEMM), in chunks of candidates so memory does not grow with n.
+A pair estimate reads the contracted keys through per-axis
+(E+1) x (E+1) tables (`_pair_read`), only for the rows the selection
+evaluates. Everything runs on one thread.
 """
 
 from __future__ import annotations
@@ -61,9 +65,12 @@ MAX_LATTICE_BYTES = 2**30
 # Largest working set of one chunk of candidates in `_point_tables`.
 _BLOCK_BYTES = 2**24
 # Most (row, lattice row) pairs one block of criterion rows holds in
-# `_select_point`: blocks of a few hundred kB each run faster than one
+# `_select_points`: blocks of a few hundred kB each run faster than one
 # (H, H) pass at d = 3.
 _BLOCK_PAIRS = 2**16
+# Most (candidate, scale) entries one pass of `_window_sums` interpolates
+# at d = 1.
+_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,20 +220,22 @@ class _GridTables:
         key_at = np.where(a + b <= E, self.key_starts[b] + a, self.n_keys)  # by (scale, k)
         self.col_map = np.column_stack((a[:, 0], a[:, 0] + E + 1, key_at + 2 * (E + 1)))
         self.width = 2 * (E + 1) + self.n_keys + 1
+        # at d = 1 the sums come per (scale, stack row or |kernel|) slot;
+        # window_cols reads them as [kernel | |kernel| | envelope | keys]
+        slot = a[:, :1] * (E + 4) + np.arange(E + 3)
+        src = np.empty(self.width, dtype=np.int64)
+        src[self.col_map] = slot
+        self.window_cols = np.concatenate((src[:E + 1], slot[:, 0] + E + 3, src[E + 1:-1]))
         strides = range(grid.dim - 1, -1, -1)
         self.pair_axes = [key_of * self.n_keys ** s for s in strides]
         self.join_axes = [np.minimum(a, b) * (E + 1) ** s for s in strides]
 
-    def pairs_of(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The key and join tables' `_per_axis` parts for some lattice rows."""
-        exp = self.exp[rows]
-        return _per_axis(self.pair_axes, exp), _per_axis(self.join_axes, exp)
-
     @cached_property
     def every_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """pairs_of every lattice row, built on first use: the passes over
-        the whole lattice (d = 1, keep_criterion, the oracle) read it."""
-        return self.pairs_of(np.arange(self.size))
+        """The key and join tables' `_per_axis` parts for every lattice
+        row, built on first use; a block of criterion rows reads its
+        rows of them."""
+        return _per_axis(self.pair_axes, self.exp), _per_axis(self.join_axes, self.exp)
 
 
 def _per_axis(tabs: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
@@ -242,48 +251,57 @@ def _per_axis(tabs: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
 def _pair_read(values: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
     """values at every pair (row, lattice row), one row each, from the
     `_per_axis` parts of per-axis flat-index tables: a pair's flat index
-    is the sum of its parts."""
+    is the sum of its parts. values may have leading axes (one per
+    point of a block), kept in front."""
     # the last axes first: the full-size sums then run along long rows
     flat = reduce(np.add, reversed(parts))
-    return values.take(flat).reshape(flat.shape[0], -1)
+    return values.take(flat, axis=-1).reshape(values.shape[:-1] + (flat.shape[0], -1))
 
 
 def _coarser_sup(values: np.ndarray, tables: _GridTables) -> np.ndarray:
     """Per lattice row h, the max of values over the rows eta >= h
     coordinate-wise in value (exponents <= h's): rows are the (E+1)^d
-    lattice array in C order, so a running maximum along each axis."""
-    out = values.reshape(tables.shape)
-    for axis in range(out.ndim):
+    lattice array in C order, so a running maximum along each axis.
+    values may have one leading axis (one row per point)."""
+    out = values.reshape((-1,) + tables.shape)
+    for axis in range(1, out.ndim):
         out = np.maximum.accumulate(out, axis=axis)
-    return out.reshape(-1)
+    return out.reshape(values.shape)
 
 
 def _row_floats(dim: int, max_exponent: int) -> int:
-    """Floats one candidate holds in `_point_tables`: up to one entry per
-    (axis, scale), each with its stack gathers and index temporaries
-    (2(E+3) + 10, above the tracemalloc peak, the scatter index
-    included); at d >= 2 also its per-axis matrix rows, their |kernel|
-    copies and two outer-product rows of `_contract`."""
+    """Floats one candidate holds in `_point_tables` (d >= 2): up to one
+    entry per (axis, scale), each with its stack gathers and index
+    temporaries (2(E+3) + 10, above the tracemalloc peak, the scatter
+    index included), its per-axis matrix rows, their |kernel| copies and
+    two outer-product rows of `_contract`. At d = 1, the floats one
+    (candidate, scale) entry holds in a `_window_sums` pass: its weights
+    and keys (E+4 each), its two stack gathers and index temporaries."""
+    if dim == 1:
+        return 4 * (max_exponent + 3) + 12
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
     entries = cols * (2 * (max_exponent + 3) + 10)
-    if dim == 1:
-        return entries
     return dim * (entries + 3 * cols + keys + 1) + 2 * keys ** (dim - 1)
 
 
 def _lattice_bytes(grid: BandwidthGrid) -> int:
-    """Peak bytes of one point's selection; the lattice tables, O(H d E)
-    values, are not counted.
+    """Peak bytes of one selection (a point, or a d = 1 block of points);
+    the lattice tables, O(H d E) values, are not counted.
 
-    A point holds three of the P^d contracted key sums (P = (E+1)(E+2)/2),
-    the d = 1 sums (one per matrix column) and then either one chunk of
-    candidates (_BLOCK_BYTES, or one `_row_floats` row if more) or one
-    block of criterion rows: about five 8-byte arrays of
-    max(_BLOCK_PAIRS, H) pairs. No (H, H) array is held. Candidate
-    offsets, a slice of the sample, are not counted, so the estimate
-    does not depend on n.
+    At d >= 2 a point holds three of the P^d contracted key sums
+    (P = (E+1)(E+2)/2) and then either one chunk of candidates
+    (_BLOCK_BYTES, or one `_row_floats` row if more) or one block of
+    criterion rows: about five 8-byte arrays of max(_BLOCK_PAIRS, H)
+    pairs. No (H, H) array is held. A d = 1 block holds its points'
+    sums and criterion rows, about eight floats per (point, row, row)
+    triple, at most max(_BLOCK_PAIRS, H^2), and one pass of at most
+    _BLOCK_ENTRIES entries. Candidate offsets, a slice of the sample,
+    are not counted, so the estimate does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
+    if d == 1:
+        return (8 * _BLOCK_ENTRIES * _row_floats(1, E)
+                + 64 * max(_BLOCK_PAIRS, len(grid) ** 2))
     keys = (E + 1) * (E + 2) // 2
     block = 40 * max(_BLOCK_PAIRS, len(grid))
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), block)
@@ -300,7 +318,9 @@ class EstimationSetup:
     stack has as rows, on the [-1, 1] grid of the q_r tables (step 1/m),
     the kernel zero-padded (zeros for an odd table size m, whose kernel
     nodes sit half a step off), the envelope and q_0..q_E; the last two
-    are read-only views of it, so their values are stored once.
+    are read-only views of it, so their values are stored once. It is
+    stored node-major (stack.T is C-contiguous), so one gather of a node
+    reads every row.
     """
 
     kernel: ProductKernel
@@ -323,8 +343,9 @@ class EstimationSetup:
                 f"envelope and q_r tables need {2 * m} steps on [-1, 1]")
         kernel = self.kernel.factor.profile.values
         pad = np.zeros(2 * m + 1) if m % 2 else np.pad(kernel, m // 2)
-        stack = np.stack([pad, *(t.profile.values for t in wide)])
-        stack.setflags(write=False)
+        nodes = np.stack([pad, *(t.profile.values for t in wide)], axis=1)
+        nodes.setflags(write=False)
+        stack = nodes.T
         rows = [Kernel1D(t.ell, Tabulated1D(-1.0, 1.0, row))
                 for t, row in zip(wide, stack[1:])]
         object.__setattr__(self, "stack", stack)
@@ -409,58 +430,97 @@ def _contract(mats: list[np.ndarray]) -> np.ndarray:
     return (block.T @ mats[-1]).ravel()
 
 
-def _entry_rows(ys: np.ndarray, scale: np.ndarray, setup: EstimationSetup) -> np.ndarray:
-    """Every stack row at the in-support entries ys (|ys| <= 1, entry e
-    scaled by 2^scale[e]), each times its 2^a: one index and one
-    fraction per entry serve all the rows."""
+def _entry_rows(ys: np.ndarray, setup: EstimationSetup) -> np.ndarray:
+    """Every stack row at the in-support entries ys (|ys| <= 1), shaped
+    (entries, rows): one index and one fraction per entry serve all the
+    rows, each entry's rows read as one node of the node-major stack."""
     m = setup.marginal.table_size
     pos = (ys + 1.0) * m
     idx = np.minimum(pos.astype(np.int64), 2 * m - 1)
-    frac = pos - idx
-    vals = setup.stack[:, idx]
+    frac = (pos - idx)[:, None]
+    nodes = setup.stack.T
+    vals = nodes.take(idx, axis=0)
     vals *= 1.0 - frac
-    upper = setup.stack[:, idx + 1]
+    upper = nodes.take(idx + 1, axis=0)
     upper *= frac
     vals += upper
     if m % 2:  # the kernel's nodes sit half a step off the stack grid
-        vals[0] = setup.marginal(ys)
-    vals *= setup.tables.scales[scale]
+        vals[:, 0] = setup.marginal(ys)
     return vals
+
+
+def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
+    """d = 1: kernel, |kernel|, envelope and key averages at each point
+    of xs (points, 1), each shaped (points, columns), and the candidate
+    counts.
+
+    The candidates of every point, its `box_indices` in order, are
+    taken in one sequence, at most _BLOCK_ENTRIES (candidate, scale)
+    entries at a time; candidate y is in support at the scales 2^a with
+    |y| 2^a <= 1, a run from a = 0. Each (point, scale) window is summed
+    by one `bincount` keyed by (window, stack row), which adds in entry
+    order; a window cut by a pass carries its sums into the next one,
+    added first, so every window is one sequential sum as if in one
+    pass. The 2^a of scale a is applied to the window sums (exact for a
+    power of two)."""
+    tables = setup.tables
+    cols, rows = tables.scales.size, setup.stack.shape[0]
+    edges = 1.0 / tables.scales[::-1]
+    sv, x = data.sorted_vals[0], xs[:, 0]
+    first = np.searchsorted(sv, x - 1.0, side="left")
+    counts = np.searchsorted(sv, x + 1.0, side="right") - first
+    ends = np.cumsum(counts)
+    shift = first - ends + counts  # candidate c of point p is sv[c + shift[p]]
+    sums = np.zeros((x.size * cols, rows + 1))  # per window: stack rows, |kernel|
+    step = max(1, _BLOCK_ENTRIES // cols)
+    for lo in range(0, int(ends[-1]), step):
+        c = np.arange(lo, min(lo + step, int(ends[-1])))
+        pt = np.searchsorted(ends, c, side="right")
+        y = sv[c + shift[pt]] - x[pt]
+        inside = cols - np.searchsorted(edges, np.abs(y), side="left")
+        cand = np.repeat(np.arange(c.size), inside)
+        scale = np.arange(cand.size) - (np.cumsum(inside) - inside)[cand]
+        w0 = pt[0] * cols
+        carry = sums[w0:(pt[-1] + 1) * cols]
+        # the carried sums, then every entry's rows and |kernel|, row by row
+        wts = np.empty(carry.size + (rows + 1) * cand.size)
+        wts[:carry.size] = carry.ravel()
+        vals = wts[carry.size:].reshape(rows + 1, -1)
+        vals[:rows] = _entry_rows(y[cand] * tables.scales[scale], setup).T
+        np.abs(vals[0], out=vals[rows])
+        key = np.empty(wts.size, dtype=np.int64)
+        key[:carry.size] = np.arange(carry.size)
+        win = ((pt * cols - w0)[cand] + scale) * (rows + 1)
+        np.add(win, np.arange(rows + 1)[:, None], out=key[carry.size:].reshape(rows + 1, -1))
+        carry[:] = np.bincount(key, wts, minlength=carry.size).reshape(carry.shape)
+    sums = sums.reshape(x.size, cols, rows + 1) * tables.scales[:, None]
+    avg = sums.reshape(x.size, -1)[:, tables.window_cols] / data.n
+    return [avg[:, :cols], avg[:, cols:2 * cols], avg[:, 2 * cols:3 * cols],
+            avg[:, 3 * cols:]], counts
 
 
 def _chunk_sums(offs: np.ndarray, setup: EstimationSetup) -> list[np.ndarray]:
     """Kernel, |kernel|, envelope and key sums over one chunk of
-    candidate offsets: at d = 1 (sorted offsets) the window sums, at
-    d >= 2 the contracted per-axis matrices."""
+    candidate offsets (d >= 2): one pass over the in-support entries of
+    every (axis, candidate, scale) fills per-axis matrices, contracted."""
     tables = setup.tables
     cols = tables.scales.size
-    if offs.shape[1] == 1:
-        y = offs[:, 0]
-        lo = np.searchsorted(y, -1.0 / tables.scales, side="left")
-        hi = np.searchsorted(y, 1.0 / tables.scales, side="right")
-        scale = np.repeat(np.arange(cols), hi - lo)
-        ys = np.concatenate([y[i:j] for i, j in zip(lo, hi)]) * tables.scales[scale]
-        vals = _entry_rows(ys, scale, setup)
-        sums = np.bincount(tables.col_map[scale].ravel(), vals.T.ravel(),
-                           minlength=tables.width)
-        abs_k = np.bincount(scale, np.abs(vals[0]), minlength=cols)
-        return [sums[:cols], abs_k, sums[cols:2 * cols], sums[2 * cols:-1]]
-    # one pass over the in-support entries of every (axis, candidate, scale)
     ys = offs.T[:, :, None] * tables.scales
     entry = np.flatnonzero(np.abs(ys) <= 1.0)
     scale = entry % cols
-    vals = _entry_rows(ys.take(entry), scale, setup)
+    vals = _entry_rows(ys.take(entry), setup)
+    vals *= tables.scales[scale][:, None]
     mats = np.zeros(ys.shape[:2] + (tables.width,))
     at = tables.col_map.take(scale, axis=0)
     at += (entry // cols * tables.width)[:, None]
-    mats.reshape(-1)[at] = vals.T
+    mats.reshape(-1)[at] = vals
     k_ax = mats[:, :, :cols]
     return [_contract(list(m)) for m in (k_ax, np.abs(k_ax), mats[:, :, cols:2 * cols],
                                           mats[:, :, 2 * cols:-1])]
 
 
 def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
-    """Raw empirical sums at one point: estimates, absolute-kernel
+    """Empirical averages at one point (d >= 2): estimates, absolute-kernel
     averages for kernel and envelope, and the contracted key sums that
     every pair estimate reads (`_pair_read`).
     Per axis, each (candidate, scale 2^a) entry in support takes one
@@ -468,9 +528,6 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     kernel, envelope and key (a, k) (q_r table k at join scale 2^a)
     values, times their exact 2^a; |prod k_j| = prod |k_j| gives the
     kernel's A-hat."""
-    n = data.n
-    if n < 2:
-        raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
     idx = data.box_indices(x - 1.0, x + 1.0)
     offs = data.points[idx] - x
     # chunks of candidates bound the working set whatever the sample size
@@ -478,7 +535,7 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     sums = [0.0] * 4
     for lo in range(0, max(idx.size, 1), rows):
         sums = [t + c for t, c in zip(sums, _chunk_sums(offs[lo:lo + rows], setup))]
-    fhat, a_k, a_q, keys = (total / n for total in sums)
+    fhat, a_k, a_q, keys = (total / data.n for total in sums)
     return fhat, a_k, a_q, keys, int(idx.size)
 
 
@@ -507,56 +564,105 @@ class _PointRecord:
         return float(self.fhat[self.best])
 
 
-def _select_point(data: Dataset, x, policy: KappaPolicy,
-                  setup: EstimationSetup, keep_criterion: bool = False) -> _PointRecord:
-    """Run the selection rule at x: the single path every caller uses.
+def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray, n: int,
+                  policy: KappaPolicy, setup: EstimationSetup,
+                  keep_criterion: bool) -> list[_PointRecord]:
+    """The selection rule at a block of points from their averages
+    (fhat, a_k, a_q, keys, each with one row per point).
 
     The criterion of row h is fl(fl(b + s) + m): its bracket b >= 0,
     s the sup of m_q over coarser rows and m = m_k. Rounding is
-    monotone, so LB = fl(s + m) bounds it from below. The first row of
-    least LB is evaluated, then every row whose LB is at most its
-    criterion: any row left out has a criterion strictly above the
-    minimum, so the minimum and all its ties are evaluated.
-    keep_criterion, and every d = 1 lattice, evaluate every row;
-    keep_criterion keeps the criterion. Rows are evaluated in blocks of
-    about _BLOCK_PAIRS pairs.
-    Lattice rows are in lexicographic order, so sorting by (criterion,
-    exponent sum, row) gives the documented tie-break.
+    monotone, so LB = fl(s + m) bounds it from below. At d >= 2 (a block
+    of one point) the first row of least LB is evaluated, then every row
+    whose LB is at most its criterion: any row left out has a criterion
+    strictly above the minimum, so the minimum and all its ties are
+    evaluated. keep_criterion, and every d = 1 block, evaluate every
+    row; keep_criterion keeps the criterion. Rows are evaluated in
+    blocks of about _BLOCK_PAIRS pairs over the block's points.
+    Lattice rows are in lexicographic order, so the least (criterion,
+    exponent sum, row) is the documented tie-break.
     """
-    x = _check_point(x, setup.grid.dim)
-    fhat, a_k, a_q, keys, counts = _point_tables(data, x, setup)
+    fhat, a_k, a_q, keys = sums
     tables = setup.tables
-    lam = policy.kappa * float(np.log(data.n)) / (data.n * tables.volumes)
+    lam = policy.kappa * float(np.log(n)) / (n * tables.volumes)
     m_k = _m_hat(a_k, lam)
     m_q = _m_hat(a_q, lam)
     sup_q = _coarser_sup(m_q, tables)
-    step = max(1, _BLOCK_PAIRS // tables.size)
+    key, join = tables.every_pair
+    step = max(1, _BLOCK_PAIRS // (len(xs) * tables.size))
+    # at d = 1 (H = E + 1 rows) one pass over every row is faster than two
+    whole = keep_criterion or setup.grid.dim == 1
 
     def evaluate(rows):
         brackets = []
         for lo in range(0, rows.size, step):
-            block = rows[lo:lo + step]  # every row, in order, if of size H
-            key, join = tables.every_pair if block.size == tables.size else tables.pairs_of(block)
-            bracket = np.abs(_pair_read(keys, key) - fhat) - _pair_read(m_q, join) - m_k
+            # a block of the whole lattice reads its rows of every_pair as slices
+            block = slice(lo, lo + step) if whole else rows[lo:lo + step]
+            bracket = (np.abs(_pair_read(keys, [p[block] for p in key]) - fhat[:, None])
+                       - _pair_read(m_q, [p[block] for p in join]) - m_k[:, None])
             np.maximum(bracket, 0.0, out=bracket)
-            brackets.append(bracket.max(axis=1))
-        return np.concatenate(brackets) + sup_q[rows] + m_k[rows]
+            brackets.append(bracket.max(axis=-1))
+        return np.concatenate(brackets, axis=-1) + sup_q[:, rows] + m_k[:, rows]
 
     lb = sup_q + m_k
-    # at d = 1 (H = E + 1 rows) one pass over every row is faster than two
-    whole = keep_criterion or setup.grid.dim == 1
-    rows = np.arange(tables.size) if whole else lb.argmin(keepdims=True)
+    rows = np.arange(tables.size) if whole else lb[0].argmin(keepdims=True)
     criterion = evaluate(rows)
     if not whole:
-        more = np.flatnonzero(lb <= criterion[0])
+        more = np.flatnonzero(lb[0] <= criterion[0, 0])
         if more.size > 1:
             rows, criterion = more, evaluate(more)
-    best = int(rows[np.lexsort((rows, tables.exp_sum[rows], criterion))[0]])
-    return _PointRecord(
-        x=x, fhat=fhat, a_k=a_k, a_q=a_q, keys=keys,
-        criterion=criterion if keep_criterion else None,
-        best=best, selected=tables.bandwidths[best], counts=counts,
-    )
+    # rows ascend, so the first least exponent sum among the least
+    # criteria is the documented choice
+    tied = criterion == criterion.min(axis=-1, keepdims=True)
+    best = rows[np.where(tied, tables.exp_sum[rows], np.iinfo(np.int64).max).argmin(axis=-1)]
+    return [_PointRecord(x=x, fhat=fhat[i], a_k=a_k[i], a_q=a_q[i], keys=keys[i],
+                         criterion=criterion[i] if keep_criterion else None, best=int(b),
+                         selected=tables.bandwidths[b], counts=int(counts[i]))
+            for i, (x, b) in enumerate(zip(xs, best))]
+
+
+def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
+                   setup: EstimationSetup, keep_criterion: bool = False) -> list[_PointRecord]:
+    """Run the selection rule at every row of xs (points, d), checked
+    finite, in order: the single path every caller uses.
+
+    At d = 1 the points go in blocks of about _BLOCK_PAIRS / H^2, each
+    summed by `_window_sums` and selected at once; at d >= 2 each point
+    is a block of one (`_point_tables`). A point's record does not
+    depend on the block it is fitted in.
+    """
+    n = data.n
+    if n < 2:
+        raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
+    records = []
+    if setup.grid.dim > 1:
+        for x in xs:
+            *sums, counts = _point_tables(data, x, setup)
+            records += _select_block(x[None], [t[None] for t in sums], [counts],
+                                     n, policy, setup, keep_criterion)
+        return records
+    per = max(1, _BLOCK_PAIRS // setup.tables.size ** 2)
+    for lo in range(0, len(xs), per):
+        block = xs[lo:lo + per]
+        sums, counts = _window_sums(data, block, setup)
+        records += _select_block(block, sums, counts, n, policy, setup, keep_criterion)
+    return records
+
+
+def _select_point(data: Dataset, x, policy: KappaPolicy,
+                  setup: EstimationSetup, keep_criterion: bool = False) -> _PointRecord:
+    """`_select_points` at the one point x."""
+    x = _check_point(x, setup.grid.dim)
+    return _select_points(data, x[None], policy, setup, keep_criterion)[0]
+
+
+def _fit(rec: _PointRecord, setup: EstimationSetup, keep_criterion: bool) -> PointwiseFit:
+    crit_map = None
+    if keep_criterion:
+        crit_map = {h.exponents: float(c)
+                    for h, c in zip(setup.tables.bandwidths, rec.criterion)}
+    return PointwiseFit(x=rec.x.copy(), selected=rec.selected, estimate=rec.estimate,
+                        criterion=crit_map, counts=rec.counts)
 
 
 def select_and_estimate(
@@ -569,23 +675,18 @@ def select_and_estimate(
     lexicographically smallest exponents. The estimate is not clipped;
     it may be negative or exceed any density bound.
     """
-    rec = _select_point(data, x, policy, setup, keep_criterion)
-    crit_map = None
-    if keep_criterion:
-        crit_map = {h.exponents: float(c)
-                    for h, c in zip(setup.tables.bandwidths, rec.criterion)}
-    return PointwiseFit(x=rec.x.copy(), selected=rec.selected, estimate=rec.estimate,
-                        criterion=crit_map, counts=rec.counts)
+    return _fit(_select_point(data, x, policy, setup, keep_criterion), setup, keep_criterion)
 
 
 def estimate_on_grid(
     data: Dataset, eval_points, policy: KappaPolicy, setup: EstimationSetup,
     threads: int = 1, keep_criterion: bool = False,
 ) -> list[PointwiseFit]:
-    """Independent per-point fits, in point order.
+    """Independent per-point fits, in point order, each equal to
+    `select_and_estimate` at that point.
 
-    threads is accepted for compatibility and ignored: points are
-    fitted one after another, so results never depend on it.
+    threads is accepted for compatibility and ignored: results never
+    depend on it.
     """
     pts = np.asarray(eval_points, dtype=float)
     if pts.size == 0:
@@ -594,4 +695,5 @@ def estimate_on_grid(
         raise InvalidParameterError(f"eval_points must have shape (m, {setup.grid.dim})")
     if not np.all(np.isfinite(pts)):
         raise InvalidParameterError("eval_points must be finite")
-    return [select_and_estimate(data, x, policy, setup, keep_criterion) for x in pts]
+    return [_fit(rec, setup, keep_criterion)
+            for rec in _select_points(data, pts, policy, setup, keep_criterion)]

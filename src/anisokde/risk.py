@@ -22,7 +22,7 @@ from .estimator import (
     EstimationSetup,
     KappaPolicy,
     _checked_grid,
-    _select_point,
+    _select_points,
     kappa_default,
     make_setup,
 )
@@ -244,8 +244,8 @@ def _replicate_value(plan: ExperimentPlan, n: int, seed: int, setup: EstimationS
                      policy: KappaPolicy, truth: np.ndarray) -> float:
     rng = np.random.default_rng(seed)
     data = sample(plan.density, n, rng)
-    selected = np.array([_select_point(data, x, policy, setup).estimate
-                         for x in plan.grid.mesh()])
+    selected = np.array([rec.estimate
+                         for rec in _select_points(data, plan.grid.mesh(), policy, setup)])
     diff = np.abs(selected.reshape(plan.grid.shape) - truth) ** plan.p
     return float(plan.grid.integrate_values(diff))
 
@@ -338,12 +338,9 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
     for k in range(int(replicates)):
         rng = np.random.default_rng(plan.seed + k)
         data = sample(plan.density, n, rng)
-        selected = np.empty(mesh.shape[0])
-        per_h = np.empty((mesh.shape[0], len(setup.grid)))
-        for i, x in enumerate(mesh):
-            rec = _select_point(data, x, policy, setup)
-            selected[i] = rec.estimate
-            per_h[i] = rec.fhat
+        recs = _select_points(data, mesh, policy, setup)
+        selected = np.array([rec.estimate for rec in recs])
+        per_h = np.array([rec.fhat for rec in recs])
         num = lp_norm_on_grid(selected, truth, plan.p, plan.grid)
         den = min(
             lp_norm_on_grid(per_h[:, j], truth, plan.p, plan.grid)

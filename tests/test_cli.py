@@ -51,6 +51,47 @@ class TestConfigValidation:
         assert main(["kernel-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "must be int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, key", [
+        pytest.param("lowerbound", {"lowerbound": {"N": 16, "dim": 1, "sigma": ["a"],
+                                                   "amplitude": 0.0625}},
+                     "lowerbound.sigma", id="sigma-string"),
+        pytest.param("lowerbound", {"lowerbound": {"N": 16, "dim": 1, "sigma": [True],
+                                                   "amplitude": 0.0625}},
+                     "lowerbound.sigma", id="sigma-bool"),
+        pytest.param("regime", {"class": {"beta": ["x"], "r": [2.0], "L": [1.0]}},
+                     "class.beta", id="beta-string"),
+        pytest.param("regime", {"class": {"beta": [2.0], "r": [[2.0]], "L": [1.0]}},
+                     "class.r", id="r-nested"),
+        pytest.param("regime", {"class": {"beta": [2.0], "r": [2.0], "L": [1.0]},
+                                "output": {"formats": [1]}},
+                     "output.formats", id="formats-number"),
+        pytest.param("risk", {"density": {"kind": "raised_cosine", "dim": 1},
+                              "risk": {"n_schedule": [256.5, 512], "replicates": 2}},
+                     "risk.n_schedule", id="schedule-float"),
+        pytest.param("oracle", {"density": {"kind": "bump_mixture", "dim": 1,
+                                            "params": {"centers": [["a"]]}}},
+                     "density.params.centers", id="centers-nested"),
+    ])
+    def test_bad_list_entry_exits_naming_the_key(self, tmp_path, capsys, command, doc, key):
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimate", [{"box": [["a", 1.0]], "grid_nodes": 5},
+                                          {"points": [["a"]]}])
+    def test_bad_estimate_rows_exit_naming_the_key(self, tmp_path, capsys, estimate):
+        data = tmp_path / "d.txt"
+        data.write_text("0.1\n0.2\n0.3\n")
+        out = tmp_path / "o"
+        assert main(["estimate", str(data), "--config",
+                     write_config(tmp_path, {"estimate": estimate}), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config key 'estimate.{next(iter(estimate))}'" in err
+        assert not out.exists()
+
     def test_unknown_density_param(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"density": {"kind": "flat_top", "params": {"frob": 1}}}

@@ -456,8 +456,9 @@ class TestRecordAgainstReference:
         data = build_dataset(np.vstack([x + offs, rng.uniform(-1, 1.5, size=(8, d))]))
         assert np.array_equal(data.points[:edges.size, 0] - x[0], edges)
         setup = make_setup(data.n, d, ell=ell, table_size=table_size, max_exponent=E)
-        # five candidates per chunk, so the chunk loop runs many times
+        # five candidates per chunk (d >= 2) or pass (d = 1), so the loop runs many times
         monkeypatch.setattr(est, "_BLOCK_BYTES", 8 * 5 * est._row_floats(d, E))
+        monkeypatch.setattr(est, "_BLOCK_ENTRIES", 5 * (E + 1))
         rec = assert_record_matches_reference(data, x, setup)
         assert rec.counts > 10
         far = assert_record_matches_reference(data, np.full(d, 9.0), setup)
@@ -564,9 +565,10 @@ class TestPerAxisEngine:
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         x = rng.uniform(-0.3, 0.3, size=d)
         whole = est._select_point(data, x, policy, setup, keep_criterion=True)
-        # seven candidates per chunk, so every contraction is chunked
+        # seven candidates per chunk or pass, so every contraction is chunked
         monkeypatch.setattr(est, "_BLOCK_BYTES",
                             8 * 7 * est._row_floats(d, setup.grid.max_exponent))
+        monkeypatch.setattr(est, "_BLOCK_ENTRIES", 7 * (setup.grid.max_exponent + 1))
         chunked = assert_pruned_matches_full(data, x, policy, setup)
         assert chunked.best == whole.best
         for name in ("fhat", "a_k", "a_q", "keys", "criterion"):
@@ -599,6 +601,67 @@ class TestPerAxisEngine:
         assert time.perf_counter() - t0 < 1.0
         assert rec.criterion.shape == (729,) and rec.counts > 0
         assert pair_matrix(rec, setup).shape == (729, 729)
+
+
+class TestBlockSelection:
+    """At d = 1 a grid is selected in blocks of points, each summed in
+    passes of at most _BLOCK_ENTRIES entries; every record must equal
+    the one-point call's, bit for bit, whatever the block and pass sizes."""
+
+    @staticmethod
+    def fixture():
+        rng = np.random.default_rng(139)
+        data = build_dataset(rng.normal(0.0, 0.4, size=(300, 1)))
+        setup = make_setup(300, 1, ell=2, table_size=65)
+        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
+        # unsorted, duplicated, on an observation, and far from every one
+        pts = np.concatenate([rng.uniform(-1.5, 1.5, 9), [0.3, -0.7, 0.3, 0.3],
+                              data.points[:2, 0], [9.0, -9.0, 0.3]])[:, None]
+        return data, setup, policy, pts
+
+    @pytest.mark.parametrize("entries, points", [(3, 2), (40, 5), (10**6, 10**6)])
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_grid_fits_equal_point_fits(self, monkeypatch, entries, points, keep):
+        import anisokde.estimator as est
+
+        data, setup, policy, pts = self.fixture()
+        solo = [select_and_estimate(data, x, policy, setup, keep_criterion=keep) for x in pts]
+        solo_recs = [est._select_point(data, x, policy, setup) for x in pts]
+        H = setup.tables.size
+        # passes of `entries` candidates cut every window; blocks of `points` points
+        monkeypatch.setattr(est, "_BLOCK_ENTRIES", entries * H)
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", points * H * H)
+        fits = estimate_on_grid(data, pts, policy, setup, keep_criterion=keep)
+        assert max(f.counts for f in fits) > 2 * entries or entries > 300
+        assert fits[-3].counts == fits[-2].counts == 0
+        for fit, ref in zip(fits, solo):
+            assert fit.selected is ref.selected
+            assert fit.estimate == ref.estimate and fit.counts == ref.counts
+            assert fit.criterion == ref.criterion and np.array_equal(fit.x, ref.x)
+        for rec, ref in zip(est._select_points(data, pts, policy, setup), solo_recs):
+            for name in ("fhat", "a_k", "a_q", "keys"):
+                assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    def test_risk_replicate_integrates_the_point_estimates(self, monkeypatch):
+        import anisokde.estimator as est
+        from anisokde.densities import sample, smooth_product_density
+        from anisokde.risk import ExperimentPlan, default_grid, risk_replicate
+
+        density = smooth_product_density("raised_cosine", 1)
+        plan = ExperimentPlan(density=density, p=2.0, n_schedule=(128, 256), replicates=2,
+                              grid=default_grid(density, 33), seed=5, kappa=0.05,
+                              table_size=64)
+        setup = plan.setup_for(256)
+        policy = plan.policy_for(setup)
+        data = sample(density, 256, np.random.default_rng(17))
+        est_pts = [select_and_estimate(data, x, policy, setup).estimate
+                   for x in plan.grid.mesh()]
+        truth = np.asarray(density.grid_values(plan.grid.axes()), dtype=float)
+        want = plan.grid.integrate_values(
+            np.abs(np.reshape(est_pts, plan.grid.shape) - truth) ** plan.p)
+        monkeypatch.setattr(est, "_BLOCK_ENTRIES", 50)
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.size ** 2)
+        assert risk_replicate(plan, 256, 17) == want
 
 
 class TestGridEstimation:
@@ -714,6 +777,7 @@ class TestSetupOwnsTables:
         stack, m = setup.stack, table_size
         assert stack.shape == (setup.grid.max_exponent + 3, 2 * m + 1)
         assert not stack.flags.writeable
+        assert stack.T.flags.c_contiguous  # node-major: one node's rows are adjacent
         kernel = setup.marginal.profile.values
         if m % 2:
             assert not stack[0].any()
