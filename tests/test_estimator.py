@@ -538,6 +538,23 @@ class TestPrunedSelection:
         assert full.criterion[1] == (4.0 if spoil == 0.0 else 5.0)
         assert full.selected.exponents == want
 
+    def test_tie_goes_to_the_smaller_exponent_sum_before_row_order(self, monkeypatch):
+        """Hand-built sums with every bracket empty and sup_q = 0, so the
+        criterion is a_k: rows (0, 2) and (1, 0) tie at 1, and (1, 0)
+        wins on exponent sum although (0, 2) comes first."""
+        import anisokde.estimator as est
+
+        setup = make_setup(8, 2, max_exponent=2)
+        a_k = np.full(9, 5.0)
+        a_k[[2, 3]] = 1.0  # rows (0, 2) and (1, 0)
+        sums = (np.zeros(9), a_k, np.zeros(9), np.zeros(setup.tables.n_keys ** 2), 0)
+        monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
+        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup: sums)
+        policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        full = assert_pruned_matches_full(far_dataset(8, 2), np.zeros(2), policy, setup)
+        assert full.criterion[2] == full.criterion[3] == 1.0
+        assert full.selected.exponents == (1, 0)
+
 
 class TestPerAxisEngine:
     def test_criterion_blocks_match_one_block(self, monkeypatch):
