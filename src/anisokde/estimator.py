@@ -10,7 +10,7 @@ interpolated kernels are exactly zero outside their support; smaller
 per-bandwidth range queries would change nothing but the constant.
 
 One internal function, `_select_points`, runs the whole rule at a block
-of points and returns, per point, the raw sums, the selected lattice
+of points and yields, per point, the raw sums, the selected lattice
 index and the candidate count. It evaluates the criterion only on the
 rows that a lower bound does not rule out, or on every row for
 `keep_criterion` and at d = 1. The oracle lab reads the |H|^2 pair
@@ -29,9 +29,15 @@ by node, and one gather gives all its factors (`_entry_rows`). At d = 1
 a block of points takes its entries in passes of at most _BLOCK_ENTRIES
 and sums every (point, scale) window with one `bincount` per pass,
 bit for bit the one-point sums (`_window_sums`). At d >= 2 each point
-is its own block: one pass over the entries of every axis fills
-per-axis (candidates x columns) matrices, contracted (outer products,
-then one GEMM), in chunks of candidates so memory does not grow with n.
+is its own block: per-axis (candidates x columns) matrices, contracted
+(outer products, then one GEMM), in chunks of candidates so memory
+does not grow with n. A factor of axis j depends only on the
+observation and on x_j, so on a tensor grid the points of one grid
+line read the same rows: an axis whose coordinate a later point shares
+takes its rows from that line's matrix, built once over every
+observation within 1 of the coordinate and kept within _LINE_BYTES
+(`_Lines`); the point's other axes take one pass over their entries,
+as a lone point does.
 A pair estimate reads the contracted keys through per-axis
 (E+1) x (E+1) tables (`_pair_read`), only for the rows the selection
 evaluates. Everything runs on one thread.
@@ -39,6 +45,7 @@ evaluates. Everything runs on one thread.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -64,6 +71,8 @@ from .kernels import (
 MAX_LATTICE_BYTES = 2**30
 # Largest working set of one chunk of candidates in `_point_tables`.
 _BLOCK_BYTES = 2**24
+# Most bytes of per-axis line matrices `_Lines` keeps at d >= 2.
+_LINE_BYTES = 2**22
 # Most (row, lattice row) pairs one block of criterion rows holds in
 # `_select_points`: blocks of a few hundred kB each run faster than one
 # (H, H) pass at d = 3.
@@ -289,10 +298,11 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     the lattice tables, O(H d E) values, are not counted.
 
     At d >= 2 a point holds three of the P^d contracted key sums
-    (P = (E+1)(E+2)/2) and then either one chunk of candidates
-    (_BLOCK_BYTES, or one `_row_floats` row if more) or one block of
-    criterion rows: about five 8-byte arrays of max(_BLOCK_PAIRS, H)
-    pairs. No (H, H) array is held. A d = 1 block holds its points'
+    (P = (E+1)(E+2)/2), the kept line matrices (_LINE_BYTES) and then
+    either one chunk of candidates (_BLOCK_BYTES, or one `_row_floats`
+    row if more; building a line takes less) or one block of criterion
+    rows: about five 8-byte arrays of max(_BLOCK_PAIRS, H) pairs. No
+    (H, H) array is held. A d = 1 block holds its points'
     sums and criterion rows, about eight floats per (point, row, row)
     triple, at most max(_BLOCK_PAIRS, H^2), and one pass of at most
     _BLOCK_ENTRIES entries. Candidate offsets, a slice of the sample,
@@ -305,7 +315,7 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     keys = (E + 1) * (E + 2) // 2
     block = 40 * max(_BLOCK_PAIRS, len(grid))
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), block)
-    return 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + chunk
+    return 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + _LINE_BYTES + chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,9 +409,17 @@ def make_setup(
     """
     grid = _checked_grid(n, dim, ell, table_size, max_exponent)
     composite = build_composite(build_base(ell, table_size))
-    pair_tables = tuple(convolve_ratio(composite, r) for r in grid.ratios())
-    return EstimationSetup(kernel=build_product(composite, dim),
-                           majorant=build_envelope(pair_tables, dim),
+    return _setup_on(grid, composite, [convolve_ratio(composite, r) for r in grid.ratios()])
+
+
+def _setup_on(grid: BandwidthGrid, composite: Kernel1D, tables: list[Kernel1D]) -> EstimationSetup:
+    """The setup of a checked grid from the composite kernel and the q_r
+    tables of the ratios 2^0, 2^-1, ... (at least E+1 of them; the
+    first E+1 are read), so one set of tables serves every lattice of
+    a sample-size schedule."""
+    pair_tables = tuple(tables[:grid.max_exponent + 1])
+    return EstimationSetup(kernel=build_product(composite, grid.dim),
+                           majorant=build_envelope(pair_tables, grid.dim),
                            grid=grid, pair_tables=pair_tables)
 
 
@@ -499,27 +517,57 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
             avg[:, 3 * cols:]], counts
 
 
-def _chunk_sums(offs: np.ndarray, setup: EstimationSetup) -> list[np.ndarray]:
-    """Kernel, |kernel|, envelope and key sums over one chunk of
-    candidate offsets (d >= 2): one pass over the in-support entries of
-    every (axis, candidate, scale) fills per-axis matrices, contracted."""
+def _fill(flat: np.ndarray, offs: np.ndarray, rows: np.ndarray | None,
+          setup: EstimationSetup) -> None:
+    """Write the [kernel | envelope | keys | spare] row of every offset
+    of offs (axes, candidates), each value times the exact 2^a of its
+    scale, into flat, zeros seen as rows of `_GridTables.width`: offset
+    i (in C order) to row rows[i], or row i if rows is None. One pass
+    over the in-support (offset, scale) entries; every value depends on
+    its own offset only, so a row is the same whatever else is filled."""
     tables = setup.tables
     cols = tables.scales.size
-    ys = offs.T[:, :, None] * tables.scales
+    ys = offs[:, :, None] * tables.scales
     entry = np.flatnonzero(np.abs(ys) <= 1.0)
     scale = entry % cols
     vals = _entry_rows(ys.take(entry), setup)
     vals *= tables.scales[scale][:, None]
-    mats = np.zeros(ys.shape[:2] + (tables.width,))
     at = tables.col_map.take(scale, axis=0)
-    at += (entry // cols * tables.width)[:, None]
-    mats.reshape(-1)[at] = vals
+    row = entry // cols
+    at += ((row if rows is None else rows.take(row)) * tables.width)[:, None]
+    flat[at] = vals
+
+
+def _chunk_sums(offs: np.ndarray, setup: EstimationSetup, lines: list) -> list[np.ndarray]:
+    """Kernel, |kernel|, envelope and key sums over one chunk of
+    candidate offsets (candidates, d), d >= 2: per-axis matrices,
+    contracted. Axis j copies its candidates' rows from lines[j], a
+    (line matrix, row of each candidate) pair, or else is filled by
+    the chunk's one `_fill` pass over every such axis."""
+    tables = setup.tables
+    cols, (k, d) = tables.scales.size, offs.shape
+    own = [j for j, line in enumerate(lines) if line is None]
+    mats = (np.zeros if own else np.empty)((d, k, tables.width))
+    for j, line in enumerate(lines):
+        if line is not None:  # mode "clip" takes into out without a copy of it
+            line[0].take(line[1], axis=0, out=mats[j], mode="clip")
+    if len(own) == d:
+        _fill(mats.reshape(-1), offs.T, None, setup)
+    elif own:
+        rows = (np.array(own)[:, None] * k + np.arange(k)).ravel()
+        _fill(mats.reshape(-1), offs.T[own], rows, setup)
     k_ax = mats[:, :, :cols]
     return [_contract(list(m)) for m in (k_ax, np.abs(k_ax), mats[:, :, cols:2 * cols],
                                           mats[:, :, 2 * cols:-1])]
 
 
-def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
+def _chunk_rows(setup: EstimationSetup) -> int:
+    """Candidates of one chunk: the working set stays under _BLOCK_BYTES
+    whatever the sample size."""
+    return max(1, _BLOCK_BYTES // (8 * _row_floats(setup.grid.dim, setup.grid.max_exponent)))
+
+
+def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: list):
     """Empirical averages at one point (d >= 2): estimates, absolute-kernel
     averages for kernel and envelope, and the contracted key sums that
     every pair estimate reads (`_pair_read`).
@@ -527,16 +575,105 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup):
     index and fraction into the setup's stack, and one gather gives its
     kernel, envelope and key (a, k) (q_r table k at join scale 2^a)
     values, times their exact 2^a; |prod k_j| = prod |k_j| gives the
-    kernel's A-hat."""
+    kernel's A-hat. An axis with a line (lines[j] not None, see
+    `_Lines`) reads those rows from it instead, bit for bit the same."""
     idx = data.box_indices(x - 1.0, x + 1.0)
     offs = data.points[idx] - x
-    # chunks of candidates bound the working set whatever the sample size
-    rows = max(1, _BLOCK_BYTES // (8 * _row_floats(data.dim, setup.grid.max_exponent)))
+    at = [None if line is None else line.rows(idx) for line in lines]
+    rows = _chunk_rows(setup)
     sums = [0.0] * 4
     for lo in range(0, max(idx.size, 1), rows):
-        sums = [t + c for t, c in zip(sums, _chunk_sums(offs[lo:lo + rows], setup))]
+        part = [None if r is None else (line.mat, r[lo:lo + rows]) for line, r in zip(lines, at)]
+        sums = [t + c for t, c in zip(sums, _chunk_sums(offs[lo:lo + rows], setup, part))]
     fhat, a_k, a_q, keys = (total / data.n for total in sums)
     return fhat, a_k, a_q, keys, int(idx.size)
+
+
+@dataclass(eq=False)
+class _Line:
+    """The rows (`_fill`) of axis j's offsets X_ij - v of the observations
+    with |X_ij - v| <= 1, the run data.order[j][start:start + len(mat)];
+    next is the next point that reads it."""
+
+    mat: np.ndarray
+    start: int
+    rank: np.ndarray  # rank[i]: the place of observation i in data.order[j]
+    next: int
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        return self.rank.take(idx) - self.start
+
+
+class _Lines:
+    """The per-axis line matrices a block of points (d >= 2) shares.
+
+    Every point whose coordinate j is v reads its candidates' axis-j rows
+    from the line (j, v), the values its own entry pass would give. A
+    line is built only when a later point reads it too, and kept while
+    the kept lines fit in _LINE_BYTES; a line that the next point reads
+    (the first axis of an `ij` mesh) may drop the kept lines read after
+    it, latest first, to make room. A line is dropped after its last
+    reader. Axes without a line, and every point that shares no
+    coordinate with a later one, take the point's own entry pass.
+    """
+
+    def __init__(self, data: Dataset, xs: np.ndarray, setup: EstimationSetup):
+        self.data, self.setup = data, setup
+        self.coords = xs.tolist()
+        # nxt[p][j]: the next point after p whose coordinate j is the same
+        last = [{} for _ in range(data.dim)]
+        self.nxt = [None] * len(xs)
+        for p in range(len(xs) - 1, -1, -1):
+            self.nxt[p] = [seen.get(v, -1) for seen, v in zip(last, self.coords[p])]
+            for seen, v in zip(last, self.coords[p]):
+                seen[v] = p
+        self.kept: dict[tuple[int, float], _Line] = {}
+        self.ranks: list[np.ndarray] = []
+
+    def read(self, p: int) -> list[_Line | None]:
+        """The line of each axis of point p, None where it has none."""
+        keys = list(enumerate(self.coords[p]))
+        lines = [self.kept.get(key) for key in keys]
+        for line in lines:
+            if line is not None:
+                line.next = p  # read by p: not dropped for p's other lines
+        for j, nxt in enumerate(self.nxt[p]):
+            if lines[j] is None and nxt >= 0:
+                lines[j] = self._build(*keys[j], p, nxt)
+        for key, line, nxt in zip(keys, lines, self.nxt[p]):
+            if line is not None:
+                line.next = nxt
+                if nxt < 0:
+                    del self.kept[key]  # p is its last reader
+        return lines
+
+    def _build(self, j: int, v: float, p: int, nxt: int) -> _Line | None:
+        """The line (j, v) for point p, whose next reader is nxt, or None
+        if it does not fit."""
+        sv, setup = self.data.sorted_vals[j], self.setup
+        lo = int(np.searchsorted(sv, v - 1.0, side="left"))
+        size = int(np.searchsorted(sv, v + 1.0, side="right")) - lo
+        need = 8 * size * setup.tables.width
+        used = sum(line.mat.nbytes for line in self.kept.values())
+        if used + need > _LINE_BYTES and nxt == p + 1:
+            for key in sorted(self.kept, key=lambda key: self.kept[key].next, reverse=True):
+                if used + need <= _LINE_BYTES or self.kept[key].next <= nxt:
+                    break
+                used -= self.kept.pop(key).mat.nbytes
+        if used + need > _LINE_BYTES:
+            return None
+        if not self.ranks:
+            for order in self.data.order:
+                rank = np.empty(order.size, dtype=np.int64)
+                rank[order] = np.arange(order.size)
+                self.ranks.append(rank)
+        mat = np.zeros((size, setup.tables.width))
+        offs = sv[lo:lo + size] - v
+        step = _chunk_rows(setup)
+        for row in range(0, size, step):
+            _fill(mat[row:row + step].reshape(-1), offs[None, row:row + step], None, setup)
+        self.kept[j, v] = line = _Line(mat, lo, self.ranks[j], p)
+        return line
 
 
 @dataclass(frozen=True, eq=False)
@@ -622,38 +759,41 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray, n:
 
 
 def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
-                   setup: EstimationSetup, keep_criterion: bool = False) -> list[_PointRecord]:
+                   setup: EstimationSetup, keep_criterion: bool = False
+                   ) -> Iterator[_PointRecord]:
     """Run the selection rule at every row of xs (points, d), checked
-    finite, in order: the single path every caller uses.
+    finite, in order: the single path every caller uses. The records
+    come one block at a time, so a caller that reduces them as they come
+    never holds a whole grid's key sums.
 
     At d = 1 the points go in blocks of about _BLOCK_PAIRS / H^2, each
     summed by `_window_sums` and selected at once; at d >= 2 each point
-    is a block of one (`_point_tables`). A point's record does not
-    depend on the block it is fitted in.
+    is a block of one (`_point_tables`), reading the per-axis line
+    matrices it shares with other points (`_Lines`). A point's record
+    does not depend on the block it is fitted in.
     """
     n = data.n
     if n < 2:
         raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
-    records = []
     if setup.grid.dim > 1:
-        for x in xs:
-            *sums, counts = _point_tables(data, x, setup)
-            records += _select_block(x[None], [t[None] for t in sums], [counts],
+        lines = _Lines(data, xs, setup)
+        for p, x in enumerate(xs):
+            *sums, counts = _point_tables(data, x, setup, lines.read(p))
+            yield from _select_block(x[None], [t[None] for t in sums], [counts],
                                      n, policy, setup, keep_criterion)
-        return records
+        return
     per = max(1, _BLOCK_PAIRS // setup.tables.size ** 2)
     for lo in range(0, len(xs), per):
         block = xs[lo:lo + per]
         sums, counts = _window_sums(data, block, setup)
-        records += _select_block(block, sums, counts, n, policy, setup, keep_criterion)
-    return records
+        yield from _select_block(block, sums, counts, n, policy, setup, keep_criterion)
 
 
 def _select_point(data: Dataset, x, policy: KappaPolicy,
                   setup: EstimationSetup, keep_criterion: bool = False) -> _PointRecord:
     """`_select_points` at the one point x."""
     x = _check_point(x, setup.grid.dim)
-    return _select_points(data, x[None], policy, setup, keep_criterion)[0]
+    return next(_select_points(data, x[None], policy, setup, keep_criterion))
 
 
 def _fit(rec: _PointRecord, setup: EstimationSetup, keep_criterion: bool) -> PointwiseFit:

@@ -23,9 +23,11 @@ from .estimator import (
     KappaPolicy,
     _checked_grid,
     _select_points,
+    _setup_on,
     kappa_default,
     make_setup,
 )
+from .kernels import build_base, build_composite, convolve_ratio
 from .quadrature import GridSpec
 
 # Kernel support never exceeds one bandwidth unit and bandwidths top out
@@ -255,19 +257,26 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
 
     Replicate k of the whole run (schedule-major order) is seeded with
     plan.seed + k, so extending the schedule never changes the draws of
-    rows already present. Each n gets one setup and policy, shared by
-    its replicates, and the truth on the grid is computed once per plan.
-    Replicates run one after another; plan.threads is validated but
-    never changes anything.
+    rows already present. Each q_r ratio is tabulated once per plan;
+    each n gets one setup (the tables its lattice reads, bit for bit
+    `plan.setup_for(n)`) and policy, shared by its replicates, and the
+    truth on the grid is computed once per plan. Replicates run one
+    after another; plan.threads is validated but never changes anything.
     """
     start = time.perf_counter()
     truth = _truth_on_grid(plan)
-    timings = {"kernel_tables": 0.0, "truth_grid": time.perf_counter() - start,
+    t0 = time.perf_counter()
+    grids = [_checked_grid(n, plan.density.dim, plan.ell, plan.table_size, plan.max_exponent)
+             for n in plan.n_schedule]
+    composite = build_composite(build_base(plan.ell, plan.table_size))
+    widest = max(grids, key=lambda grid: grid.max_exponent)
+    tables = [convolve_ratio(composite, r) for r in widest.ratios()]
+    timings = {"kernel_tables": time.perf_counter() - t0, "truth_grid": t0 - start,
                "replicates": 0.0}
     values = []
-    for n in plan.n_schedule:
+    for n, grid in zip(plan.n_schedule, grids):
         t0 = time.perf_counter()
-        setup = plan.setup_for(n)
+        setup = _setup_on(grid, composite, tables)
         policy = plan.policy_for(setup)
         t1 = time.perf_counter()
         for _ in range(plan.replicates):
@@ -275,7 +284,7 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
                                            setup, policy, truth))
         timings["kernel_tables"] += t1 - t0
         timings["replicates"] += time.perf_counter() - t1
-        del setup  # the next n's tables are built without this n's alive
+        del setup  # the next n's stack is built without this n's alive
 
     rows = []
     for i, n in enumerate(plan.n_schedule):
@@ -334,13 +343,14 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
     policy = plan.policy_for(setup)
     mesh = plan.grid.mesh()
     truth = _truth_on_grid(plan)
+    selected = np.empty(len(mesh))
+    per_h = np.empty((len(mesh), setup.tables.size))
     ratios = []
     for k in range(int(replicates)):
         rng = np.random.default_rng(plan.seed + k)
         data = sample(plan.density, n, rng)
-        recs = _select_points(data, mesh, policy, setup)
-        selected = np.array([rec.estimate for rec in recs])
-        per_h = np.array([rec.fhat for rec in recs])
+        for i, rec in enumerate(_select_points(data, mesh, policy, setup)):
+            selected[i], per_h[i] = rec.estimate, rec.fhat
         num = lp_norm_on_grid(selected, truth, plan.p, plan.grid)
         den = min(
             lp_norm_on_grid(per_h[:, j], truth, plan.p, plan.grid)

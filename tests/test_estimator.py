@@ -531,7 +531,7 @@ class TestPrunedSelection:
         keys[2] = spoil  # pair ((0,1), (0,0)), read by no row of least criterion
         sums = (np.zeros(4), np.array([8.0, 3.0, 8.0, 1.0]), np.ones(4), keys, 0)
         monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
-        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup: sums)
+        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup, lines: sums)
         policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
         full = assert_pruned_matches_full(far_dataset(8, 2), np.zeros(2), policy, setup)
         assert full.criterion[3] == 4.0
@@ -549,7 +549,7 @@ class TestPrunedSelection:
         a_k[[2, 3]] = 1.0  # rows (0, 2) and (1, 0)
         sums = (np.zeros(9), a_k, np.zeros(9), np.zeros(setup.tables.n_keys ** 2), 0)
         monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
-        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup: sums)
+        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup, lines: sums)
         policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
         full = assert_pruned_matches_full(far_dataset(8, 2), np.zeros(2), policy, setup)
         assert full.criterion[2] == full.criterion[3] == 1.0
@@ -622,8 +622,9 @@ class TestPerAxisEngine:
 
 class TestBlockSelection:
     """At d = 1 a grid is selected in blocks of points, each summed in
-    passes of at most _BLOCK_ENTRIES entries; every record must equal
-    the one-point call's, bit for bit, whatever the block and pass sizes."""
+    passes of at most _BLOCK_ENTRIES entries, and at d >= 2 points read
+    the grid lines they share; every record must equal the one-point
+    call's, bit for bit, whatever the block, pass and line sizes."""
 
     @staticmethod
     def fixture():
@@ -658,6 +659,68 @@ class TestBlockSelection:
         for rec, ref in zip(est._select_points(data, pts, policy, setup), solo_recs):
             for name in ("fhat", "a_k", "a_q", "keys"):
                 assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    @staticmethod
+    def mesh_fixture(d):
+        rng = np.random.default_rng(149 + d)
+        n = {2: 160, 3: 80}[d]
+        data = build_dataset(rng.normal(0.0, 0.5, size=(n, d)))
+        setup = make_setup(n, d, ell=2, table_size=65)
+        policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+        nodes = np.linspace(-1.2, 1.2, {2: 5, 3: 3}[d])
+        mesh = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        # an ij mesh, the same mesh shuffled, a repeated point, points off
+        # the grid, far from every observation, and on a grid line but far
+        pts = np.concatenate([mesh, rng.permutation(mesh), mesh[[3, 3, 3]],
+                              rng.uniform(-1.5, 1.5, size=(3, d)), np.full((2, d), 9.0),
+                              np.r_[nodes[1], np.full(d - 1, 9.0)][None]])
+        return data, setup, policy, pts
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("budget", ["none", "some", "every"])
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_grid_lines_give_point_fits(self, monkeypatch, d, budget, keep):
+        """At d >= 2 a point reads the axes it shares with other points
+        from kept line matrices; whatever the line budget, every fit and
+        record must equal the one-point call's, bit for bit, with lines
+        and points built in chunks of seven candidates."""
+        import anisokde.estimator as est
+
+        data, setup, policy, pts = self.mesh_fixture(d)
+        monkeypatch.setattr(est, "_BLOCK_BYTES",
+                            8 * 7 * est._row_floats(d, setup.grid.max_exponent))
+        solo = [select_and_estimate(data, x, policy, setup, keep_criterion=keep) for x in pts]
+        solo_recs = [est._select_point(data, x, policy, setup) for x in pts]
+        one_line = 8 * setup.tables.width * data.n  # the most one line can hold
+        monkeypatch.setattr(est, "_LINE_BYTES", {"none": 0, "some": one_line,
+                                                 "every": 2**40}[budget])
+        covered = []
+        point_tables = est._point_tables
+
+        def spy(data, x, setup, lines):
+            covered.append(sum(line is not None for line in lines))
+            return point_tables(data, x, setup, lines)
+
+        monkeypatch.setattr(est, "_point_tables", spy)
+        fits = estimate_on_grid(data, pts, policy, setup, keep_criterion=keep)
+        assert max(f.counts for f in fits) > 14 and fits[-2].counts == fits[-1].counts == 0
+        for fit, ref in zip(fits, solo):
+            assert fit.selected is ref.selected
+            assert fit.estimate == ref.estimate and fit.counts == ref.counts
+            assert fit.criterion == ref.criterion and np.array_equal(fit.x, ref.x)
+        for rec, ref in zip(est._select_points(data, pts, policy, setup), solo_recs):
+            assert rec.best == ref.best and rec.counts == ref.counts
+            for name in ("fhat", "a_k", "a_q", "keys"):
+                assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        # with every line kept, each axis whose coordinate another point
+        # shares reads a line; a budget of one full line reads fewer, and
+        # none reads only the empty lines of the far points
+        shared = sum(int((pts[:, j] == x[j]).sum() > 1) for x in pts for j in range(d))
+        used = covered[:len(pts)]
+        if budget == "none":
+            assert all(c == 0 or f.counts == 0 for c, f in zip(used, fits))
+        else:
+            assert (0 < sum(used) < shared) if budget == "some" else sum(used) == shared
 
     def test_risk_replicate_integrates_the_point_estimates(self, monkeypatch):
         import anisokde.estimator as est

@@ -271,6 +271,39 @@ class TestRunPlan:
             assert row.mean_risk_p == float(chunk.mean())
             assert row.stderr == float(chunk.std(ddof=1) / np.sqrt(chunk.size))
 
+    @pytest.mark.parametrize("dim, schedule, max_exponent, ratios", [
+        (1, (4, 8, 16, 32), None, 6), (2, (4, 16), None, 5), (1, (8, 16), 3, 4)])
+    def test_each_ratio_is_tabulated_once(self, monkeypatch, rc1, rc2, dim, schedule,
+                                          max_exponent, ratios):
+        # one q_r table per distinct ratio of the plan, shared by every n;
+        # the rows still equal the means of risk_replicate values, each
+        # of which builds its own set-up
+        import anisokde.estimator as est
+        import anisokde.kernels as kern
+        import anisokde.risk as risk
+
+        plan = small_plan(rc1 if dim == 1 else rc2, n_schedule=schedule,
+                          max_exponent=max_exponent, table_size=64,
+                          grid=default_grid(rc1 if dim == 1 else rc2, 9))
+        calls, real = [], kern.convolve_ratio
+
+        def counted(composite, r):
+            calls.append(r)
+            return real(composite, r)
+
+        for module in (est, kern, risk):
+            monkeypatch.setattr(module, "convolve_ratio", counted)
+        report = run_plan(plan)
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == ratios
+        monkeypatch.undo()
+        seed = plan.seed
+        for row in report.rows:
+            chunk = np.array([risk_replicate(plan, row.n, seed + k)
+                              for k in range(plan.replicates)])
+            seed += plan.replicates
+            assert row.mean_risk_p == float(chunk.mean())
+            assert row.stderr == float(chunk.std(ddof=1) / np.sqrt(chunk.size))
+
     def test_payload_identical_across_thread_counts(self, rc1):
         serial = run_plan(small_plan(rc1, threads=1))
         threaded = run_plan(small_plan(rc1, threads=4))
