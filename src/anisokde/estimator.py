@@ -633,10 +633,7 @@ class _Lines:
     def read(self, p: int) -> list[_Line | None]:
         """The line of each axis of point p, None where it has none."""
         keys = list(enumerate(self.coords[p]))
-        lines = [self.kept.get(key) for key in keys]
-        for line in lines:
-            if line is not None:
-                line.next = p  # read by p: not dropped for p's other lines
+        lines = [self.kept.get(key) for key in keys]  # each kept one's next is p
         for j, nxt in enumerate(self.nxt[p]):
             if lines[j] is None and nxt >= 0:
                 lines[j] = self._build(*keys[j], p, nxt)
