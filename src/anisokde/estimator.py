@@ -517,14 +517,15 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
             avg[:, 3 * cols:]], counts
 
 
-def _fill(flat: np.ndarray, offs: np.ndarray, rows: np.ndarray | None,
-          setup: EstimationSetup) -> None:
-    """Write the [kernel | envelope | keys | spare] row of every offset
-    of offs (axes, candidates), each value times the exact 2^a of its
-    scale, into flat, zeros seen as rows of `_GridTables.width`: offset
-    i (in C order) to row rows[i], or row i if rows is None. One pass
-    over the in-support (offset, scale) entries; every value depends on
-    its own offset only, so a row is the same whatever else is filled."""
+def _entries(offs: np.ndarray, rows: np.ndarray | None,
+             setup: EstimationSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions and values of the [kernel | envelope | keys | spare]
+    row of every offset of offs (axes, candidates), each value times
+    the exact 2^a of its scale, in zeros seen as rows of
+    `_GridTables.width`: offset i (in C order) goes to row rows[i], or
+    row i if rows is None. One pass over the in-support (offset, scale)
+    entries; every value depends on its own offset only, so a row is
+    the same whatever else is filled."""
     tables = setup.tables
     cols = tables.scales.size
     ys = offs[:, :, None] * tables.scales
@@ -535,7 +536,7 @@ def _fill(flat: np.ndarray, offs: np.ndarray, rows: np.ndarray | None,
     at = tables.col_map.take(scale, axis=0)
     row = entry // cols
     at += ((row if rows is None else rows.take(row)) * tables.width)[:, None]
-    flat[at] = vals
+    return at, vals
 
 
 def _chunk_sums(offs: np.ndarray, setup: EstimationSetup, lines: list) -> list[np.ndarray]:
@@ -543,19 +544,21 @@ def _chunk_sums(offs: np.ndarray, setup: EstimationSetup, lines: list) -> list[n
     candidate offsets (candidates, d), d >= 2: per-axis matrices,
     contracted. Axis j copies its candidates' rows from lines[j], a
     (line matrix, row of each candidate) pair, or else is filled by
-    the chunk's one `_fill` pass over every such axis."""
+    the chunk's one `_entries` pass over every such axis."""
     tables = setup.tables
     cols, (k, d) = tables.scales.size, offs.shape
     own = [j for j, line in enumerate(lines) if line is None]
+    if len(own) == d:
+        at, vals = _entries(offs.T, None, setup)
+    elif own:
+        rows = (np.array(own)[:, None] * k + np.arange(k)).ravel()
+        at, vals = _entries(offs.T[own], rows, setup)
     mats = (np.zeros if own else np.empty)((d, k, tables.width))
     for j, line in enumerate(lines):
         if line is not None:  # mode "clip" takes into out without a copy of it
             line[0].take(line[1], axis=0, out=mats[j], mode="clip")
-    if len(own) == d:
-        _fill(mats.reshape(-1), offs.T, None, setup)
-    elif own:
-        rows = (np.array(own)[:, None] * k + np.arange(k)).ravel()
-        _fill(mats.reshape(-1), offs.T[own], rows, setup)
+    if own:
+        mats.reshape(-1)[at] = vals
     k_ax = mats[:, :, :cols]
     return [_contract(list(m)) for m in (k_ax, np.abs(k_ax), mats[:, :, cols:2 * cols],
                                           mats[:, :, 2 * cols:-1])]
@@ -591,7 +594,7 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: l
 
 @dataclass(eq=False)
 class _Line:
-    """The rows (`_fill`) of axis j's offsets X_ij - v of the observations
+    """The rows (`_entries`) of axis j's offsets X_ij - v of the observations
     with |X_ij - v| <= 1, the run data.order[j][start:start + len(mat)];
     next is the next point that reads it."""
 
@@ -668,7 +671,8 @@ class _Lines:
         offs = sv[lo:lo + size] - v
         step = _chunk_rows(setup)
         for row in range(0, size, step):
-            _fill(mat[row:row + step].reshape(-1), offs[None, row:row + step], None, setup)
+            at, vals = _entries(offs[None, row:row + step], None, setup)
+            mat[row:row + step].reshape(-1)[at] = vals
         self.kept[j, v] = line = _Line(mat, lo, self.ranks[j], p)
         return line
 
