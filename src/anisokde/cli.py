@@ -14,9 +14,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -149,34 +151,18 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# configuration: one table per section
 
-_NUMS, _INTS, _STRS, _ROWS = ("list of numbers", "list of integers", "list of strings",
-                              "list of number lists")
+_REQUIRED = object()  # default of a key that must be given
+_UNSET = object()  # default of a key a library constructor defaults itself
 
-_DENSITY_PARAMS = {
-    "raised_cosine": {},
-    "smoothed_uniform": {"delta": "num"},
-    "bump_mixture": {"centers": _NUMS, "scales": _NUMS, "weights": _NUMS},
-    "flat_top": {"N": "num", "kappa_scale": "num"},
-    "f_theta": {"N": "num", "theta": "num"},
-}
 
-_SCHEMA = {
-    "seed": "int",
-    "kernel": {"ell": "int", "table_size": "int"},
-    "density": {"kind": "str", "dim": "int", "params": "params"},
-    "class": {"beta": _NUMS, "r": _NUMS, "L": _NUMS, "M": "num",
-              "theta": "num", "R": "num"},
-    "estimator": {"p": "num", "kappa": "num", "max_exponent": "int"},
-    "estimate": {"box": _ROWS, "grid_nodes": "int", "points": _ROWS},
-    "oracle": {"instances": "int", "n": "int", "nodes": "int"},
-    "risk": {"n_schedule": _INTS, "replicates": "int", "grid_nodes": "int"},
-    "lowerbound": {"N": "num", "dim": "int", "sigma": _NUMS,
-                   "amplitude": "num", "kappa_scale": "num",
-                   "slice_nodes": "int"},
-    "output": {"directory": "str", "formats": _STRS},
-}
+class _Key(NamedTuple):
+    """A config key: its kind, its default, and for integers its least value."""
+
+    kind: str
+    default: object = None
+    least: int | None = None
 
 
 def _is_int(v) -> bool:
@@ -184,62 +170,106 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # a literal beyond the float range: 1e999 parses to infinity, and a
+    # 400-digit integer has no float
+    if _is_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
 
 
 def _list_of(check):
     return lambda v: isinstance(v, list) and all(check(u) for u in v)
 
 
-_KIND_CHECK = {
+_NUM, _POSITIVE = "finite number", "finite number > 0"
+_NUMS, _POSITIVES, _INTS, _ROWS, _PAIRS = (
+    "list of finite numbers", "list of finite numbers > 0", "list of integers",
+    "list of finite number lists", "list of finite [lo, hi] pairs")
+_FORMATS = "list of csv, json, dat"
+
+_DENSITY_PARAMS = {
+    "raised_cosine": {},
+    "smoothed_uniform": {"delta": _Key(_NUM, _UNSET)},
+    "bump_mixture": {"centers": _Key(_NUMS, _UNSET), "scales": _Key(_NUMS, _UNSET),
+                     "weights": _Key(_NUMS, _UNSET)},
+    "flat_top": {"N": _Key(_NUM, _REQUIRED), "kappa_scale": _Key(_NUM, 1.0)},
+    "f_theta": {"N": _Key(_NUM, _REQUIRED), "theta": _Key(_NUM, _REQUIRED)},
+}
+_DENSITY_KIND = "one of " + ", ".join(_DENSITY_PARAMS)
+
+_KINDS = {
     "int": _is_int,
-    "num": _is_num,
+    _NUM: _is_num,
+    _POSITIVE: lambda v: _is_num(v) and v > 0,
     "str": lambda v: isinstance(v, str),
+    "object": lambda v: isinstance(v, dict),
     _NUMS: _list_of(_is_num),
+    _POSITIVES: _list_of(lambda v: _is_num(v) and v > 0),
     _INTS: _list_of(_is_int),
-    _STRS: _list_of(lambda v: isinstance(v, str)),
     _ROWS: _list_of(_list_of(_is_num)),
+    _PAIRS: _list_of(lambda v: _list_of(_is_num)(v) and len(v) == 2),
+    _FORMATS: _list_of(lambda v: v in ("csv", "json", "dat")),
+    _DENSITY_KIND: lambda v: isinstance(v, str) and v in _DENSITY_PARAMS,
+}
+
+# Bounds that a library constructor checks (kernel order and table size,
+# p, kappa, max_exponent, the density params, the risk plan) are left to it.
+_SEED = _Key("int", 0, least=0)
+_SECTIONS = {
+    "kernel": {"ell": _Key("int", 1), "table_size": _Key("int", DEFAULT_TABLE_SIZE)},
+    "density": {"kind": _Key(_DENSITY_KIND, _REQUIRED), "dim": _Key("int", 1),
+                "params": _Key("object", {})},
+    "class": {"beta": _Key(_NUMS, _REQUIRED), "r": _Key(_NUMS, _REQUIRED),
+              "L": _Key(_NUMS, _REQUIRED), "M": _Key(_POSITIVE, 1.0),
+              "theta": _Key(_NUM), "R": _Key(_POSITIVE, 1.0)},
+    "estimator": {"p": _Key(_NUM, 2.0), "kappa": _Key(_NUM),
+                  "max_exponent": _Key("int")},
+    "estimate": {"box": _Key(_PAIRS), "grid_nodes": _Key("int", least=2),
+                 "points": _Key(_ROWS)},
+    "oracle": {"instances": _Key("int", 20, least=1), "n": _Key("int", 256, least=2),
+               "nodes": _Key("int", 129, least=2)},
+    "risk": {"n_schedule": _Key(_INTS, _REQUIRED), "replicates": _Key("int", _REQUIRED),
+             "grid_nodes": _Key("int", 65, least=2)},
+    "lowerbound": {"N": _Key(_NUM, _REQUIRED), "dim": _Key("int", 1, least=1),
+                   "sigma": _Key(_POSITIVES, _REQUIRED),
+                   "amplitude": _Key(_NUM, _REQUIRED),
+                   "kappa_scale": _Key(_POSITIVE, 1.0),
+                   "slice_nodes": _Key("int", 257, least=2)},
+    "output": {"directory": _Key("str"), "formats": _Key(_FORMATS, ["csv", "json", "dat"])},
+}
+
+_READS = {
+    "kernel-check": ("kernel", "output"),
+    "estimate": ("kernel", "estimator", "estimate", "output"),
+    "oracle": ("kernel", "estimator", "density", "oracle", "output"),
+    "regime": ("estimator", "class", "output"),
+    "lowerbound": ("lowerbound", "output"),
+    "risk": ("kernel", "estimator", "density", "risk", "output"),
 }
 
 
-def _check_leaf(path: str, kind: str, value) -> None:
+def _value(path: str, key: _Key, value, read: bool):
+    """A checked value, its default when absent from a section the command
+    reads, or _UNSET when it stays absent."""
     if value is None:
-        return
-    if not _KIND_CHECK[kind](value):
-        raise ConfigError(f"config key '{path}' must be {kind}, got {value!r}")
+        if not read:
+            return _UNSET
+        if key.default is _REQUIRED:
+            raise ConfigError(f"config key '{path}' is required")
+        return key.default
+    if not _KINDS[key.kind](value):
+        raise ConfigError(f"config key '{path}' must be {key.kind}, got {value!r}")
+    if key.least is not None and value < key.least:
+        raise ConfigError(f"config key '{path}' must be >= {key.least}, got {value}")
+    return value
 
 
-def validate_config(doc: dict) -> None:
-    """Reject anything outside the schema, naming the offending key."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    for key, value in doc.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key '{key}'")
-        spec = _SCHEMA[key]
-        if isinstance(spec, str):
-            _check_leaf(key, spec, value)
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"config key '{key}' must be an object")
-        for sub, subval in value.items():
-            if sub not in spec:
-                raise ConfigError(f"unknown config key '{key}.{sub}'")
-            if spec[sub] == "params":
-                continue
-            _check_leaf(f"{key}.{sub}", spec[sub], subval)
-    params = (doc.get("density") or {}).get("params")
-    if params is not None:
-        kind = (doc.get("density") or {}).get("kind")
-        allowed = _DENSITY_PARAMS.get(kind)
-        if allowed is None:
-            raise ConfigError(f"unknown density kind {kind!r}")
-        if not isinstance(params, dict):
-            raise ConfigError("config key 'density.params' must be an object")
-        for sub, subval in params.items():
-            if sub not in allowed:
-                raise ConfigError(f"unknown config key 'density.params.{sub}'")
-            _check_leaf(f"density.params.{sub}", allowed[sub], subval)
+def _table(path: str, table: dict, given: dict, read: bool) -> dict:
+    unknown = [k for k in given if k not in table]
+    if unknown:
+        raise ConfigError(f"unknown config key '{path}.{unknown[0]}'")
+    values = {k: _value(f"{path}.{k}", key, given.get(k), read) for k, key in table.items()}
+    return {k: v for k, v in values.items() if v is not _UNSET}
 
 
 def load_config(path: str) -> dict:
@@ -255,87 +285,56 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "resolved_config" in doc:
         doc = doc["resolved_config"]  # a manifest doubles as its own config
-    validate_config(doc)
     return doc
 
 
-def _section(doc: dict, name: str, command: str) -> dict:
-    """The resolved config's own section, so defaults set in it reach the
-    manifest."""
-    sec = doc.get(name)
-    if sec is None:
-        raise ConfigError(f"command '{command}' needs config section '{name}'")
-    return sec
-
-
-def _resolve(doc: dict, seed_flag: int | None) -> dict:
-    """Materialize defaults so the manifest records the exact experiment."""
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in doc.items()}
-    if seed_flag is not None:
-        out["seed"] = int(seed_flag)
-    out.setdefault("seed", 0)
-    kern = out.setdefault("kernel", {})
-    kern.setdefault("ell", 1)
-    kern.setdefault("table_size", DEFAULT_TABLE_SIZE)
-    est = out.setdefault("estimator", {})
-    est.setdefault("p", 2.0)
-    est.setdefault("kappa", None)
-    est.setdefault("max_exponent", None)
-    outp = out.setdefault("output", {})
-    outp.setdefault("directory", None)
-    outp.setdefault("formats", ["csv", "json", "dat"])
-    if "density" in out:
-        out["density"].setdefault("dim", 1)
-        out["density"].setdefault("params", {})
-    validate_config(out)
+def _resolve(doc, command: str, seed_flag: int | None) -> dict:
+    """The checked config of one run. Null means absent. Every given value
+    is checked against the tables; the sections the command reads also get
+    their required keys checked and every default written in, so the
+    manifest records the exact experiment."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be an object")
+    unknown = [k for k in doc if k != "seed" and k not in _SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown config key '{unknown[0]}'")
+    seed = doc.get("seed") if seed_flag is None else seed_flag
+    out = {"seed": _value("seed", _SEED, seed, True)}
+    for name, table in _SECTIONS.items():
+        given, read = doc.get(name), name in _READS[command]
+        if given is None and not read:
+            continue
+        if given is None and any(k.default is _REQUIRED for k in table.values()):
+            raise ConfigError(f"command '{command}' needs config section '{name}'")
+        if not isinstance(given, (dict, type(None))):
+            raise ConfigError(f"config key '{name}' must be an object")
+        out[name] = _table(name, table, given or {}, read)
+    density = out.get("density", {})
+    if "params" in density:
+        if density.get("kind") is None:
+            raise ConfigError("config key 'density.params' needs 'density.kind'")
+        density["params"] = _table("density.params", _DENSITY_PARAMS[density["kind"]],
+                                     density["params"], read="density" in _READS[command])
     return out
 
 
-def _given(sec: dict, key: str, default):
-    """sec[key], or the default when the key is absent or null; a default
-    is written into sec, so the manifest records it."""
-    if sec.get(key) is None:
-        sec[key] = default
-    return sec[key]
+def _density(sec: dict) -> TrueDensity:
+    params = sec["params"]
+    if sec["kind"] == "flat_top":
+        return flat_top_density(params["N"], sec["dim"], params["kappa_scale"])
+    if sec["kind"] == "f_theta":
+        return build_f_theta(params["N"], params["theta"], sec["dim"])
+    return smooth_product_density(sec["kind"], sec["dim"], params)
 
 
-def _count(sec: dict, name: str, key: str, default: int, least: int) -> int:
-    """Config key name.key as an integer, a config error below least."""
-    value = int(_given(sec, key, default))
-    if value < least:
-        raise ConfigError(f"config key '{name}.{key}' must be >= {least}, got {value}")
-    return value
-
-
-def _positive(sec: dict, name: str, key: str, default: float) -> float:
-    """Config key name.key as a number, a config error at or below 0."""
-    value = float(_given(sec, key, default))
-    if not value > 0:
-        raise ConfigError(f"config key '{name}.{key}' must be > 0, got {value!r}")
-    return value
-
-
-def _build_density(sec: dict) -> TrueDensity:
-    kind = sec.get("kind")
-    dim = int(sec.get("dim", 1))
-    params = dict(sec.get("params") or {})
-    if kind in ("raised_cosine", "smoothed_uniform", "bump_mixture"):
-        return smooth_product_density(kind, dim, params or None)
-    if kind == "flat_top":
-        if "N" not in params:
-            raise ConfigError("density.params.N is required for flat_top")
-        return flat_top_density(params["N"], dim, params.get("kappa_scale", 1.0))
-    if kind == "f_theta":
-        for need in ("N", "theta"):
-            if need not in params:
-                raise ConfigError(f"density.params.{need} is required for f_theta")
-        return build_f_theta(params["N"], params["theta"], dim)
-    raise ConfigError(f"unknown density kind {kind!r}")
+def _kernel_args(resolved: dict) -> dict:
+    return {"ell": resolved["kernel"]["ell"], "table_size": resolved["kernel"]["table_size"],
+            "max_exponent": resolved["estimator"]["max_exponent"]}
 
 
 def _policy(est: dict, dim: int, k_inf: float) -> KappaPolicy:
     p = float(est["p"])
-    if est.get("kappa") is None:
+    if est["kappa"] is None:
         return kappa_default(dim, p, k_inf)
     return KappaPolicy(kappa=float(est["kappa"]), d=dim, p=p, k_inf=k_inf)
 
@@ -381,13 +380,15 @@ def _run_options(fn):
 @_run_options
 def cmd_kernel_check(config_path, seed, threads, out_flag, header):
     """Verify kernel normalization, moments, and envelope domination."""
-    resolved = _resolve(load_config(config_path), seed)
+    resolved = _resolve(load_config(config_path), "kernel-check", seed)
+    ell, table_size = resolved["kernel"]["ell"], resolved["kernel"]["table_size"]
+    t0 = time.perf_counter()
+    try:
+        composite = build_composite(build_base(ell, table_size))
+    except InvalidParameterError as exc:
+        raise ConfigError(f"config key 'kernel.ell' or 'kernel.table_size': {exc}") from exc
     run = _Run(_outdir(out_flag, resolved, "kernel-check"),
                resolved["output"]["formats"])
-    t0 = time.perf_counter()
-    ell = int(resolved["kernel"]["ell"])
-    table_size = int(resolved["kernel"]["table_size"])
-    composite = build_composite(build_base(ell, table_size))
     checks = []
 
     def record(name, value, bound):
@@ -408,7 +409,7 @@ def cmd_kernel_check(config_path, seed, threads, out_flag, header):
            env.sup_norm() - composite.sup_norm ** 2, 1e-12)
     env_lo, env_hi = env.support()
     record("envelope_halfwidth", max(abs(env_lo), abs(env_hi)), 1.0)
-    rng = np.random.default_rng(int(resolved["seed"]))
+    rng = np.random.default_rng(resolved["seed"])
     tt = np.linspace(-1.0, 1.0, 4001)
     worst = -np.inf
     for _ in range(20):
@@ -457,7 +458,7 @@ def _read_points(path: str) -> np.ndarray:
 
 def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
     """Evaluation points from estimate.points, or estimate.box and grid_nodes."""
-    if sec.get("points") is not None:
+    if sec["points"] is not None:
         try:
             mesh = np.asarray(sec["points"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -468,11 +469,8 @@ def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
         if mesh.ndim != 2 or mesh.shape[1] != dim:
             raise ConfigError(
                 f"estimate.points must be rows of {dim} coordinates")
-        if not np.all(np.isfinite(mesh)):
-            raise ConfigError("estimate.points must be finite")
     else:
-        box = sec.get("box")
-        nodes = sec.get("grid_nodes")
+        box, nodes = sec["box"], sec["grid_nodes"]
         if box is None or nodes is None:
             raise ConfigError(
                 "estimate needs either 'points' or 'box' plus 'grid_nodes'")
@@ -480,7 +478,7 @@ def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
             raise ConfigError(
                 f"estimate.box has {len(box)} axes but the data has {dim}")
         mesh = GridSpec(box=tuple((float(a), float(b)) for a, b in box),
-                        nodes=(int(nodes),) * dim).mesh()
+                        nodes=(nodes,) * dim).mesh()
     return mesh
 
 
@@ -491,19 +489,15 @@ def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
 @_run_options
 def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header):
     """Fit the selector on a data file over the configured grid."""
-    resolved = _resolve(load_config(config_path), seed)
-    sec = _section(resolved, "estimate", "estimate")
+    resolved = _resolve(load_config(config_path), "estimate", seed)
     # every input is checked before the output directory exists
     timings: dict[str, float] = {}
     with _stage(timings, "index"):
         data = build_dataset(_read_points(data_file))
     dim = data.dim
-    mesh = _estimate_mesh(sec, dim)
+    mesh = _estimate_mesh(resolved["estimate"], dim)
     with _stage(timings, "kernel_tables"):
-        setup = make_setup(
-            data.n, dim, ell=int(resolved["kernel"]["ell"]),
-            table_size=int(resolved["kernel"]["table_size"]),
-            max_exponent=resolved["estimator"]["max_exponent"])
+        setup = make_setup(data.n, dim, **_kernel_args(resolved))
     policy = _policy(resolved["estimator"], dim, setup.kernel.k_inf)
     run = _Run(_outdir(out_flag, resolved, "estimate"),
                resolved["output"]["formats"])
@@ -524,17 +518,13 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
 @_run_options
 def cmd_oracle(config_path, seed, threads, out_flag, header):
     """Check the pointwise error bound on seeded sampled instances."""
-    resolved = _resolve(load_config(config_path), seed)
-    sec = _section(resolved, "oracle", "oracle")
-    density = _build_density(_section(resolved, "density", "oracle"))
-    instances = _count(sec, "oracle", "instances", 20, 1)
-    n = _count(sec, "oracle", "n", 256, 2)
-    nodes = _count(sec, "oracle", "nodes", 129, 2)
+    resolved = _resolve(load_config(config_path), "oracle", seed)
+    sec = resolved["oracle"]
+    instances, n, nodes = sec["instances"], sec["n"], sec["nodes"]
+    density = _density(resolved["density"])
     timings: dict[str, float] = {}
     with _stage(timings, "kernel_tables"):
-        setup = make_setup(n, density.dim, ell=int(resolved["kernel"]["ell"]),
-                           table_size=int(resolved["kernel"]["table_size"]),
-                           max_exponent=resolved["estimator"]["max_exponent"])
+        setup = make_setup(n, density.dim, **_kernel_args(resolved))
     _check_pair_bytes(setup.grid)
     policy = _policy(resolved["estimator"], density.dim, setup.kernel.k_inf)
     run = _Run(_outdir(out_flag, resolved, "oracle"),
@@ -544,7 +534,7 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
     records = []
     with _stage(run.timings, "instances"):
         for i in range(instances):
-            rng = np.random.default_rng(int(resolved["seed"]) + i)
+            rng = np.random.default_rng(resolved["seed"] + i)
             data = sample(density, n, rng)
             x = rng.uniform(box[:, 0], box[:, 1])
             records.append(assert_oracle_inequality(
@@ -565,13 +555,10 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
 @_run_options
 def cmd_regime(config_path, seed, threads, out_flag, header):
     """Classify the rate regime for a smoothness class and norm index."""
-    resolved = _resolve(load_config(config_path), seed)
-    sec = _section(resolved, "class", "regime")
-    for need in ("beta", "r", "L"):
-        if sec.get(need) is None:
-            raise ConfigError(f"config key 'class.{need}' is required")
+    resolved = _resolve(load_config(config_path), "regime", seed)
+    sec = resolved["class"]
     spec = ClassSpec(beta=tuple(sec["beta"]), r=tuple(sec["r"]),
-                     L=tuple(sec["L"]), M=_positive(sec, "class", "M", 1.0))
+                     L=tuple(sec["L"]), M=float(sec["M"]))
     p = float(resolved["estimator"]["p"])
     report = classify(spec, p)
     doc = {
@@ -590,9 +577,8 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
         "gamma_agg": emb.gamma_agg, "upsilon": emb.upsilon,
         "L_gamma": emb.L_gamma, "valid": emb.valid,
     }
-    if sec.get("theta") is not None:
-        tail = TailSpec(theta=float(sec["theta"]),
-                        R=_positive(sec, "class", "R", 1.0))
+    if sec["theta"] is not None:
+        tail = TailSpec(theta=float(sec["theta"]), R=float(sec["R"]))
         tc = classify_tail(spec, p, tail)
         doc["tail"] = {"theta": tail.theta, "nu_theta": tc.nu_theta,
                        "mu_theta_exponent": tc.mu_theta_exponent}
@@ -608,28 +594,20 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
 @_run_options
 def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     """Build a packing and a perturbed hard density; write a slice."""
-    resolved = _resolve(load_config(config_path), seed)
-    sec = _section(resolved, "lowerbound", "lowerbound")
-    for need in ("N", "sigma", "amplitude"):
-        if sec.get(need) is None:
-            raise ConfigError(f"config key 'lowerbound.{need}' is required")
-    slice_nodes = _count(sec, "lowerbound", "slice_nodes", 257, 2)
-    dim = _count(sec, "lowerbound", "dim", 1, 1)
-    kappa_scale = _positive(sec, "lowerbound", "kappa_scale", 1.0)
+    resolved = _resolve(load_config(config_path), "lowerbound", seed)
+    sec = resolved["lowerbound"]
+    slice_nodes, dim = sec["slice_nodes"], sec["dim"]
     t0 = time.perf_counter()
-    N = float(sec["N"])
+    N, amplitude = float(sec["N"]), float(sec["amplitude"])
+    kappa_scale = float(sec["kappa_scale"])
     sigma = tuple(float(v) for v in sec["sigma"])
-    if not all(v > 0 for v in sigma):
-        raise ConfigError(f"config key 'lowerbound.sigma' must hold numbers > 0, "
-                          f"got {list(sigma)}")
-    amplitude = float(sec["amplitude"])
     base = flat_top_density(N, dim, kappa_scale)
     counts = tuple(
         int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
     m = 1
     for c in counts:
         m *= c
-    rng = np.random.default_rng(int(resolved["seed"]))
+    rng = np.random.default_rng(resolved["seed"])
     packing = vg_packing(m, rng)
     w = packing.members[0]
     density = build_perturbed(N, sigma, amplitude, w, dim,
@@ -674,25 +652,20 @@ def _min_hamming(members: np.ndarray) -> int:
 @_run_options
 def cmd_risk(config_path, seed, threads, out_flag, header):
     """Monte-Carlo risk curve over the sample-size schedule."""
-    resolved = _resolve(load_config(config_path), seed)
-    sec = _section(resolved, "risk", "risk")
-    density = _build_density(_section(resolved, "density", "risk"))
-    for need in ("n_schedule", "replicates"):
-        if sec.get(need) is None:
-            raise ConfigError(f"config key 'risk.{need}' is required")
+    resolved = _resolve(load_config(config_path), "risk", seed)
+    sec = resolved["risk"]
+    density = _density(resolved["density"])
     # the plan checks every input before the output directory exists
     plan = ExperimentPlan(
         density=density,
         p=float(resolved["estimator"]["p"]),
-        n_schedule=tuple(int(v) for v in sec["n_schedule"]),
-        replicates=int(sec["replicates"]),
-        grid=default_grid(density, _count(sec, "risk", "grid_nodes", 65, 2)),
-        seed=int(resolved["seed"]),
+        n_schedule=tuple(sec["n_schedule"]),
+        replicates=sec["replicates"],
+        grid=default_grid(density, sec["grid_nodes"]),
+        seed=resolved["seed"],
         kappa=resolved["estimator"]["kappa"],
-        ell=int(resolved["kernel"]["ell"]),
-        table_size=int(resolved["kernel"]["table_size"]),
-        max_exponent=resolved["estimator"]["max_exponent"],
         threads=threads,
+        **_kernel_args(resolved),
     )
     run = _Run(_outdir(out_flag, resolved, "risk"),
                resolved["output"]["formats"])

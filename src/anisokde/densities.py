@@ -521,6 +521,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
         if params:
             raise InvalidParameterError(f"raised_cosine takes no parameters, got {sorted(params)}")
         marg = _raised_cosine_marginal()
+        args = ""
         meta = {"beta": (2.0,) * dim, "r": (np.inf,) * dim,
                 "L": (4.0 * np.pi**2,) * dim, "M": 2.0**dim}
         sup = 2.0**dim
@@ -531,6 +532,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
         if not 0 < delta <= 0.5:
             raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta!r}")
         marg = _smoothed_uniform_marginal(delta)
+        args = f", delta={delta!r}"
         meta = {"beta": (2.0,) * dim, "r": (np.inf,) * dim,
                 "L": (2.0 * _profile_derivative_sups()[0] / delta**2,) * dim, "M": 1.0}
         sup = 1.0
@@ -545,6 +547,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
         if min(scales) <= 0 or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-12:
             raise InvalidParameterError("scales must be positive and weights a probability vector")
         marg = _bump_mixture_marginal(centers, scales, weights)
+        args = f", centers={centers!r}, scales={scales!r}, weights={weights!r}"
         m1 = sum(w * bump(0.0) / s for w, s in zip(weights, scales))
         d2_sup = _profile_derivative_sups()[1]
         L1 = sum(w * d2_sup / s**3 for w, s in zip(weights, scales))
@@ -556,7 +559,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
 
     lo, hi = marg.support
     return TrueDensity(
-        label=f"{kind}(dim={dim})",
+        label=f"{kind}(dim={dim}{args})",
         dim=dim,
         box=_box(dim, lo, hi),
         sup_bound=sup,

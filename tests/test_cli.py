@@ -1,5 +1,6 @@
 """Command line behavior: configs, outputs, exit codes, reproducibility."""
 
+import copy
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from anisokde.cli import main
+from anisokde.cli import _DENSITY_PARAMS, _READS, _SECTIONS, _SEED, main
 from anisokde.densities import build_dataset
 from anisokde.errors import EfficiencyError
 from anisokde.estimator import make_setup, kappa_default, select_and_estimate
@@ -124,6 +125,175 @@ class TestConfigValidation:
         assert main(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "needs config section 'risk'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# One small, fast config per command; the table-driven tests below change
+# one key of it at a time.
+TABLE_BASE = {
+    "kernel-check": {"kernel": {"ell": 1, "table_size": 256}},
+    "estimate": {"kernel": {"table_size": 256},
+                 "estimate": {"box": [[-1.0, 1.0]], "grid_nodes": 5}},
+    "oracle": {"density": {"kind": "raised_cosine", "dim": 1},
+               "kernel": {"table_size": 256},
+               "oracle": {"instances": 1, "n": 16, "nodes": 17}},
+    "regime": {"class": {"beta": [1.0], "r": [2.0], "L": [1.0], "theta": 1.0}},
+    "lowerbound": {"lowerbound": {"N": 16, "dim": 1, "sigma": [0.05],
+                                  "amplitude": 0.0625, "slice_nodes": 33}},
+    "risk": {"density": {"kind": "raised_cosine", "dim": 1},
+             "estimator": {"kappa": 0.05}, "kernel": {"table_size": 256},
+             "risk": {"n_schedule": [4, 8], "replicates": 2, "grid_nodes": 17}},
+}
+DENSITY_BASE_PARAMS = {
+    "raised_cosine": {},
+    "smoothed_uniform": {"delta": 0.25},
+    "bump_mixture": {"centers": [-0.5, 0.5], "scales": [0.2, 0.2], "weights": [0.5, 0.5]},
+    "flat_top": {"N": 16, "kappa_scale": 1.0},
+    "f_theta": {"N": 16, "theta": 0.3},
+}
+NUMERIC_KINDS = {"int", "finite number", "finite number > 0", "list of finite numbers",
+                 "list of finite numbers > 0", "list of integers",
+                 "list of finite number lists", "list of finite [lo, hi] pairs"}
+OTHER_KINDS = {"str", "object", "list of csv, json, dat",
+               "one of raised_cosine, smoothed_uniform, bump_mixture, flat_top, f_theta"}
+
+
+def read_keys():
+    """(command, dotted key, key spec, base config) for every key each command reads."""
+    for command, base in TABLE_BASE.items():
+        yield command, "seed", _SEED, base
+        for section in _READS[command]:
+            for name, key in _SECTIONS[section].items():
+                yield command, f"{section}.{name}", key, base
+        if "density" in _READS[command]:
+            for kind, table in _DENSITY_PARAMS.items():
+                doc = copy.deepcopy(base)
+                doc["density"] = {"kind": kind, "dim": 1, "params": DENSITY_BASE_PARAMS[kind]}
+                for name, key in table.items():
+                    yield command, f"density.params.{name}", key, doc
+
+
+def bad_values(key):
+    """Values outside the key's contract: a string or an overflowing literal
+    for a number, a fraction and a huge float for an integer, and a value
+    below its least."""
+    list_kind = key.kind.startswith("list")
+    if key.kind in NUMERIC_KINDS:
+        yield "string", "2"
+        if key.kind.endswith(("lists", "pairs")):
+            yield "overflow", [[-1.0, math.inf]]
+        else:
+            yield "overflow", [math.inf] if list_kind else math.inf
+    if key.kind in ("int", "list of integers"):
+        for label, v in (("fraction", 1.5), ("huge", 1e308)):
+            yield label, [v] if list_kind else v
+    if key.least is not None:
+        yield "below", key.least - 1
+    if key.kind.endswith("> 0"):
+        for label, v in (("zero", 0), ("negative", -1.0)):
+            yield label, [v] if list_kind else v
+
+
+def set_key(doc, dotted, value, remove=False):
+    doc = copy.deepcopy(doc)
+    *path, last = dotted.split(".")
+    sec = doc
+    for part in path:
+        sec = sec.setdefault(part, {})
+    if remove:
+        sec.pop(last, None)
+    else:
+        sec[last] = value
+    return doc
+
+
+def run_config(tmp_path, command, doc, name):
+    """Run command on doc; (exit code, output directory)."""
+    out = tmp_path / name
+    config = tmp_path / f"{name}.json"
+    # JSON has no literal for infinity; 1e999 overflows to it on parsing
+    config.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    args = [command, "--config", str(config), "--out", str(out)]
+    if command == "estimate":
+        data = tmp_path / "points.txt"
+        data.write_text("0.0\n0.25\n0.5\n")
+        args.insert(1, str(data))
+    return main(args), out
+
+
+def case_id(command, dotted, base):
+    kind = f"-{base['density']['kind']}" if ".params." in dotted else ""
+    return f"{command}-{dotted}{kind}"
+
+
+BAD_CASES = [
+    pytest.param(command, dotted, value, base, id=f"{case_id(command, dotted, base)}-{label}")
+    for command, dotted, key, base in read_keys()
+    for label, value in bad_values(key)
+] + [
+    pytest.param("estimate", "estimate.box", [[0, 1, 2]], TABLE_BASE["estimate"],
+                 id="estimate-estimate.box-triple"),
+    pytest.param("estimate", "output.formats", ["xml"], TABLE_BASE["estimate"],
+                 id="estimate-output.formats-xml"),
+    pytest.param("regime", "output.formats", ["csv", "xml"], TABLE_BASE["regime"],
+                 id="regime-output.formats-xml"),
+    pytest.param("oracle", "density.kind", "gaussian", TABLE_BASE["oracle"],
+                 id="oracle-density.kind-unknown"),
+    pytest.param("risk", "density.kind", ["raised_cosine"], TABLE_BASE["risk"],
+                 id="risk-density.kind-list"),
+]
+
+
+class TestConfigTable:
+    def test_every_kind_is_covered(self):
+        kinds = {key.kind for _, _, key, _ in read_keys()}
+        assert kinds <= NUMERIC_KINDS | OTHER_KINDS
+
+    @pytest.mark.parametrize("command, dotted, value, base", BAD_CASES)
+    def test_bad_value_exits_naming_the_key(self, tmp_path, capsys, command, dotted, value,
+                                            base):
+        code, out = run_config(tmp_path, command, set_key(base, dotted, value), "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: config key '{dotted}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, dotted, base", [
+        pytest.param(command, dotted, base, id=case_id(command, dotted, base))
+        for command, dotted, _, base in read_keys()
+    ])
+    def test_null_is_the_same_as_absent(self, tmp_path, capsys, command, dotted, base):
+        code_a, out_a = run_config(tmp_path, command,
+                                   set_key(base, dotted, None, remove=True), "absent")
+        err_a = capsys.readouterr().err
+        code_n, out_n = run_config(tmp_path, command, set_key(base, dotted, None), "null")
+        err_n = capsys.readouterr().err
+        assert (code_n, err_n) == (code_a, err_a)
+        if code_a == 0:
+            a = read_json(out_a, "manifest.json")
+            b = read_json(out_n, "manifest.json")
+            assert a["outputs"] == b["outputs"]
+            assert a["resolved_config"] == b["resolved_config"]
+        else:
+            # a required key, or estimate's points-or-box rule
+            assert code_a == 1 and ("required" in err_a or "'points' or 'box'" in err_a)
+            assert not out_a.exists() and not out_n.exists()
+
+    @pytest.mark.parametrize("kernel, key", [({"ell": 0}, "kernel.ell"),
+                                             ({"table_size": 10}, "kernel.table_size")])
+    def test_kernel_bounds_leave_no_directory(self, tmp_path, capsys, kernel, key):
+        code, out = run_config(tmp_path, "kernel-check", {"kernel": kernel}, "o")
+        err = capsys.readouterr().err
+        assert code == 1 and "config error" in err and key in err
+        assert not out.exists()
+
+    def test_defaults_are_written_into_the_manifest(self, tmp_path):
+        code, out = run_config(tmp_path, "regime", {"class": {"beta": [1.0], "r": [2.0],
+                                                              "L": [1.0]}}, "o")
+        assert code == 0
+        resolved = read_json(out, "manifest.json")["resolved_config"]
+        assert resolved["class"] == {"beta": [1.0], "r": [2.0], "L": [1.0], "M": 1.0,
+                                     "theta": None, "R": 1.0}
+        assert set(resolved) == {"seed", "estimator", "class", "output"}
 
 
 class TestRegimeCommand:
@@ -645,6 +815,25 @@ class TestReproducibility:
             tmp_path, "lowerbound", cfg,
             ["lowerbound.json", os.path.join("plot", "fw_slice.dat")],
         )
+
+    def test_kernel_check_rerun_from_manifest_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, {"seed": 3, "kernel": {"ell": 2, "table_size": 512}})
+        self.rerun_from_manifest(tmp_path, "kernel-check", cfg, ["kernel_check.json"])
+
+    def test_oracle_rerun_from_manifest_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "density": {"kind": "smoothed_uniform", "dim": 1},
+            "kernel": {"table_size": 512},
+            "oracle": {"instances": 2, "n": 32, "nodes": 33},
+        })
+        self.rerun_from_manifest(tmp_path, "oracle", cfg, ["oracle.json"])
+
+    def test_regime_rerun_from_manifest_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "class": {"beta": [1.0, 2.0], "r": [2.0, 2.0], "L": [1.0, 1.0], "theta": 0.5},
+            "estimator": {"p": 3.0},
+        })
+        self.rerun_from_manifest(tmp_path, "regime", cfg, ["regime.json"])
 
     def test_estimate_rerun_from_manifest_is_byte_identical(self, tmp_path):
         data = tmp_path / "points.txt"

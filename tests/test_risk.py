@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from anisokde.densities import sample
+from anisokde.densities import sample, smooth_product_density
 from anisokde.errors import InvalidParameterError
 from anisokde.estimator import estimate_on_grid
 from anisokde.quadrature import GridSpec
@@ -203,6 +203,17 @@ class TestPlanHash:
         base = small_plan(rc1)
         assert small_plan(rc1, seed=12).plan_hash != base.plan_hash
         assert small_plan(rc1, kappa=0.3).plan_hash != base.plan_hash
+
+    def test_hash_tracks_density_params(self):
+        # same support box, so only the density label tells the plans apart
+        a = small_plan(smooth_product_density("bump_mixture", 1, {"weights": [0.5, 0.5]}))
+        b = small_plan(smooth_product_density("bump_mixture", 1, {"weights": [0.3, 0.7]}))
+        assert a.canonical()["density_box"] == b.canonical()["density_box"]
+        assert a.plan_hash != b.plan_hash
+
+    def test_raised_cosine_label_is_unchanged(self, rc1):
+        # risk.json of raised-cosine plans keeps its bytes
+        assert rc1.label == "raised_cosine(dim=1)"
 
 
 class TestRiskReplicate:
