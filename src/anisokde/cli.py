@@ -49,7 +49,13 @@ from .estimator import (
     kappa_default,
     make_setup,
 )
-from .kernels import build_base, build_composite, build_majorant, convolve_ratio
+from .kernels import (
+    _check_order_and_table,
+    build_base,
+    build_composite,
+    build_majorant,
+    convolve_ratio,
+)
 from .oracle import _check_pair_bytes, assert_oracle_inequality
 from .quadrature import GridSpec
 from .regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
@@ -327,8 +333,19 @@ def _density(sec: dict) -> TrueDensity:
     return smooth_product_density(sec["kind"], sec["dim"], params)
 
 
+def _kernel_keys(resolved: dict) -> tuple[int, int]:
+    """kernel.ell and kernel.table_size, checked against the kernel's bounds."""
+    ell, table_size = resolved["kernel"]["ell"], resolved["kernel"]["table_size"]
+    try:
+        _check_order_and_table(ell, table_size)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"config key 'kernel.ell' or 'kernel.table_size': {exc}") from exc
+    return ell, table_size
+
+
 def _kernel_args(resolved: dict) -> dict:
-    return {"ell": resolved["kernel"]["ell"], "table_size": resolved["kernel"]["table_size"],
+    ell, table_size = _kernel_keys(resolved)
+    return {"ell": ell, "table_size": table_size,
             "max_exponent": resolved["estimator"]["max_exponent"]}
 
 
@@ -381,12 +398,9 @@ def _run_options(fn):
 def cmd_kernel_check(config_path, seed, threads, out_flag, header):
     """Verify kernel normalization, moments, and envelope domination."""
     resolved = _resolve(load_config(config_path), "kernel-check", seed)
-    ell, table_size = resolved["kernel"]["ell"], resolved["kernel"]["table_size"]
+    ell, table_size = _kernel_keys(resolved)
     t0 = time.perf_counter()
-    try:
-        composite = build_composite(build_base(ell, table_size))
-    except InvalidParameterError as exc:
-        raise ConfigError(f"config key 'kernel.ell' or 'kernel.table_size': {exc}") from exc
+    composite = build_composite(build_base(ell, table_size))
     run = _Run(_outdir(out_flag, resolved, "kernel-check"),
                resolved["output"]["formats"])
     checks = []

@@ -28,7 +28,7 @@ from .errors import (
     NumericError,
     VerificationError,
 )
-from .estimator import Dataset, build_dataset
+from .estimator import MAX_LATTICE_BYTES, Dataset, build_dataset
 from .quadrature import GridSpec
 
 
@@ -268,12 +268,21 @@ def vg_packing(m: int, rng: np.random.Generator) -> PackingSet:
     """Randomized greedy packing of {0,1}^m at Hamming distance m/8.
 
     Existence is guaranteed in theory; the greedy draw is a
-    construction choice, verified exhaustively before return.
+    construction choice, verified exhaustively before return. That
+    check holds one byte per (member pair, bit) and about 17 more per
+    pair, so an m whose check would pass MAX_LATTICE_BYTES is refused
+    before any draw.
     """
     if m < 8 or m != int(m):
         raise InvalidParameterError(f"m must be an integer >= 8, got {m!r}")
     m = int(m)
     target = int(np.ceil(2 ** (m / 8.0)))
+    need = target ** 2 * (m + 17)
+    if need > MAX_LATTICE_BYTES:
+        raise InvalidParameterError(
+            f"a packing of {{0,1}}^{m} has {target} members, and checking it needs about "
+            f"{need / 2**30:.3g} GiB (MAX_LATTICE_BYTES is {MAX_LATTICE_BYTES / 2**30:.1f} "
+            f"GiB); lower m (fewer wiggles)")
     min_dist = m / 8.0
     budget = 200 * target
     accepted = np.zeros((0, m), dtype=np.uint8)

@@ -9,12 +9,14 @@ the widest support any of these kernels can reach) because the
 interpolated kernels are exactly zero outside their support; smaller
 per-bandwidth range queries would change nothing but the constant.
 
-One internal function, `_select_points`, runs the whole rule at a block
-of points and yields, per point, the raw sums, the selected lattice
-index and the candidate count. It evaluates the criterion only on the
-rows that a lower bound does not rule out, or on every row for
-`keep_criterion` and at d = 1. The oracle lab reads the |H|^2 pair
-matrix from a record's contracted key sums.
+One internal function, `_select_points`, runs the whole rule at the
+points of a call, in blocks of points, and yields, per point, the raw
+sums, the selected lattice index and the candidate count. It
+evaluates the criterion for a whole block at once (`_select_block`),
+only on the (point, row) pairs that a lower bound does not rule out,
+or on every row for `keep_criterion` and at d = 1. A lone point is a
+block of one. The oracle lab reads the |H|^2 pair matrix from a
+record's contracted key sums.
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
@@ -29,9 +31,11 @@ by node, and one gather gives all its factors (`_entry_rows`). At d = 1
 a block of points takes its entries in passes of at most _BLOCK_ENTRIES
 and sums every (point, scale) window with one `bincount` per pass,
 bit for bit the one-point sums (`_window_sums`). At d >= 2 each point
-is its own block: per-axis (candidates x columns) matrices, contracted
-(outer products, then one GEMM), in chunks of candidates so memory
-does not grow with n. A factor of axis j depends only on the
+of a block writes its sums into the block's arrays (`_point_tables`):
+per-axis (candidates x columns) matrices, contracted (outer products,
+then one GEMM), in chunks of candidates so memory does not grow with
+n; a block holds at most _BLOCK_PAIRS contracted key sums, and at
+least one point. A factor of axis j depends only on the
 observation and on x_j, so on a tensor grid the points of one grid
 line read the same rows: an axis whose coordinate a later point shares
 takes its rows from that line's matrix, built once over every
@@ -73,9 +77,10 @@ MAX_LATTICE_BYTES = 2**30
 _BLOCK_BYTES = 2**24
 # Most bytes of per-axis line matrices `_Lines` keeps at d >= 2.
 _LINE_BYTES = 2**22
-# Most (row, lattice row) pairs one block of criterion rows holds in
-# `_select_points`: blocks of a few hundred kB each run faster than one
-# (H, H) pass at d = 3.
+# Most (row, lattice row) pairs one chunk of criterion rows holds in
+# `_select_block`: chunks of a few hundred kB each run faster than one
+# (H, H) pass at d = 3. Also the most contracted key sums (d >= 2) or
+# (row, row) pairs (d = 1) of one block of points (`_block_points`).
 _BLOCK_PAIRS = 2**16
 # Most (candidate, scale) entries one pass of `_window_sums` interpolates
 # at d = 1.
@@ -257,11 +262,17 @@ def _per_axis(tabs: list[np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
             for j, tab in enumerate(tabs)]
 
 
-def _pair_read(values: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
-    """values at every pair (row, lattice row), one row each, from the
-    `_per_axis` parts of per-axis flat-index tables: a pair's flat index
-    is the sum of its parts. values may have leading axes (one per
-    point of a block), kept in front."""
+def _pair_read(values: np.ndarray, parts: list[np.ndarray], rows=slice(None),
+               points: np.ndarray | None = None) -> np.ndarray:
+    """values at every pair (row, lattice row) of the given lattice rows
+    (all by default), one row each, from the `_per_axis` parts of
+    per-axis flat-index tables: a pair's flat index is the sum of its
+    parts. values may have leading axes (one per point of a block),
+    kept in front; with points, row i reads values[points[i]] instead."""
+    parts = [part[rows] for part in parts]
+    if points is not None:  # a row's offset joins its first (smallest) part
+        parts[0] = parts[0] + (points * values.shape[-1]).reshape((-1,) + (1,) * len(parts))
+        values = values.reshape(-1)
     # the last axes first: the full-size sums then run along long rows
     flat = reduce(np.add, reversed(parts))
     return values.take(flat, axis=-1).reshape(values.shape[:-1] + (flat.shape[0], -1))
@@ -294,15 +305,17 @@ def _row_floats(dim: int, max_exponent: int) -> int:
 
 
 def _lattice_bytes(grid: BandwidthGrid) -> int:
-    """Peak bytes of one selection (a point, or a d = 1 block of points);
+    """Peak bytes of one selection (a block of points, `_block_points`);
     the lattice tables, O(H d E) values, are not counted.
 
-    At d >= 2 a point holds three of the P^d contracted key sums
-    (P = (E+1)(E+2)/2), the kept line matrices (_LINE_BYTES) and then
-    either one chunk of candidates (_BLOCK_BYTES, or one `_row_floats`
-    row if more; building a line takes less) or one block of criterion
-    rows: about five 8-byte arrays of max(_BLOCK_PAIRS, H) pairs. No
-    (H, H) array is held. A d = 1 block holds its points'
+    At d >= 2 a block holds its points' sums (the P^d contracted key
+    sums and three lattice rows each, P = (E+1)(E+2)/2), counted twice
+    since a caller may still hold a record of the block before; a point
+    adds one chunk's P^d key sums, the kept line matrices (_LINE_BYTES)
+    and either one chunk of candidates (_BLOCK_BYTES, or one
+    `_row_floats` row if more; building a line takes less) or one chunk
+    of criterion pairs: about five 8-byte arrays of max(_BLOCK_PAIRS, H)
+    values. No (H, H) array is held. A d = 1 block holds its points'
     sums and criterion rows, about eight floats per (point, row, row)
     triple, at most max(_BLOCK_PAIRS, H^2), and one pass of at most
     _BLOCK_ENTRIES entries. Candidate offsets, a slice of the sample,
@@ -313,9 +326,10 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
         return (8 * _BLOCK_ENTRIES * _row_floats(1, E)
                 + 64 * max(_BLOCK_PAIRS, len(grid) ** 2))
     keys = (E + 1) * (E + 2) // 2
-    block = 40 * max(_BLOCK_PAIRS, len(grid))
-    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), block)
-    return 24 * keys ** d + 8 * (3 * (E + 1) + keys + 1) + _LINE_BYTES + chunk
+    block = _block_points(grid) * (keys ** d + 3 * len(grid))
+    pairs = 40 * max(_BLOCK_PAIRS, len(grid))
+    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), pairs)
+    return 8 * (2 * block + keys ** d + 3 * (E + 1) + keys + 1) + _LINE_BYTES + chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,10 +584,12 @@ def _chunk_rows(setup: EstimationSetup) -> int:
     return max(1, _BLOCK_BYTES // (8 * _row_floats(setup.grid.dim, setup.grid.max_exponent)))
 
 
-def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: list):
-    """Empirical averages at one point (d >= 2): estimates, absolute-kernel
-    averages for kernel and envelope, and the contracted key sums that
-    every pair estimate reads (`_pair_read`).
+def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: list,
+                  out: list[np.ndarray]) -> int:
+    """Empirical averages at one point (d >= 2), written into out (zeros
+    on entry): estimates, absolute-kernel averages for kernel and
+    envelope, and the contracted key sums that every pair estimate
+    reads (`_pair_read`); returns the candidate count.
     Per axis, each (candidate, scale 2^a) entry in support takes one
     index and fraction into the setup's stack, and one gather gives its
     kernel, envelope and key (a, k) (q_r table k at join scale 2^a)
@@ -584,12 +600,13 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: l
     offs = data.points[idx] - x
     at = [None if line is None else line.rows(idx) for line in lines]
     rows = _chunk_rows(setup)
-    sums = [0.0] * 4
     for lo in range(0, max(idx.size, 1), rows):
         part = [None if r is None else (line.mat, r[lo:lo + rows]) for line, r in zip(lines, at)]
-        sums = [t + c for t, c in zip(sums, _chunk_sums(offs[lo:lo + rows], setup, part))]
-    fhat, a_k, a_q, keys = (total / data.n for total in sums)
-    return fhat, a_k, a_q, keys, int(idx.size)
+        for total, chunk in zip(out, _chunk_sums(offs[lo:lo + rows], setup, part)):
+            total += chunk
+    for total in out:
+        total /= data.n
+    return int(idx.size)
 
 
 @dataclass(eq=False)
@@ -702,7 +719,7 @@ class _PointRecord:
         return float(self.fhat[self.best])
 
 
-def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray, n: int,
+def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray | list[int], n: int,
                   policy: KappaPolicy, setup: EstimationSetup,
                   keep_criterion: bool) -> list[_PointRecord]:
     """The selection rule at a block of points from their averages
@@ -710,15 +727,17 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray, n:
 
     The criterion of row h is fl(fl(b + s) + m): its bracket b >= 0,
     s the sup of m_q over coarser rows and m = m_k. Rounding is
-    monotone, so LB = fl(s + m) bounds it from below. At d >= 2 (a block
-    of one point) the first row of least LB is evaluated, then every row
-    whose LB is at most its criterion: any row left out has a criterion
-    strictly above the minimum, so the minimum and all its ties are
-    evaluated. keep_criterion, and every d = 1 block, evaluate every
-    row; keep_criterion keeps the criterion. Rows are evaluated in
-    blocks of about _BLOCK_PAIRS pairs over the block's points.
-    Lattice rows are in lexicographic order, so the least (criterion,
-    exponent sum, row) is the documented tie-break.
+    monotone, so LB = fl(s + m) bounds it from below. Each point first
+    evaluates its first row of least LB (one gather over the block's
+    (point, row) pairs), then every other row whose LB is at most that
+    criterion: any row left out has a criterion strictly above the
+    point's minimum, so the minimum and all its ties are evaluated.
+    keep_criterion, and every d = 1 block, evaluate every row of every
+    point; keep_criterion keeps the criterion. Pairs are evaluated in
+    chunks of at most about _BLOCK_PAIRS (pair, lattice row) values,
+    each value by the same arithmetic whatever the block and chunk. Per
+    point the least (criterion, exponent sum, row) is the documented
+    tie-break, since lattice rows are in lexicographic order.
     """
     fhat, a_k, a_q, keys = sums
     tables = setup.tables
@@ -727,36 +746,53 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray, n:
     m_q = _m_hat(a_q, lam)
     sup_q = _coarser_sup(m_q, tables)
     key, join = tables.every_pair
-    step = max(1, _BLOCK_PAIRS // (len(xs) * tables.size))
+
+    def evaluate(p, r):
+        """The criterion at the pairs (point p[i], lattice row r[i]), or,
+        p None, of every point at the rows r (a slice)."""
+        if p is None:
+            at, f, m = np.s_[:, r], fhat[:, None], m_k[:, None]
+        else:
+            at, f, m = (p, r), fhat[p], m_k[p]
+        bracket = np.abs(_pair_read(keys, key, r, p) - f) - _pair_read(m_q, join, r, p) - m
+        np.maximum(bracket, 0.0, out=bracket)
+        criterion[at] = bracket.max(axis=-1) + sup_q[at] + m_k[at]
+
+    # a row left out stays above its point's least criterion
+    criterion = np.full(fhat.shape, np.inf)
     # at d = 1 (H = E + 1 rows) one pass over every row is faster than two
-    whole = keep_criterion or setup.grid.dim == 1
-
-    def evaluate(rows):
-        brackets = []
-        for lo in range(0, rows.size, step):
-            # a block of the whole lattice reads its rows of every_pair as slices
-            block = slice(lo, lo + step) if whole else rows[lo:lo + step]
-            bracket = (np.abs(_pair_read(keys, [p[block] for p in key]) - fhat[:, None])
-                       - _pair_read(m_q, [p[block] for p in join]) - m_k[:, None])
-            np.maximum(bracket, 0.0, out=bracket)
-            brackets.append(bracket.max(axis=-1))
-        return np.concatenate(brackets, axis=-1) + sup_q[:, rows] + m_k[:, rows]
-
-    lb = sup_q + m_k
-    rows = np.arange(tables.size) if whole else lb[0].argmin(keepdims=True)
-    criterion = evaluate(rows)
-    if not whole:
-        more = np.flatnonzero(lb[0] <= criterion[0, 0])
-        if more.size > 1:
-            rows, criterion = more, evaluate(more)
+    if keep_criterion or setup.grid.dim == 1:
+        step = max(1, _BLOCK_PAIRS // (len(xs) * tables.size))
+        for lo in range(0, tables.size, step):
+            evaluate(None, slice(lo, lo + step))
+    else:
+        every = np.arange(len(xs))
+        lb = sup_q + m_k
+        first = lb.argmin(axis=1)
+        evaluate(every, first)
+        more = lb <= criterion[every, first][:, None]
+        more[every, first] = False
+        pts, rows = np.nonzero(more)
+        step = max(1, _BLOCK_PAIRS // tables.size)
+        for lo in range(0, pts.size, step):
+            evaluate(pts[lo:lo + step], rows[lo:lo + step])
     # rows ascend, so the first least exponent sum among the least
     # criteria is the documented choice
-    tied = criterion == criterion.min(axis=-1, keepdims=True)
-    best = rows[np.where(tied, tables.exp_sum[rows], np.iinfo(np.int64).max).argmin(axis=-1)]
+    tied = criterion == criterion.min(axis=1, keepdims=True)
+    best = np.where(tied, tables.exp_sum, np.inf).argmin(axis=1)
     return [_PointRecord(x=x, fhat=fhat[i], a_k=a_k[i], a_q=a_q[i], keys=keys[i],
                          criterion=criterion[i] if keep_criterion else None, best=int(b),
                          selected=tables.bandwidths[b], counts=int(counts[i]))
             for i, (x, b) in enumerate(zip(xs, best))]
+
+
+def _block_points(grid: BandwidthGrid) -> int:
+    """Points of one block of `_select_points`: at d = 1 their (row, row)
+    pairs, at d >= 2 their key sums (P^d each), at most _BLOCK_PAIRS;
+    at least one point."""
+    E = grid.max_exponent
+    per = len(grid) ** 2 if grid.dim == 1 else ((E + 1) * (E + 2) // 2) ** grid.dim
+    return max(1, _BLOCK_PAIRS // per)
 
 
 def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
@@ -764,29 +800,30 @@ def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
                    ) -> Iterator[_PointRecord]:
     """Run the selection rule at every row of xs (points, d), checked
     finite, in order: the single path every caller uses. The records
-    come one block at a time, so a caller that reduces them as they come
-    never holds a whole grid's key sums.
+    come one block at a time (`_block_points`), so a caller that
+    reduces them as they come never holds a whole grid's key sums.
 
-    At d = 1 the points go in blocks of about _BLOCK_PAIRS / H^2, each
-    summed by `_window_sums` and selected at once; at d >= 2 each point
-    is a block of one (`_point_tables`), reading the per-axis line
-    matrices it shares with other points (`_Lines`). A point's record
-    does not depend on the block it is fitted in.
+    A block's sums come from `_window_sums` at d = 1; at d >= 2 each
+    point's `_point_tables` writes them into the block's arrays, reading
+    the per-axis line matrices it shares with other points (`_Lines`).
+    Then `_select_block` selects the whole block. A point's record does
+    not depend on the block it is fitted in.
     """
     n = data.n
     if n < 2:
         raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
-    if setup.grid.dim > 1:
-        lines = _Lines(data, xs, setup)
-        for p, x in enumerate(xs):
-            *sums, counts = _point_tables(data, x, setup, lines.read(p))
-            yield from _select_block(x[None], [t[None] for t in sums], [counts],
-                                     n, policy, setup, keep_criterion)
-        return
-    per = max(1, _BLOCK_PAIRS // setup.tables.size ** 2)
+    tables, dim = setup.tables, setup.grid.dim
+    lines = _Lines(data, xs, setup) if dim > 1 else None
+    per = _block_points(setup.grid)
     for lo in range(0, len(xs), per):
         block = xs[lo:lo + per]
-        sums, counts = _window_sums(data, block, setup)
+        if lines is None:
+            sums, counts = _window_sums(data, block, setup)
+        else:
+            sums = [np.zeros((len(block), size))
+                    for size in (tables.size,) * 3 + (tables.n_keys ** dim,)]
+            counts = [_point_tables(data, x, setup, lines.read(lo + i), [s[i] for s in sums])
+                      for i, x in enumerate(block)]
         yield from _select_block(block, sums, counts, n, policy, setup, keep_criterion)
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -284,6 +285,16 @@ class TestConfigTable:
         code, out = run_config(tmp_path, "kernel-check", {"kernel": kernel}, "o")
         err = capsys.readouterr().err
         assert code == 1 and "config error" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "oracle", "risk"])
+    def test_kernel_bound_names_its_keys(self, tmp_path, capsys, command):
+        doc = copy.deepcopy(TABLE_BASE[command])
+        doc["kernel"]["ell"] = 0
+        code, out = run_config(tmp_path, command, doc, "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error: config key 'kernel.ell' or 'kernel.table_size'" in err
         assert not out.exists()
 
     def test_defaults_are_written_into_the_manifest(self, tmp_path):
@@ -691,6 +702,18 @@ class TestLowerboundCommand:
         assert main(["lowerbound", "--config", write_config(tmp_path, doc),
                      "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_packing_too_big_to_check_is_refused_at_once(self, tmp_path, capsys):
+        # 32 x 16 wiggles: a packing of {0,1}^512 with 2^64 members
+        doc = {"lowerbound": {"N": 32, "dim": 2, "sigma": [0.05, 0.1],
+                              "amplitude": 0.0001, "slice_nodes": 33}}
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        code = main(["lowerbound", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert code == 1 and "config error" in err and "MAX_LATTICE_BYTES" in err
         assert not out.exists()
 
     def test_oversized_sigma_is_a_config_error(self, tmp_path, capsys):

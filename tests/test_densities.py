@@ -184,6 +184,15 @@ class TestPacking:
         with pytest.raises(InvalidParameterError):
             vg_packing(7, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("m", [93, 512])
+    def test_packing_too_big_to_check_is_refused_before_drawing(self, m):
+        # 2^(93/8) = 3159 members: about 1.02 GiB of pair comparisons
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
+            vg_packing(m, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestPerturbedDensity:
     # sigma is capped at 1/(20*kappa_scale), so N = 16 needs >= 16 bumps

@@ -483,6 +483,17 @@ class TestRecordAgainstReference:
             assert [f.selected.exponents for f in fits] == want, (d, n, m)
 
 
+def hand_built(sums):
+    """A `_point_tables` stand-in that writes the given sums at every
+    point and reports no candidates."""
+    def point_tables(data, x, setup, lines, out):
+        for total, value in zip(out, sums):
+            total[...] = value
+        return 0
+
+    return point_tables
+
+
 class TestPrunedSelection:
     """The selector evaluates only the rows whose lower bound
     sup_q + m_k is at most a criterion it has seen; its choice must be
@@ -529,9 +540,9 @@ class TestPrunedSelection:
         keys = np.zeros(setup.tables.n_keys ** 2)
         keys[4] = 4.0  # pair ((1,1), (1,1)): key (join 1, ratio 0) on both axes
         keys[2] = spoil  # pair ((0,1), (0,0)), read by no row of least criterion
-        sums = (np.zeros(4), np.array([8.0, 3.0, 8.0, 1.0]), np.ones(4), keys, 0)
+        sums = (np.zeros(4), np.array([8.0, 3.0, 8.0, 1.0]), np.ones(4), keys)
         monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
-        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup, lines: sums)
+        monkeypatch.setattr(est, "_point_tables", hand_built(sums))
         policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
         full = assert_pruned_matches_full(far_dataset(8, 2), np.zeros(2), policy, setup)
         assert full.criterion[3] == 4.0
@@ -547,9 +558,9 @@ class TestPrunedSelection:
         setup = make_setup(8, 2, max_exponent=2)
         a_k = np.full(9, 5.0)
         a_k[[2, 3]] = 1.0  # rows (0, 2) and (1, 0)
-        sums = (np.zeros(9), a_k, np.zeros(9), np.zeros(setup.tables.n_keys ** 2), 0)
+        sums = (np.zeros(9), a_k, np.zeros(9), np.zeros(setup.tables.n_keys ** 2))
         monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: a_hat)
-        monkeypatch.setattr(est, "_point_tables", lambda data, x, setup, lines: sums)
+        monkeypatch.setattr(est, "_point_tables", hand_built(sums))
         policy = KappaPolicy(kappa=1.0, d=2, p=2.0, k_inf=setup.kernel.k_inf)
         full = assert_pruned_matches_full(far_dataset(8, 2), np.zeros(2), policy, setup)
         assert full.criterion[2] == full.criterion[3] == 1.0
@@ -621,10 +632,11 @@ class TestPerAxisEngine:
 
 
 class TestBlockSelection:
-    """At d = 1 a grid is selected in blocks of points, each summed in
-    passes of at most _BLOCK_ENTRIES entries, and at d >= 2 points read
-    the grid lines they share; every record must equal the one-point
-    call's, bit for bit, whatever the block, pass and line sizes."""
+    """A grid is selected in blocks of points: at d = 1 each summed in
+    passes of at most _BLOCK_ENTRIES entries, at d >= 2 point by point,
+    reading the grid lines the points share; every record must equal the
+    one-point call's, bit for bit, whatever the block, pass and line
+    sizes."""
 
     @staticmethod
     def fixture():
@@ -697,9 +709,9 @@ class TestBlockSelection:
         covered = []
         point_tables = est._point_tables
 
-        def spy(data, x, setup, lines):
+        def spy(data, x, setup, lines, out):
             covered.append(sum(line is not None for line in lines))
-            return point_tables(data, x, setup, lines)
+            return point_tables(data, x, setup, lines, out)
 
         monkeypatch.setattr(est, "_point_tables", spy)
         fits = estimate_on_grid(data, pts, policy, setup, keep_criterion=keep)
@@ -721,6 +733,38 @@ class TestBlockSelection:
             assert all(c == 0 or f.counts == 0 for c, f in zip(used, fits))
         else:
             assert (0 < sum(used) < shared) if budget == "some" else sum(used) == shared
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("points", [1, 2, 7, None])
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("majorants", [True, False])
+    def test_blocks_of_points_give_point_records(self, monkeypatch, d, points, keep,
+                                                 majorants):
+        """At d >= 2 a grid is selected in blocks of `points` points (None:
+        the whole grid in one block); every record must equal the one-point
+        call's, bit for bit, repeated and far points included. Without
+        majorants a far point (no candidates) ties on every row."""
+        import anisokde.estimator as est
+
+        data, setup, policy, pts = self.mesh_fixture(d)
+        if not majorants:
+            monkeypatch.setattr(est, "_m_hat", lambda a_hat, lam: 0.0 * a_hat)
+        solo = [est._select_point(data, x, policy, setup, keep) for x in pts]
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", (points or len(pts)) * setup.tables.n_keys ** d)
+        assert est._block_points(setup.grid) == (points or len(pts))
+        recs = list(est._select_points(data, pts, policy, setup, keep))
+        assert len(recs) == len(pts) and recs[-2].counts == recs[-1].counts == 0
+        if not majorants:
+            assert recs[-2].best == 0
+            assert not keep or not recs[-2].criterion.any()
+        names = ("fhat", "a_k", "a_q", "keys") + (("criterion",) if keep else ())
+        for rec, ref in zip(recs, solo):
+            assert rec.best == ref.best and rec.counts == ref.counts
+            assert rec.selected is ref.selected and np.array_equal(rec.x, ref.x)
+            assert (rec.criterion is None) is not keep
+            for name in names:
+                got, want = getattr(rec, name), getattr(ref, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_risk_replicate_integrates_the_point_estimates(self, monkeypatch):
         import anisokde.estimator as est
@@ -941,6 +985,19 @@ class TestLatticeMemoryGuard:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 1.0
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n, dim, admitted", [
+        (4096, 3, True), (256, 4, True), (2048, 4, True), (4096, 4, False),
+    ])
+    def test_admit_and_refuse_boundary(self, n, dim, admitted):
+        """Counting a block of points in the estimate moves no lattice
+        across MAX_LATTICE_BYTES: d = 4 stops between E = 11 and E = 12."""
+        if admitted:
+            setup = make_setup(n, dim, table_size=64)
+            assert setup.grid.max_exponent == n.bit_length() - 1
+        else:
+            with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
+                make_setup(n, dim, table_size=64)
 
     def test_override_is_checked_too(self):
         with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
