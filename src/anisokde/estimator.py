@@ -799,9 +799,10 @@ def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
                    setup: EstimationSetup, keep_criterion: bool = False
                    ) -> Iterator[_PointRecord]:
     """Run the selection rule at every row of xs (points, d), checked
-    finite, in order: the single path every caller uses. The records
-    come one block at a time (`_block_points`), so a caller that
-    reduces them as they come never holds a whole grid's key sums.
+    finite, in order, on data of the setup's dimension: the single path
+    every caller uses. The records come one block at a time
+    (`_block_points`), so a caller that reduces them as they come never
+    holds a whole grid's key sums.
 
     A block's sums come from `_window_sums` at d = 1; at d >= 2 each
     point's `_point_tables` writes them into the block's arrays, reading
@@ -813,6 +814,8 @@ def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
     if n < 2:
         raise InvalidParameterError(f"selection needs n >= 2 observations, got {n}")
     tables, dim = setup.tables, setup.grid.dim
+    if data.dim != dim:
+        raise InvalidParameterError(f"the data have dim {data.dim}, the setup {dim}")
     lines = _Lines(data, xs, setup) if dim > 1 else None
     per = _block_points(setup.grid)
     for lo in range(0, len(xs), per):

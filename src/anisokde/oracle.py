@@ -12,21 +12,27 @@ residual terms.
 Every true quantity is a smoothing of f at x: by K_h (single-estimate
 means), |K_h| and the envelope (true kernel averages) and q_r at the
 join bandwidth (pair means; per axis q_r is K_h * K_eta, so these are
-also the double smoothings behind the smoothed bias). One class,
-`_Smoothing`, evaluates f's factors once per axis group and distinct
-scale vector, x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K
-at 2^-a is t = a+1), and sums every table row (one per kernel, and one
-per per-axis (join, ratio) key) from those values. A product-form
-density (or a mixture of them) has one group per axis: E+2 point sets
-of `nodes` points per axis and component. Any other density is one
-group of all axes, (E+2)**dim sets of nodes**dim points. `bias`,
-`bias_bar` and `majorant_true` build the same rows at their bandwidths,
-so each equals its `_TrueTables` entry.
+also the double smoothings behind the smoothed bias). Each quantity is
+a family of table rows (`_single_rows`: one per kernel and exponent;
+`_pair_rows`: one per per-axis (join, ratio) key), and
+`_Smoothing.means` builds every family a caller needs from one pass:
+each of f's factors is called once for all the scale vectors the rows
+need, x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K at 2^-a
+is t = a+1), and each row is summed on its own from those values. A
+product-form density (or a mixture of them) has one group per axis:
+E+2 point sets of `nodes` points per axis and component, one call each
+while they fit in a block. Any other density is one group of all axes,
+(E+2)**dim sets of nodes**dim points, each family's combinations formed
+on their own. `_TrueTables` takes the kernel, |kernel|, envelope and
+pair rows from one pass; `bias`, `bias_bar` and `majorant_true` build
+the same rows at their bandwidths, so each equals its `_TrueTables`
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,10 +51,13 @@ from .estimator import (
     _select_point,
 )
 from .kernels import _interp_uniform, convolve_ratio
-from .quadrature import DEFAULT_NODES, mesh_points, trapezoid_rule
+from .quadrature import DEFAULT_NODES, trapezoid_rule
 
-# Most quadrature points `_Smoothing` evaluates or sums at once.
+# Most quadrature points `_Smoothing` evaluates at once, and most row
+# weights it multiplies and sums at once (all the rows of a pass over a
+# product-form density at the usual node counts).
 _BLOCK_POINTS = 2**12
+_BLOCK_WEIGHTS = 2**15
 
 
 def _factors(f: TrueDensity):
@@ -82,83 +91,121 @@ def _node_weights(g, nodes: int):
 def _distinct(values: np.ndarray):
     """np.unique(values, return_inverse=True) for non-negative integers."""
     seen = np.bincount(values.ravel()) > 0
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
+    return seen.nonzero()[0], (seen.cumsum() - 1)[values]
+
+
+class _Rows(NamedTuple):
+    """A family of table rows and how to read it. Key p of channel c is
+    the weight row wtab[wid[c, p]] (trapezoid weights times a kernel
+    factor on the nodes) at scale 2^-sid[c, p]; per channel, a group's
+    rows are every combination of one key per axis of the group. idx[j]
+    holds axis j's key positions (broadcasting together), and the read,
+    channels first, is reshaped to shape."""
+
+    wtab: np.ndarray
+    wid: np.ndarray
+    sid: np.ndarray
+    idx: list
+    shape: tuple
+
+
+def _single_rows(wtab: np.ndarray, exps: np.ndarray, shifts) -> _Rows:
+    """Smoothing by weight row c of wtab at 2^-(a + shifts[c]) on each
+    axis, for every channel c and row a of the exponent matrix exps."""
+    keys, inv = _distinct(exps)
+    wid = np.arange(len(shifts)).repeat(keys.size).reshape(len(shifts), -1)
+    return _Rows(wtab, wid, keys + np.array(shifts)[:, None], list(inv.T),
+                 (len(shifts), exps.shape[0]))
+
+
+def _pair_rows(q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> _Rows:
+    """Mean of the pair estimate of every pair (h, eta) of a row of exp_h
+    and a row of exp_eta, whose rows are the full lattice {0..max}^d in
+    C order: on each axis q_r, r = 2^-|a - b| (weight row q_rows[|a -
+    b|]), smoothing f at the join scale 2^-min(a, b). Each per-axis
+    (join, ratio) key is one row."""
+    a, b = np.arange(exp_h.max() + 1)[:, None], np.arange(exp_eta.max() + 1)
+    width = max(a.size, b.size)
+    code, key = _distinct(np.minimum(a, b) * width + np.abs(a - b))
+    return _Rows(q_rows, (code % width)[None], (code // width)[None],
+                 _per_axis([key] * exp_h.shape[1], exp_h), (exp_h.shape[0], -1))
 
 
 class _Smoothing:
     """Smoothings of f at x by kernel weight rows at dyadic scales.
 
-    A key p is the weight row wtab[wid[p]] (trapezoid weights times a
-    kernel factor on the nodes us) at scale 2^-sid[p], sid[p] <= top. A
-    table row takes one key per axis of a group and sums, over the
-    group's mesh, the product of the rows times f's factor at
-    x + 2^-t u. f's factors are evaluated once per scale vector t, when
-    a row first needs it, and each row is summed on its own, so its
-    value does not depend on the other rows."""
+    `means` takes every row family a caller needs (`_single_rows`,
+    `_pair_rows`) and makes one pass over f's axis groups, which all have
+    the same size (one axis each, or all axes): it evaluates each of f's
+    factors once at x + 2^-t u for every scale vector t any row needs (u
+    the group mesh of the nodes us, t <= top per axis, in blocks of at
+    most _BLOCK_POINTS points), stacks the rows' weights in one (rows,
+    mesh) array (in blocks of at most _BLOCK_WEIGHTS) and sums each row
+    on its own, so a row's value does not depend on the other rows or
+    families."""
 
     def __init__(self, f: TrueDensity, x: np.ndarray, us: np.ndarray, top: int):
-        self.weights, groups = _factors(f)
-        self.x, self.span = x, top + 1
-        self.groups = [(cols, fns, mesh_points([us] * len(cols)),
-                        np.indices((us.size,) * len(cols)).reshape(len(cols), -1),
-                        np.empty((len(fns), self.span ** len(cols), us.size ** len(cols))),
-                        np.zeros(self.span ** len(cols), dtype=bool))
-                       for cols, fns in groups]
+        self.weights, self.groups = _factors(f)
+        self.x, self.us, self.span = x, us, top + 1
 
-    def table(self, wtab: np.ndarray, wid: np.ndarray, sid: np.ndarray) -> list:
-        """Per group, the rows of every combination of one key per axis,
-        shaped (components,) + (keys,) * group size."""
-        out = []
-        for cols, fns, mesh, node, vals, done in self.groups:
-            dim, step = len(cols), max(1, _BLOCK_POINTS // mesh.shape[0])
-            keys = np.indices((wid.size,) * dim).reshape(dim, -1)
-            need = np.ravel_multi_index(sid[keys], (self.span,) * dim)
-            todo = np.flatnonzero(~done & (np.bincount(need, minlength=done.size) > 0))
-            for lo in range(0, todo.size, step):
-                blk = todo[lo:lo + step]
-                t = np.stack(np.unravel_index(blk, (self.span,) * dim), axis=-1)
-                pts = (self.x[cols] + (2.0 ** -t)[:, None, :] * mesh).reshape(-1, dim)
+    def _values(self, codes: np.ndarray, mesh: np.ndarray) -> np.ndarray:
+        """f's factors (groups, components, scale vectors, mesh) at
+        x + 2^-t u for the scale vectors t of the flat codes."""
+        scales = 2.0 ** -np.array(np.unravel_index(codes, (self.span,) * mesh.shape[1])).T
+        vals = np.empty((len(self.groups), self.weights.size, codes.size * mesh.shape[0]))
+        for lo in range(0, vals.shape[-1], _BLOCK_POINTS):
+            vec, node = np.divmod(np.arange(lo, min(lo + _BLOCK_POINTS, vals.shape[-1])),
+                                  mesh.shape[0])
+            offsets = scales[vec] * mesh[node]
+            for g, (cols, fns) in enumerate(self.groups):
+                pts = self.x[cols] + offsets
                 for c, fn in enumerate(fns):
-                    vals[c, blk] = np.asarray(fn(pts), dtype=float).reshape(blk.size, -1)
-            done[todo] = True
-            sums = np.empty((len(fns), need.size))
-            for lo in range(0, need.size, step):
-                blk = slice(lo, lo + step)
-                w = wtab[wid[keys[0, blk]]][:, node[0]]
-                for j in range(1, dim):
-                    w = w * wtab[wid[keys[j, blk]]][:, node[j]]
-                sums[:, blk] = (vals[:, need[blk]] * w).sum(axis=-1)
-            out.append(sums.reshape((len(fns),) + (wid.size,) * dim))
+                    vals[g, c, lo:lo + node.size] = fn(pts)
+        return vals.reshape(vals.shape[:2] + (codes.size, -1))
+
+    def means(self, *families: _Rows) -> list:
+        """Every family's smoothings, from one pass over f's groups."""
+        dim = len(self.groups[0][0])
+        node = np.indices((self.us.size,) * dim).reshape(dim, -1)
+        wtab = np.concatenate([fam.wtab for fam in families])
+        wid, need, off = [], [], 0
+        for fam in families:  # (channel, key per axis) of every row, C order
+            rows = np.indices(fam.wid.shape[:1] + (fam.wid.shape[1],) * dim).reshape(dim + 1, -1)
+            wid.append(fam.wid[rows[0], rows[1:]] + off)
+            need.append(np.ravel_multi_index(fam.sid[rows[0], rows[1:]], (self.span,) * dim))
+            off += fam.wtab.shape[0]
+        wid, (codes, pos) = np.concatenate(wid, axis=1), _distinct(np.concatenate(need))
+        vals = self._values(codes, self.us[node.T])
+        sums = np.empty(vals.shape[:2] + pos.shape)
+        step = max(1, _BLOCK_WEIGHTS // node.shape[1])
+        for lo in range(0, pos.size, step):
+            blk = slice(lo, lo + step)
+            w = wtab[wid[0, blk, None], node[0]]
+            for j in range(1, dim):
+                w = w * wtab[wid[j, blk, None], node[j]]
+            sums[..., blk] = (vals[:, :, pos[blk]] * w).sum(axis=-1)
+        out, lo = [], 0
+        for fam in families:
+            shape = (self.weights.size,) + fam.wid.shape[:1] + (fam.wid.shape[1],) * dim
+            hi = lo + fam.wid.size * fam.wid.shape[1] ** (dim - 1)
+            out.append(self.read([tab[:, lo:hi].reshape(shape) for tab in sums],
+                                 fam.idx).reshape(fam.shape))
+            lo = hi
         return out
 
     def read(self, tabs: list, idx: list) -> np.ndarray:
-        """sum_c weights[c] * prod over groups of tab[c][idx[j] for j in
-        cols]; idx[j] holds axis j's key positions, broadcasting together."""
+        """sum_c weights[c] * prod over groups of tab[c, :][idx[j] for j
+        in cols], channels first; idx[j] holds axis j's key positions,
+        broadcasting together."""
         out = self.weights
-        for tab, (cols, *_) in zip(tabs, self.groups):
-            term = tab[(slice(None),) + tuple(idx[j] for j in cols)]
+        for tab, (cols, _) in zip(tabs, self.groups):
+            term = tab[(slice(None),) * 2 + tuple(idx[j] for j in cols)]
             out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
         return out.sum(axis=0)
 
-    def single(self, row: np.ndarray, exps: np.ndarray, shift: int = 0) -> np.ndarray:
-        """Smoothing by the weight row at 2^-(a + shift) on each axis, for
-        every row a of the exponent matrix exps."""
-        keys, inv = _distinct(exps)
-        tabs = self.table(row, np.zeros(keys.size, dtype=np.int64), keys + shift)
-        return self.read(tabs, list(inv.T))
-
     def pairs(self, q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> np.ndarray:
-        """Mean of the pair estimate of every pair (h, eta) of a row of
-        exp_h and a row of exp_eta, whose rows are the full lattice
-        {0..max}^d in C order: on each axis q_r, r = 2^-|a - b| (weight
-        row q_rows[|a - b|]), smoothing f at the join scale 2^-min(a, b).
-        Each per-axis (join, ratio) key is summed once."""
-        a, b = np.ogrid[:int(exp_h.max()) + 1, :int(exp_eta.max()) + 1]
-        width = max(a.size, b.size)
-        code, key = _distinct(np.minimum(a, b) * width + np.abs(a - b))
-        tabs = self.table(q_rows, code % width, code // width)
-        return self.read(tabs, _per_axis([key] * exp_h.shape[1], exp_h)).reshape(
-            exp_h.shape[0], -1)
+        """The pair means of `_pair_rows`, shaped (rows of exp_h, rows of exp_eta)."""
+        return self.means(_pair_rows(q_rows, exp_h, exp_eta))[0]
 
 
 def _truth(f: TrueDensity, x: np.ndarray, wide: np.ndarray, top: int, nodes: int):
@@ -198,7 +245,7 @@ def _at(f: TrueDensity, g, h: Bandwidth, x, nodes: int, absolute: bool = False) 
     us, row = _node_weights(g, nodes)
     exps = np.asarray(h.exponents, dtype=np.int64)[None, :]
     sm = _Smoothing(f, x, us, int(exps.max()))
-    return float(sm.single(np.abs(row) if absolute else row, exps)[0])
+    return float(sm.means(_single_rows(np.abs(row) if absolute else row, exps, (0,)))[0][0, 0])
 
 
 def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> float:
@@ -223,8 +270,9 @@ def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
     sm, q_rows = _truth(f, x, np.stack([convolve_ratio(K.factor, 2.0 ** -k).profile.values
                                         for k in range(top + 1)]), top, nodes)
     k_row = _node_weights(K, nodes)[1]
-    return float(_bias_bar(sm.single(k_row, h_exp, 1) - f(x), sm.pairs(q_rows, h_exp, exp),
-                           sm.single(k_row, exp, 1))[0])
+    means, pair_mean = sm.means(_single_rows(k_row, np.concatenate([h_exp, exp]), (1,)),
+                                _pair_rows(q_rows, h_exp, exp))
+    return float(_bias_bar(means[0, :1] - f(x), pair_mean, means[0, 1:])[0])
 
 
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
@@ -254,7 +302,7 @@ class OracleTerms:
 
 class _TrueTables:
     """Lattice-shaped true means and majorants at one point, all read
-    from one smoothing of f."""
+    from one smoothing pass over f, and f(x) itself."""
 
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
@@ -262,14 +310,15 @@ class _TrueTables:
         exp = tables.exp
         sm, wide = _truth(f, x, setup.stack[1:], setup.grid.max_exponent, nodes)
         k_row = _node_weights(setup.kernel, nodes)[1]
-        self.mean_f = sm.single(k_row, exp, 1)
-        self.bias = self.mean_f - f(x)
-        self.pair_mean = sm.pairs(wide[1:], exp, exp)
+        singles, self.pair_mean = sm.means(
+            _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
+                         (1, 1, 0)),
+            _pair_rows(wide[1:], exp, exp))
+        self.mean_f, self.a_k, self.a_q = singles
+        self.fx = f(x)
+        self.bias = self.mean_f - self.fx
         self.bias_bar = _bias_bar(self.bias, self.pair_mean, self.mean_f)
-        self.a_k = sm.single(np.abs(k_row), exp, 1)
-        self.a_q = sm.single(np.abs(wide[:1]), exp)
-        self.m_k = _majorant(self.a_k, policy.kappa, n, tables.volumes)
-        self.m_q = _majorant(self.a_q, policy.kappa, n, tables.volumes)
+        self.m_k, self.m_q = _majorant(singles[1:], policy.kappa, n, tables.volumes)
 
 
 def _check_pair_bytes(grid: BandwidthGrid) -> None:
@@ -279,11 +328,12 @@ def _check_pair_bytes(grid: BandwidthGrid) -> None:
     _check_bytes(40 * len(grid) ** 2, f"the oracle on a lattice of {len(grid)} bandwidths")
 
 
-def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _PointRecord, int]:
-    """The bound's terms, the selector's record they were built from, and
-    the lattice row that minimizes the bound."""
+def _oracle_terms(data, f, x, policy, setup, nodes
+                  ) -> tuple[OracleTerms, _PointRecord, int, float]:
+    """The bound's terms, the selector's record they were built from,
+    the lattice row that minimizes the bound and f at the point."""
     _check_pair_bytes(setup.grid)
-    rec = _select_point(data, x, policy, setup)
+    rec = _select_point(data, _checked_point(f, x, setup.grid), policy, setup)
     tables = setup.tables
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
@@ -300,7 +350,7 @@ def _oracle_terms(data, f, x, policy, setup, nodes) -> tuple[OracleTerms, _Point
         bias_bar=truth.bias_bar, m_k=truth.m_k, m_q_sup=m_q_sup, zeta=zeta, chi=chi,
         bound=float(per_h[best] + 7.0 * zeta + 18.0 * chi),
         argmin=tuple(int(k) for k in tables.exp[best]))
-    return terms, rec, best
+    return terms, rec, best, truth.fx
 
 
 def residual_zeta(data, f: TrueDensity, x, policy: KappaPolicy,
@@ -329,8 +379,8 @@ def assert_oracle_inequality(data, f: TrueDensity, x, policy: KappaPolicy,
     The selection and estimate come from the same selector pass that
     built the bound's empirical terms.
     """
-    terms, rec, best = _oracle_terms(data, f, x, policy, setup, nodes)
-    lhs = abs(rec.estimate - f(rec.x))
+    terms, rec, best, fx = _oracle_terms(data, f, x, policy, setup, nodes)
+    lhs = abs(rec.estimate - fx)
     return {
         "x": [float(v) for v in rec.x],
         "lhs": float(lhs),

@@ -8,6 +8,7 @@ double the node count rather than switching schemes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ def trapezoid_rule(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.nda
     A degenerate interval (hi <= lo) yields a single node with zero
     weight so that empty intersections integrate to exactly 0.
     """
+    try:
+        nodes = operator.index(nodes)
+    except TypeError:
+        raise InvalidParameterError(f"nodes must be an integer, got {nodes!r}") from None
     if nodes < 2:
         raise InvalidParameterError(f"trapezoid rule needs >= 2 nodes, got {nodes}")
     if hi <= lo:

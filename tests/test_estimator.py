@@ -15,6 +15,9 @@ from anisokde.estimator import (
     make_setup,
     select_and_estimate,
 )
+from anisokde.densities import sample, smooth_product_density
+from anisokde.oracle import assert_oracle_inequality
+from anisokde.risk import ExperimentPlan, default_grid, run_plan
 from reference import (
     eval_A_hat,
     eval_criterion,
@@ -851,6 +854,33 @@ class TestNonFinitePoints:
         pts = np.array([[0.0, 0.0], x])
         with pytest.raises(InvalidParameterError, match="finite"):
             estimate_on_grid(data, pts, policy, setup)
+
+
+class TestDataDimension:
+    # each direction once returned a plausible number: (k, 1) point
+    # offsets broadcast against a d=2 x, or d=1 window sums read axis 0
+    @pytest.mark.parametrize("entry", ["select_and_estimate", "estimate_on_grid", "run_plan",
+                                       "assert_oracle_inequality"])
+    @pytest.mark.parametrize("data_dim, setup_dim", [(1, 2), (2, 1)])
+    def test_refused_on_every_path(self, entry, data_dim, setup_dim, monkeypatch):
+        f, other = (smooth_product_density("raised_cosine", d) for d in (setup_dim, data_dim))
+        data = sample(other, 64, np.random.default_rng(5))
+        setup = make_setup(64, setup_dim, table_size=64, max_exponent=3)
+        policy = kappa_default(setup_dim, 2.0, setup.kernel.k_inf)
+        x = np.full(setup_dim, 0.1)
+        refused = f"dim {data_dim}, the setup {setup_dim}"
+        with pytest.raises(InvalidParameterError, match=refused):
+            if entry == "select_and_estimate":
+                select_and_estimate(data, x, policy, setup)
+            elif entry == "estimate_on_grid":
+                estimate_on_grid(data, x[None], policy, setup)
+            elif entry == "assert_oracle_inequality":
+                assert_oracle_inequality(data, f, x, policy, setup, nodes=17)
+            else:  # run_plan draws its own data: hand it draws of the other dimension
+                monkeypatch.setattr("anisokde.risk.sample", lambda _, n, rng: sample(other, n, rng))
+                run_plan(ExperimentPlan(density=f, p=2.0, n_schedule=(16, 32), replicates=2,
+                                        grid=default_grid(f, 5), seed=1, table_size=64,
+                                        max_exponent=3))
 
 
 class TestSetup:

@@ -44,13 +44,16 @@ def wrap_non_product(f: TrueDensity) -> TrueDensity:
 TABLE_FIELDS = ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q")
 
 
-def counting(f: TrueDensity, counts: dict, tag=()) -> TrueDensity:
+def counting(f: TrueDensity, counts: dict, tag=(), calls: dict | None = None) -> TrueDensity:
     """f whose evaluations add their point counts to counts: each
     marginal pdf under tag + (j,), j its axis and tag its mixture
-    component path, and a density without product form under tag."""
+    component path, and a density without product form under tag. With
+    calls, each call also appends its point count to calls[key]."""
     def wrap(fn, key):
         def counted(pts):
             counts[key] = counts.get(key, 0) + len(pts)
+            if calls is not None:
+                calls.setdefault(key, []).append(len(pts))
             return fn(pts)
         return counted
 
@@ -58,7 +61,7 @@ def counting(f: TrueDensity, counts: dict, tag=()) -> TrueDensity:
         return replace(f, marginals=tuple(replace(m, pdf=wrap(m.pdf, tag + (j,)))
                                           for j, m in enumerate(f.marginals)))
     if f.components is not None:
-        return replace(f, components=tuple((w, counting(c, counts, tag + (i,)))
+        return replace(f, components=tuple((w, counting(c, counts, tag + (i,), calls))
                                            for i, (w, c) in enumerate(f.components)))
     return replace(f, pdf_fn=wrap(f.pdf_fn, tag))
 
@@ -212,6 +215,21 @@ class TestScalarInputs:
         policy = kappa_default(1, 2.0, s1.kernel.k_inf)
         with pytest.raises(InvalidParameterError):
             call(rc1, s1, s2, policy)
+
+
+class TestDensityDimension:
+    # a d=2 density with a d=1 setup ended in a raw IndexError; a d=1
+    # density with a d=2 setup ran the selector and the smoothing pass
+    # before f(x) refused the point
+    @pytest.mark.parametrize("f_dim, setup_dim", [(2, 1), (1, 2)])
+    def test_refused_before_any_work(self, f_dim, setup_dim):
+        setup = make_setup(64, setup_dim, table_size=64, max_exponent=3)
+        policy = kappa_default(setup_dim, 2.0, setup.kernel.k_inf)
+        data = sample(smooth_product_density("raised_cosine", setup_dim), 64,
+                      np.random.default_rng(1))
+        f = smooth_product_density("raised_cosine", f_dim)
+        with pytest.raises(InvalidParameterError, match=f"dim {setup_dim}, the density {f_dim}"):
+            assert_oracle_inequality(data, f, np.full(setup_dim, 0.1), policy, setup, nodes=17)
 
 
 class TestResiduals:
@@ -408,6 +426,40 @@ class TestTrueTables:
         E = setup.grid.max_exponent
         assert counts[()] <= (E + 2) ** 2 * 17 ** 2 + 1
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_pass_calls_each_factor_once(self, dim):
+        # with (E+2)*nodes <= _BLOCK_POINTS, one call per (component, axis)
+        # covers every scale 2^0..2^-(E+1) of every table, in _TrueTables
+        # and in bias_bar alike; the other call is f(x), one point
+        from anisokde.oracle import _BLOCK_POINTS, _TrueTables
+
+        f0 = build_f_theta(16.0, 0.3, dim)
+        setup = make_setup(256, dim, table_size=256, max_exponent=4 if dim == 3 else None)
+        policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
+        E, x = setup.grid.max_exponent, np.full(dim, 7.6)
+        assert (E + 2) * 33 <= _BLOCK_POINTS
+        for run in (lambda g: _TrueTables(g, x, policy, setup, 256, 33),
+                    lambda g: bias_bar(g, setup.kernel, setup.grid, Bandwidth((1,) * dim), x, 33)):
+            calls = {}
+            run(counting(f0, {}, calls=calls))
+            assert len(calls) == 2 * dim  # two components, dim axes each
+            for key, sizes in calls.items():
+                assert sorted(sizes) == [1, (E + 2) * 33], key
+
+    def test_non_product_pass_evaluates_in_full_blocks(self):
+        from anisokde.oracle import _BLOCK_POINTS, _TrueTables
+
+        calls = {}
+        f = counting(wrap_non_product(smooth_product_density("raised_cosine", 2)), {},
+                     calls=calls)
+        setup = make_setup(64, 2, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        _TrueTables(f, np.array([0.1, -0.2]), policy, setup, 64, 17)
+        *blocks, one = calls[()]
+        assert one == 1  # f(x)
+        assert max(blocks) <= _BLOCK_POINTS
+        assert len(blocks) <= math.ceil(sum(blocks) / _BLOCK_POINTS)
+
     def test_d3_terms_stay_fast(self):
         f = smooth_product_density("raised_cosine", 3)
         setup = make_setup(64, 3, table_size=256)
@@ -433,6 +485,42 @@ class TestTrueTables:
         assert time.perf_counter() - t0 < 2.0
         assert generic.bound == pytest.approx(prod.bound, rel=1e-9)
         assert generic.argmin == prod.argmin
+
+
+H1 = Bandwidth((1,))
+
+
+class TestNodeCounts:
+    CALLS = {
+        "bias": lambda f, s, p, data, nodes: bias(f, s.kernel, H1, [0.1], nodes),
+        "bias_bar": lambda f, s, p, data, nodes: bias_bar(f, s.kernel, s.grid, H1,
+                                                          [0.1], nodes),
+        "majorant_true": lambda f, s, p, data, nodes: majorant_true(
+            f, s.majorant, H1, [0.1], p, 32, nodes),
+        "oracle_terms": lambda f, s, p, data, nodes: oracle_terms(data, f, [0.1], p, s,
+                                                                  nodes).bound,
+        "assert_oracle_inequality": lambda f, s, p, data, nodes: assert_oracle_inequality(
+            data, f, [0.1], p, s, nodes),
+        "tensor_integral": lambda f, s, p, data, nodes: tensor_integral(f, f.box, nodes),
+    }
+
+    @staticmethod
+    def inputs(rc1):
+        setup = make_setup(32, 1, table_size=256)
+        return rc1, setup, kappa_default(1, 2.0, setup.kernel.k_inf), sample(
+            rc1, 32, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("nodes", [33.5, np.float64(33), "33"], ids=repr)
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_non_integer_counts_are_named(self, rc1, name, nodes):
+        # each once raised a raw TypeError from np.linspace
+        with pytest.raises(InvalidParameterError, match="nodes"):
+            self.CALLS[name](*self.inputs(rc1), nodes)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_numpy_integers_are_accepted(self, rc1, name):
+        args = self.inputs(rc1)
+        assert self.CALLS[name](*args, np.int64(33)) == self.CALLS[name](*args, 33)
 
 
 class TestProportionalBrackets:

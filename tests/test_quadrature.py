@@ -38,6 +38,15 @@ class TestTrapezoidRule:
         with pytest.raises(InvalidParameterError):
             trapezoid_rule(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("nodes", [33.5, np.float64(33), None], ids=repr)
+    def test_non_integer_node_count_is_named(self, nodes):
+        with pytest.raises(InvalidParameterError, match="nodes"):
+            trapezoid_rule(0.0, 1.0, nodes)
+
+    def test_numpy_integer_node_count_is_accepted(self):
+        for got, want in zip(trapezoid_rule(0.0, 1.0, np.int64(9)), trapezoid_rule(0.0, 1.0, 9)):
+            assert np.array_equal(got, want)
+
 
 class TestTensorIntegral:
     def test_product_integrand_factorizes(self):
