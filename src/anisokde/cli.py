@@ -43,10 +43,9 @@ from .errors import (
 )
 from .estimator import (
     DEFAULT_TABLE_SIZE,
-    KappaPolicy,
+    _kappa_policy,
     build_dataset,
     estimate_on_grid,
-    kappa_default,
     make_setup,
 )
 from .kernels import (
@@ -56,7 +55,7 @@ from .kernels import (
     build_majorant,
     convolve_ratio,
 )
-from .oracle import _check_pair_bytes, assert_oracle_inequality
+from .oracle import assert_oracle_inequality
 from .quadrature import GridSpec
 from .regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
 from .risk import ExperimentPlan, default_grid, fit_rate, run_plan
@@ -349,13 +348,6 @@ def _kernel_args(resolved: dict) -> dict:
             "max_exponent": resolved["estimator"]["max_exponent"]}
 
 
-def _policy(est: dict, dim: int, k_inf: float) -> KappaPolicy:
-    p = float(est["p"])
-    if est["kappa"] is None:
-        return kappa_default(dim, p, k_inf)
-    return KappaPolicy(kappa=float(est["kappa"]), d=dim, p=p, k_inf=k_inf)
-
-
 def _outdir(flag: str | None, resolved: dict, command: str) -> str:
     if flag:
         return flag
@@ -512,7 +504,8 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
     mesh = _estimate_mesh(resolved["estimate"], dim)
     with _stage(timings, "kernel_tables"):
         setup = make_setup(data.n, dim, **_kernel_args(resolved))
-    policy = _policy(resolved["estimator"], dim, setup.kernel.k_inf)
+    est = resolved["estimator"]
+    policy = _kappa_policy(est["kappa"], dim, est["p"], setup.kernel.k_inf)
     run = _Run(_outdir(out_flag, resolved, "estimate"),
                resolved["output"]["formats"])
     run.timings.update(timings)
@@ -539,8 +532,8 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
     timings: dict[str, float] = {}
     with _stage(timings, "kernel_tables"):
         setup = make_setup(n, density.dim, **_kernel_args(resolved))
-    _check_pair_bytes(setup.grid)
-    policy = _policy(resolved["estimator"], density.dim, setup.kernel.k_inf)
+    est = resolved["estimator"]
+    policy = _kappa_policy(est["kappa"], density.dim, est["p"], setup.kernel.k_inf)
     run = _Run(_outdir(out_flag, resolved, "oracle"),
                resolved["output"]["formats"])
     run.timings.update(timings)

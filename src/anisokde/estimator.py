@@ -15,8 +15,8 @@ sums, the selected lattice index and the candidate count. It
 evaluates the criterion for a whole block at once (`_select_block`),
 only on the (point, row) pairs that a lower bound does not rule out,
 or on every row for `keep_criterion` and at d = 1. A lone point is a
-block of one. The oracle lab reads the |H|^2 pair matrix from a
-record's contracted key sums.
+block of one. The oracle lab reads the pair estimates from a record's
+contracted key sums, in blocks of lattice rows (`_row_blocks`).
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
@@ -77,10 +77,10 @@ MAX_LATTICE_BYTES = 2**30
 _BLOCK_BYTES = 2**24
 # Most bytes of per-axis line matrices `_Lines` keeps at d >= 2.
 _LINE_BYTES = 2**22
-# Most (row, lattice row) pairs one chunk of criterion rows holds in
-# `_select_block`: chunks of a few hundred kB each run faster than one
-# (H, H) pass at d = 3. Also the most contracted key sums (d >= 2) or
-# (row, row) pairs (d = 1) of one block of points (`_block_points`).
+# Most (row, lattice row) pairs of one block of criterion or oracle rows
+# (`_row_blocks`): a few hundred kB each run faster than one (H, H) pass
+# at d = 3. Also the most contracted key sums (d >= 2) or (row, row) pairs
+# (d = 1) of one block of points (`_block_points`).
 _BLOCK_PAIRS = 2**16
 # Most (candidate, scale) entries one pass of `_window_sums` interpolates
 # at d = 1.
@@ -163,14 +163,14 @@ class KappaPolicy:
     k_inf: float
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa <= 0:
-            raise InvalidParameterError(f"kappa must be positive, got {self.kappa!r}")
-        if self.d < 1:
-            raise InvalidParameterError(f"d must be >= 1, got {self.d!r}")
-        if not self.p >= 1:
-            raise InvalidParameterError(f"p must be >= 1, got {self.p!r}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise InvalidParameterError(f"d must be a positive integer, got {self.d!r}")
+        if not (self.p >= 1 and np.isfinite(self.p)):
+            raise InvalidParameterError(f"p must be finite and >= 1, got {self.p!r}")
         if not self.k_inf >= 0:
             raise InvalidParameterError(f"k_inf must be >= 0, got {self.k_inf!r}")
+        if not np.isfinite(self.kappa) or self.kappa <= 0:
+            raise InvalidParameterError(f"kappa must be positive, got {self.kappa!r}")
 
     @property
     def theory_floor(self) -> float:
@@ -183,12 +183,15 @@ class KappaPolicy:
 
 def kappa_default(d: int, p: float, k_inf: float) -> KappaPolicy:
     """The theory-floor policy for dimension d, norm index p, kernel sup-norm."""
-    if d != int(d) or d < 1:
-        raise InvalidParameterError(f"d must be a positive integer, got {d!r}")
-    if not p >= 1:
-        raise InvalidParameterError(f"p must be >= 1, got {p!r}")
-    d, p, k_inf = int(d), float(p), float(k_inf)
+    p, k_inf = float(p), float(k_inf)
     return KappaPolicy(kappa=_theory_floor(d, p, k_inf), d=d, p=p, k_inf=k_inf)
+
+
+def _kappa_policy(kappa: float | None, d: int, p: float, k_inf: float) -> KappaPolicy:
+    """The theory-floor policy when kappa is None, else kappa's policy."""
+    if kappa is None:
+        return kappa_default(d, p, k_inf)
+    return KappaPolicy(kappa=float(kappa), d=d, p=float(p), k_inf=k_inf)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -313,13 +316,14 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     since a caller may still hold a record of the block before; a point
     adds one chunk's P^d key sums, the kept line matrices (_LINE_BYTES)
     and either one chunk of candidates (_BLOCK_BYTES, or one
-    `_row_floats` row if more; building a line takes less) or one chunk
-    of criterion pairs: about five 8-byte arrays of max(_BLOCK_PAIRS, H)
-    values. No (H, H) array is held. A d = 1 block holds its points'
-    sums and criterion rows, about eight floats per (point, row, row)
-    triple, at most max(_BLOCK_PAIRS, H^2), and one pass of at most
-    _BLOCK_ENTRIES entries. Candidate offsets, a slice of the sample,
-    are not counted, so the estimate does not depend on n.
+    `_row_floats` row if more; building a line takes less) or one block
+    of criterion or oracle pairs (`_row_blocks`): about five 8-byte
+    arrays of max(_BLOCK_PAIRS, H) values. No (H, H) array is held. A
+    d = 1 block holds its points' sums and criterion rows, about eight
+    floats per (point, row, row) triple, at most max(_BLOCK_PAIRS, H^2),
+    and one pass of at most _BLOCK_ENTRIES entries. Candidate offsets, a
+    slice of the sample, are not counted, so the estimate does not
+    depend on n.
     """
     d, E = grid.dim, grid.max_exponent
     if d == 1:
@@ -394,17 +398,13 @@ def _checked_grid(n: int, dim: int, ell: int, table_size: int,
     grid = build_grid(n, dim)
     if max_exponent is not None:
         grid = BandwidthGrid(dim=dim, max_exponent=max_exponent)
-    _check_bytes(_lattice_bytes(grid),
-                 f"a lattice of {len(grid)} bandwidths in {grid.dim} dimensions")
-    return grid
-
-
-def _check_bytes(need: int, what: str) -> None:
-    """Refuse, naming what, a need of more than MAX_LATTICE_BYTES."""
+    need = _lattice_bytes(grid)
     if need > MAX_LATTICE_BYTES:
         raise InvalidParameterError(
-            f"{what} needs about {need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
+            f"a lattice of {len(grid)} bandwidths in {grid.dim} dimensions needs about "
+            f"{need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
             f"{MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower max_exponent or the dimension")
+    return grid
 
 
 def make_setup(
@@ -762,9 +762,8 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray | l
     criterion = np.full(fhat.shape, np.inf)
     # at d = 1 (H = E + 1 rows) one pass over every row is faster than two
     if keep_criterion or setup.grid.dim == 1:
-        step = max(1, _BLOCK_PAIRS // (len(xs) * tables.size))
-        for lo in range(0, tables.size, step):
-            evaluate(None, slice(lo, lo + step))
+        for rows in _row_blocks(tables, len(xs)):
+            evaluate(None, rows)
     else:
         every = np.arange(len(xs))
         lb = sup_q + m_k
@@ -784,6 +783,13 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray | l
                          criterion=criterion[i] if keep_criterion else None, best=int(b),
                          selected=tables.bandwidths[b], counts=int(counts[i]))
             for i, (x, b) in enumerate(zip(xs, best))]
+
+
+def _row_blocks(tables: _GridTables, points: int = 1) -> list[slice]:
+    """Consecutive slices of the lattice rows, each of at most about
+    _BLOCK_PAIRS (point, row, lattice row) values and at least one row."""
+    step = max(1, _BLOCK_PAIRS // (points * tables.size))
+    return [slice(lo, lo + step) for lo in range(0, tables.size, step)]
 
 
 def _block_points(grid: BandwidthGrid) -> int:

@@ -15,7 +15,7 @@ join bandwidth (pair means; per axis q_r is K_h * K_eta, so these are
 also the double smoothings behind the smoothed bias). Each quantity is
 a family of table rows (`_single_rows`: one per kernel and exponent;
 `_pair_rows`: one per per-axis (join, ratio) key), and
-`_Smoothing.means` builds every family a caller needs from one pass:
+`_Smoothing.tables` builds every family a caller needs from one pass:
 each of f's factors is called once for all the scale vectors the rows
 need, x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K at 2^-a
 is t = a+1), and each row is summed on its own from those values. A
@@ -24,9 +24,10 @@ E+2 point sets of `nodes` points per axis and component, one call each
 while they fit in a block. Any other density is one group of all axes,
 (E+2)**dim sets of nodes**dim points, each family's combinations formed
 on their own. `_TrueTables` takes the kernel, |kernel|, envelope and
-pair rows from one pass; `bias`, `bias_bar` and `majorant_true` build
-the same rows at their bandwidths, so each equals its `_TrueTables`
-entry.
+pair rows from one pass and reads the (H, H) pair means in blocks of
+lattice rows (`_row_blocks`), each row on its own; `bias`, `bias_bar`
+and `majorant_true` build the same rows at their bandwidths, so each
+equals its `_TrueTables` entry.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ from .errors import InvalidParameterError
 from .estimator import (
     EstimationSetup,
     KappaPolicy,
-    _check_bytes,
     _check_point,
     _coarser_sup,
     _pair_read,
     _per_axis,
     _PointRecord,
+    _row_blocks,
     _select_point,
 )
 from .kernels import _interp_uniform, convolve_ratio
-from .quadrature import DEFAULT_NODES, trapezoid_rule
+from .quadrature import DEFAULT_NODES, _index, trapezoid_rule
 
 # Most quadrature points `_Smoothing` evaluates at once, and most row
 # weights it multiplies and sums at once (all the rows of a pass over a
@@ -134,7 +135,7 @@ def _pair_rows(q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> _R
 class _Smoothing:
     """Smoothings of f at x by kernel weight rows at dyadic scales.
 
-    `means` takes every row family a caller needs (`_single_rows`,
+    `tables` takes every row family a caller needs (`_single_rows`,
     `_pair_rows`) and makes one pass over f's axis groups, which all have
     the same size (one axis each, or all axes): it evaluates each of f's
     factors once at x + 2^-t u for every scale vector t any row needs (u
@@ -163,8 +164,9 @@ class _Smoothing:
                     vals[g, c, lo:lo + node.size] = fn(pts)
         return vals.reshape(vals.shape[:2] + (codes.size, -1))
 
-    def means(self, *families: _Rows) -> list:
-        """Every family's smoothings, from one pass over f's groups."""
+    def tables(self, *families: _Rows) -> list:
+        """Every family's per-group key tables, channels after the
+        components, from one pass over f's groups."""
         dim = len(self.groups[0][0])
         node = np.indices((self.us.size,) * dim).reshape(dim, -1)
         wtab = np.concatenate([fam.wtab for fam in families])
@@ -188,10 +190,14 @@ class _Smoothing:
         for fam in families:
             shape = (self.weights.size,) + fam.wid.shape[:1] + (fam.wid.shape[1],) * dim
             hi = lo + fam.wid.size * fam.wid.shape[1] ** (dim - 1)
-            out.append(self.read([tab[:, lo:hi].reshape(shape) for tab in sums],
-                                 fam.idx).reshape(fam.shape))
+            out.append([tab[:, lo:hi].reshape(shape) for tab in sums])
             lo = hi
         return out
+
+    def means(self, *families: _Rows) -> list:
+        """Every family's smoothings, from one pass over f's groups."""
+        return [self.read(tabs, fam.idx).reshape(fam.shape)
+                for tabs, fam in zip(self.tables(*families), families)]
 
     def read(self, tabs: list, idx: list) -> np.ndarray:
         """sum_c weights[c] * prod over groups of tab[c, :][idx[j] for j
@@ -202,10 +208,6 @@ class _Smoothing:
             term = tab[(slice(None),) * 2 + tuple(idx[j] for j in cols)]
             out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
         return out.sum(axis=0)
-
-    def pairs(self, q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> np.ndarray:
-        """The pair means of `_pair_rows`, shaped (rows of exp_h, rows of exp_eta)."""
-        return self.means(_pair_rows(q_rows, exp_h, exp_eta))[0]
 
 
 def _truth(f: TrueDensity, x: np.ndarray, wide: np.ndarray, top: int, nodes: int):
@@ -302,43 +304,49 @@ class OracleTerms:
 
 class _TrueTables:
     """Lattice-shaped true means and majorants at one point, all read
-    from one smoothing pass over f, and f(x) itself."""
+    from one smoothing pass over f, and f(x) itself; the (H, H) pair
+    means are read a block of rows at a time (`pair_mean`)."""
 
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
         tables = setup.tables
         exp = tables.exp
-        sm, wide = _truth(f, x, setup.stack[1:], setup.grid.max_exponent, nodes)
+        self.sm, wide = _truth(f, x, setup.stack[1:], setup.grid.max_exponent, nodes)
         k_row = _node_weights(setup.kernel, nodes)[1]
-        singles, self.pair_mean = sm.means(
-            _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
-                         (1, 1, 0)),
-            _pair_rows(wide[1:], exp, exp))
+        single = _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
+                              (1, 1, 0))
+        self.pairs, self.last = _pair_rows(wide[1:], exp, exp), (None, None)
+        tabs, self.pair_tabs = self.sm.tables(single, self.pairs)
+        singles = self.sm.read(tabs, single.idx).reshape(single.shape)
         self.mean_f, self.a_k, self.a_q = singles
         self.fx = f(x)
         self.bias = self.mean_f - self.fx
-        self.bias_bar = _bias_bar(self.bias, self.pair_mean, self.mean_f)
+        self.bias_bar = np.concatenate([
+            _bias_bar(self.bias[rows], self.pair_mean(rows), self.mean_f)
+            for rows in _row_blocks(tables)])
         self.m_k, self.m_q = _majorant(singles[1:], policy.kappa, n, tables.volumes)
 
-
-def _check_pair_bytes(grid: BandwidthGrid) -> None:
-    """Refuse lattices whose (H, H) arrays would pass MAX_LATTICE_BYTES:
-    one oracle point holds about five of 8 bytes at once (pair means and
-    estimates, flat indices and temporaries)."""
-    _check_bytes(40 * len(grid) ** 2, f"the oracle on a lattice of {len(grid)} bandwidths")
+    def pair_mean(self, rows: slice) -> np.ndarray:
+        """The pair means of the lattice rows `rows` (row h) against every
+        lattice row (column eta). The last block read is kept, so a second
+        pass over a one-block lattice (H <= 256) reads it once."""
+        if rows != self.last[0]:
+            idx = [part[rows] for part in self.pairs.idx]
+            self.last = rows, self.sm.read(self.pair_tabs, idx).reshape(idx[0].shape[0], -1)
+        return self.last[1]
 
 
 def _oracle_terms(data, f, x, policy, setup, nodes
                   ) -> tuple[OracleTerms, _PointRecord, int, float]:
     """The bound's terms, the selector's record they were built from,
     the lattice row that minimizes the bound and f at the point."""
-    _check_pair_bytes(setup.grid)
     rec = _select_point(data, _checked_point(f, x, setup.grid), policy, setup)
     tables = setup.tables
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
     key, join = tables.every_pair
-    xi_pair = np.abs(_pair_read(rec.keys, key) - truth.pair_mean) - _pair_read(truth.m_q, join)
+    xi_pair = [(np.abs(_pair_read(rec.keys, key, rows) - truth.pair_mean(rows))
+                - _pair_read(truth.m_q, join, rows)).max() for rows in _row_blocks(tables)]
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
     chi = max(float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
               float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)), 0.0)
@@ -406,9 +414,11 @@ def check_proportional(a_hat: float, a_true: float, policy: KappaPolicy,
     by the average-error bracket chi_h: [m_check - 5*m_true]_+ <=
     chi_h/2 and [m_true - 4*m_check]_+ <= 2*chi_h.
     """
+    if not (np.isfinite(a_hat) and np.isfinite(a_true) and np.isfinite(v_h)):
+        raise InvalidParameterError("a_hat, a_true and v_h must be finite")
     if a_hat < 0 or a_true < 0:
         raise InvalidParameterError("kernel averages must be non-negative")
-    if not v_h > 0 or n < 2:
+    if not v_h > 0 or _index(n, "n") < 2:
         raise InvalidParameterError("need v_h > 0 and n >= 2")
     lam = policy.kappa * float(np.log(n)) / (n * v_h)
     m_check = float(np.sqrt(a_hat * lam) + lam)

@@ -18,16 +18,21 @@ from .errors import InvalidParameterError, NumericError
 DEFAULT_NODES = 129
 
 
+def _index(value, name: str) -> int:
+    """value as an int (numpy integers too); anything else is refused by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def trapezoid_rule(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite trapezoid rule on [lo, hi].
 
     A degenerate interval (hi <= lo) yields a single node with zero
     weight so that empty intersections integrate to exactly 0.
     """
-    try:
-        nodes = operator.index(nodes)
-    except TypeError:
-        raise InvalidParameterError(f"nodes must be an integer, got {nodes!r}") from None
+    nodes = _index(nodes, "nodes")
     if nodes < 2:
         raise InvalidParameterError(f"trapezoid rule needs >= 2 nodes, got {nodes}")
     if hi <= lo:
@@ -80,7 +85,8 @@ def tensor_integral(fn, box: np.ndarray, nodes: int = DEFAULT_NODES) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned tensor grid: a box plus per-axis node counts."""
+    """Axis-aligned tensor grid: a box plus per-axis node counts, stored
+    as ints."""
 
     box: tuple[tuple[float, float], ...]
     nodes: tuple[int, ...]
@@ -88,6 +94,7 @@ class GridSpec:
     def __post_init__(self):
         if len(self.box) != len(self.nodes) or not self.box:
             raise InvalidParameterError("box and nodes must have equal positive length")
+        object.__setattr__(self, "nodes", tuple(_index(k, "nodes") for k in self.nodes))
         for (lo, hi), k in zip(self.box, self.nodes):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise InvalidParameterError(f"bad grid interval ({lo!r}, {hi!r})")

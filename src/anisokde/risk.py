@@ -22,9 +22,9 @@ from .estimator import (
     EstimationSetup,
     KappaPolicy,
     _checked_grid,
+    _kappa_policy,
     _select_points,
     _setup_on,
-    kappa_default,
     make_setup,
 )
 from .kernels import build_base, build_composite, convolve_ratio
@@ -37,13 +37,11 @@ SUPPORT_MARGIN = 1.0
 
 def default_grid(density: TrueDensity, nodes: int) -> GridSpec:
     """Evaluation grid covering the support plus the kernel-reach margin."""
-    if nodes < 2:
-        raise InvalidParameterError(f"nodes must be >= 2, got {nodes!r}")
     box = tuple(
         (float(lo) - SUPPORT_MARGIN, float(hi) + SUPPORT_MARGIN)
         for lo, hi in np.asarray(density.box, dtype=float)
     )
-    return GridSpec(box=box, nodes=(int(nodes),) * density.dim)
+    return GridSpec(box=box, nodes=(nodes,) * density.dim)
 
 
 @dataclass(frozen=True)
@@ -115,14 +113,7 @@ class ExperimentPlan:
         )
 
     def policy_for(self, setup: EstimationSetup) -> KappaPolicy:
-        if self.kappa is None:
-            return kappa_default(self.density.dim, self.p, setup.kernel.k_inf)
-        return KappaPolicy(
-            kappa=float(self.kappa),
-            d=self.density.dim,
-            p=self.p,
-            k_inf=setup.kernel.k_inf,
-        )
+        return _kappa_policy(self.kappa, self.density.dim, self.p, setup.kernel.k_inf)
 
     def canonical(self) -> dict:
         """Primitive-field view of the plan; threads is excluded because it

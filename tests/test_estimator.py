@@ -63,6 +63,13 @@ class TestKappaPolicy:
             KappaPolicy(kappa=1.0, d=0, p=2.0, k_inf=1.0)
         with pytest.raises(InvalidParameterError):
             kappa_default(1, 0.5, 1.0)
+        # a fractional or boolean dimension, and a non-finite norm index
+        for d, p in ((2.5, 2.0), (2.0, 2.0), (True, 2.0), (2, float("inf")), (2, float("nan"))):
+            with pytest.raises(InvalidParameterError):
+                KappaPolicy(kappa=1.0, d=d, p=p, k_inf=1.0)
+            with pytest.raises(InvalidParameterError):
+                kappa_default(d, p, 1.0)
+        assert KappaPolicy(kappa=1.0, d=np.int64(2), p=2, k_inf=1.0).theory_floor == 32.0
 
 
 class TestDataset:
@@ -1075,9 +1082,15 @@ class TestLatticeMemoryGuard:
                 tracemalloc.stop()
             assert rec.counts > 0 and peak <= _lattice_bytes(setup.grid)
         assert rec.criterion.shape == (6561,)
-        with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):
-            oracle_terms(data, smooth_product_density("raised_cosine", 4), np.zeros(4),
-                         policy, setup, nodes=17)
+        # the oracle reads its (H, H) pair terms in blocks of rows
+        tracemalloc.start()
+        try:
+            terms = oracle_terms(data, smooth_product_density("raised_cosine", 4), np.zeros(4),
+                                 policy, setup, nodes=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms.bias_bar.shape == (6561,) and peak <= _lattice_bytes(setup.grid)
 
     @pytest.mark.parametrize("n, dim", [(2**18, 1), (2**17, 2)])
     def test_default_lattices_of_large_samples_build(self, n, dim):

@@ -44,6 +44,12 @@ def wrap_non_product(f: TrueDensity) -> TrueDensity:
 TABLE_FIELDS = ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q")
 
 
+def table_field(truth, name: str) -> np.ndarray:
+    """A `_TrueTables` field as an array; the pair means are read for
+    every lattice row."""
+    return truth.pair_mean(slice(None)) if name == "pair_mean" else getattr(truth, name)
+
+
 def counting(f: TrueDensity, counts: dict, tag=(), calls: dict | None = None) -> TrueDensity:
     """f whose evaluations add their point counts to counts: each
     marginal pdf under tag + (j,), j its axis and tag its mixture
@@ -146,14 +152,14 @@ class TestBiasBar:
         # per axis K_h * K_eta is q_r at the join bandwidth, so the pair
         # means (fine nodes) and the nested double smoothing (fine nodes)
         # are one quantity up to quadrature error
-        from anisokde.oracle import _truth
+        from anisokde.oracle import _pair_rows, _truth
 
         f = smooth_product_density("raised_cosine", dim)
         setup = make_setup(256, dim, max_exponent=3)
         exp = setup.tables.exp
         x = np.array([0.13, -0.31][:dim])
         smoothing, q_rows = _truth(f, x, setup.stack[2:], 3, 1025)
-        means = smoothing.pairs(q_rows, exp, exp)
+        means = smoothing.means(_pair_rows(q_rows, exp, exp))[0]
         rows = range(len(exp)) if dim == 1 else (0, 5, 9, 15)
         for i in rows:
             for j in rows:
@@ -320,7 +326,7 @@ class TestTrueTables:
         prod = _TrueTables(f, x, policy, setup, 32, nodes)
         generic = _TrueTables(wrap_non_product(f), x, policy, setup, 32, nodes)
         for name in ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q"):
-            assert np.allclose(getattr(prod, name), getattr(generic, name),
+            assert np.allclose(table_field(prod, name), table_field(generic, name),
                                rtol=0.0, atol=1e-12), name
 
     def test_product_and_generic_paths_agree(self, rc1):
@@ -356,7 +362,7 @@ class TestTrueTables:
         row = big.grid.index(h)
         sub = (big.tables.exp <= 3).all(axis=1)
         want = max(abs(wide.bias[row]),
-                   np.abs(wide.pair_mean[row, sub] - wide.mean_f[sub]).max())
+                   np.abs(table_field(wide, "pair_mean")[row, sub] - wide.mean_f[sub]).max())
         assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == want
 
     @pytest.mark.parametrize("kind, dim, ell, table_size, nodes, max_exponent", [
@@ -384,7 +390,7 @@ class TestTrueTables:
             got = _TrueTables(f, x, policy, setup, 256, nodes)
             want = reference_true_tables(f, x, policy, setup, 256, nodes)
             for name in TABLE_FIELDS:
-                assert np.array_equal(getattr(got, name), want[name]), name
+                assert np.array_equal(table_field(got, name), want[name]), name
 
     def test_non_product_tables_match_the_per_quantity_quadratures(self):
         from anisokde.oracle import _TrueTables
@@ -396,7 +402,7 @@ class TestTrueTables:
         got = _TrueTables(f, x, policy, setup, 64, 17)
         want = reference_true_tables(f, x, policy, setup, 64, 17)
         for name in TABLE_FIELDS:
-            np.testing.assert_allclose(getattr(got, name), want[name], rtol=1e-13, atol=0.0,
+            np.testing.assert_allclose(table_field(got, name), want[name], rtol=1e-13, atol=0.0,
                                        err_msg=name)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -459,6 +465,29 @@ class TestTrueTables:
         assert one == 1  # f(x)
         assert max(blocks) <= _BLOCK_POINTS
         assert len(blocks) <= math.ceil(sum(blocks) / _BLOCK_POINTS)
+
+    def test_pair_row_blocks_keep_every_term(self, monkeypatch):
+        # zeta's pair part and bias_bar are maxima per lattice row, so
+        # blocks of four rows give the terms of one block, bit for bit
+        import anisokde.estimator as est
+        from dataclasses import fields
+
+        f = build_f_theta(16.0, 0.3, 2)
+        setup = make_setup(64, 2, ell=2, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        rng = np.random.default_rng(23)
+        data = sample(f, 64, rng)
+        box = np.asarray(f.box, dtype=float)
+        xs = [rng.uniform(box[:, 0], box[:, 1]) for _ in range(3)] + [data.points[0]]
+        whole = [oracle_terms(data, f, x, policy, setup, nodes=33) for x in xs]
+        assert len(est._row_blocks(setup.tables)) == 1
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.size)
+        assert len(est._row_blocks(setup.tables)) >= 3
+        for x, want in zip(xs, whole):
+            got = oracle_terms(data, f, x, policy, setup, nodes=33)
+            for field in fields(got):
+                assert (np.asarray(getattr(got, field.name)).tobytes()
+                        == np.asarray(getattr(want, field.name)).tobytes()), field.name
 
     def test_d3_terms_stay_fast(self):
         f = smooth_product_density("raised_cosine", 3)
@@ -557,6 +586,15 @@ class TestProportionalBrackets:
             check_proportional(0.1, 0.5, policy, 0.0, 64)
         with pytest.raises(InvalidParameterError):
             check_proportional(0.1, 0.5, policy, 1.0, 1)
+        # non-finite inputs and a non-integer sample size; an infinite v_h
+        # used to give zero majorants and holds: True
+        inf, nan = float("inf"), float("nan")
+        for a_hat, a_true, v_h, n in ((0.5, 0.5, inf, 100), (inf, 0.5, 1.0, 64),
+                                      (0.5, nan, 1.0, 64), (0.5, 0.5, nan, 64),
+                                      (0.5, 0.5, 1.0, 64.5), (0.5, 0.5, 1.0, 64.0)):
+            with pytest.raises(InvalidParameterError):
+                check_proportional(a_hat, a_true, policy, v_h, n)
+        assert check_proportional(0.5, 0.5, policy, 1.0, np.int64(64))["holds"]
 
 
 class TestBiasNormScaling:

@@ -116,3 +116,13 @@ class TestGridSpec:
     def test_single_node_axis_rejected(self):
         with pytest.raises(InvalidParameterError):
             GridSpec(box=((0.0, 1.0),), nodes=(1,))
+
+    @pytest.mark.parametrize("nodes", [3.0, 2.5, np.float64(3), None], ids=repr)
+    def test_non_integer_node_count_is_named(self, nodes):
+        with pytest.raises(InvalidParameterError, match="nodes"):
+            GridSpec(box=((0.0, 1.0),), nodes=(nodes,))
+
+    def test_numpy_integer_node_counts_are_stored_as_ints(self):
+        g = GridSpec(box=((0.0, 1.0), (0.0, 1.0)), nodes=(np.int64(5), 7))
+        assert g.nodes == (5, 7) and all(type(k) is int for k in g.nodes)
+        assert g.mesh().shape == (35, 2)

@@ -53,6 +53,16 @@ class TestDefaultGrid:
         with pytest.raises(InvalidParameterError, match="nodes"):
             default_grid(rc1, 1)
 
+    @pytest.mark.parametrize("nodes", [64.9, 33.0, np.float64(33)], ids=repr)
+    def test_non_integer_node_count_is_named(self, rc1, nodes):
+        # 64.9 used to give a grid of 64 nodes
+        with pytest.raises(InvalidParameterError, match="nodes"):
+            default_grid(rc1, nodes)
+
+    def test_numpy_integer_node_count_is_accepted(self, rc2):
+        grid = default_grid(rc2, np.int64(33))
+        assert grid.nodes == (33, 33) and all(type(k) is int for k in grid.nodes)
+
 
 class TestLpNormOnGrid:
     def test_linear_integrand_is_exact(self):
