@@ -205,6 +205,13 @@ class TrueDensity:
         return np.asarray(self.pdf_fn(mesh_points(list(axes))), dtype=float).reshape(shape)
 
 
+def _check_finite(**params) -> None:
+    """Refuse, by name, a parameter with a non-finite value or entry."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
 def _box(dim: int, lo: float, hi: float) -> np.ndarray:
     return np.tile(np.array([lo, hi], dtype=float), (dim, 1))
 
@@ -226,6 +233,7 @@ def flat_top_density(N: float, dim: int, kappa_scale: float) -> TrueDensity:
     support is the slightly larger box with +-1 smoothing collars,
     all divided by kappa_scale.
     """
+    _check_finite(N=N, kappa_scale=kappa_scale)
     if not N > 8:
         raise InvalidParameterError(f"N must exceed 8, got {N!r}")
     if dim < 1 or dim != int(dim):
@@ -351,6 +359,7 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
     if dim < 1 or dim != int(dim):
         raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
     dim = int(dim)
+    _check_finite(N=N, kappa_scale=kappa_scale)
     if not N > 8:
         raise InvalidParameterError(f"violated: N > 8 (got N={N!r})")
     if not kappa_scale > 0:
@@ -454,6 +463,7 @@ def build_f_theta(N: float, theta: float, dim: int) -> TrueDensity:
     """
     if not 0 < theta <= 1:
         raise InvalidParameterError(f"theta must lie in (0, 1], got {theta!r}")
+    _check_finite(N=N)
     if not N > 8:
         raise InvalidParameterError(f"N must exceed 8, got {N!r}")
     if dim < 1 or dim != int(dim):
@@ -553,6 +563,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
             raise InvalidParameterError(f"unknown bump_mixture parameters: {sorted(params)}")
         if not (len(centers) == len(scales) == len(weights)) or not centers:
             raise InvalidParameterError("centers, scales, weights must have equal positive length")
+        _check_finite(centers=centers, scales=scales, weights=weights)
         if min(scales) <= 0 or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-12:
             raise InvalidParameterError("scales must be positive and weights a probability vector")
         marg = _bump_mixture_marginal(centers, scales, weights)

@@ -24,10 +24,11 @@ E+2 point sets of `nodes` points per axis and component, one call each
 while they fit in a block. Any other density is one group of all axes,
 (E+2)**dim sets of nodes**dim points, each family's combinations formed
 on their own. `_TrueTables` takes the kernel, |kernel|, envelope and
-pair rows from one pass and reads the (H, H) pair means in blocks of
-lattice rows (`_row_blocks`), each row on its own; `bias`, `bias_bar`
-and `majorant_true` build the same rows at their bandwidths, so each
-equals its `_TrueTables` entry.
+pair rows from one pass; `_oracle_terms` walks the (H, H) pair means
+once, in blocks of lattice rows (`_row_blocks`), each row on its own,
+and takes the smoothed bias and zeta's pair part from each block.
+`bias`, `bias_bar` and `majorant_true` build the same rows at their
+bandwidths, so each equals its entry in the oracle terms.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
 from .errors import InvalidParameterError
 from .estimator import (
+    MAX_LATTICE_BYTES,
     EstimationSetup,
     KappaPolicy,
     _check_point,
@@ -152,6 +154,12 @@ class _Smoothing:
     def _values(self, codes: np.ndarray, mesh: np.ndarray) -> np.ndarray:
         """f's factors (groups, components, scale vectors, mesh) at
         x + 2^-t u for the scale vectors t of the flat codes."""
+        need = 8 * len(self.groups) * self.weights.size * codes.size * mesh.shape[0]
+        if need > MAX_LATTICE_BYTES:
+            raise InvalidParameterError(
+                f"the smoothing pass holds f at {codes.size} scale vectors times "
+                f"{mesh.shape[0]} mesh points, about {need / 2**30:.1f} GiB "
+                f"(MAX_LATTICE_BYTES is {MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower nodes")
         scales = 2.0 ** -np.array(np.unravel_index(codes, (self.span,) * mesh.shape[1])).T
         vals = np.empty((len(self.groups), self.weights.size, codes.size * mesh.shape[0]))
         for lo in range(0, vals.shape[-1], _BLOCK_POINTS):
@@ -280,7 +288,7 @@ def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
                   n: int, nodes: int = DEFAULT_NODES) -> float:
     """True (un-quadrupled) error majorant sqrt(kappa*A*ln n/(n*V)) + kappa*ln n/(n*V)."""
-    if n < 2:
+    if _index(n, "n") < 2:
         raise InvalidParameterError(f"majorants need n >= 2, got {n}")
     x = _checked_point(f, x, g, h)
     return float(_majorant(_at(f, g, h, x, nodes, absolute=True), policy.kappa, n, h.volume))
@@ -309,31 +317,24 @@ class _TrueTables:
 
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
-        tables = setup.tables
-        exp = tables.exp
+        exp = setup.tables.exp
         self.sm, wide = _truth(f, x, setup.stack[1:], setup.grid.max_exponent, nodes)
         k_row = _node_weights(setup.kernel, nodes)[1]
         single = _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
                               (1, 1, 0))
-        self.pairs, self.last = _pair_rows(wide[1:], exp, exp), (None, None)
+        self.pairs = _pair_rows(wide[1:], exp, exp)
         tabs, self.pair_tabs = self.sm.tables(single, self.pairs)
         singles = self.sm.read(tabs, single.idx).reshape(single.shape)
         self.mean_f, self.a_k, self.a_q = singles
         self.fx = f(x)
         self.bias = self.mean_f - self.fx
-        self.bias_bar = np.concatenate([
-            _bias_bar(self.bias[rows], self.pair_mean(rows), self.mean_f)
-            for rows in _row_blocks(tables)])
-        self.m_k, self.m_q = _majorant(singles[1:], policy.kappa, n, tables.volumes)
+        self.m_k, self.m_q = _majorant(singles[1:], policy.kappa, n, setup.tables.volumes)
 
     def pair_mean(self, rows: slice) -> np.ndarray:
         """The pair means of the lattice rows `rows` (row h) against every
-        lattice row (column eta). The last block read is kept, so a second
-        pass over a one-block lattice (H <= 256) reads it once."""
-        if rows != self.last[0]:
-            idx = [part[rows] for part in self.pairs.idx]
-            self.last = rows, self.sm.read(self.pair_tabs, idx).reshape(idx[0].shape[0], -1)
-        return self.last[1]
+        lattice row (column eta)."""
+        idx = [part[rows] for part in self.pairs.idx]
+        return self.sm.read(self.pair_tabs, idx).reshape(idx[0].shape[0], -1)
 
 
 def _oracle_terms(data, f, x, policy, setup, nodes
@@ -345,17 +346,22 @@ def _oracle_terms(data, f, x, policy, setup, nodes
     truth = _TrueTables(f, rec.x, policy, setup, data.n, nodes)
     xi_single = np.abs(rec.fhat - truth.mean_f) - truth.m_k
     key, join = tables.every_pair
-    xi_pair = [(np.abs(_pair_read(rec.keys, key, rows) - truth.pair_mean(rows))
-                - _pair_read(truth.m_q, join, rows)).max() for rows in _row_blocks(tables)]
+    bars, xi_pair = [], []
+    for rows in _row_blocks(tables):  # each block's pair means read once, for both maxima
+        means = truth.pair_mean(rows)
+        bars.append(_bias_bar(truth.bias[rows], means, truth.mean_f))
+        xi_pair.append((np.abs(_pair_read(rec.keys, key, rows) - means)
+                        - _pair_read(truth.m_q, join, rows)).max())
+    bias_bar = np.concatenate(bars)
     zeta = max(float(np.max(xi_single)), float(np.max(xi_pair)), 0.0)
     chi = max(float(np.max(np.abs(rec.a_k - truth.a_k) - truth.m_k)),
               float(np.max(np.abs(rec.a_q - truth.a_q) - truth.m_q)), 0.0)
     m_q_sup = _coarser_sup(truth.m_q, tables)
-    per_h = 4.0 * truth.bias_bar + 60.0 * m_q_sup + 61.0 * truth.m_k
+    per_h = 4.0 * bias_bar + 60.0 * m_q_sup + 61.0 * truth.m_k
     best = int(np.argmin(per_h))
     terms = OracleTerms(
         x=rec.x.copy(), exponents=tables.exp.copy(), bias=truth.bias,
-        bias_bar=truth.bias_bar, m_k=truth.m_k, m_q_sup=m_q_sup, zeta=zeta, chi=chi,
+        bias_bar=bias_bar, m_k=truth.m_k, m_q_sup=m_q_sup, zeta=zeta, chi=chi,
         bound=float(per_h[best] + 7.0 * zeta + 18.0 * chi),
         argmin=tuple(int(k) for k in tables.exp[best]))
     return terms, rec, best, truth.fx

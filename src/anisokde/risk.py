@@ -28,7 +28,7 @@ from .estimator import (
     make_setup,
 )
 from .kernels import build_base, build_composite, convolve_ratio
-from .quadrature import GridSpec
+from .quadrature import GridSpec, _index
 
 # Kernel support never exceeds one bandwidth unit and bandwidths top out
 # at 1, so estimator mass lives within 1 of the data.
@@ -64,7 +64,7 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(
-            self, "n_schedule", tuple(int(v) for v in self.n_schedule)
+            self, "n_schedule", tuple(_index(v, "n_schedule entry") for v in self.n_schedule)
         )
         if not (np.isfinite(self.p) and self.p >= 1.0):
             raise InvalidParameterError(f"p must be in [1, inf), got {self.p!r}")
@@ -227,9 +227,11 @@ def _truth_on_grid(plan: ExperimentPlan) -> np.ndarray:
 
 def risk_replicate(plan: ExperimentPlan, n: int, seed: int) -> float:
     """One Monte-Carlo draw: returns the p-th power error, not its root."""
-    n = int(n)
+    n, seed = _index(n, "n"), _index(seed, "seed")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
     setup = plan.setup_for(n)
-    return _replicate_value(plan, n, int(seed), setup, plan.policy_for(setup),
+    return _replicate_value(plan, n, seed, setup, plan.policy_for(setup),
                             _truth_on_grid(plan))
 
 
@@ -323,7 +325,7 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
     lattice the selector searches; one lattice entry makes every ratio
     exactly 1. Selection varies by point, so ratios below 1 can occur.
     """
-    n = int(n)
+    n = _index(n, "n")
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
     if int(replicates) != replicates or replicates < 1:

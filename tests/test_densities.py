@@ -454,3 +454,25 @@ class TestCatalog:
         marg = rc1.marginals[0]
         xs = np.linspace(-0.45, 0.45, 101)
         assert np.max(np.abs(marg.icdf(marg.cdf(xs)) - xs)) <= 1e-6
+
+
+class TestNonFiniteParameters:
+    # each of these once built a density with an infinite box or a
+    # non-finite sup_bound, or ended in a raw OverflowError
+    @pytest.mark.parametrize("build, name", [
+        (lambda: flat_top_density(np.inf, 1, 1.0), "N"),
+        (lambda: flat_top_density(16.0, 1, np.inf), "kappa_scale"),
+        (lambda: build_f_theta(np.inf, 0.3, 1), "N"),
+        (lambda: smooth_product_density("bump_mixture", 1, {
+            "centers": [0.0], "scales": [0.2], "weights": [np.nan]}), "weights"),
+        (lambda: smooth_product_density("bump_mixture", 1, {
+            "centers": [np.inf], "scales": [0.2], "weights": [1.0]}), "centers"),
+        (lambda: smooth_product_density("bump_mixture", 1, {
+            "centers": [0.0], "scales": [np.inf], "weights": [1.0]}), "scales"),
+        (lambda: build_perturbed(np.inf, (0.05,), 1e-3, np.zeros(16), 1), "N"),
+        (lambda: build_perturbed(16.0, (0.05,), 1e-3, np.zeros(16), 1, np.inf), "kappa_scale"),
+    ], ids=["flat_top_N", "flat_top_kappa_scale", "f_theta_N", "bump_weights",
+            "bump_centers", "bump_scales", "perturbed_N", "perturbed_kappa_scale"])
+    def test_refused_by_name(self, build, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+            build()

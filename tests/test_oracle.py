@@ -41,13 +41,19 @@ def wrap_non_product(f: TrueDensity) -> TrueDensity:
     )
 
 
-TABLE_FIELDS = ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q")
+TABLE_FIELDS = ("mean_f", "a_k", "a_q", "pair_mean", "m_k", "m_q")
 
 
 def table_field(truth, name: str) -> np.ndarray:
     """A `_TrueTables` field as an array; the pair means are read for
     every lattice row."""
     return truth.pair_mean(slice(None)) if name == "pair_mean" else getattr(truth, name)
+
+
+def terms_bias_bar(f, x, policy, setup, nodes, data) -> np.ndarray:
+    """The smoothed bias of every lattice row at x, as `oracle_terms`
+    gives it; it depends on f, x and the lattice, not on the data."""
+    return oracle_terms(data, f, x, policy, setup, nodes).bias_bar
 
 
 def counting(f: TrueDensity, counts: dict, tag=(), calls: dict | None = None) -> TrueDensity:
@@ -202,6 +208,14 @@ class TestTrueMajorant:
         with pytest.raises(InvalidParameterError):
             majorant_true(rc1, setup.kernel, Bandwidth((0,)), np.zeros(1), policy, 1)
 
+    @pytest.mark.parametrize("n", [100.5, 100.0, float("nan"), float("inf")], ids=repr)
+    def test_non_integer_sample_size_rejected(self, rc1, n):
+        # n = 100.5 gave a majorant; nan and inf gave nan
+        setup = make_setup(128, 1)
+        policy = kappa_default(1, 2.0, setup.kernel.k_inf)
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            majorant_true(rc1, setup.kernel, Bandwidth((1,)), np.zeros(1), policy, n)
+
 
 class TestScalarInputs:
     # each of these calls once returned a plausible number
@@ -325,9 +339,13 @@ class TestTrueTables:
         policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
         prod = _TrueTables(f, x, policy, setup, 32, nodes)
         generic = _TrueTables(wrap_non_product(f), x, policy, setup, 32, nodes)
-        for name in ("mean_f", "a_k", "a_q", "pair_mean", "bias_bar", "m_k", "m_q"):
+        for name in TABLE_FIELDS:
             assert np.allclose(table_field(prod, name), table_field(generic, name),
                                rtol=0.0, atol=1e-12), name
+        data = sample(f, 32, np.random.default_rng(1))
+        assert np.allclose(terms_bias_bar(f, x, policy, setup, nodes, data),
+                           terms_bias_bar(wrap_non_product(f), x, policy, setup, nodes, data),
+                           rtol=0.0, atol=1e-12), "bias_bar"
 
     def test_product_and_generic_paths_agree(self, rc1):
         # one density with and without its product structure: the per-axis
@@ -349,9 +367,10 @@ class TestTrueTables:
         policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
         x = np.full(dim, 7.6)
         truth = _TrueTables(f, x, policy, setup, 32, 33)
+        bars = terms_bias_bar(f, x, policy, setup, 33, sample(f, 32, np.random.default_rng(2)))
         for row, h in enumerate(setup.grid):
             assert bias(f, setup.kernel, h, x, 33) == truth.bias[row]
-            assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == truth.bias_bar[row]
+            assert bias_bar(f, setup.kernel, setup.grid, h, x, 33) == bars[row]
             assert majorant_true(f, setup.kernel, h, x, policy, 32, 33) == truth.m_k[row]
             assert majorant_true(f, setup.majorant, h, x, policy, 32, 33) == truth.m_q[row]
         # an h with an exponent above E: its pair means are those of a
@@ -386,16 +405,20 @@ class TestTrueTables:
         policy = KappaPolicy(kappa=0.05, d=dim, p=2.0, k_inf=setup.kernel.k_inf)
         box = np.asarray(f.box, dtype=float)
         rng = np.random.default_rng(dim * 100 + ell)
+        data = sample(f, 256, np.random.default_rng(ell))
         for x in (rng.uniform(box[:, 0], box[:, 1]), box.mean(axis=1)):
             got = _TrueTables(f, x, policy, setup, 256, nodes)
             want = reference_true_tables(f, x, policy, setup, 256, nodes)
             for name in TABLE_FIELDS:
                 assert np.array_equal(table_field(got, name), want[name]), name
+            assert np.array_equal(terms_bias_bar(f, x, policy, setup, nodes, data),
+                                  want["bias_bar"])
 
     def test_non_product_tables_match_the_per_quantity_quadratures(self):
         from anisokde.oracle import _TrueTables
 
-        f = wrap_non_product(smooth_product_density("raised_cosine", 2))
+        prod = smooth_product_density("raised_cosine", 2)
+        f = wrap_non_product(prod)
         setup = make_setup(64, 2, ell=2, table_size=256, max_exponent=3)
         policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
         x = np.array([0.1, -0.2])
@@ -404,6 +427,9 @@ class TestTrueTables:
         for name in TABLE_FIELDS:
             np.testing.assert_allclose(table_field(got, name), want[name], rtol=1e-13, atol=0.0,
                                        err_msg=name)
+        data = sample(prod, 64, np.random.default_rng(3))
+        np.testing.assert_allclose(terms_bias_bar(f, x, policy, setup, 17, data),
+                                   want["bias_bar"], rtol=1e-13, atol=0.0, err_msg="bias_bar")
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_product_route_evaluates_each_scale_once(self, dim):
@@ -468,8 +494,10 @@ class TestTrueTables:
 
     def test_pair_row_blocks_keep_every_term(self, monkeypatch):
         # zeta's pair part and bias_bar are maxima per lattice row, so
-        # blocks of four rows give the terms of one block, bit for bit
+        # blocks of four rows give the terms of one block, bit for bit;
+        # each block's pair means are read once, for both maxima
         import anisokde.estimator as est
+        from anisokde.oracle import _Smoothing
         from dataclasses import fields
 
         f = build_f_theta(16.0, 0.3, 2)
@@ -483,11 +511,32 @@ class TestTrueTables:
         assert len(est._row_blocks(setup.tables)) == 1
         monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.size)
         assert len(est._row_blocks(setup.tables)) >= 3
+        read, pair_reads = _Smoothing.read, []
+
+        def counted(sm, tabs, idx):  # the pair family's keys are (rows, lattice) shaped
+            if idx[0].ndim > 1:
+                pair_reads.append(idx[0].shape[0])
+            return read(sm, tabs, idx)
+        monkeypatch.setattr(_Smoothing, "read", counted)
         for x, want in zip(xs, whole):
+            pair_reads.clear()
             got = oracle_terms(data, f, x, policy, setup, nodes=33)
+            assert len(pair_reads) == len(est._row_blocks(setup.tables))
             for field in fields(got):
                 assert (np.asarray(getattr(got, field.name)).tobytes()
                         == np.asarray(getattr(want, field.name)).tobytes()), field.name
+
+    def test_non_product_pass_is_bounded(self):
+        # without product form, f at up to (E+2)^3 scale vectors times
+        # 65^3 mesh points is about 2.1 GB: refused before it is allocated
+        f = smooth_product_density("raised_cosine", 3)
+        setup = make_setup(256, 3)
+        policy = kappa_default(3, 2.0, setup.kernel.k_inf)
+        data = sample(f, 256, np.random.default_rng(5))
+        x = np.array([0.1, -0.2, 0.05])
+        with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES.*lower nodes"):
+            oracle_terms(data, wrap_non_product(f), x, policy, setup, nodes=65)
+        assert oracle_terms(data, f, x, policy, setup, nodes=65).bound > 0
 
     def test_d3_terms_stay_fast(self):
         f = smooth_product_density("raised_cosine", 3)

@@ -159,6 +159,13 @@ class TestExperimentPlan:
         with pytest.raises(InvalidParameterError, match=">= 2"):
             small_plan(rc1, n_schedule=(1, 4))
 
+    @pytest.mark.parametrize("schedule", [(64.5, 128), (8.0, 16), (float("nan"), 16)],
+                             ids=repr)
+    def test_non_integer_schedule_rejected(self, rc1, schedule):
+        # (64.5, 128) was stored as (64, 128)
+        with pytest.raises(InvalidParameterError, match="n_schedule entry must be an integer"):
+            small_plan(rc1, n_schedule=schedule)
+
     def test_non_increasing_schedule_rejected(self, rc1):
         for schedule in ((8, 8), (8, 4)):
             with pytest.raises(InvalidParameterError, match="strictly increasing"):
@@ -237,6 +244,17 @@ class TestRiskReplicate:
     def test_different_seeds_differ(self, rc1):
         plan = small_plan(rc1, grid=default_grid(rc1, 21))
         assert risk_replicate(plan, 16, 7) != risk_replicate(plan, 16, 8)
+
+    @pytest.mark.parametrize("n, seed, match", [
+        (64.9, 0, "n must be an integer"),
+        (float("nan"), 0, "n must be an integer"),
+        (64, 0.5, "seed must be an integer"),
+        (64, -1, "seed must be a non-negative integer"),
+    ], ids=["n_64.9", "n_nan", "seed_0.5", "seed_-1"])
+    def test_non_integer_or_negative_arguments_rejected(self, rc1, n, seed, match):
+        # n = 64.9 ran at n = 64; seed = -1 ended in a raw numpy ValueError
+        with pytest.raises(InvalidParameterError, match=match):
+            risk_replicate(small_plan(rc1), n, seed)
 
     def test_matches_manual_pipeline(self, rc1):
         # same draw, estimate on the mesh, integrate |err|^p; no p-th root
@@ -408,6 +426,12 @@ class TestOracleGap:
         for replicates in (0, 1.5):
             with pytest.raises(InvalidParameterError, match="replicates"):
                 oracle_gap(plan, 16, replicates)
+
+    @pytest.mark.parametrize("n", [64.7, float("nan"), float("inf")], ids=repr)
+    def test_non_integer_n_rejected(self, rc1, n):
+        # n = 64.7 ran at n = 64
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            oracle_gap(small_plan(rc1), n, 1)
 
 
 class TestRiskBehavior:
