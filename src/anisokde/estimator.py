@@ -20,8 +20,9 @@ contracted key sums, in blocks of lattice rows (`_row_blocks`).
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
-in `make_setup`), the envelope built from those tables, and the lattice
-combinatorics (built on first use). Nothing is cached per process.
+in `make_setup`), the envelope built from those tables, the lattice
+combinatorics and the oracle's truth plans (both built on first use).
+Nothing is cached per process.
 
 Each per-point quantity is a sum over candidates of a product of
 per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
@@ -349,6 +350,10 @@ class EstimationSetup:
     are read-only views of it, so their values are stored once. It is
     stored node-major (stack.T is C-contiguous), so one gather of a node
     reads every row.
+
+    oracle_plans holds, per quadrature node count, the oracle's
+    x-independent truth layout (`oracle._plan`), built on the first
+    oracle call at that count and kept with the setup.
     """
 
     kernel: ProductKernel
@@ -388,6 +393,11 @@ class EstimationSetup:
     def tables(self) -> _GridTables:
         """Lattice combinatorics shared by every point, built on first use."""
         return _GridTables(self.grid)
+
+    @cached_property
+    def oracle_plans(self) -> dict:
+        """The oracle's truth plans by node count, filled on first use."""
+        return {}
 
 
 def _checked_grid(n: int, dim: int, ell: int, table_size: int,

@@ -134,97 +134,167 @@ def _pair_rows(q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> _R
                  _per_axis([key] * exp_h.shape[1], exp_h), (exp_h.shape[0], -1))
 
 
+class _Layout:
+    """Where the rows of some row families read one smoothing pass over
+    f's groups of `dim` axes (every group has the same size), on the
+    nodes us: the flat codes of the scale vectors the rows need (at most
+    span scales per axis), the group mesh of the nodes, each row's code
+    position and per-axis weight ids, the blocks of at most
+    _BLOCK_POINTS points and _BLOCK_WEIGHTS weights, and each family's
+    slice of the summed rows. Nothing in it depends on f or x, only on
+    the group size. A one-axis layout is small, (E+2) * nodes points and
+    rows * nodes weights, so it keeps its offsets 2^-t u and each
+    block's weight products; an all-axes layout forms them block by
+    block during the pass, after `_Smoothing._values` has checked its
+    size."""
+
+    def __init__(self, us: np.ndarray, dim: int, families):
+        self.span = 1 + max(int(fam.sid.max()) for fam in families)
+        node = np.indices((us.size,) * dim).reshape(dim, -1)
+        self.wtab = np.concatenate([fam.wtab for fam in families])
+        wid, need, self.parts, off, lo = [], [], [], 0, 0
+        for fam in families:  # (channel, key per axis) of every row, C order
+            rows = np.indices(fam.wid.shape[:1] + (fam.wid.shape[1],) * dim).reshape(dim + 1, -1)
+            wid.append(fam.wid[rows[0], rows[1:]] + off)
+            need.append(np.ravel_multi_index(fam.sid[rows[0], rows[1:]], (self.span,) * dim))
+            off += fam.wtab.shape[0]
+            self.parts.append((lo, lo + rows.shape[1],
+                               fam.wid.shape[:1] + (fam.wid.shape[1],) * dim))
+            lo += rows.shape[1]
+        self.wid = np.concatenate(wid, axis=1)
+        self.codes, self.pos = _distinct(np.concatenate(need))
+        self.node, self.mesh = node, us[node.T]
+        step = max(1, _BLOCK_WEIGHTS // node.shape[1])
+        self.blocks = [slice(lo, lo + step) for lo in range(0, self.pos.size, step)]
+        kept = dim == 1
+        self.points = list(self._points()) if kept else None
+        self.products = [self._products(blk) for blk in self.blocks] if kept else None
+
+    def point_blocks(self):
+        """(flat slice, offsets 2^-t u) of each block of mesh points, the
+        scale vectors t of the codes in order."""
+        return self._points() if self.points is None else self.points
+
+    def weight_blocks(self):
+        """(row slice, per row the product over axes of its weight rows on
+        the mesh) of each block of rows."""
+        if self.products is None:
+            return ((blk, self._products(blk)) for blk in self.blocks)
+        return zip(self.blocks, self.products)
+
+    def _points(self):
+        size, dim = self.mesh.shape
+        scales = 2.0 ** -np.array(np.unravel_index(self.codes, (self.span,) * dim)).T
+        total = self.codes.size * size
+        for lo in range(0, total, _BLOCK_POINTS):
+            vec, node = np.divmod(np.arange(lo, min(lo + _BLOCK_POINTS, total)), size)
+            yield slice(lo, lo + node.size), scales[vec] * self.mesh[node]
+
+    def _products(self, blk: slice) -> np.ndarray:
+        w = self.wtab[self.wid[0, blk, None], self.node[0]]
+        for j in range(1, self.node.shape[0]):
+            w = w * self.wtab[self.wid[j, blk, None], self.node[j]]
+        return w
+
+
 class _Smoothing:
     """Smoothings of f at x by kernel weight rows at dyadic scales.
 
-    `tables` takes every row family a caller needs (`_single_rows`,
-    `_pair_rows`) and makes one pass over f's axis groups, which all have
-    the same size (one axis each, or all axes): it evaluates each of f's
-    factors once at x + 2^-t u for every scale vector t any row needs (u
-    the group mesh of the nodes us, t <= top per axis, in blocks of at
-    most _BLOCK_POINTS points), stacks the rows' weights in one (rows,
-    mesh) array (in blocks of at most _BLOCK_WEIGHTS) and sums each row
-    on its own, so a row's value does not depend on the other rows or
-    families."""
+    `tables` makes one pass over f's axis groups, which all have the
+    same size (one axis each, or all axes), for every row of a `_Layout`
+    of that group size: it evaluates each of f's factors once at x +
+    2^-t u for every scale vector t any row needs (u the group mesh of
+    the nodes), multiplies the values by each block's weight products
+    and sums each row on its own, so a row's value does not depend on
+    the other rows or families."""
 
-    def __init__(self, f: TrueDensity, x: np.ndarray, us: np.ndarray, top: int):
+    def __init__(self, f: TrueDensity, x: np.ndarray):
         self.weights, self.groups = _factors(f)
-        self.x, self.us, self.span = x, us, top + 1
+        self.x, self.dim = x, len(self.groups[0][0])
 
-    def _values(self, codes: np.ndarray, mesh: np.ndarray) -> np.ndarray:
+    def _values(self, lay: _Layout) -> np.ndarray:
         """f's factors (groups, components, scale vectors, mesh) at
-        x + 2^-t u for the scale vectors t of the flat codes."""
+        x + 2^-t u for the scale vectors t of the layout's codes."""
+        codes, mesh = lay.codes, lay.mesh
         need = 8 * len(self.groups) * self.weights.size * codes.size * mesh.shape[0]
         if need > MAX_LATTICE_BYTES:
             raise InvalidParameterError(
                 f"the smoothing pass holds f at {codes.size} scale vectors times "
                 f"{mesh.shape[0]} mesh points, about {need / 2**30:.1f} GiB "
                 f"(MAX_LATTICE_BYTES is {MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower nodes")
-        scales = 2.0 ** -np.array(np.unravel_index(codes, (self.span,) * mesh.shape[1])).T
         vals = np.empty((len(self.groups), self.weights.size, codes.size * mesh.shape[0]))
-        for lo in range(0, vals.shape[-1], _BLOCK_POINTS):
-            vec, node = np.divmod(np.arange(lo, min(lo + _BLOCK_POINTS, vals.shape[-1])),
-                                  mesh.shape[0])
-            offsets = scales[vec] * mesh[node]
+        for blk, offsets in lay.point_blocks():
             for g, (cols, fns) in enumerate(self.groups):
                 pts = self.x[cols] + offsets
                 for c, fn in enumerate(fns):
-                    vals[g, c, lo:lo + node.size] = fn(pts)
+                    vals[g, c, blk] = fn(pts)
         return vals.reshape(vals.shape[:2] + (codes.size, -1))
 
-    def tables(self, *families: _Rows) -> list:
+    def tables(self, lay: _Layout) -> list:
         """Every family's per-group key tables, channels after the
         components, from one pass over f's groups."""
-        dim = len(self.groups[0][0])
-        node = np.indices((self.us.size,) * dim).reshape(dim, -1)
-        wtab = np.concatenate([fam.wtab for fam in families])
-        wid, need, off = [], [], 0
-        for fam in families:  # (channel, key per axis) of every row, C order
-            rows = np.indices(fam.wid.shape[:1] + (fam.wid.shape[1],) * dim).reshape(dim + 1, -1)
-            wid.append(fam.wid[rows[0], rows[1:]] + off)
-            need.append(np.ravel_multi_index(fam.sid[rows[0], rows[1:]], (self.span,) * dim))
-            off += fam.wtab.shape[0]
-        wid, (codes, pos) = np.concatenate(wid, axis=1), _distinct(np.concatenate(need))
-        vals = self._values(codes, self.us[node.T])
-        sums = np.empty(vals.shape[:2] + pos.shape)
-        step = max(1, _BLOCK_WEIGHTS // node.shape[1])
-        for lo in range(0, pos.size, step):
-            blk = slice(lo, lo + step)
-            w = wtab[wid[0, blk, None], node[0]]
-            for j in range(1, dim):
-                w = w * wtab[wid[j, blk, None], node[j]]
-            sums[..., blk] = (vals[:, :, pos[blk]] * w).sum(axis=-1)
-        out, lo = [], 0
-        for fam in families:
-            shape = (self.weights.size,) + fam.wid.shape[:1] + (fam.wid.shape[1],) * dim
-            hi = lo + fam.wid.size * fam.wid.shape[1] ** (dim - 1)
-            out.append([tab[:, lo:hi].reshape(shape) for tab in sums])
-            lo = hi
-        return out
+        vals = self._values(lay)
+        sums = np.empty(vals.shape[:2] + lay.pos.shape)
+        for blk, w in lay.weight_blocks():
+            sums[..., blk] = (vals[:, :, lay.pos[blk]] * w).sum(axis=-1)
+        return [[tab[:, lo:hi].reshape((self.weights.size,) + shape) for tab in sums]
+                for lo, hi, shape in lay.parts]
 
-    def means(self, *families: _Rows) -> list:
-        """Every family's smoothings, from one pass over f's groups."""
+    def means(self, us: np.ndarray, *families: _Rows) -> list:
+        """Every family's smoothings on the nodes us, from one pass over
+        f's groups."""
         return [self.read(tabs, fam.idx).reshape(fam.shape)
-                for tabs, fam in zip(self.tables(*families), families)]
+                for tabs, fam in zip(self.tables(_Layout(us, self.dim, families)), families)]
 
     def read(self, tabs: list, idx: list) -> np.ndarray:
         """sum_c weights[c] * prod over groups of tab[c, :][idx[j] for j
-        in cols], channels first; idx[j] holds axis j's key positions,
-        broadcasting together."""
+        in cols], channels first, the components added in order; idx[j]
+        holds axis j's key positions, broadcasting together."""
         out = self.weights
         for tab, (cols, _) in zip(tabs, self.groups):
             term = tab[(slice(None),) * 2 + tuple(idx[j] for j in cols)]
             out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
-        return out.sum(axis=0)
+        total = out[0]
+        for part in out[1:]:
+            total = total + part
+        return total
 
 
-def _truth(f: TrueDensity, x: np.ndarray, wide: np.ndarray, top: int, nodes: int):
-    """A smoothing of f at x on the [-1, 1] nodes (K at 2^-a reads them
-    at 2^-(a + 1): K's own nodes at 2^-a, bit for bit) and the weight
-    rows of the equal-size tables on [-1, 1] stacked in wide."""
+def _wide_rows(wide: np.ndarray, nodes: int):
+    """The [-1, 1] trapezoid nodes (K at 2^-a reads them at 2^-(a + 1):
+    K's own nodes at 2^-a, bit for bit) and the weight rows of the
+    equal-size tables on [-1, 1] stacked in wide."""
     us, wts = trapezoid_rule(-1.0, 1.0, nodes)
-    return (_Smoothing(f, x, us, top + 1),
-            wts * _interp_uniform(-1.0, 2.0 / (wide.shape[1] - 1), wide, us))
+    return us, wts * _interp_uniform(-1.0, 2.0 / (wide.shape[1] - 1), wide, us)
+
+
+class _Plan(NamedTuple):
+    """What `_TrueTables` reads at one setup and node count, whatever f
+    and x: the [-1, 1] nodes, the kernel, |kernel| and envelope rows
+    (three channels of one family), the pair rows, and the one-axis
+    layout of both families."""
+
+    us: np.ndarray
+    single: _Rows
+    pairs: _Rows
+    layout: _Layout
+
+
+def _plan(setup: EstimationSetup, nodes: int) -> _Plan:
+    """setup's plan at this node count, built on first use and kept in
+    setup.oracle_plans."""
+    nodes = _index(nodes, "nodes")
+    plan = setup.oracle_plans.get(nodes)
+    if plan is None:
+        exp = setup.tables.exp
+        us, wide = _wide_rows(setup.stack[1:], nodes)
+        k_row = _node_weights(setup.kernel, nodes)[1]
+        single = _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
+                              (1, 1, 0))
+        pairs = _pair_rows(wide[1:], exp, exp)
+        plan = setup.oracle_plans[nodes] = _Plan(us, single, pairs,
+                                                 _Layout(us, 1, (single, pairs)))
+    return plan
 
 
 def _bias_bar(bias: np.ndarray, smoothed: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -254,8 +324,8 @@ def _at(f: TrueDensity, g, h: Bandwidth, x, nodes: int, absolute: bool = False) 
     """int g_h(t - x) f(t) dt, |g_h| when absolute, on g's own nodes."""
     us, row = _node_weights(g, nodes)
     exps = np.asarray(h.exponents, dtype=np.int64)[None, :]
-    sm = _Smoothing(f, x, us, int(exps.max()))
-    return float(sm.means(_single_rows(np.abs(row) if absolute else row, exps, (0,)))[0][0, 0])
+    rows = _single_rows(np.abs(row) if absolute else row, exps, (0,))
+    return float(_Smoothing(f, x).means(us, rows)[0][0, 0])
 
 
 def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> float:
@@ -277,11 +347,12 @@ def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
     exp = grid.exponent_matrix()
     h_exp = np.asarray(h.exponents, dtype=np.int64)[None, :]
     top = max(grid.max_exponent, int(h_exp.max()))
-    sm, q_rows = _truth(f, x, np.stack([convolve_ratio(K.factor, 2.0 ** -k).profile.values
-                                        for k in range(top + 1)]), top, nodes)
+    us, q_rows = _wide_rows(np.stack([convolve_ratio(K.factor, 2.0 ** -k).profile.values
+                                      for k in range(top + 1)]), nodes)
     k_row = _node_weights(K, nodes)[1]
-    means, pair_mean = sm.means(_single_rows(k_row, np.concatenate([h_exp, exp]), (1,)),
-                                _pair_rows(q_rows, h_exp, exp))
+    means, pair_mean = _Smoothing(f, x).means(
+        us, _single_rows(k_row, np.concatenate([h_exp, exp]), (1,)),
+        _pair_rows(q_rows, h_exp, exp))
     return float(_bias_bar(means[0, :1] - f(x), pair_mean, means[0, 1:])[0])
 
 
@@ -317,13 +388,12 @@ class _TrueTables:
 
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
-        exp = setup.tables.exp
-        self.sm, wide = _truth(f, x, setup.stack[1:], setup.grid.max_exponent, nodes)
-        k_row = _node_weights(setup.kernel, nodes)[1]
-        single = _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
-                              (1, 1, 0))
-        self.pairs = _pair_rows(wide[1:], exp, exp)
-        tabs, self.pair_tabs = self.sm.tables(single, self.pairs)
+        plan = _plan(setup, nodes)
+        self.sm = _Smoothing(f, x)
+        single, self.pairs = plan.single, plan.pairs
+        layout = (plan.layout if self.sm.dim == 1
+                  else _Layout(plan.us, self.sm.dim, (single, self.pairs)))
+        tabs, self.pair_tabs = self.sm.tables(layout)
         singles = self.sm.read(tabs, single.idx).reshape(single.shape)
         self.mean_f, self.a_k, self.a_q = singles
         self.fx = f(x)
@@ -466,6 +536,11 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     hs = sorted(float(v) for v in h_schedule)
     if len(hs) < 3:
         raise InvalidParameterError("h_schedule needs at least 3 values")
+    if not all(np.isfinite(h) and h > 0 for h in hs):
+        raise InvalidParameterError(
+            f"h_schedule entries must be finite and positive, got {tuple(h_schedule)!r}")
+    if _index(grid_nodes, "grid_nodes") < 2:
+        raise InvalidParameterError(f"grid_nodes must be >= 2, got {grid_nodes!r}")
     if not 0 <= j < f_family.dim:
         raise InvalidParameterError(f"axis {j} out of range for dim {f_family.dim}")
     if not (r_j == np.inf or r_j >= 1):

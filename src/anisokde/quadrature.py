@@ -19,8 +19,11 @@ DEFAULT_NODES = 129
 
 
 def _index(value, name: str) -> int:
-    """value as an int (numpy integers too); anything else is refused by name."""
+    """value as an int (numpy integers too); anything else, a bool
+    included, is refused by name."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None

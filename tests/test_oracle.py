@@ -158,14 +158,14 @@ class TestBiasBar:
         # per axis K_h * K_eta is q_r at the join bandwidth, so the pair
         # means (fine nodes) and the nested double smoothing (fine nodes)
         # are one quantity up to quadrature error
-        from anisokde.oracle import _pair_rows, _truth
+        from anisokde.oracle import _pair_rows, _Smoothing, _wide_rows
 
         f = smooth_product_density("raised_cosine", dim)
         setup = make_setup(256, dim, max_exponent=3)
         exp = setup.tables.exp
         x = np.array([0.13, -0.31][:dim])
-        smoothing, q_rows = _truth(f, x, setup.stack[2:], 3, 1025)
-        means = smoothing.means(_pair_rows(q_rows, exp, exp))[0]
+        us, q_rows = _wide_rows(setup.stack[2:], 1025)
+        means = _Smoothing(f, x).means(us, _pair_rows(q_rows, exp, exp))[0]
         rows = range(len(exp)) if dim == 1 else (0, 5, 9, 15)
         for i in rows:
             for j in rows:
@@ -565,6 +565,168 @@ class TestTrueTables:
         assert generic.argmin == prod.argmin
 
 
+def terms_and_record(data, f, x, policy, setup, nodes):
+    """Every `OracleTerms` field as bytes, and the assertion's record."""
+    from dataclasses import fields
+
+    terms = oracle_terms(data, f, x, policy, setup, nodes)
+    return ([np.asarray(getattr(terms, fl.name)).tobytes() for fl in fields(terms)],
+            assert_oracle_inequality(data, f, x, policy, setup, nodes))
+
+
+def instances(f, n, count, seed):
+    """count (data, x) draws as `anisokde oracle` makes them; a density
+    without product form samples through its product twin."""
+    box = np.asarray(f.box, dtype=float)
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng(seed + i)
+        out.append((sample(f, n, rng), rng.uniform(box[:, 0], box[:, 1])))
+    return out
+
+
+class TestTruthPlan:
+    """The x-independent part of the true tables (nodes, weight rows, row
+    families, layout and weight products) is built once per setup and
+    node count and kept on the setup."""
+
+    @staticmethod
+    def count_builders(monkeypatch) -> dict:
+        import anisokde.oracle as orc
+
+        counts = {}
+        for name in ("_pair_rows", "_single_rows", "_node_weights", "_Layout"):
+            def counted(*args, _fn=getattr(orc, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(orc, name, counted)
+        return counts
+
+    def test_each_builder_runs_once_for_five_instances(self, monkeypatch):
+        f = smooth_product_density("raised_cosine", 2)
+        setup = make_setup(64, 2, table_size=256)
+        policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+        draws = instances(f, 64, 5, 41)
+        counts = self.count_builders(monkeypatch)
+        for data, x in draws:
+            assert_oracle_inequality(data, f, x, policy, setup, nodes=33)
+        assert counts == {"_pair_rows": 1, "_single_rows": 1, "_node_weights": 1, "_Layout": 1}
+        assert list(setup.oracle_plans) == [33]
+
+    @pytest.mark.parametrize("kind, dim", [("raised_cosine", 1), ("raised_cosine", 2),
+                                           ("raised_cosine", 3), ("f_theta", 2),
+                                           ("non_product", 2)])
+    def test_a_reused_setup_gives_the_records_of_fresh_setups(self, kind, dim):
+        prod = (build_f_theta(16.0, 0.3, dim) if kind == "f_theta"
+                else smooth_product_density("raised_cosine", dim))
+        f = wrap_non_product(prod) if kind == "non_product" else prod
+        args = dict(table_size=256, max_exponent=3 if dim == 3 else None)
+        setup = make_setup(64, dim, **args)
+        policy = kappa_default(dim, 2.0, setup.kernel.k_inf)
+        for data, x in instances(prod, 64, 3, 7 * dim):
+            if kind == "f_theta":
+                x = np.full(dim, 7.6) if x[0] > 0 else x
+            fresh = make_setup(64, dim, **args)
+            assert (terms_and_record(data, f, x, policy, setup, 17)
+                    == terms_and_record(data, f, x, policy, fresh, 17))
+        assert list(setup.oracle_plans) == [17]
+
+    def test_non_product_counts_stay_per_instance(self):
+        # the per-instance f evaluations of the non-product route do not
+        # change when the setup (and its plan) is reused
+        counts = {}
+        f = counting(wrap_non_product(smooth_product_density("raised_cosine", 2)), counts)
+        setup = make_setup(64, 2, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        from anisokde.oracle import _TrueTables
+
+        seen = []
+        for x in ([0.1, -0.2], [0.3, 0.05], [-0.4, 0.2]):
+            counts.clear()
+            _TrueTables(f, np.array(x), policy, setup, 64, 17)
+            seen.append(counts[()])
+        E = setup.grid.max_exponent
+        assert seen[0] <= (E + 2) ** 2 * 17 ** 2 + 1
+        assert seen == seen[:1] * 3
+
+    def test_each_node_count_gets_its_own_plan(self):
+        f = smooth_product_density("raised_cosine", 2)
+        setup = make_setup(64, 2, table_size=256)
+        policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+        (data, x), = instances(f, 64, 1, 3)
+        plans = []
+        for nodes in (33, 65, 33):
+            got = terms_and_record(data, f, x, policy, setup, nodes)
+            assert got == terms_and_record(data, f, x, policy, make_setup(64, 2, table_size=256),
+                                           nodes), nodes
+            plans.append(setup.oracle_plans[nodes])
+        assert sorted(setup.oracle_plans) == [33, 65]
+        assert plans[0] is plans[2] and plans[1] is not plans[0]
+        assert plans[0].us.size == 33 and plans[1].us.size == 65
+
+    def test_setups_never_share_a_plan(self):
+        # equal n and dim, different table sizes: each setup's plan is
+        # read from its own tables, and equal setups build their own too
+        from anisokde.oracle import _wide_rows
+
+        f = smooth_product_density("raised_cosine", 2)
+        small, large, again = (make_setup(64, 2, table_size=m) for m in (256, 1024, 256))
+        (data, x), = instances(f, 64, 1, 5)
+        got = {}
+        for setup in (small, large, again):
+            policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+            got[id(setup)] = terms_and_record(data, f, x, policy, setup, 33)
+            plan = setup.oracle_plans[33]
+            assert np.array_equal(plan.pairs.wtab, _wide_rows(setup.stack[1:], 33)[1][1:])
+        assert small.oracle_plans[33] is not again.oracle_plans[33]
+        assert large.oracle_plans[33] is not small.oracle_plans[33]
+        assert not np.array_equal(large.oracle_plans[33].pairs.wtab,
+                                  small.oracle_plans[33].pairs.wtab)
+        assert got[id(small)] == got[id(again)]
+
+    @pytest.mark.parametrize("components", [2, 3, 12])
+    def test_components_add_in_order(self, components):
+        # `_Smoothing.read` adds the component slices in order, on every
+        # read of the true tables (singles, the whole pair family, a row
+        # block). With 2 or 3 components these are the bits of the former
+        # `out.sum(axis=0)`. With 12 that sum ran pairwise over the pair
+        # reads, whose product holds the components innermost, so a row
+        # block could differ from the same rows of a whole read; in order,
+        # it cannot.
+        from anisokde.oracle import _plan, _Smoothing
+
+        rng = np.random.default_rng(components)
+        parts = [flat_top_density(16.0, 2, s) for s in rng.uniform(0.6, 1.4, components)]
+        weights = rng.dirichlet(np.ones(components))
+        f = TrueDensity(label="mixture", dim=2, box=parts[0].box,
+                        sup_bound=sum(w * p.sup_bound for w, p in zip(weights, parts)),
+                        components=tuple(zip(weights, parts)))
+        setup = make_setup(256, 2, table_size=256)
+        plan = _plan(setup, 33)
+        sm = _Smoothing(f, np.array([7.6, -8.2]))
+        assert sm.weights.size == components
+        single_tabs, pair_tabs = sm.tables(plan.layout)
+        block = [part[2:5] for part in plan.pairs.idx]
+        for tabs, idx in ((single_tabs, plan.single.idx), (pair_tabs, plan.pairs.idx),
+                          (pair_tabs, block)):
+            out = sm.weights
+            for tab, (cols, _) in zip(tabs, sm.groups):
+                term = tab[(slice(None),) * 2 + tuple(idx[j] for j in cols)]
+                out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
+            want = out[0]
+            for part in out[1:]:
+                want = want + part
+            got = sm.read(tabs, idx)
+            assert got.tobytes() == want.tobytes()
+            assert np.abs(got).max() > 0
+            if components <= 3:
+                assert got.tobytes() == out.sum(axis=0).tobytes()
+            else:
+                np.testing.assert_allclose(got, out.sum(axis=0), rtol=1e-14, atol=0.0)
+        assert (sm.read(pair_tabs, block).tobytes()
+                == sm.read(pair_tabs, plan.pairs.idx)[:, 2:5].tobytes())
+
+
 H1 = Bandwidth((1,))
 
 
@@ -588,10 +750,11 @@ class TestNodeCounts:
         return rc1, setup, kappa_default(1, 2.0, setup.kernel.k_inf), sample(
             rc1, 32, np.random.default_rng(2))
 
-    @pytest.mark.parametrize("nodes", [33.5, np.float64(33), "33"], ids=repr)
+    @pytest.mark.parametrize("nodes", [33.5, np.float64(33), "33", True], ids=repr)
     @pytest.mark.parametrize("name", list(CALLS))
     def test_non_integer_counts_are_named(self, rc1, name, nodes):
-        # each once raised a raw TypeError from np.linspace
+        # each once raised a raw TypeError from np.linspace; True was taken
+        # as 1 node
         with pytest.raises(InvalidParameterError, match="nodes"):
             self.CALLS[name](*self.inputs(rc1), nodes)
 
@@ -674,3 +837,21 @@ class TestBiasNormScaling:
             bias_norm_scaling(rc1, setup.kernel, 1, 2.0, (0.5, 0.25, 0.125))
         with pytest.raises(InvalidParameterError):
             bias_norm_scaling(rc1, setup.kernel, 0, 0.5, (0.5, 0.25, 0.125))
+
+    @pytest.mark.parametrize("h_schedule, grid_nodes, match", [
+        ((1 / 8, 1 / 16, float("inf")), 129, "h_schedule"),
+        ((1 / 8, 1 / 16, float("nan")), 129, "h_schedule"),
+        ((1 / 8, 1 / 16, -1 / 32), 129, "h_schedule"),
+        ((1 / 8, 1 / 16, 0.0), 129, "h_schedule"),
+        ((1 / 8, 1 / 16, 1 / 32), 1, "grid_nodes must be >= 2"),
+        ((1 / 8, 1 / 16, 1 / 32), 2.5, "grid_nodes must be an integer"),
+        ((1 / 8, 1 / 16, 1 / 32), True, "grid_nodes must be an integer"),
+    ], ids=["h_inf", "h_nan", "h_negative", "h_zero", "grid_nodes_1", "grid_nodes_2.5",
+            "grid_nodes_True"])
+    def test_bad_schedule_and_grid_nodes_are_named(self, rc1, h_schedule, grid_nodes, match):
+        # inf or a negative h ended in numpy's LinAlgError, h = 0 gave a
+        # "degenerate" report; grid_nodes 1 and 2.5 raised raw ValueError
+        # and TypeError
+        setup = make_setup(8, 1)
+        with pytest.raises(InvalidParameterError, match=match):
+            bias_norm_scaling(rc1, setup.kernel, 0, 2.0, h_schedule, grid_nodes=grid_nodes)

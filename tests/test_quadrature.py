@@ -38,7 +38,7 @@ class TestTrapezoidRule:
         with pytest.raises(InvalidParameterError):
             trapezoid_rule(0.0, 1.0, 1)
 
-    @pytest.mark.parametrize("nodes", [33.5, np.float64(33), None], ids=repr)
+    @pytest.mark.parametrize("nodes", [33.5, np.float64(33), None, True, np.True_], ids=repr)
     def test_non_integer_node_count_is_named(self, nodes):
         with pytest.raises(InvalidParameterError, match="nodes"):
             trapezoid_rule(0.0, 1.0, nodes)
@@ -117,7 +117,7 @@ class TestGridSpec:
         with pytest.raises(InvalidParameterError):
             GridSpec(box=((0.0, 1.0),), nodes=(1,))
 
-    @pytest.mark.parametrize("nodes", [3.0, 2.5, np.float64(3), None], ids=repr)
+    @pytest.mark.parametrize("nodes", [3.0, 2.5, np.float64(3), None, True], ids=repr)
     def test_non_integer_node_count_is_named(self, nodes):
         with pytest.raises(InvalidParameterError, match="nodes"):
             GridSpec(box=((0.0, 1.0),), nodes=(nodes,))

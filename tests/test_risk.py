@@ -159,8 +159,8 @@ class TestExperimentPlan:
         with pytest.raises(InvalidParameterError, match=">= 2"):
             small_plan(rc1, n_schedule=(1, 4))
 
-    @pytest.mark.parametrize("schedule", [(64.5, 128), (8.0, 16), (float("nan"), 16)],
-                             ids=repr)
+    @pytest.mark.parametrize("schedule", [(64.5, 128), (8.0, 16), (float("nan"), 16),
+                                          (True, 16)], ids=repr)
     def test_non_integer_schedule_rejected(self, rc1, schedule):
         # (64.5, 128) was stored as (64, 128)
         with pytest.raises(InvalidParameterError, match="n_schedule entry must be an integer"):
@@ -250,9 +250,12 @@ class TestRiskReplicate:
         (float("nan"), 0, "n must be an integer"),
         (64, 0.5, "seed must be an integer"),
         (64, -1, "seed must be a non-negative integer"),
-    ], ids=["n_64.9", "n_nan", "seed_0.5", "seed_-1"])
+        (True, 0, "n must be an integer"),
+        (64, True, "seed must be an integer"),
+    ], ids=["n_64.9", "n_nan", "seed_0.5", "seed_-1", "n_True", "seed_True"])
     def test_non_integer_or_negative_arguments_rejected(self, rc1, n, seed, match):
-        # n = 64.9 ran at n = 64; seed = -1 ended in a raw numpy ValueError
+        # n = 64.9 ran at n = 64; seed = -1 ended in a raw numpy ValueError;
+        # seed = True ran at seed 1
         with pytest.raises(InvalidParameterError, match=match):
             risk_replicate(small_plan(rc1), n, seed)
 
