@@ -15,20 +15,28 @@ join bandwidth (pair means; per axis q_r is K_h * K_eta, so these are
 also the double smoothings behind the smoothed bias). Each quantity is
 a family of table rows (`_single_rows`: one per kernel and exponent;
 `_pair_rows`: one per per-axis (join, ratio) key), and
-`_Smoothing.tables` builds every family a caller needs from one pass:
-each of f's factors is called once for all the scale vectors the rows
-need, x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K at 2^-a
-is t = a+1), and each row is summed on its own from those values. A
+`_Smoothing.tables` sums every row of a `_Layout` from one pass: each
+of f's factors is called once for all the scale vectors the rows need,
+x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K at 2^-a is
+t = a+1), and each row is summed on its own from those values. A
 product-form density (or a mixture of them) has one group per axis:
 E+2 point sets of `nodes` points per axis and component, one call each
 while they fit in a block. Any other density is one group of all axes,
 (E+2)**dim sets of nodes**dim points, each family's combinations formed
-on their own. `_TrueTables` takes the kernel, |kernel|, envelope and
-pair rows from one pass; `_oracle_terms` walks the (H, H) pair means
-once, in blocks of lattice rows (`_row_blocks`), each row on its own,
-and takes the smoothed bias and zeta's pair part from each block.
-`bias`, `bias_bar` and `majorant_true` build the same rows at their
-bandwidths, so each equals its entry in the oracle terms.
+on their own.
+
+What does not depend on f or x is built once per setup and node count
+(`_plan`, kept in `EstimationSetup.oracle_plans`): the nodes, the
+kernel, envelope and q_r weight rows, both row families and their
+one-axis layout with its weight products. Per instance `_TrueTables`
+splits f into its factors, evaluates them, sums the rows, reads the
+tables and takes f(x) and the majorants. A density without product form
+builds its all-axes layout per call, since it grows as nodes**dim.
+`_oracle_terms` walks the (H, H) pair means once, in blocks of lattice
+rows (`_row_blocks`), each row on its own, and takes the smoothed bias
+and zeta's pair part from each block. `bias`, `bias_bar` and
+`majorant_true` build the same rows at their bandwidths, so each equals
+its entry in the oracle terms.
 """
 
 from __future__ import annotations

@@ -575,8 +575,7 @@ def terms_and_record(data, f, x, policy, setup, nodes):
 
 
 def instances(f, n, count, seed):
-    """count (data, x) draws as `anisokde oracle` makes them; a density
-    without product form samples through its product twin."""
+    """count (data, x) draws from f, as `anisokde oracle` makes them."""
     box = np.asarray(f.box, dtype=float)
     out = []
     for i in range(count):
