@@ -14,7 +14,7 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _index
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,8 @@ class Bandwidth:
     def __post_init__(self):
         if len(self.exponents) == 0:
             raise InvalidParameterError("bandwidth needs at least one axis")
-        cleaned = []
-        for k in self.exponents:
-            if k != int(k) or k < 0:
-                raise InvalidParameterError(
-                    f"exponents must be non-negative integers, got {self.exponents!r}"
-                )
-            cleaned.append(int(k))
-        object.__setattr__(self, "exponents", tuple(cleaned))
+        object.__setattr__(
+            self, "exponents", tuple(_index(k, "exponents entry", 0) for k in self.exponents))
 
     @property
     def dim(self) -> int:
@@ -62,13 +56,8 @@ class BandwidthGrid:
     max_exponent: int
 
     def __post_init__(self):
-        for name, low in (("dim", 1), ("max_exponent", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise InvalidParameterError(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))
+        for name, least in (("dim", 1), ("max_exponent", 0)):
+            object.__setattr__(self, name, _index(getattr(self, name), name, least))
 
     def __len__(self) -> int:
         return (self.max_exponent + 1) ** self.dim
@@ -103,9 +92,7 @@ class BandwidthGrid:
 
 def build_grid(n: int, dim: int) -> BandwidthGrid:
     """Lattice for sample size n: exponents up to floor(log2 n)."""
-    if n != int(n) or n < 2:
-        raise InvalidParameterError(f"sample size must be an integer >= 2, got {n!r}")
-    return BandwidthGrid(dim=dim, max_exponent=int(n).bit_length() - 1)
+    return BandwidthGrid(dim=dim, max_exponent=_index(n, "n", 2).bit_length() - 1)
 
 
 def _check_pair(h: Bandwidth, eta: Bandwidth) -> None:

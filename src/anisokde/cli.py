@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import NamedTuple
 
 import click
@@ -334,12 +335,10 @@ def _density(sec: dict) -> TrueDensity:
 
 def _kernel_keys(resolved: dict) -> tuple[int, int]:
     """kernel.ell and kernel.table_size, checked against the kernel's bounds."""
-    ell, table_size = resolved["kernel"]["ell"], resolved["kernel"]["table_size"]
     try:
-        _check_order_and_table(ell, table_size)
+        return _check_order_and_table(resolved["kernel"]["ell"], resolved["kernel"]["table_size"])
     except InvalidParameterError as exc:
         raise ConfigError(f"config key 'kernel.ell' or 'kernel.table_size': {exc}") from exc
-    return ell, table_size
 
 
 def _kernel_args(resolved: dict) -> dict:
@@ -568,27 +567,11 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
                      L=tuple(sec["L"]), M=float(sec["M"]))
     p = float(resolved["estimator"]["p"])
     report = classify(spec, p)
-    doc = {
-        "p": p,
-        "beta": list(spec.beta), "r": list(spec.r), "L": list(spec.L),
-        "M": spec.M,
-        "beta_agg": report.beta_agg, "s": report.s, "L_beta": report.L_beta,
-        "zone": report.zone, "nu": report.nu,
-        "mu_exponent": report.mu_exponent, "alpha_log": report.alpha_log,
-        "note": report.note,
-    }
-    emb = embedding(spec, p)
-    doc["embedding"] = {
-        "tau_p": emb.tau_p, "tau_i": list(emb.tau_i),
-        "gamma": list(emb.gamma), "q": list(emb.q),
-        "gamma_agg": emb.gamma_agg, "upsilon": emb.upsilon,
-        "L_gamma": emb.L_gamma, "valid": emb.valid,
-    }
+    # the field names are the JSON keys
+    doc = {"p": p, **asdict(spec), **asdict(report), "embedding": asdict(embedding(spec, p))}
     if sec["theta"] is not None:
         tail = TailSpec(theta=float(sec["theta"]), R=float(sec["R"]))
-        tc = classify_tail(spec, p, tail)
-        doc["tail"] = {"theta": tail.theta, "nu_theta": tc.nu_theta,
-                       "mu_theta_exponent": tc.mu_theta_exponent}
+        doc["tail"] = {"theta": tail.theta, **classify_tail(spec, p, tail)._asdict()}
     doc["theta_star"] = theta_star(spec, p)
     run = _Run(_outdir(out_flag, resolved, "regime"),
                resolved["output"]["formats"])
@@ -627,7 +610,6 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     pts[:, 0] = xs
     rows = [(x, fv, bv) for x, fv, bv in
             zip(xs, density(pts), base(pts))]
-    hamming = _min_hamming(packing.members)
     # every input is checked and every value built before the directory exists
     run = _Run(_outdir(out_flag, resolved, "lowerbound"),
                resolved["output"]["formats"])
@@ -637,22 +619,13 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
         "N": N, "dim": dim, "sigma": list(sigma), "amplitude": amplitude,
         "kappa_scale": kappa_scale, "wiggles_per_axis": list(counts),
         "packing": {"m": packing.m, "size": int(packing.members.shape[0]),
-                    "min_hamming_distance": hamming},
+                    "min_hamming_distance": packing.min_distance},
         "sup_bound": density.sup_bound,
     }))
     run.finish("lowerbound", resolved, resolved["seed"])
     click.echo(
         f"lowerbound: packing {packing.members.shape[0]} members "
-        f"(min distance {hamming}) -> {run.outdir}")
-
-
-def _min_hamming(members: np.ndarray) -> int:
-    best = members.shape[1]
-    for i in range(members.shape[0]):
-        diff = members[i + 1:] != members[i]
-        if diff.size:
-            best = min(best, int(diff.sum(axis=1).min()))
-    return best
+        f"(min distance {packing.min_distance}) -> {run.outdir}")
 
 
 @cli.command("risk")

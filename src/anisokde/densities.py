@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
     VerificationError,
+    _index,
 )
 from .estimator import MAX_LATTICE_BYTES, Dataset, build_dataset
 from .quadrature import GridSpec
@@ -88,7 +89,7 @@ def g_lp_norm(p: float, nodes: int = (1 << 15) + 1) -> float:
     """L_p norm of the wiggle profile by high-resolution trapezoid."""
     if not p >= 1:
         raise InvalidParameterError(f"p must be >= 1, got {p!r}")
-    xs = np.linspace(-2.0, 2.0, nodes)
+    xs = np.linspace(-2.0, 2.0, _index(nodes, "nodes", 2))
     vals = np.abs(g_profile(xs)) ** p
     return float(np.trapezoid(vals, xs) ** (1.0 / p))
 
@@ -236,40 +237,44 @@ def flat_top_density(N: float, dim: int, kappa_scale: float) -> TrueDensity:
     _check_finite(N=N, kappa_scale=kappa_scale)
     if not N > 8:
         raise InvalidParameterError(f"N must exceed 8, got {N!r}")
-    if dim < 1 or dim != int(dim):
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
+    dim = _index(dim, "dim", 1)
     if not kappa_scale > 0:
         raise InvalidParameterError(f"kappa_scale must be positive, got {kappa_scale!r}")
     marg = _flat_top_marginal(float(N), float(kappa_scale))
     half = (N / 2.0 + 1.0) / kappa_scale
     return TrueDensity(
         label=f"flat_top(N={N}, kappa_scale={kappa_scale})",
-        dim=int(dim),
-        box=_box(int(dim), -half, half),
+        dim=dim,
+        box=_box(dim, -half, half),
         sup_bound=(kappa_scale / N) ** dim,
-        marginals=(marg,) * int(dim),
+        marginals=(marg,) * dim,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class PackingSet:
-    """Binary vectors of length m, pairwise Hamming distance >= m/8."""
+    """Binary vectors of length m, pairwise Hamming distance >= m/8;
+    min_distance is the least pairwise distance, as verified."""
 
     m: int
     members: np.ndarray
+    min_distance: int
 
     def __len__(self) -> int:
         return self.members.shape[0]
 
 
-def _verify_packing(m: int, members: np.ndarray) -> None:
+def _verify_packing(m: int, members: np.ndarray) -> int:
+    """The least pairwise Hamming distance (m for a single member), once
+    the size and distance bounds are checked."""
     count = members.shape[0]
     if count < 2 ** (m / 8.0) - 1e-9:
         raise VerificationError(f"packing has {count} members, needs >= 2^(m/8)")
     diff = (members[:, None, :] != members[None, :, :]).sum(axis=2)
-    off = diff[~np.eye(count, dtype=bool)]
-    if off.size and off.min() < m / 8.0:
-        raise VerificationError(f"packing pair at Hamming distance {off.min()} < m/8")
+    least = int(diff[~np.eye(count, dtype=bool)].min(initial=m))
+    if least < m / 8.0:
+        raise VerificationError(f"packing pair at Hamming distance {least} < m/8")
+    return least
 
 
 def vg_packing(m: int, rng: np.random.Generator) -> PackingSet:
@@ -281,9 +286,7 @@ def vg_packing(m: int, rng: np.random.Generator) -> PackingSet:
     pair, so an m whose check would pass MAX_LATTICE_BYTES is refused
     before any draw.
     """
-    if m < 8 or m != int(m):
-        raise InvalidParameterError(f"m must be an integer >= 8, got {m!r}")
-    m = int(m)
+    m = _index(m, "m", 8)
     target = int(np.ceil(2 ** (m / 8.0)))
     need = target ** 2 * (m + 17)
     if need > MAX_LATTICE_BYTES:
@@ -304,8 +307,7 @@ def vg_packing(m: int, rng: np.random.Generator) -> PackingSet:
         raise ConstructionFailureError(
             f"packing stalled at {accepted.shape[0]}/{target} after {draws} draws; retry with a new seed"
         )
-    _verify_packing(m, accepted)
-    return PackingSet(m=m, members=accepted)
+    return PackingSet(m=m, members=accepted, min_distance=_verify_packing(m, accepted))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,8 +323,8 @@ class PerturbedDensity(TrueDensity):
 
     def pi(self, m_index) -> int:
         """Flatten a 1-based per-axis bump index to the w position (C order)."""
-        idx = np.asarray(m_index, dtype=np.int64) - 1
-        if idx.shape != (self.dim,) or np.any(idx < 0) or np.any(idx >= np.array(self.counts)):
+        idx = tuple(_index(k, "m_index entry", 1) - 1 for k in m_index)
+        if len(idx) != self.dim or any(i >= c for i, c in zip(idx, self.counts)):
             raise InvalidParameterError(f"index out of range for counts {self.counts}")
         return int(np.ravel_multi_index(idx, self.counts))
 
@@ -356,9 +358,7 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
     probability density whenever they all hold, which a verification
     grid re-confirms before return.
     """
-    if dim < 1 or dim != int(dim):
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
+    dim = _index(dim, "dim", 1)
     _check_finite(N=N, kappa_scale=kappa_scale)
     if not N > 8:
         raise InvalidParameterError(f"violated: N > 8 (got N={N!r})")
@@ -466,9 +466,7 @@ def build_f_theta(N: float, theta: float, dim: int) -> TrueDensity:
     _check_finite(N=N)
     if not N > 8:
         raise InvalidParameterError(f"N must exceed 8, got {N!r}")
-    if dim < 1 or dim != int(dim):
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
+    dim = _index(dim, "dim", 1)
     p_mass = float(N) ** (dim * (1.0 - 1.0 / theta))
     if p_mass > 1.0 + 1e-12:
         raise InvalidParameterError(f"tail mass p_N = {p_mass} exceeds 1; increase N or theta")
@@ -531,9 +529,7 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
     L, sup bound M) is recorded from the closed forms; the finite
     difference scaling checks in the test-suite spot-verify it.
     """
-    if dim < 1 or dim != int(dim):
-        raise InvalidParameterError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
+    dim = _index(dim, "dim", 1)
     params = dict(params or {})
 
     if kind == "raised_cosine":
@@ -595,10 +591,7 @@ def sample(density: TrueDensity, n: int, rng: np.random.Generator) -> Dataset:
     composition, everything else uses rejection from the uniform
     envelope over the bounding box.
     """
-    if n < 0 or n != int(n):
-        raise InvalidParameterError(f"n must be a non-negative integer, got {n!r}")
-    n = int(n)
-    return build_dataset(_draw(density, n, rng))
+    return build_dataset(_draw(density, _index(n, "n", 0), rng))
 
 
 def _draw(density: TrueDensity, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -57,7 +57,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid, build_grid
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _index
 from .kernels import (
     DEFAULT_TABLE_SIZE,
     Kernel1D,
@@ -164,8 +164,7 @@ class KappaPolicy:
     k_inf: float
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise InvalidParameterError(f"d must be a positive integer, got {self.d!r}")
+        object.__setattr__(self, "d", _index(self.d, "d", 1))
         if not (self.p >= 1 and np.isfinite(self.p)):
             raise InvalidParameterError(f"p must be finite and >= 1, got {self.p!r}")
         if not self.k_inf >= 0:
@@ -184,7 +183,7 @@ class KappaPolicy:
 
 def kappa_default(d: int, p: float, k_inf: float) -> KappaPolicy:
     """The theory-floor policy for dimension d, norm index p, kernel sup-norm."""
-    p, k_inf = float(p), float(k_inf)
+    d, p, k_inf = _index(d, "d", 1), float(p), float(k_inf)
     return KappaPolicy(kappa=_theory_floor(d, p, k_inf), d=d, p=p, k_inf=k_inf)
 
 
@@ -882,9 +881,10 @@ def estimate_on_grid(
     """Independent per-point fits, in point order, each equal to
     `select_and_estimate` at that point.
 
-    threads is accepted for compatibility and ignored: results never
-    depend on it.
+    threads, an integer >= 1, is accepted for compatibility and
+    ignored: results never depend on it.
     """
+    _index(threads, "threads", 1)
     pts = np.asarray(eval_points, dtype=float)
     if pts.size == 0:
         return []

@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _index
 
 DEFAULT_TABLE_SIZE = 4096
 MIN_TABLE_SIZE = 64
@@ -93,7 +93,7 @@ class Tabulated1D:
         return _trapezoid_sum(self.values, self.step)
 
     def moment(self, k: int) -> float:
-        return _trapezoid_sum(self.nodes() ** k * self.values, self.step)
+        return _trapezoid_sum(self.nodes() ** _index(k, "k", 0) * self.values, self.step)
 
     def sup_norm(self) -> float:
         # piecewise linear, so the extremum sits on a node
@@ -132,13 +132,9 @@ def _moment_corrected(ell: int, y) -> np.ndarray:
     return out
 
 
-def _check_order_and_table(ell: int, table_size: int) -> None:
-    if ell != int(ell) or ell < 1:
-        raise InvalidParameterError(f"kernel order must be a positive integer, got {ell!r}")
-    if table_size != int(table_size) or table_size < MIN_TABLE_SIZE:
-        raise InvalidParameterError(
-            f"table_size must be an integer >= {MIN_TABLE_SIZE}, got {table_size!r}"
-        )
+def _check_order_and_table(ell: int, table_size: int) -> tuple[int, int]:
+    """The kernel order and table size as ints within their bounds."""
+    return _index(ell, "kernel order ell", 1), _index(table_size, "table_size", MIN_TABLE_SIZE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +167,7 @@ class ProductKernel:
     factor: Kernel1D
 
     def __post_init__(self):
-        if self.dim != int(self.dim) or self.dim < 1:
-            raise InvalidParameterError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _index(self.dim, "dim", 1))
 
     @property
     def k_inf(self) -> float:
@@ -220,10 +214,10 @@ def build_base(ell: int, table_size: int = DEFAULT_TABLE_SIZE) -> Kernel1D:
     nodes so the origin is always a node and per-unit spacing matches
     the convolution tables.
     """
-    _check_order_and_table(ell, table_size)
+    ell, table_size = _check_order_and_table(ell, table_size)
     half = 0.5 / ell
-    nodes = np.linspace(-half, half, int(table_size) + 1)
-    return Kernel1D(ell=int(ell), profile=Tabulated1D(-half, half, _cosine_bump(ell, nodes)))
+    nodes = np.linspace(-half, half, table_size + 1)
+    return Kernel1D(ell=ell, profile=Tabulated1D(-half, half, _cosine_bump(ell, nodes)))
 
 
 def build_composite(base: Kernel1D) -> Kernel1D:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _index
 from .estimator import (
     MAX_LATTICE_BYTES,
     EstimationSetup,
@@ -62,7 +62,7 @@ from .estimator import (
     _select_point,
 )
 from .kernels import _interp_uniform, convolve_ratio
-from .quadrature import DEFAULT_NODES, _index, trapezoid_rule
+from .quadrature import DEFAULT_NODES, trapezoid_rule
 
 # Most quadrature points `_Smoothing` evaluates at once, and most row
 # weights it multiplies and sums at once (all the rows of a pass over a
@@ -367,8 +367,7 @@ def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
                   n: int, nodes: int = DEFAULT_NODES) -> float:
     """True (un-quadrupled) error majorant sqrt(kappa*A*ln n/(n*V)) + kappa*ln n/(n*V)."""
-    if _index(n, "n") < 2:
-        raise InvalidParameterError(f"majorants need n >= 2, got {n}")
+    n = _index(n, "n", 2)
     x = _checked_point(f, x, g, h)
     return float(_majorant(_at(f, g, h, x, nodes, absolute=True), policy.kappa, n, h.volume))
 
@@ -502,11 +501,11 @@ def check_proportional(a_hat: float, a_true: float, policy: KappaPolicy,
         raise InvalidParameterError("a_hat, a_true and v_h must be finite")
     if a_hat < 0 or a_true < 0:
         raise InvalidParameterError("kernel averages must be non-negative")
-    if not v_h > 0 or _index(n, "n") < 2:
-        raise InvalidParameterError("need v_h > 0 and n >= 2")
-    lam = policy.kappa * float(np.log(n)) / (n * v_h)
-    m_check = float(np.sqrt(a_hat * lam) + lam)
-    m_true = float(np.sqrt(a_true * lam) + lam)
+    n = _index(n, "n", 2)
+    if not v_h > 0:
+        raise InvalidParameterError(f"v_h must be > 0, got {v_h!r}")
+    m_check = float(_majorant(a_hat, policy.kappa, n, v_h))
+    m_true = float(_majorant(a_true, policy.kappa, n, v_h))
     chi_h = max(abs(a_hat - a_true) - m_true, 0.0)
     b1 = max(m_check - 5.0 * m_true, 0.0)
     b2 = max(m_true - 4.0 * m_check, 0.0)
@@ -547,8 +546,8 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     if not all(np.isfinite(h) and h > 0 for h in hs):
         raise InvalidParameterError(
             f"h_schedule entries must be finite and positive, got {tuple(h_schedule)!r}")
-    if _index(grid_nodes, "grid_nodes") < 2:
-        raise InvalidParameterError(f"grid_nodes must be >= 2, got {grid_nodes!r}")
+    grid_nodes = _index(grid_nodes, "grid_nodes", 2)
+    j = _index(j, "j")
     if not 0 <= j < f_family.dim:
         raise InvalidParameterError(f"axis {j} out of range for dim {f_family.dim}")
     if not (r_j == np.inf or r_j >= 1):

@@ -8,25 +8,13 @@ double the node count rather than switching schemes.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, _index
 
 DEFAULT_NODES = 129
-
-
-def _index(value, name: str) -> int:
-    """value as an int (numpy integers too); anything else, a bool
-    included, is refused by name."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def trapezoid_rule(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,9 +23,7 @@ def trapezoid_rule(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.nda
     A degenerate interval (hi <= lo) yields a single node with zero
     weight so that empty intersections integrate to exactly 0.
     """
-    nodes = _index(nodes, "nodes")
-    if nodes < 2:
-        raise InvalidParameterError(f"trapezoid rule needs >= 2 nodes, got {nodes}")
+    nodes = _index(nodes, "nodes", 2)
     if hi <= lo:
         return np.array([lo]), np.array([0.0])
     pts = np.linspace(lo, hi, nodes)
@@ -97,12 +83,10 @@ class GridSpec:
     def __post_init__(self):
         if len(self.box) != len(self.nodes) or not self.box:
             raise InvalidParameterError("box and nodes must have equal positive length")
-        object.__setattr__(self, "nodes", tuple(_index(k, "nodes") for k in self.nodes))
-        for (lo, hi), k in zip(self.box, self.nodes):
+        object.__setattr__(self, "nodes", tuple(_index(k, "nodes", 2) for k in self.nodes))
+        for lo, hi in self.box:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise InvalidParameterError(f"bad grid interval ({lo!r}, {hi!r})")
-            if k < 2:
-                raise InvalidParameterError("each axis needs at least 2 nodes")
 
     @property
     def dim(self) -> int:

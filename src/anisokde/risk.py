@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import TrueDensity, sample
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _index
 from .estimator import (
     DEFAULT_TABLE_SIZE,
     EstimationSetup,
@@ -27,8 +27,8 @@ from .estimator import (
     _setup_on,
     make_setup,
 )
-from .kernels import build_base, build_composite, convolve_ratio
-from .quadrature import GridSpec, _index
+from .kernels import _check_order_and_table, build_base, build_composite, convolve_ratio
+from .quadrature import GridSpec
 
 # Kernel support never exceeds one bandwidth unit and bandwidths top out
 # at 1, so estimator mass lives within 1 of the data.
@@ -64,20 +64,16 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(
-            self, "n_schedule", tuple(_index(v, "n_schedule entry") for v in self.n_schedule)
+            self, "n_schedule", tuple(_index(v, "n_schedule entry", 2) for v in self.n_schedule)
         )
         if not (np.isfinite(self.p) and self.p >= 1.0):
             raise InvalidParameterError(f"p must be in [1, inf), got {self.p!r}")
         if not self.n_schedule:
             raise InvalidParameterError("n_schedule must be non-empty")
-        if self.n_schedule[0] < 2:
-            raise InvalidParameterError("every n must be >= 2")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise InvalidParameterError("n_schedule must be strictly increasing")
-        if int(self.replicates) != self.replicates or self.replicates < 2:
-            raise InvalidParameterError(
-                f"replicates must be an integer >= 2, got {self.replicates!r}"
-            )
+        for name, least in (("replicates", 2), ("seed", 0), ("threads", 1)):
+            object.__setattr__(self, name, _index(getattr(self, name), name, least))
         if self.grid.dim != self.density.dim:
             raise InvalidParameterError(
                 f"grid dim {self.grid.dim} != density dim {self.density.dim}"
@@ -90,16 +86,15 @@ class ExperimentPlan:
                     f"grid axis {j} must cover the support plus a margin of "
                     f"{SUPPORT_MARGIN} on each side"
                 )
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InvalidParameterError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
         if self.kappa is not None and not (
             np.isfinite(self.kappa) and self.kappa > 0
         ):
             raise InvalidParameterError(f"kappa must be > 0, got {self.kappa!r}")
-        if self.threads < 1:
-            raise InvalidParameterError("threads must be >= 1")
+        ell, table_size = _check_order_and_table(self.ell, self.table_size)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "table_size", table_size)
+        if self.max_exponent is not None:
+            object.__setattr__(self, "max_exponent", _index(self.max_exponent, "max_exponent"))
         _checked_grid(self.n_schedule[-1], self.density.dim, self.ell, self.table_size,
                      self.max_exponent)
 
@@ -123,13 +118,13 @@ class ExperimentPlan:
             "density_box": np.asarray(self.density.box, dtype=float).tolist(),
             "p": self.p,
             "n_schedule": list(self.n_schedule),
-            "replicates": int(self.replicates),
+            "replicates": self.replicates,
             "grid_box": [list(b) for b in self.grid.box],
             "grid_nodes": list(self.grid.nodes),
-            "seed": int(self.seed),
+            "seed": self.seed,
             "kappa": self.kappa,
-            "ell": int(self.ell),
-            "table_size": int(self.table_size),
+            "ell": self.ell,
+            "table_size": self.table_size,
             "max_exponent": self.max_exponent,
         }
 
@@ -285,7 +280,7 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
         mean_p = float(chunk.mean())
         stderr = float(chunk.std(ddof=1) / np.sqrt(chunk.size))
         rows.append(RiskRow(
-            n=int(n),
+            n=n,
             mean_risk_p=mean_p,
             stderr=stderr,
             risk=float(mean_p ** (1.0 / plan.p)),
@@ -294,7 +289,7 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
         rows=tuple(rows),
         p=plan.p,
         plan_hash=plan.plan_hash,
-        seed=int(plan.seed),
+        seed=plan.seed,
         wall_time=time.perf_counter() - start,
         timings=timings,
     )
@@ -325,13 +320,7 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
     lattice the selector searches; one lattice entry makes every ratio
     exactly 1. Selection varies by point, so ratios below 1 can occur.
     """
-    n = _index(n, "n")
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
-    if int(replicates) != replicates or replicates < 1:
-        raise InvalidParameterError(
-            f"replicates must be a positive integer, got {replicates!r}"
-        )
+    n, replicates = _index(n, "n", 2), _index(replicates, "replicates", 1)
     setup = plan.setup_for(n)
     policy = plan.policy_for(setup)
     mesh = plan.grid.mesh()
@@ -339,7 +328,7 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
     selected = np.empty(len(mesh))
     per_h = np.empty((len(mesh), setup.tables.size))
     ratios = []
-    for k in range(int(replicates)):
+    for k in range(replicates):
         rng = np.random.default_rng(plan.seed + k)
         data = sample(plan.density, n, rng)
         for i, rec in enumerate(_select_points(data, mesh, policy, setup)):
