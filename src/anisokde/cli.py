@@ -563,14 +563,13 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
     """Classify the rate regime for a smoothness class and norm index."""
     resolved = _resolve(load_config(config_path), "regime", seed)
     sec = resolved["class"]
-    spec = ClassSpec(beta=tuple(sec["beta"]), r=tuple(sec["r"]),
-                     L=tuple(sec["L"]), M=float(sec["M"]))
+    spec = ClassSpec(beta=tuple(sec["beta"]), r=tuple(sec["r"]), L=tuple(sec["L"]), M=sec["M"])
     p = float(resolved["estimator"]["p"])
     report = classify(spec, p)
     # the field names are the JSON keys
     doc = {"p": p, **asdict(spec), **asdict(report), "embedding": asdict(embedding(spec, p))}
     if sec["theta"] is not None:
-        tail = TailSpec(theta=float(sec["theta"]), R=float(sec["R"]))
+        tail = TailSpec(theta=sec["theta"], R=sec["R"])
         doc["tail"] = {"theta": tail.theta, **classify_tail(spec, p, tail)._asdict()}
     doc["theta_star"] = theta_star(spec, p)
     run = _Run(_outdir(out_flag, resolved, "regime"),
@@ -588,9 +587,8 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     sec = resolved["lowerbound"]
     slice_nodes, dim = sec["slice_nodes"], sec["dim"]
     t0 = time.perf_counter()
-    N, amplitude = float(sec["N"]), float(sec["amplitude"])
-    kappa_scale = float(sec["kappa_scale"])
-    sigma = tuple(float(v) for v in sec["sigma"])
+    # lowerbound.json records N and kappa_scale as floats; no constructor returns them
+    N, kappa_scale, sigma = float(sec["N"]), float(sec["kappa_scale"]), tuple(sec["sigma"])
     base = flat_top_density(N, dim, kappa_scale)
     counts = tuple(
         int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
@@ -600,8 +598,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     rng = np.random.default_rng(resolved["seed"])
     packing = vg_packing(m, rng)
     w = packing.members[0]
-    density = build_perturbed(N, sigma, amplitude, w, dim,
-                              kappa_scale=kappa_scale)
+    density = build_perturbed(N, sigma, sec["amplitude"], w, dim, kappa_scale=kappa_scale)
     build_s = time.perf_counter() - t0
 
     lo, hi = float(density.box[0, 0]), float(density.box[0, 1])
@@ -616,7 +613,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     run.timings["build"] = build_s
     run.emit("plot/fw_slice.dat", _dat_bytes(rows))
     run.emit("lowerbound.json", _json_bytes({
-        "N": N, "dim": dim, "sigma": list(sigma), "amplitude": amplitude,
+        "N": N, "dim": dim, "sigma": list(density.sigma), "amplitude": density.amplitude,
         "kappa_scale": kappa_scale, "wiggles_per_axis": list(counts),
         "packing": {"m": packing.m, "size": int(packing.members.shape[0]),
                     "min_hamming_distance": packing.min_distance},
@@ -638,7 +635,7 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
     # the plan checks every input before the output directory exists
     plan = ExperimentPlan(
         density=density,
-        p=float(resolved["estimator"]["p"]),
+        p=resolved["estimator"]["p"],
         n_schedule=tuple(sec["n_schedule"]),
         replicates=sec["replicates"],
         grid=default_grid(density, sec["grid_nodes"]),

@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     VerificationError,
     _index,
+    _real,
 )
 from .estimator import MAX_LATTICE_BYTES, Dataset, build_dataset
 from .quadrature import GridSpec
@@ -87,8 +88,7 @@ def g_profile(t) -> np.ndarray:
 
 def g_lp_norm(p: float, nodes: int = (1 << 15) + 1) -> float:
     """L_p norm of the wiggle profile by high-resolution trapezoid."""
-    if not p >= 1:
-        raise InvalidParameterError(f"p must be >= 1, got {p!r}")
+    p = _real(p, "p", 1.0)
     xs = np.linspace(-2.0, 2.0, _index(nodes, "nodes", 2))
     vals = np.abs(g_profile(xs)) ** p
     return float(np.trapezoid(vals, xs) ** (1.0 / p))
@@ -206,13 +206,6 @@ class TrueDensity:
         return np.asarray(self.pdf_fn(mesh_points(list(axes))), dtype=float).reshape(shape)
 
 
-def _check_finite(**params) -> None:
-    """Refuse, by name, a parameter with a non-finite value or entry."""
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-
-
 def _box(dim: int, lo: float, hi: float) -> np.ndarray:
     return np.tile(np.array([lo, hi], dtype=float), (dim, 1))
 
@@ -234,16 +227,13 @@ def flat_top_density(N: float, dim: int, kappa_scale: float) -> TrueDensity:
     support is the slightly larger box with +-1 smoothing collars,
     all divided by kappa_scale.
     """
-    _check_finite(N=N, kappa_scale=kappa_scale)
-    if not N > 8:
-        raise InvalidParameterError(f"N must exceed 8, got {N!r}")
-    dim = _index(dim, "dim", 1)
-    if not kappa_scale > 0:
-        raise InvalidParameterError(f"kappa_scale must be positive, got {kappa_scale!r}")
-    marg = _flat_top_marginal(float(N), float(kappa_scale))
+    label = f"flat_top(N={N}, kappa_scale={kappa_scale})"  # as given
+    N, dim = _real(N, "N", above=8.0), _index(dim, "dim", 1)
+    kappa_scale = _real(kappa_scale, "kappa_scale", above=0.0)
+    marg = _flat_top_marginal(N, kappa_scale)
     half = (N / 2.0 + 1.0) / kappa_scale
     return TrueDensity(
-        label=f"flat_top(N={N}, kappa_scale={kappa_scale})",
+        label=label,
         dim=dim,
         box=_box(dim, -half, half),
         sup_bound=(kappa_scale / N) ** dim,
@@ -358,20 +348,19 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
     probability density whenever they all hold, which a verification
     grid re-confirms before return.
     """
+    label = f"perturbed(N={N}, A={A}, dim={dim})"  # as given
     dim = _index(dim, "dim", 1)
-    _check_finite(N=N, kappa_scale=kappa_scale)
-    if not N > 8:
-        raise InvalidParameterError(f"violated: N > 8 (got N={N!r})")
-    if not kappa_scale > 0:
-        raise InvalidParameterError(f"kappa_scale must be positive, got {kappa_scale!r}")
-    sigma = tuple(float(s) for s in np.atleast_1d(np.asarray(sigma, dtype=float)))
+    N = _real(N, "N", above=8.0)
+    kappa_scale = _real(kappa_scale, "kappa_scale", above=0.0)
+    sigma = tuple(_real(s, "sigma", above=0.0) for s in (sigma if np.ndim(sigma) else (sigma,)))
+    A = _real(A, "A", above=0.0)
     if len(sigma) != dim:
         raise InvalidParameterError(f"sigma must have length {dim}, got {len(sigma)}")
     counts = []
     for l, s in enumerate(sigma):
-        if not 0 < s <= 1.0 / (20.0 * kappa_scale) + 1e-15:
+        if s > 1.0 / (20.0 * kappa_scale) + 1e-15:
             raise InvalidParameterError(
-                f"violated: 0 < sigma[{l}] <= 1/(20*kappa_scale) (got {s!r})"
+                f"violated: sigma[{l}] <= 1/(20*kappa_scale) (got {s!r})"
             )
         m_real = N / (20.0 * kappa_scale * s)
         m_int = round(m_real)
@@ -382,9 +371,9 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
         counts.append(int(m_int))
     counts = tuple(counts)
     plateau = (kappa_scale / N) ** dim
-    if not 0 < A <= plateau + 1e-15:
+    if A > plateau + 1e-15:
         raise InvalidParameterError(
-            f"violated: 0 < A <= plateau (kappa_scale/N)^dim = {plateau!r} (got A={A!r})"
+            f"violated: A <= plateau (kappa_scale/N)^dim = {plateau!r} (got A={A!r})"
         )
     w = np.asarray(w, dtype=np.int8).ravel()
     total = int(np.prod(counts))
@@ -407,7 +396,7 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
     base = flat_top_density(N, dim, kappa_scale)
     half = (N / 2.0 + 1.0) / kappa_scale
     dens = PerturbedDensity(
-        label=f"perturbed(N={N}, A={A}, dim={dim})",
+        label=label,
         dim=dim,
         box=_box(dim, -half, half),
         sup_bound=plateau + A,
@@ -416,7 +405,7 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
         components=None,
         smoothness=None,
         base=base,
-        amplitude=float(A),
+        amplitude=A,
         sigma=sigma,
         centers=tuple(centers),
         counts=counts,
@@ -461,23 +450,22 @@ def build_f_theta(N: float, theta: float, dim: int) -> TrueDensity:
     wider by N^(1/theta-1), holding the plateau height of both parts
     equal. theta = 1 collapses to the plain flat-top.
     """
-    if not 0 < theta <= 1:
+    label = f"f_theta(N={N}, theta={theta})"  # as given
+    theta = _real(theta, "theta", above=0.0)
+    if theta > 1:
         raise InvalidParameterError(f"theta must lie in (0, 1], got {theta!r}")
-    _check_finite(N=N)
-    if not N > 8:
-        raise InvalidParameterError(f"N must exceed 8, got {N!r}")
-    dim = _index(dim, "dim", 1)
-    p_mass = float(N) ** (dim * (1.0 - 1.0 / theta))
+    N, dim = _real(N, "N", above=8.0), _index(dim, "dim", 1)
+    p_mass = N ** (dim * (1.0 - 1.0 / theta))
     if p_mass > 1.0 + 1e-12:
         raise InvalidParameterError(f"tail mass p_N = {p_mass} exceeds 1; increase N or theta")
     narrow = flat_top_density(N, dim, 1.0)
     if theta == 1.0:
         return narrow
-    scale = float(N) ** (1.0 / theta - 1.0)
+    scale = N ** (1.0 / theta - 1.0)
     wide = flat_top_density(N, dim, scale)
     half = (N / 2.0 + 1.0) / min(1.0, scale)
     return TrueDensity(
-        label=f"f_theta(N={N}, theta={theta})",
+        label=label,
         dim=dim,
         box=_box(dim, -half, half),
         sup_bound=(1.0 - p_mass) * narrow.sup_bound + p_mass * wide.sup_bound,
@@ -541,10 +529,10 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
                 "L": (4.0 * np.pi**2,) * dim, "M": 2.0**dim}
         sup = 2.0**dim
     elif kind == "smoothed_uniform":
-        delta = float(params.pop("delta", 0.25))
+        delta = _real(params.pop("delta", 0.25), "delta", above=0.0)
         if params:
             raise InvalidParameterError(f"unknown smoothed_uniform parameters: {sorted(params)}")
-        if not 0 < delta <= 0.5:
+        if delta > 0.5:
             raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta!r}")
         marg = _smoothed_uniform_marginal(delta)
         args = f", delta={delta!r}"
@@ -552,16 +540,15 @@ def smooth_product_density(kind: str, dim: int, params: dict | None = None) -> T
                 "L": (2.0 * _profile_derivative_sups()[0] / delta**2,) * dim, "M": 1.0}
         sup = 1.0
     elif kind == "bump_mixture":
-        centers = tuple(float(c) for c in params.pop("centers", (-0.5, 0.5)))
-        scales = tuple(float(s) for s in params.pop("scales", (0.2, 0.2)))
-        weights = tuple(float(w) for w in params.pop("weights", (0.5, 0.5)))
+        centers = tuple(_real(c, "centers") for c in params.pop("centers", (-0.5, 0.5)))
+        scales = tuple(_real(s, "scales", above=0.0) for s in params.pop("scales", (0.2, 0.2)))
+        weights = tuple(_real(w, "weights", 0.0) for w in params.pop("weights", (0.5, 0.5)))
         if params:
             raise InvalidParameterError(f"unknown bump_mixture parameters: {sorted(params)}")
         if not (len(centers) == len(scales) == len(weights)) or not centers:
             raise InvalidParameterError("centers, scales, weights must have equal positive length")
-        _check_finite(centers=centers, scales=scales, weights=weights)
-        if min(scales) <= 0 or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-12:
-            raise InvalidParameterError("scales must be positive and weights a probability vector")
+        if abs(sum(weights) - 1.0) > 1e-12:
+            raise InvalidParameterError(f"weights must sum to 1, got {weights!r}")
         marg = _bump_mixture_marginal(centers, scales, weights)
         args = f", centers={centers!r}, scales={scales!r}, weights={weights!r}"
         m1 = sum(w * bump(0.0) / s for w, s in zip(weights, scales))
@@ -676,8 +663,8 @@ def strong_maximal(density: TrueDensity, grid: GridSpec,
     corner values interpolated at x +- h/2, so each of the
     len(h_levels)^dim shapes costs one inclusion-exclusion sweep.
     """
-    levels = tuple(sorted(float(h) for h in h_levels))
-    if not levels or levels[0] <= 0 or levels[-1] > 2.0:
+    levels = tuple(sorted(_real(h, "h_levels", above=0.0) for h in h_levels))
+    if not levels or levels[-1] > 2.0:
         raise InvalidParameterError("h_levels must lie in (0, 2]")
     if grid.dim != density.dim:
         raise InvalidParameterError("grid dimension must match the density")
@@ -711,7 +698,6 @@ def strong_maximal(density: TrueDensity, grid: GridSpec,
 
 def tail_quasi_norm(field: MaximalField, theta: float) -> float:
     """(integral of field^theta)^(1/theta) over the field's grid."""
-    if not theta > 0:
-        raise InvalidParameterError(f"theta must be positive, got {theta!r}")
+    theta = _real(theta, "theta", above=0.0)
     powed = np.maximum(field.values, 0.0) ** theta
     return float(field.grid.integrate_values(powed) ** (1.0 / theta))

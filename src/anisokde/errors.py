@@ -1,11 +1,15 @@
-"""Exception types shared across the package, and `_index`, the one
-check of integer arguments.
+"""Exception types shared across the package, and `_index` and `_real`,
+the one check of integer and of real arguments.
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit 1, verification failures exit 2, numeric failures exit 3.
 """
 
+import math
+import numbers
 import operator
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
@@ -25,6 +29,31 @@ def _index(value, name: str, least: int | None = None) -> int:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _real(value, name: str, least: float | None = None, *, above: float | None = None,
+          finite: bool = True) -> float:
+    """value as a float. Only Python and numpy reals pass (integers and
+    0-d arrays included), not bools, None, strings, complex numbers or
+    nan, and inf only when finite is False; when least is given only
+    those >= least, when above is given only those > above. Anything
+    else is refused by name. Every real parameter goes through here."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        value = float(value)
+    except (TypeError, OverflowError):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from None
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise InvalidParameterError(f"{name} must be {'finite' if finite else 'a number'}, "
+                                    f"got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParameterError(f"{name} must be >= {least:g}, got {value!r}")
+    if above is not None and value <= above:
+        raise InvalidParameterError(f"{name} must be > {above:g}, got {value!r}")
     return value
 
 

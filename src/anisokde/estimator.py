@@ -51,13 +51,13 @@ evaluates. Everything runs on one thread.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid, build_grid
-from .errors import InvalidParameterError, _index
+from .errors import InvalidParameterError, _index, _real
 from .kernels import (
     DEFAULT_TABLE_SIZE,
     Kernel1D,
@@ -165,12 +165,9 @@ class KappaPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _index(self.d, "d", 1))
-        if not (self.p >= 1 and np.isfinite(self.p)):
-            raise InvalidParameterError(f"p must be finite and >= 1, got {self.p!r}")
-        if not self.k_inf >= 0:
-            raise InvalidParameterError(f"k_inf must be >= 0, got {self.k_inf!r}")
-        if not np.isfinite(self.kappa) or self.kappa <= 0:
-            raise InvalidParameterError(f"kappa must be positive, got {self.kappa!r}")
+        object.__setattr__(self, "p", _real(self.p, "p", 1.0))
+        object.__setattr__(self, "k_inf", _real(self.k_inf, "k_inf", 0.0))
+        object.__setattr__(self, "kappa", _real(self.kappa, "kappa", above=0.0))
 
     @property
     def theory_floor(self) -> float:
@@ -183,15 +180,15 @@ class KappaPolicy:
 
 def kappa_default(d: int, p: float, k_inf: float) -> KappaPolicy:
     """The theory-floor policy for dimension d, norm index p, kernel sup-norm."""
-    d, p, k_inf = _index(d, "d", 1), float(p), float(k_inf)
-    return KappaPolicy(kappa=_theory_floor(d, p, k_inf), d=d, p=p, k_inf=k_inf)
+    checked = KappaPolicy(kappa=1.0, d=d, p=p, k_inf=k_inf)  # the floor reads checked values
+    return replace(checked, kappa=checked.theory_floor)
 
 
 def _kappa_policy(kappa: float | None, d: int, p: float, k_inf: float) -> KappaPolicy:
     """The theory-floor policy when kappa is None, else kappa's policy."""
     if kappa is None:
         return kappa_default(d, p, k_inf)
-    return KappaPolicy(kappa=float(kappa), d=d, p=float(p), k_inf=k_inf)
+    return KappaPolicy(kappa=kappa, d=d, p=p, k_inf=k_inf)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParameterError, _index
+from .errors import InvalidParameterError, _index, _real
 
 DEFAULT_TABLE_SIZE = 4096
 MIN_TABLE_SIZE = 64
@@ -246,8 +246,8 @@ def convolve_ratio(composite: Kernel1D, ratio: float) -> Kernel1D:
     sums and the table costs O(m * ell) for m nodes. The function keeps
     no state: every call builds a fresh order-ell table on [-1, 1].
     """
-    r = float(ratio)
-    if not np.isfinite(r) or not 0.0 < r <= 1.0:
+    r = _real(ratio, "ratio", above=0.0)
+    if r > 1.0:
         raise InvalidParameterError(f"ratio must lie in (0, 1], got {ratio!r}")
     ell = composite.ell
     m = 2 * composite.table_size + 1
@@ -298,5 +298,5 @@ def build_envelope(pair_tables, dim: int) -> ProductKernel:
 
 def build_majorant(composite: Kernel1D, ratio_set, dim: int) -> ProductKernel:
     """Envelope of |q_r| over the distinct ratios in ratio_set."""
-    ratios = sorted({float(r) for r in ratio_set})
+    ratios = sorted({_real(r, "ratio") for r in ratio_set})
     return build_envelope([convolve_ratio(composite, r) for r in ratios], dim)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
-from .errors import InvalidParameterError, _index
+from .errors import InvalidParameterError, _index, _real
 from .estimator import (
     MAX_LATTICE_BYTES,
     EstimationSetup,
@@ -497,13 +497,8 @@ def check_proportional(a_hat: float, a_true: float, policy: KappaPolicy,
     by the average-error bracket chi_h: [m_check - 5*m_true]_+ <=
     chi_h/2 and [m_true - 4*m_check]_+ <= 2*chi_h.
     """
-    if not (np.isfinite(a_hat) and np.isfinite(a_true) and np.isfinite(v_h)):
-        raise InvalidParameterError("a_hat, a_true and v_h must be finite")
-    if a_hat < 0 or a_true < 0:
-        raise InvalidParameterError("kernel averages must be non-negative")
-    n = _index(n, "n", 2)
-    if not v_h > 0:
-        raise InvalidParameterError(f"v_h must be > 0, got {v_h!r}")
+    a_hat, a_true = _real(a_hat, "a_hat", 0.0), _real(a_true, "a_true", 0.0)
+    v_h, n = _real(v_h, "v_h", above=0.0), _index(n, "n", 2)
     m_check = float(_majorant(a_hat, policy.kappa, n, v_h))
     m_true = float(_majorant(a_true, policy.kappa, n, v_h))
     chi_h = max(abs(a_hat - a_true) - m_true, 0.0)
@@ -540,18 +535,14 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     varied axis dominates the bias. Norms are grid quadratures over
     the density box plus the kernel's reach.
     """
-    hs = sorted(float(v) for v in h_schedule)
+    hs = sorted(_real(v, "h_schedule", above=0.0) for v in h_schedule)
     if len(hs) < 3:
         raise InvalidParameterError("h_schedule needs at least 3 values")
-    if not all(np.isfinite(h) and h > 0 for h in hs):
-        raise InvalidParameterError(
-            f"h_schedule entries must be finite and positive, got {tuple(h_schedule)!r}")
     grid_nodes = _index(grid_nodes, "grid_nodes", 2)
     j = _index(j, "j")
     if not 0 <= j < f_family.dim:
         raise InvalidParameterError(f"axis {j} out of range for dim {f_family.dim}")
-    if not (r_j == np.inf or r_j >= 1):
-        raise InvalidParameterError(f"r must be >= 1 or inf, got {r_j!r}")
+    r_j = _real(r_j, "r_j", 1.0, finite=False)
     weights, groups = _factors(f_family)
     if len(groups) < f_family.dim:
         raise InvalidParameterError(
@@ -578,7 +569,7 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
 
     degenerate = min(norms) < 1e-14
     slope = None if degenerate else float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
-    return ScalingReport(slope=slope, degenerate=degenerate, axis=j, r=float(r_j),
+    return ScalingReport(slope=slope, degenerate=degenerate, axis=j, r=r_j,
                          h_values=tuple(hs), norms=tuple(norms))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, _index
+from .errors import InvalidParameterError, NumericError, _index, _real
 
 DEFAULT_NODES = 129
 
@@ -23,7 +23,7 @@ def trapezoid_rule(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.nda
     A degenerate interval (hi <= lo) yields a single node with zero
     weight so that empty intersections integrate to exactly 0.
     """
-    nodes = _index(nodes, "nodes", 2)
+    lo, hi, nodes = _real(lo, "lo"), _real(hi, "hi"), _index(nodes, "nodes", 2)
     if hi <= lo:
         return np.array([lo]), np.array([0.0])
     pts = np.linspace(lo, hi, nodes)
@@ -38,7 +38,7 @@ def grid_and_weights(box: np.ndarray, nodes: int) -> tuple[list[np.ndarray], lis
     box = np.asarray(box, dtype=float)
     nodes_list, weights_list = [], []
     for lo, hi in box:
-        pts, w = trapezoid_rule(float(lo), float(hi), nodes)
+        pts, w = trapezoid_rule(lo, hi, nodes)
         nodes_list.append(pts)
         weights_list.append(w)
     return nodes_list, weights_list
@@ -75,7 +75,7 @@ def tensor_integral(fn, box: np.ndarray, nodes: int = DEFAULT_NODES) -> float:
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned tensor grid: a box plus per-axis node counts, stored
-    as ints."""
+    as floats and ints."""
 
     box: tuple[tuple[float, float], ...]
     nodes: tuple[int, ...]
@@ -84,9 +84,10 @@ class GridSpec:
         if len(self.box) != len(self.nodes) or not self.box:
             raise InvalidParameterError("box and nodes must have equal positive length")
         object.__setattr__(self, "nodes", tuple(_index(k, "nodes", 2) for k in self.nodes))
-        for lo, hi in self.box:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise InvalidParameterError(f"bad grid interval ({lo!r}, {hi!r})")
+        box = tuple((_real(lo, "box"), _real(hi, "box")) for lo, hi in self.box)
+        if any(not lo < hi for lo, hi in box):
+            raise InvalidParameterError(f"every box interval needs lo < hi, got {box!r}")
+        object.__setattr__(self, "box", box)
 
     @property
     def dim(self) -> int:

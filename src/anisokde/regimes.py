@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _real
 
 INF = float("inf")
 
@@ -43,22 +43,13 @@ class ClassSpec:
     M: float
 
     def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
-        r = tuple(float(v) for v in self.r)
-        L = tuple(float(v) for v in self.L)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "L", L)
-        if not beta or not (len(beta) == len(r) == len(L)):
+        # r may be infinite (no integrability constraint on that axis)
+        object.__setattr__(self, "beta", tuple(_real(b, "beta", above=0.0) for b in self.beta))
+        object.__setattr__(self, "r", tuple(_real(v, "r", 1.0, finite=False) for v in self.r))
+        object.__setattr__(self, "L", tuple(_real(v, "L", above=0.0) for v in self.L))
+        object.__setattr__(self, "M", _real(self.M, "M", above=0.0))
+        if not self.beta or not (len(self.beta) == len(self.r) == len(self.L)):
             raise InvalidParameterError("beta, r, L must have equal positive length")
-        if any(not b > 0 or math.isinf(b) for b in beta):
-            raise InvalidParameterError(f"every smoothness order must be finite positive: {beta}")
-        if any(not v >= 1 for v in r):
-            raise InvalidParameterError(f"every integrability index must be >= 1: {r}")
-        if any(not v > 0 or math.isinf(v) for v in L):
-            raise InvalidParameterError(f"every size must be finite positive: {L}")
-        if not self.M > 0:
-            raise InvalidParameterError(f"M must be positive, got {self.M!r}")
 
     @property
     def dim(self) -> int:
@@ -73,10 +64,10 @@ class TailSpec:
     R: float
 
     def __post_init__(self):
-        if not 0 < self.theta <= 1:
+        object.__setattr__(self, "theta", _real(self.theta, "theta", above=0.0))
+        object.__setattr__(self, "R", _real(self.R, "R", above=0.0))
+        if self.theta > 1:
             raise InvalidParameterError(f"theta must lie in (0, 1], got {self.theta!r}")
-        if not self.R > 0:
-            raise InvalidParameterError(f"R must be positive, got {self.R!r}")
 
 
 @dataclass(frozen=True)
@@ -132,9 +123,7 @@ def _close(a: float, b: float) -> bool:
 
 def classify(spec: ClassSpec, p: float) -> RegimeReport:
     """Zone, rate exponent, and log corrections for the norm index p."""
-    if not p > 1 or math.isinf(p):
-        raise InvalidParameterError(
-            f"classification covers finite p in (1, inf), got {p!r}")
+    p = _real(p, "p", above=1.0)
     beta_agg, s, l_beta = aggregate(spec)
     inv_beta = 1.0 / beta_agg
     inv_s = _inv(s)
@@ -172,9 +161,7 @@ def classify(spec: ClassSpec, p: float) -> RegimeReport:
 
 def classify_tail(spec: ClassSpec, p: float, tail: TailSpec) -> TailClassification:
     """Rate exponent under the tail-dominance condition with index theta."""
-    if not p > 1 or math.isinf(p):
-        raise InvalidParameterError(
-            f"classification covers finite p in (1, inf), got {p!r}")
+    p = _real(p, "p", above=1.0)
     beta_agg, s, _ = aggregate(spec)
     inv_beta = 1.0 / beta_agg
     inv_s = _inv(s)
@@ -195,9 +182,7 @@ def classify_tail(spec: ClassSpec, p: float, tail: TailSpec) -> TailClassificati
 
 def theta_star(spec: ClassSpec, p: float) -> float | None:
     """Tail index below which the first rate branch disappears; None when undefined."""
-    if not p > 1 or math.isinf(p):
-        raise InvalidParameterError(
-            f"classification covers finite p in (1, inf), got {p!r}")
+    p = _real(p, "p", above=1.0)
     beta_agg, s, _ = aggregate(spec)
     inv_beta = 1.0 / beta_agg
     if math.isinf(s):
@@ -210,8 +195,7 @@ def theta_star(spec: ClassSpec, p: float) -> float | None:
 
 def embedding(spec: ClassSpec, p: float) -> EmbeddingReport:
     """Map the class to one with per-axis integrability at least p."""
-    if not p >= 1:
-        raise InvalidParameterError(f"p must be >= 1, got {p!r}")
+    p = _real(p, "p", 1.0, finite=False)
     inv_p = _inv(p)
     tau_p = 1.0 - sum((1.0 / b) * (_inv(r) - inv_p) for b, r in zip(spec.beta, spec.r))
     tau_i = tuple(

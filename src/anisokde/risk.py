@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import TrueDensity, sample
-from .errors import InvalidParameterError, _index
+from .errors import InvalidParameterError, _index, _real
 from .estimator import (
     DEFAULT_TABLE_SIZE,
     EstimationSetup,
@@ -62,12 +62,10 @@ class ExperimentPlan:
     threads: int = 1  # validated, never changes results: replicates run serially
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _real(self.p, "p", 1.0))
         object.__setattr__(
             self, "n_schedule", tuple(_index(v, "n_schedule entry", 2) for v in self.n_schedule)
         )
-        if not (np.isfinite(self.p) and self.p >= 1.0):
-            raise InvalidParameterError(f"p must be in [1, inf), got {self.p!r}")
         if not self.n_schedule:
             raise InvalidParameterError("n_schedule must be non-empty")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
@@ -86,10 +84,9 @@ class ExperimentPlan:
                     f"grid axis {j} must cover the support plus a margin of "
                     f"{SUPPORT_MARGIN} on each side"
                 )
-        if self.kappa is not None and not (
-            np.isfinite(self.kappa) and self.kappa > 0
-        ):
-            raise InvalidParameterError(f"kappa must be > 0, got {self.kappa!r}")
+        if self.kappa is not None:
+            # checked but kept as given: the plan hash is JSON of the fields
+            _real(self.kappa, "kappa", above=0.0)
         ell, table_size = _check_order_and_table(self.ell, self.table_size)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "table_size", table_size)
@@ -198,8 +195,7 @@ class GapReport:
 
 def lp_norm_on_grid(field_a, field_b, p: float, grid: GridSpec) -> float:
     """(tensor-trapezoid integral of |a - b|^p)^(1/p) over the grid box."""
-    if not (np.isfinite(p) and p >= 1.0):
-        raise InvalidParameterError(f"p must be in [1, inf), got {p!r}")
+    p = _real(p, "p", 1.0)
     a = _as_grid_field(field_a, grid)
     b = _as_grid_field(field_b, grid)
     return float(grid.integrate_values(np.abs(a - b) ** p) ** (1.0 / p))

@@ -258,7 +258,7 @@ class TestPerturbedDensity:
             build_perturbed(16.0, (0.03,), 1e-3, np.zeros(26), 1)
         with pytest.raises(InvalidParameterError, match="plateau"):
             build_perturbed(16.0, (ok_sigma,), 1.0, np.zeros(16), 1)
-        with pytest.raises(InvalidParameterError, match="N > 8"):
+        with pytest.raises(InvalidParameterError, match="N must be > 8"):
             build_perturbed(6.0, (ok_sigma,), 1e-3, np.zeros(16), 1)
         with pytest.raises(InvalidParameterError, match="length"):
             build_perturbed(16.0, (ok_sigma,), 1e-3, np.zeros(9), 1)

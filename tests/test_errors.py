@@ -1,7 +1,11 @@
 """One integer rule (`errors._index`) for every count, size, order,
 exponent and seed: Python and numpy integers pass; a bool, any float
 (integral or not, finite or not), None or a string is refused with an
-InvalidParameterError that names the parameter."""
+InvalidParameterError that names the parameter.
+
+One real rule (`errors._real`) for every scalar real parameter: Python
+and numpy reals (0-d arrays included) pass; a bool, None, a string, a complex number or nan is
+refused by name, and so is inf unless the site's contract takes it."""
 
 import re
 from types import SimpleNamespace
@@ -17,13 +21,23 @@ from anisokde.densities import (
     g_lp_norm,
     sample,
     smooth_product_density,
+    strong_maximal,
+    tail_quasi_norm,
     vg_packing,
 )
 from anisokde.errors import InvalidParameterError
-from anisokde.estimator import estimate_on_grid, kappa_default, make_setup
-from anisokde.kernels import build_base, build_composite, build_majorant, build_product
-from anisokde.oracle import bias_norm_scaling
-from anisokde.risk import ExperimentPlan, default_grid, oracle_gap
+from anisokde.estimator import KappaPolicy, estimate_on_grid, kappa_default, make_setup
+from anisokde.kernels import (
+    build_base,
+    build_composite,
+    build_majorant,
+    build_product,
+    convolve_ratio,
+)
+from anisokde.oracle import bias_norm_scaling, check_proportional
+from anisokde.quadrature import GridSpec, trapezoid_rule
+from anisokde.regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
+from anisokde.risk import ExperimentPlan, default_grid, lp_norm_on_grid, oracle_gap
 
 NOT_INTEGERS = [float("nan"), float("inf"), None, 2.0, np.float64(2), True, "3"]
 
@@ -39,7 +53,9 @@ def ctx():
         policy=kappa_default(1, 2.0, setup.kernel.k_inf),
         data=sample(rc1, 16, np.random.default_rng(0)),
         plan=lambda **kw: ExperimentPlan(**{**plan, **kw}),
-        perturbed=build_perturbed(16.0, (0.05,), 1e-3, np.zeros(16), 1))
+        perturbed=build_perturbed(16.0, (0.05,), 1e-3, np.zeros(16), 1),
+        spec=ClassSpec(beta=(2.0, 1.0), r=(2.0, 4.0), L=(1.0, 1.0), M=1.0),
+        field=strong_maximal(rc1, GridSpec(box=((-1.0, 1.0),), nodes=(9,)), (0.5, 1.0)))
 
 
 # site: (the parameter's name, a call of the site with value v, an accepted value)
@@ -108,3 +124,152 @@ def test_plan_stores_python_ints(ctx):
     assert as_numpy.plan_hash == ctx.plan(max_exponent=2).plan_hash
     for name in ("replicates", "seed", "threads", "ell", "table_size", "max_exponent"):
         assert type(getattr(as_numpy, name)) is int
+
+
+NOT_REALS = [float("nan"), None, "2", True, 1 + 0j]
+
+
+def _mixture(**kw):
+    return smooth_product_density(
+        "bump_mixture", 1, {"centers": (0.0, 1.0), "scales": (0.2, 0.2), "weights": (0.5, 0.5),
+                            **kw})
+
+
+# site: (the parameter's name, a call of the site with value v, an accepted
+# value, whether inf is in the contract, a value below the least or None
+# when the site has no bound)
+REAL_SITES = {
+    "KappaPolicy.kappa": (
+        "kappa", lambda c, v: KappaPolicy(kappa=v, d=1, p=2.0, k_inf=1.0), 2, False, 0.0),
+    "KappaPolicy.p": ("p", lambda c, v: KappaPolicy(kappa=1.0, d=1, p=v, k_inf=1.0), 2, False, 0.5),
+    "KappaPolicy.k_inf": (
+        "k_inf", lambda c, v: KappaPolicy(kappa=1.0, d=1, p=2.0, k_inf=v), 1, False, -1.0),
+    "kappa_default.p": ("p", lambda c, v: kappa_default(1, v, 1.0), 2, False, 0.5),
+    "kappa_default.k_inf": ("k_inf", lambda c, v: kappa_default(1, 2.0, v), 1, False, -1.0),
+    "ExperimentPlan.p": ("p", lambda c, v: c.plan(p=v), 2, False, 0.5),
+    "lp_norm_on_grid.p": ("p", lambda c, v: lp_norm_on_grid(
+        np.zeros(9), np.zeros(9), v, GridSpec(box=((0.0, 1.0),), nodes=(9,))), 2, False, 0.5),
+    "ClassSpec.beta": ("beta", lambda c, v: ClassSpec(beta=(v,), r=(2.0,), L=(1.0,), M=1.0),
+                       2, False, 0.0),
+    "ClassSpec.r": ("r", lambda c, v: ClassSpec(beta=(2.0,), r=(v,), L=(1.0,), M=1.0),
+                    2, True, 0.5),
+    "ClassSpec.L": ("L", lambda c, v: ClassSpec(beta=(2.0,), r=(2.0,), L=(v,), M=1.0),
+                    1, False, 0.0),
+    "ClassSpec.M": ("M", lambda c, v: ClassSpec(beta=(2.0,), r=(2.0,), L=(1.0,), M=v),
+                    1, False, 0.0),
+    "TailSpec.theta": ("theta", lambda c, v: TailSpec(theta=v, R=1.0), 1, False, 0.0),
+    "TailSpec.R": ("R", lambda c, v: TailSpec(theta=0.5, R=v), 2, False, 0.0),
+    "classify.p": ("p", lambda c, v: classify(c.spec, v), 3, False, 1.0),
+    "classify_tail.p": (
+        "p", lambda c, v: classify_tail(c.spec, v, TailSpec(theta=0.5, R=1.0)), 3, False, 1.0),
+    "theta_star.p": ("p", lambda c, v: theta_star(c.spec, v), 3, False, 1.0),
+    "embedding.p": ("p", lambda c, v: embedding(c.spec, v), 2, True, 0.5),
+    "convolve_ratio.ratio": ("ratio", lambda c, v: convolve_ratio(c.composite, v), 1, False, 0.0),
+    "build_majorant.ratio": (
+        "ratio", lambda c, v: build_majorant(c.composite, (v,), 1), 1, False, 0.0),
+    "check_proportional.a_hat": (
+        "a_hat", lambda c, v: check_proportional(v, 1.0, c.policy, 0.5, 16), 1, False, -1.0),
+    "check_proportional.a_true": (
+        "a_true", lambda c, v: check_proportional(1.0, v, c.policy, 0.5, 16), 1, False, -1.0),
+    "check_proportional.v_h": (
+        "v_h", lambda c, v: check_proportional(1.0, 1.0, c.policy, v, 16), 1, False, 0.0),
+    "bias_norm_scaling.r_j": ("r_j", lambda c, v: bias_norm_scaling(
+        c.rc1, c.setup.kernel, 0, v, (1 / 4, 1 / 8, 1 / 16), nodes=17, grid_nodes=17),
+        2, True, 0.5),
+    "bias_norm_scaling.h_schedule": ("h_schedule", lambda c, v: bias_norm_scaling(
+        c.rc1, c.setup.kernel, 0, 2.0, (v, 1 / 8, 1 / 16), nodes=17, grid_nodes=17),
+        1, False, 0.0),
+    "trapezoid_rule.lo": ("lo", lambda c, v: trapezoid_rule(v, 1.0, 5), 0, False, None),
+    "trapezoid_rule.hi": ("hi", lambda c, v: trapezoid_rule(0.0, v, 5), 1, False, None),
+    "GridSpec.box": ("box", lambda c, v: GridSpec(box=((v, 1.0),), nodes=(5,)), 0, False, None),
+    "flat_top_density.N": ("N", lambda c, v: flat_top_density(v, 1, 1.0), 16, False, 8.0),
+    "flat_top_density.kappa_scale": (
+        "kappa_scale", lambda c, v: flat_top_density(16.0, 1, v), 1, False, 0.0),
+    "build_perturbed.N": (
+        "N", lambda c, v: build_perturbed(v, (0.05,), 1e-3, np.zeros(16), 1), 16, False, 8.0),
+    "build_perturbed.kappa_scale": ("kappa_scale", lambda c, v: build_perturbed(
+        16.0, (0.05,), 1e-3, np.zeros(16), 1, v), 1, False, 0.0),
+    "build_perturbed.sigma": (
+        "sigma", lambda c, v: build_perturbed(16.0, (v,), 1e-3, np.zeros(16), 1, 0.05),
+        1, False, 0.0),
+    "build_perturbed.A": (
+        "A", lambda c, v: build_perturbed(16.0, (1 / 320,), v, np.zeros(16), 1, 16.0),
+        1, False, 0.0),
+    "build_f_theta.N": ("N", lambda c, v: build_f_theta(v, 0.8, 1), 16, False, 8.0),
+    "build_f_theta.theta": ("theta", lambda c, v: build_f_theta(16.0, v, 1), 1, False, 0.0),
+    "smoothed_uniform.delta": ("delta", lambda c, v: smooth_product_density(
+        "smoothed_uniform", 1, {"delta": v}), 0.25, False, 0.0),
+    "bump_mixture.centers": ("centers", lambda c, v: _mixture(centers=(v, 1.0)), 0, False, None),
+    "bump_mixture.scales": ("scales", lambda c, v: _mixture(scales=(v, 0.2)), 1, False, 0.0),
+    "bump_mixture.weights": (
+        "weights", lambda c, v: _mixture(weights=(v, 1.0)), 0, False, -0.5),
+    "strong_maximal.h_levels": ("h_levels", lambda c, v: strong_maximal(
+        c.rc1, GridSpec(box=((-1.0, 1.0),), nodes=(9,)), (v,)), 1, False, 0.0),
+    "tail_quasi_norm.theta": ("theta", lambda c, v: tail_quasi_norm(c.field, v), 1, False, 0.0),
+    "g_lp_norm.p": ("p", lambda c, v: g_lp_norm(v, 65), 2, False, 0.5),
+}
+
+
+def _refused(name: str):
+    return pytest.raises(InvalidParameterError, match=rf"^{re.escape(name)} must be ")
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=repr)
+@pytest.mark.parametrize("site", list(REAL_SITES))
+def test_non_real_is_refused_by_name(ctx, site, value):
+    # True was taken as 1.0 at most of these sites, "2" as 2.0 where a
+    # float() ran first, and None raised a raw TypeError
+    name, call, *_ = REAL_SITES[site]
+    with _refused(name):
+        call(ctx, value)
+
+
+@pytest.mark.parametrize("site", list(REAL_SITES))
+def test_inf_only_where_the_contract_takes_it(ctx, site):
+    # KappaPolicy.k_inf, ClassSpec.M, TailSpec.R and trapezoid_rule took inf
+    name, call, _, inf_ok, _ = REAL_SITES[site]
+    if inf_ok:
+        call(ctx, float("inf"))
+    else:
+        with _refused(name):
+            call(ctx, float("inf"))
+    with _refused(name):
+        call(ctx, float("-inf"))
+
+
+@pytest.mark.parametrize("site", [s for s in REAL_SITES if REAL_SITES[s][4] is not None])
+def test_value_below_the_bound_is_refused_by_name(ctx, site):
+    name, call, _, _, low = REAL_SITES[site]
+    with _refused(name):
+        call(ctx, low)
+
+
+@pytest.mark.parametrize("site, real", [
+    (site, real) for site in REAL_SITES
+    for real in (np.float64, np.float32, np.asarray, int, float)
+    # no integer is in delta's range (0, 1/2]
+    if real is not int or float(REAL_SITES[site][2]).is_integer()])
+def test_numpy_and_python_reals_are_accepted(ctx, site, real):
+    _, call, good, *_ = REAL_SITES[site]
+    call(ctx, real(good))
+
+
+def test_plan_kappa_is_checked_and_kept_as_given(ctx):
+    # None means the theory floor; the plan hash reads kappa as given
+    assert ctx.plan(kappa=None).kappa is None
+    assert type(ctx.plan(kappa=2).kappa) is int
+    for value in (True, "2", float("nan"), float("inf"), 0.0):
+        with _refused("kappa"):
+            ctx.plan(kappa=value)
+
+
+def test_real_sites_return_floats(ctx):
+    policy = KappaPolicy(kappa=np.float32(2), d=1, p=2, k_inf=np.int64(1))
+    assert all(type(v) is float for v in (policy.kappa, policy.p, policy.k_inf))
+    spec = ClassSpec(beta=(2,), r=(np.float32(2),), L=(1,), M=np.int64(1))
+    assert all(type(v) is float for v in spec.beta + spec.r + spec.L + (spec.M,))
+    assert type(ctx.plan(p=np.float32(2)).p) is float
+    assert GridSpec(box=((0, np.int64(1)),), nodes=(3,)).box == ((0.0, 1.0),)
+    pts, w = trapezoid_rule(np.int64(0), 1, 3)
+    assert pts.tolist() == [0.0, 0.5, 1.0] and w.tolist() == [0.25, 0.5, 0.25]
+

@@ -29,8 +29,9 @@ class TestTrapezoidRule:
             1.5 * (25 - 4) + 7.0, rel=1e-14
         )
 
-    def test_degenerate_interval_gives_zero_weight(self):
-        x, w = trapezoid_rule(2.0, 2.0, 5)
+    @pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (2, 1)])
+    def test_degenerate_interval_gives_zero_weight(self, lo, hi):
+        x, w = trapezoid_rule(lo, hi, 5)
         assert x.shape == (1,) and x[0] == 2.0
         assert w.shape == (1,) and w[0] == 0.0
 
