@@ -41,6 +41,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
     VerificationError,
+    _points,
 )
 from .estimator import (
     DEFAULT_TABLE_SIZE,
@@ -124,14 +125,17 @@ def _stage(timings: dict[str, float], name: str):
 
 
 class _Run:
-    """Collects output files and wall times, then seals the manifest."""
+    """Collects output files and wall times, then seals the manifest. The
+    output directory (--out, else output.directory, else run-<command>)
+    is made by the first write, so a run that stops before it leaves no
+    directory."""
 
-    def __init__(self, outdir: str, formats: list[str]):
-        self.outdir = outdir
-        self.formats = formats
+    def __init__(self, resolved: dict, command: str, flag: str | None):
+        self.resolved, self.command = resolved, command
+        self.outdir = flag or resolved["output"]["directory"] or f"run-{command}"
+        self.formats = resolved["output"]["formats"]
         self.outputs: dict[str, str] = {}
         self.timings: dict[str, float] = {}
-        os.makedirs(outdir, exist_ok=True)
 
     def emit(self, rel: str, data: bytes) -> None:
         ext = rel.rsplit(".", 1)[-1]
@@ -142,15 +146,16 @@ class _Run:
         _atomic_write(path, data)
         self.outputs[rel] = hashlib.sha256(data).hexdigest()
 
-    def finish(self, command: str, resolved: dict, seed: int) -> str:
+    def finish(self) -> str:
         manifest = {
-            "command": command,
+            "command": self.command,
             "version": __version__,
-            "seed": int(seed),
-            "resolved_config": resolved,
+            "seed": int(self.resolved["seed"]),
+            "resolved_config": self.resolved,
             "outputs": self.outputs,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
+        os.makedirs(self.outdir, exist_ok=True)
         path = os.path.join(self.outdir, "manifest.json")
         _atomic_write(path, _json_bytes(manifest))
         return path
@@ -347,13 +352,6 @@ def _kernel_args(resolved: dict) -> dict:
             "max_exponent": resolved["estimator"]["max_exponent"]}
 
 
-def _outdir(flag: str | None, resolved: dict, command: str) -> str:
-    if flag:
-        return flag
-    configured = resolved["output"]["directory"]
-    return configured if configured else f"run-{command}"
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -389,46 +387,43 @@ def _run_options(fn):
 def cmd_kernel_check(config_path, seed, threads, out_flag, header):
     """Verify kernel normalization, moments, and envelope domination."""
     resolved = _resolve(load_config(config_path), "kernel-check", seed)
+    run = _Run(resolved, "kernel-check", out_flag)
     ell, table_size = _kernel_keys(resolved)
-    t0 = time.perf_counter()
-    composite = build_composite(build_base(ell, table_size))
-    run = _Run(_outdir(out_flag, resolved, "kernel-check"),
-               resolved["output"]["formats"])
     checks = []
 
     def record(name, value, bound):
         checks.append({"name": name, "value": float(value),
                        "bound": float(bound), "passed": bool(value <= bound)})
 
-    record("integral_defect", abs(composite.profile.integral() - 1.0), 1e-6)
-    for k in range(1, ell):
-        record(f"moment_{k}_defect", abs(composite.profile.moment(k)), 1e-5)
-    lo, hi = composite.profile.support()
-    record("support_halfwidth", max(abs(lo), abs(hi)), 0.5)
-    ts = np.linspace(-0.5, 0.5, 2001)
-    record("symmetry_defect", np.abs(composite(ts) - composite(-ts)).max(), 1e-12)
+    with _stage(run.timings, "checks"):
+        composite = build_composite(build_base(ell, table_size))
+        record("integral_defect", abs(composite.profile.integral() - 1.0), 1e-6)
+        for k in range(1, ell):
+            record(f"moment_{k}_defect", abs(composite.profile.moment(k)), 1e-5)
+        lo, hi = composite.profile.support()
+        record("support_halfwidth", max(abs(lo), abs(hi)), 0.5)
+        ts = np.linspace(-0.5, 0.5, 2001)
+        record("symmetry_defect", np.abs(composite(ts) - composite(-ts)).max(), 1e-12)
 
-    ratios = tuple(2.0 ** -k for k in range(11))
-    env = build_majorant(composite, ratios, 1).factor.profile
-    record("envelope_sup_excess",
-           env.sup_norm() - composite.sup_norm ** 2, 1e-12)
-    env_lo, env_hi = env.support()
-    record("envelope_halfwidth", max(abs(env_lo), abs(env_hi)), 1.0)
-    rng = np.random.default_rng(resolved["seed"])
-    tt = np.linspace(-1.0, 1.0, 4001)
-    worst = -np.inf
-    for _ in range(20):
-        ratio = float(ratios[rng.integers(0, len(ratios))])
-        conv = convolve_ratio(composite, ratio)
-        worst = max(worst, float((np.abs(conv(tt)) - env(tt)).max()))
-    record("domination_defect", worst, 1e-10)
-
-    run.timings["checks"] = time.perf_counter() - t0
+        ratios = tuple(2.0 ** -k for k in range(11))
+        env = build_majorant(composite, ratios, 1).factor.profile
+        record("envelope_sup_excess",
+               env.sup_norm() - composite.sup_norm ** 2, 1e-12)
+        env_lo, env_hi = env.support()
+        record("envelope_halfwidth", max(abs(env_lo), abs(env_hi)), 1.0)
+        rng = np.random.default_rng(resolved["seed"])
+        tt = np.linspace(-1.0, 1.0, 4001)
+        worst = -np.inf
+        for _ in range(20):
+            ratio = float(ratios[rng.integers(0, len(ratios))])
+            conv = convolve_ratio(composite, ratio)
+            worst = max(worst, float((np.abs(conv(tt)) - env(tt)).max()))
+        record("domination_defect", worst, 1e-10)
     passed = all(c["passed"] for c in checks)
     run.emit("kernel_check.json", _json_bytes(
         {"ell": ell, "table_size": table_size, "passed": passed,
          "checks": checks}))
-    run.finish("kernel-check", resolved, resolved["seed"])
+    run.finish()
     if not passed:
         bad = ", ".join(c["name"] for c in checks if not c["passed"])
         raise VerificationError(f"kernel checks failed: {bad}")
@@ -464,16 +459,7 @@ def _read_points(path: str) -> np.ndarray:
 def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
     """Evaluation points from estimate.points, or estimate.box and grid_nodes."""
     if sec["points"] is not None:
-        try:
-            mesh = np.asarray(sec["points"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"estimate.points must be rows of {dim} coordinates") from exc
-        if mesh.size == 0:
-            mesh = np.empty((0, dim))
-        if mesh.ndim != 2 or mesh.shape[1] != dim:
-            raise ConfigError(
-                f"estimate.points must be rows of {dim} coordinates")
+        mesh = _points(sec["points"], "estimate.points", dim)
     else:
         box, nodes = sec["box"], sec["grid_nodes"]
         if box is None or nodes is None:
@@ -495,19 +481,15 @@ def _estimate_mesh(sec: dict, dim: int) -> np.ndarray:
 def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header):
     """Fit the selector on a data file over the configured grid."""
     resolved = _resolve(load_config(config_path), "estimate", seed)
-    # every input is checked before the output directory exists
-    timings: dict[str, float] = {}
-    with _stage(timings, "index"):
+    run = _Run(resolved, "estimate", out_flag)
+    with _stage(run.timings, "index"):
         data = build_dataset(_read_points(data_file))
     dim = data.dim
     mesh = _estimate_mesh(resolved["estimate"], dim)
-    with _stage(timings, "kernel_tables"):
+    with _stage(run.timings, "kernel_tables"):
         setup = make_setup(data.n, dim, **_kernel_args(resolved))
     est = resolved["estimator"]
     policy = _kappa_policy(est["kappa"], dim, est["p"], setup.kernel.k_inf)
-    run = _Run(_outdir(out_flag, resolved, "estimate"),
-               resolved["output"]["formats"])
-    run.timings.update(timings)
     with _stage(run.timings, "fit"):
         fits = estimate_on_grid(data, mesh, policy, setup, threads=threads)
     with _stage(run.timings, "write"):
@@ -516,7 +498,7 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
         rows = [list(f.x) + [max(f.estimate, 0.0) if clamp else f.estimate]
                 + list(f.selected.exponents) for f in fits]
         run.emit("fits.csv", _csv_bytes(cols, rows, header))
-    run.finish("estimate", resolved, resolved["seed"])
+    run.finish()
     click.echo(f"estimate: {len(fits)} fits ({data.n} points) -> {run.outdir}")
 
 
@@ -525,17 +507,14 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
 def cmd_oracle(config_path, seed, threads, out_flag, header):
     """Check the pointwise error bound on seeded sampled instances."""
     resolved = _resolve(load_config(config_path), "oracle", seed)
+    run = _Run(resolved, "oracle", out_flag)
     sec = resolved["oracle"]
     instances, n, nodes = sec["instances"], sec["n"], sec["nodes"]
     density = _density(resolved["density"])
-    timings: dict[str, float] = {}
-    with _stage(timings, "kernel_tables"):
+    with _stage(run.timings, "kernel_tables"):
         setup = make_setup(n, density.dim, **_kernel_args(resolved))
     est = resolved["estimator"]
     policy = _kappa_policy(est["kappa"], density.dim, est["p"], setup.kernel.k_inf)
-    run = _Run(_outdir(out_flag, resolved, "oracle"),
-               resolved["output"]["formats"])
-    run.timings.update(timings)
     box = np.asarray(density.box, dtype=float)
     records = []
     with _stage(run.timings, "instances"):
@@ -549,7 +528,7 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
     run.emit("oracle.json", _json_bytes(
         {"instances": instances, "n": n, "holds": holds,
          "all_hold": holds == instances, "records": records}))
-    run.finish("oracle", resolved, resolved["seed"])
+    run.finish()
     if holds != instances:
         raise VerificationError(
             f"oracle inequality failed in {instances - holds}/{instances} "
@@ -562,6 +541,7 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
 def cmd_regime(config_path, seed, threads, out_flag, header):
     """Classify the rate regime for a smoothness class and norm index."""
     resolved = _resolve(load_config(config_path), "regime", seed)
+    run = _Run(resolved, "regime", out_flag)
     sec = resolved["class"]
     spec = ClassSpec(beta=tuple(sec["beta"]), r=tuple(sec["r"]), L=tuple(sec["L"]), M=sec["M"])
     p = float(resolved["estimator"]["p"])
@@ -572,10 +552,8 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
         tail = TailSpec(theta=sec["theta"], R=sec["R"])
         doc["tail"] = {"theta": tail.theta, **classify_tail(spec, p, tail)._asdict()}
     doc["theta_star"] = theta_star(spec, p)
-    run = _Run(_outdir(out_flag, resolved, "regime"),
-               resolved["output"]["formats"])
     run.emit("regime.json", _json_bytes(doc))
-    run.finish("regime", resolved, resolved["seed"])
+    run.finish()
     click.echo(f"regime: zone={report.zone} nu={report.nu:.6g} -> {run.outdir}")
 
 
@@ -584,22 +562,21 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
 def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     """Build a packing and a perturbed hard density; write a slice."""
     resolved = _resolve(load_config(config_path), "lowerbound", seed)
+    run = _Run(resolved, "lowerbound", out_flag)
     sec = resolved["lowerbound"]
     slice_nodes, dim = sec["slice_nodes"], sec["dim"]
-    t0 = time.perf_counter()
-    # lowerbound.json records N and kappa_scale as floats; no constructor returns them
-    N, kappa_scale, sigma = float(sec["N"]), float(sec["kappa_scale"]), tuple(sec["sigma"])
-    base = flat_top_density(N, dim, kappa_scale)
-    counts = tuple(
-        int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
-    m = 1
-    for c in counts:
-        m *= c
-    rng = np.random.default_rng(resolved["seed"])
-    packing = vg_packing(m, rng)
-    w = packing.members[0]
-    density = build_perturbed(N, sigma, sec["amplitude"], w, dim, kappa_scale=kappa_scale)
-    build_s = time.perf_counter() - t0
+    with _stage(run.timings, "build"):
+        # lowerbound.json records N and kappa_scale as floats; no constructor returns them
+        N, kappa_scale, sigma = float(sec["N"]), float(sec["kappa_scale"]), tuple(sec["sigma"])
+        base = flat_top_density(N, dim, kappa_scale)
+        counts = tuple(int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
+        m = 1
+        for c in counts:
+            m *= c
+        rng = np.random.default_rng(resolved["seed"])
+        packing = vg_packing(m, rng)
+        w = packing.members[0]
+        density = build_perturbed(N, sigma, sec["amplitude"], w, dim, kappa_scale=kappa_scale)
 
     lo, hi = float(density.box[0, 0]), float(density.box[0, 1])
     xs = np.linspace(lo, hi, slice_nodes)
@@ -607,10 +584,6 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     pts[:, 0] = xs
     rows = [(x, fv, bv) for x, fv, bv in
             zip(xs, density(pts), base(pts))]
-    # every input is checked and every value built before the directory exists
-    run = _Run(_outdir(out_flag, resolved, "lowerbound"),
-               resolved["output"]["formats"])
-    run.timings["build"] = build_s
     run.emit("plot/fw_slice.dat", _dat_bytes(rows))
     run.emit("lowerbound.json", _json_bytes({
         "N": N, "dim": dim, "sigma": list(density.sigma), "amplitude": density.amplitude,
@@ -619,7 +592,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
                     "min_hamming_distance": packing.min_distance},
         "sup_bound": density.sup_bound,
     }))
-    run.finish("lowerbound", resolved, resolved["seed"])
+    run.finish()
     click.echo(
         f"lowerbound: packing {packing.members.shape[0]} members "
         f"(min distance {packing.min_distance}) -> {run.outdir}")
@@ -630,9 +603,9 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
 def cmd_risk(config_path, seed, threads, out_flag, header):
     """Monte-Carlo risk curve over the sample-size schedule."""
     resolved = _resolve(load_config(config_path), "risk", seed)
+    run = _Run(resolved, "risk", out_flag)
     sec = resolved["risk"]
     density = _density(resolved["density"])
-    # the plan checks every input before the output directory exists
     plan = ExperimentPlan(
         density=density,
         p=resolved["estimator"]["p"],
@@ -644,8 +617,6 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
         threads=threads,
         **_kernel_args(resolved),
     )
-    run = _Run(_outdir(out_flag, resolved, "risk"),
-               resolved["output"]["formats"])
     report = run_plan(plan)
     run.timings.update(report.timings)
     doc = report.payload()
@@ -662,7 +633,7 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
     run.emit("risk.json", _json_bytes(doc))
     run.emit("plot/risk.dat", _dat_bytes(
         [(r.n, r.mean_risk_p, r.stderr) for r in report.rows]))
-    run.finish("risk", resolved, resolved["seed"])
+    run.finish()
     click.echo(f"risk: {len(report.rows)} schedule points -> {run.outdir}")
 
 

@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     VerificationError,
     _index,
+    _points,
     _real,
 )
 from .estimator import MAX_LATTICE_BYTES, Dataset, build_dataset
@@ -163,14 +164,9 @@ class TrueDensity:
     smoothness: dict | None = None
 
     def __call__(self, x) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise InvalidParameterError(f"points must have shape (m, {self.dim})")
-        vals = self._eval(pts)
-        return float(vals[0]) if single else vals
+        pts = _points(x, "x", self.dim, single=None)
+        vals = self._eval(pts.reshape(-1, self.dim))
+        return float(vals[0]) if pts.ndim == 1 else vals
 
     def _eval(self, pts: np.ndarray) -> np.ndarray:
         if self.components is not None:
@@ -320,10 +316,8 @@ class PerturbedDensity(TrueDensity):
 
     def perturbation(self, x) -> np.ndarray:
         """The signed perturbation field alone (density minus base)."""
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+        x = _points(x, "x", self.dim, single=None)
+        pts = x.reshape(-1, self.dim)
         gprod = np.full(pts.shape[0], self.amplitude)
         jidx = np.zeros((pts.shape[0], self.dim), dtype=np.int64)
         for l in range(self.dim):
@@ -337,7 +331,7 @@ class PerturbedDensity(TrueDensity):
             jidx[:, l] = j
         flat = np.ravel_multi_index(jidx.T, self.counts)
         vals = gprod * self.w[flat]
-        return float(vals[0]) if single else vals
+        return float(vals[0]) if x.ndim == 1 else vals
 
 
 def build_perturbed(N: float, sigma, A: float, w, dim: int,
@@ -375,12 +369,16 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
         raise InvalidParameterError(
             f"violated: A <= plateau (kappa_scale/N)^dim = {plateau!r} (got A={A!r})"
         )
-    w = np.asarray(w, dtype=np.int8).ravel()
+    w = np.asarray(w).ravel()
     total = int(np.prod(counts))
     if w.size != total:
         raise InvalidParameterError(f"w must have length prod(counts) = {total}, got {w.size}")
-    if not np.all((w == 0) | (w == 1)):
-        raise InvalidParameterError("w must be a 0/1 vector")
+    # each entry as given, before it is stored as a float
+    if w.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"w must be a 0/1 vector of numbers, got {w.dtype} entries")
+    bad = w[(w != 0) & (w != 1)]
+    if bad.size:
+        raise InvalidParameterError(f"w must be a 0/1 vector, got the entry {bad[0]}")
 
     centers = []
     lo_plateau = -(N / 2.0 - 1.0) / kappa_scale

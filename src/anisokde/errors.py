@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `_index` and `_real`,
-the one check of integer and of real arguments.
+"""Exception types shared across the package, and `_index`, `_real` and
+`_points`, the one check of integer arguments, of real arguments and of
+arrays of points.
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit 1, verification failures exit 2, numeric failures exit 3.
@@ -55,6 +56,40 @@ def _real(value, name: str, least: float | None = None, *, above: float | None =
     if above is not None and value <= above:
         raise InvalidParameterError(f"{name} must be > {above:g}, got {value!r}")
     return value
+
+
+def _points(value, name: str, dim: int | None = None, single: bool | None = False
+            ) -> np.ndarray:
+    """value as a float array of finite points of R^dim: one point of
+    shape (dim,) when single, rows of shape (m, dim) when not, and either
+    when single is None (the array's shape tells). dim None takes any
+    d >= 1 from the rows. Nested lists and integer or float arrays pass
+    as float64, so a float64 array is returned as it is; bool, complex,
+    string, None and object entries, ragged rows, any other shape and
+    nan or inf are refused by name. Rows given as [] are (0, dim).
+    Every array of observations or evaluation points goes through here."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise InvalidParameterError(f"{name} must be an array of points, got ragged rows") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must be real numbers, got {arr.dtype} entries")
+    arr = arr.astype(float, copy=False)
+    if single is None:
+        single = arr.ndim == 1
+    if single:
+        if arr.shape != (dim,):
+            raise InvalidParameterError(f"{name} must be of shape ({dim},), got {arr.shape}")
+    else:
+        if arr.shape == (0,) and dim is not None:
+            arr = arr.reshape(0, dim)
+        if arr.ndim != 2 or arr.shape[1] < 1 or dim not in (None, arr.shape[1]):
+            raise InvalidParameterError(
+                f"{name} must be of shape (m, {dim or 'd'}), got {arr.shape}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise InvalidParameterError(f"{name} must be finite, got {arr[bad][0]}")
+    return arr
 
 
 class ConstructionFailureError(RuntimeError):

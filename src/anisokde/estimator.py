@@ -57,7 +57,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid, build_grid
-from .errors import InvalidParameterError, _index, _real
+from .errors import InvalidParameterError, _index, _points, _real
 from .kernels import (
     DEFAULT_TABLE_SIZE,
     Kernel1D,
@@ -134,11 +134,7 @@ def build_dataset(points: np.ndarray) -> Dataset:
     n = 0 is allowed for I/O round-trips; estimation entry points
     require n >= 2.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 1:
-        raise InvalidParameterError("points must have shape (n, d) with d >= 1")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidParameterError("points must be finite")
+    pts = _points(points, "points")
     order = tuple(np.argsort(pts[:, j], kind="stable") for j in range(pts.shape[1]))
     sorted_vals = tuple(pts[order[j], j] for j in range(pts.shape[1]))
     return Dataset(points=pts, order=order, sorted_vals=sorted_vals)
@@ -446,15 +442,6 @@ def _setup_on(grid: BandwidthGrid, composite: Kernel1D, tables: list[Kernel1D]) 
 def _m_hat(a_hat: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """4 sqrt(A lam) + 4 lam, lam = kappa ln n / (n V) per lattice row."""
     return 4.0 * np.sqrt(a_hat * lam) + 4.0 * lam
-
-
-def _check_point(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise InvalidParameterError(f"evaluation point must have shape ({dim},)")
-    if not np.isfinite(x).all():
-        raise InvalidParameterError(f"evaluation point must be finite, got {x.tolist()}")
-    return x
 
 
 def _contract(mats: list[np.ndarray]) -> np.ndarray:
@@ -845,7 +832,7 @@ def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,
 def _select_point(data: Dataset, x, policy: KappaPolicy,
                   setup: EstimationSetup, keep_criterion: bool = False) -> _PointRecord:
     """`_select_points` at the one point x."""
-    x = _check_point(x, setup.grid.dim)
+    x = _points(x, "x", setup.grid.dim, single=True)
     return next(_select_points(data, x[None], policy, setup, keep_criterion))
 
 
@@ -882,12 +869,8 @@ def estimate_on_grid(
     ignored: results never depend on it.
     """
     _index(threads, "threads", 1)
-    pts = np.asarray(eval_points, dtype=float)
-    if pts.size == 0:
+    pts = _points(eval_points, "eval_points", setup.grid.dim)
+    if not len(pts):
         return []
-    if pts.ndim != 2 or pts.shape[1] != setup.grid.dim:
-        raise InvalidParameterError(f"eval_points must have shape (m, {setup.grid.dim})")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidParameterError("eval_points must be finite")
     return [_fit(rec, setup, keep_criterion)
             for rec in _select_points(data, pts, policy, setup, keep_criterion)]

@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParameterError, _index, _real
+from .errors import InvalidParameterError, _index, _points, _real
 
 DEFAULT_TABLE_SIZE = 4096
 MIN_TABLE_SIZE = 64
@@ -46,8 +46,12 @@ def _interp_uniform(lo: float, step: float, values: np.ndarray, y) -> np.ndarray
     """Linear interpolation on a uniform grid, exactly 0 outside the table;
     tables stacked along the leading axes of values share one index and
     fraction computation."""
+    y = np.asarray(y, dtype=float)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise InvalidParameterError(f"y must be finite, got {y[bad][0]}")
     size = values.shape[-1]
-    pos = (np.asarray(y, dtype=float) - lo) / step
+    pos = (y - lo) / step
     idx = np.clip(np.floor(pos), 0, size - 2).astype(np.int64)
     frac = pos - idx
     out = values[..., idx] * (1.0 - frac) + values[..., idx + 1] * frac
@@ -189,9 +193,7 @@ class ProductKernel:
         return (self.factor.profile,) * self.dim
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise InvalidParameterError(f"expected points of shape (m, {self.dim})")
+        pts = _points(pts, "pts", self.dim)
         out = self.factor(pts[:, 0])
         for j in range(1, self.dim):
             out = out * self.factor(pts[:, j])

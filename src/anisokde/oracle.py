@@ -48,12 +48,11 @@ import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
-from .errors import InvalidParameterError, _index, _real
+from .errors import InvalidParameterError, _index, _points, _real
 from .estimator import (
     MAX_LATTICE_BYTES,
     EstimationSetup,
     KappaPolicy,
-    _check_point,
     _coarser_sup,
     _pair_read,
     _per_axis,
@@ -325,7 +324,7 @@ def _checked_point(f: TrueDensity, x, *parts) -> np.ndarray:
         if part.dim != f.dim:
             raise InvalidParameterError(
                 f"{type(part).__name__} has dim {part.dim}, the density {f.dim}")
-    return _check_point(x, f.dim)
+    return _points(x, "x", f.dim, single=True)
 
 
 def _at(f: TrueDensity, g, h: Bandwidth, x, nodes: int, absolute: bool = False) -> float:

@@ -119,7 +119,7 @@ class ExperimentPlan:
             "grid_box": [list(b) for b in self.grid.box],
             "grid_nodes": list(self.grid.nodes),
             "seed": self.seed,
-            "kappa": self.kappa,
+            "kappa": np.asarray(self.kappa).item(),  # a numpy kappa as its Python value
             "ell": self.ell,
             "table_size": self.table_size,
             "max_exponent": self.max_exponent,

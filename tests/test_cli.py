@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from anisokde.cli import _DENSITY_PARAMS, _READS, _SECTIONS, _SEED, main
-from anisokde.densities import build_dataset
+from anisokde.densities import build_dataset, build_f_theta
 from anisokde.errors import EfficiencyError
 from anisokde.estimator import make_setup, kappa_default, select_and_estimate
 from anisokde.regimes import ClassSpec, embedding, theta_star
+from anisokde.risk import ExperimentPlan, default_grid
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -371,6 +372,21 @@ class TestRegimeCommand:
         assert main(["regime", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "class.beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directory, expected", [("custom", "custom"), (None, "run-regime")])
+    def test_without_out_writes_to_the_configured_directory(self, tmp_path, monkeypatch,
+                                                            directory, expected):
+        monkeypatch.chdir(tmp_path)
+        cls = {"beta": [1.0], "r": [2.0], "L": [1.0]}
+        cfg = write_config(tmp_path, {"class": cls, "output": {"directory": directory}})
+        assert main(["regime", "--config", cfg]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["config.json", expected]
+        assert sorted(os.listdir(tmp_path / expected)) == ["manifest.json", "regime.json"]
+        # a run that stops at a bad key makes no directory
+        bad = write_config(tmp_path, {"class": {**cls, "M": 0}, "output": {"directory": "o"}},
+                           name="bad.json")
+        assert main(["regime", "--config", bad]) == 1
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "config.json", expected]
+
 
 class TestEstimateCommand:
     @staticmethod
@@ -590,6 +606,20 @@ class TestOracleCommand:
         })
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # the directory is made by the first write
+
+    def test_f_theta_density(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "density": {"kind": "f_theta", "dim": 1, "params": {"N": 16, "theta": 0.5}},
+            "kernel": {"table_size": 256},
+            "oracle": {"instances": 3, "n": 64, "nodes": 33},
+        })
+        out = tmp_path / "run"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+        doc = read_json(out, "oracle.json")
+        assert doc["holds"] == 3
+        # points are drawn on the mixture's box [-9, 9]
+        assert 9 / 16 < max(abs(r["x"][0]) for r in doc["records"]) <= 9
 
     def test_d4_lattice_is_checked(self, tmp_path):
         # d=4 at n=256 is a lattice of 9^4 bandwidths: the oracle admits
@@ -749,6 +779,21 @@ class TestRiskCommand:
         assert main(["risk", "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_f_theta_density(self, tmp_path):
+        cfg = toy_risk_config(
+            tmp_path, density={"kind": "f_theta", "dim": 1, "params": {"N": 16, "theta": 0.5}},
+            kernel={"table_size": 256},
+            risk={"n_schedule": [16, 32], "replicates": 2, "grid_nodes": 33})
+        out = tmp_path / "run"
+        assert main(["risk", "--config", cfg, "--out", str(out)]) == 0
+        doc = read_json(out, "risk.json")
+        plan = ExperimentPlan(density=build_f_theta(16, 0.5, 1), p=2.0, n_schedule=(16, 32),
+                              replicates=2, grid=default_grid(build_f_theta(16, 0.5, 1), 33),
+                              seed=0, kappa=0.05, table_size=256)
+        assert doc["plan_hash"] == plan.plan_hash
+        assert [r["n"] for r in doc["rows"]] == [16, 32]
+        assert all(r["risk"] > 0 for r in doc["rows"])
 
     @pytest.mark.parametrize("nodes", [1, 0])
     def test_bad_grid_node_count_leaves_no_directory(self, tmp_path, capsys, nodes):

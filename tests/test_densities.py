@@ -265,6 +265,22 @@ class TestPerturbedDensity:
         with pytest.raises(InvalidParameterError, match="0/1"):
             build_perturbed(16.0, (ok_sigma,), 1e-3, np.full(16, 2.0), 1)
 
+    @pytest.mark.parametrize("entry", [1.5, 257.0, "1", 0.7, float("nan")])
+    def test_w_entries_are_checked_as_given(self, entry):
+        # a cast to int8 ran first: 1.5, 257.0 and "1" were stored as 1,
+        # 0.7 and nan as 0
+        w = [0.0] * 16
+        w[3] = entry
+        with pytest.raises(InvalidParameterError, match="^w must be a 0/1 vector"):
+            build_perturbed(16.0, (16.0 / (20.0 * 16),), 1e-3, w, 1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, float])
+    def test_w_of_any_numeric_type_is_stored_as_floats(self, dtype):
+        w = np.zeros(16, dtype=dtype)
+        w[3] = 1
+        f = build_perturbed(16.0, (16.0 / (20.0 * 16),), 1e-3, w, 1)
+        assert f.w.dtype == float and f.w.tolist() == w.astype(float).tolist()
+
 
 class TestTailFamily:
     def test_theta_one_is_the_plain_flat_top(self):
@@ -287,6 +303,16 @@ class TestTailFamily:
         tall_w, tall = f.components[1]
         assert tall.sup_bound > narrow.sup_bound
         assert tall.box[0, 1] < narrow.box[0, 1]
+
+    def test_grid_values_equal_pointwise_evaluation(self):
+        # the risk truth grid and strong_maximal read a mixture through
+        # its components' grid values
+        f = build_f_theta(16, 0.5, 2)
+        axes = [np.linspace(-9.5, 9.5, 39), np.linspace(-0.75, 0.75, 25)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = f.grid_values(axes)
+        assert values.max() > 2 * values[values > 0].min()  # both parts are on the grid
+        assert np.array_equal(values, f(mesh).reshape(39, 25))
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

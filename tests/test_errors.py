@@ -5,7 +5,12 @@ InvalidParameterError that names the parameter.
 
 One real rule (`errors._real`) for every scalar real parameter: Python
 and numpy reals (0-d arrays included) pass; a bool, None, a string, a complex number or nan is
-refused by name, and so is inf unless the site's contract takes it."""
+refused by name, and so is inf unless the site's contract takes it.
+
+One point-array rule (`errors._points`) for every array of observations
+or evaluation points: nested lists and integer or float arrays pass as
+float64; bool, complex, string and None entries, ragged rows, a wrong
+dimension and nan or inf are refused by name."""
 
 import re
 from types import SimpleNamespace
@@ -26,7 +31,15 @@ from anisokde.densities import (
     vg_packing,
 )
 from anisokde.errors import InvalidParameterError
-from anisokde.estimator import KappaPolicy, estimate_on_grid, kappa_default, make_setup
+from anisokde.cli import _estimate_mesh
+from anisokde.estimator import (
+    KappaPolicy,
+    build_dataset,
+    estimate_on_grid,
+    kappa_default,
+    make_setup,
+    select_and_estimate,
+)
 from anisokde.kernels import (
     build_base,
     build_composite,
@@ -34,7 +47,14 @@ from anisokde.kernels import (
     build_product,
     convolve_ratio,
 )
-from anisokde.oracle import bias_norm_scaling, check_proportional
+from anisokde.oracle import (
+    bias,
+    bias_bar,
+    bias_norm_scaling,
+    check_proportional,
+    majorant_true,
+    oracle_terms,
+)
 from anisokde.quadrature import GridSpec, trapezoid_rule
 from anisokde.regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
 from anisokde.risk import ExperimentPlan, default_grid, lp_norm_on_grid, oracle_gap
@@ -263,6 +283,14 @@ def test_plan_kappa_is_checked_and_kept_as_given(ctx):
             ctx.plan(kappa=value)
 
 
+def test_plan_hash_reads_a_numpy_kappa_as_its_python_value(ctx):
+    # a float32 kappa was accepted, and then plan_hash raised a raw TypeError
+    assert (ctx.plan(kappa=np.float32(0.05)).plan_hash
+            == ctx.plan(kappa=float(np.float32(0.05))).plan_hash)
+    assert ctx.plan(kappa=np.int64(2)).plan_hash == ctx.plan(kappa=2).plan_hash
+    assert ctx.plan(kappa=np.asarray(2.5)).plan_hash == ctx.plan(kappa=2.5).plan_hash
+
+
 def test_real_sites_return_floats(ctx):
     policy = KappaPolicy(kappa=np.float32(2), d=1, p=2, k_inf=np.int64(1))
     assert all(type(v) is float for v in (policy.kappa, policy.p, policy.k_inf))
@@ -273,3 +301,114 @@ def test_real_sites_return_floats(ctx):
     pts, w = trapezoid_rule(np.int64(0), 1, 3)
     assert pts.tolist() == [0.0, 0.5, 1.0] and w.tolist() == [0.25, 0.5, 0.25]
 
+
+@pytest.fixture(scope="module")
+def ctx2():
+    rc2 = smooth_product_density("raised_cosine", 2)
+    setup = make_setup(16, 2, table_size=64, max_exponent=2)
+    return SimpleNamespace(
+        rc2=rc2, setup=setup, h=Bandwidth((1, 1)),
+        policy=kappa_default(2, 2.0, setup.kernel.k_inf),
+        data=sample(rc2, 16, np.random.default_rng(0)),
+        perturbed=build_perturbed(16.0, (0.05, 0.05), 1e-3, np.zeros(256), 2))
+
+
+# site: (the argument's name, a call of the site with value v that returns
+# something comparable, an accepted float64 value: one point of shape (2,)
+# or rows of shape (m, 2))
+POINT = np.array([0.25, -0.125])
+ROWS = np.array([[0.25, -0.125], [1.5, 0.0], [-2.0, 0.375]])
+POINT_SITES = {
+    "build_dataset": ("points", lambda c, v: build_dataset(v).points, ROWS),
+    "estimate_on_grid": ("eval_points", lambda c, v: [
+        (f.estimate, f.selected) for f in estimate_on_grid(c.data, v, c.policy, c.setup)], ROWS),
+    "select_and_estimate": ("x", lambda c, v: select_and_estimate(
+        c.data, v, c.policy, c.setup).estimate, POINT),
+    "TrueDensity.__call__ point": ("x", lambda c, v: c.rc2(v), POINT),
+    "TrueDensity.__call__ rows": ("x", lambda c, v: c.rc2(v), ROWS),
+    "PerturbedDensity.perturbation point": ("x", lambda c, v: c.perturbed.perturbation(v), POINT),
+    "PerturbedDensity.perturbation rows": ("x", lambda c, v: c.perturbed.perturbation(v), ROWS),
+    "ProductKernel.__call__": ("pts", lambda c, v: c.setup.kernel(v), ROWS),
+    "cli estimate.points": ("estimate.points", lambda c, v: _estimate_mesh({"points": v}, 2),
+                            ROWS),
+    "bias": ("x", lambda c, v: bias(c.rc2, c.setup.kernel, c.h, v, nodes=17), POINT),
+    "bias_bar": ("x", lambda c, v: bias_bar(
+        c.rc2, c.setup.kernel, c.setup.grid, c.h, v, nodes=17), POINT),
+    "majorant_true": ("x", lambda c, v: majorant_true(
+        c.rc2, c.setup.kernel, c.h, v, c.policy, 16, nodes=17), POINT),
+    "oracle_terms": ("x", lambda c, v: oracle_terms(
+        c.data, c.rc2, v, c.policy, c.setup, nodes=17).bound, POINT),
+}
+
+
+def _entry(good: np.ndarray, entry) -> list:
+    """good as nested lists, its first entry replaced by entry."""
+    out = good.tolist()
+    (out[0] if good.ndim == 2 else out)[0] = entry
+    return out
+
+
+def _ragged(good: np.ndarray) -> list:
+    out = good.tolist()
+    if good.ndim == 2:
+        out[-1] = out[-1][:-1]
+    else:
+        out[0] = [out[0]]
+    return out
+
+
+def _width(size: int):
+    return lambda good: np.zeros(good.shape[:-1] + (size,))
+
+
+NOT_POINTS = {
+    "nan": lambda g: _entry(g, float("nan")),
+    "inf": lambda g: _entry(g, float("inf")),
+    "-inf in an array": lambda g: np.asarray(_entry(g, -np.inf)),
+    "complex entry": lambda g: _entry(g, 0.25 + 1j),
+    "string entry": lambda g: _entry(g, "0.25"),
+    "None": lambda g: None,
+    "None entry": lambda g: _entry(g, None),
+    "ragged": _ragged,
+    "bool array": lambda g: g != 0,
+    "no coordinates": _width(0),
+    "wrong dimension": _width(3),
+}
+
+
+@pytest.mark.parametrize("site, bad", [
+    (site, bad) for site in POINT_SITES for bad in NOT_POINTS
+    # build_dataset takes rows of any d >= 1; a null config key means absent
+    if (site, bad) not in {("build_dataset", "wrong dimension"), ("cli estimate.points", "None")}])
+def test_bad_point_array_is_refused_by_name(ctx2, site, bad):
+    # nan and inf gave a density of 0.0 or nan and a raw IndexError in the
+    # kernel, complex and bool entries were cast, strings and ragged rows
+    # raised a raw ValueError, and a perturbation of the wrong dimension
+    # returned zeros
+    name, call, good = POINT_SITES[site]
+    with _refused(name):
+        call(ctx2, NOT_POINTS[bad](good))
+
+
+@pytest.mark.parametrize("form", [lambda g: g.tolist(), lambda g: g.astype(np.int64),
+                                  lambda g: g.astype(np.float32)],
+                         ids=["nested list", "int array", "float32 array"])
+@pytest.mark.parametrize("site", list(POINT_SITES))
+def test_lists_ints_and_float32_match_float64(ctx2, site, form):
+    _, call, good = POINT_SITES[site]
+    given = form(good)
+    expected = call(ctx2, np.asarray(given, dtype=np.float64))
+    got = call(ctx2, given)
+    assert type(got) is type(expected)
+    np.testing.assert_array_equal(np.asarray(got, dtype=object), np.asarray(expected, dtype=object))
+
+
+def test_empty_rows_keep_their_dimension(ctx2):
+    # an empty (0, 3) sample is a d=3 dataset, and no rows fit to no fits
+    assert sample(smooth_product_density("raised_cosine", 3), 0,
+                  np.random.default_rng(0)).dim == 3
+    assert build_dataset(np.empty((0, 3))).points.shape == (0, 3)
+    assert estimate_on_grid(ctx2.data, [], ctx2.policy, ctx2.setup) == []
+    assert _estimate_mesh({"points": []}, 2).shape == (0, 2)
+    with _refused("points"):
+        build_dataset([])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anisokde.bandwidths import Bandwidth, build_grid
 from anisokde.errors import InvalidParameterError
+from anisokde.estimator import make_setup
 from anisokde.kernels import (
     build_base,
     build_composite,
@@ -233,6 +234,32 @@ class TestProductKernel:
         for ell in (1, 2, 3):
             sup = composites[ell].sup_norm
             assert build_product(composites[ell], 3).k_inf == 1.0 * sup * sup * sup
+
+
+class TestNonFiniteOffsets:
+    # nan raised a raw IndexError after a RuntimeWarning in the cast to an
+    # index, and +-inf gave 0.0 after one in the interpolation
+    @pytest.fixture(scope="class")
+    def tables(self, composites):
+        setup = make_setup(64, 2, table_size=64)
+        return {"Tabulated1D": composites[1].profile, "Kernel1D": composites[1],
+                "setup.marginal": setup.marginal, "K.factor": setup.kernel.factor}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", ["Tabulated1D", "Kernel1D", "setup.marginal", "K.factor"])
+    def test_refused_by_name(self, tables, table, bad):
+        with pytest.raises(InvalidParameterError, match=r"^y must be finite"):
+            tables[table](np.array([[0.0, 0.1], [bad, 0.2]]))
+        with pytest.raises(InvalidParameterError, match=r"^y must be finite"):
+            tables[table](bad)
+
+    def test_finite_offsets_keep_their_shape(self, tables):
+        ys = np.linspace(-0.6, 0.6, 12).reshape(3, 4)
+        for table in tables.values():
+            out = table(ys)
+            assert out.shape == (3, 4)
+            assert np.array_equal(out.ravel(), table(ys.ravel()))
+            assert table(0.25).shape == ()
 
 
 class TestPairKernel:
