@@ -644,9 +644,6 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -182,9 +182,11 @@ class TrueDensity:
         return np.asarray(self.pdf_fn(pts), dtype=float)
 
     def grid_values(self, axes: list[np.ndarray]) -> np.ndarray:
-        """Density on a tensor grid, exploiting product / mixture structure."""
+        """Density on a tensor grid, exploiting product / mixture structure.
+        Each axis must be a 1-D array of finite reals."""
         if len(axes) != self.dim:
             raise InvalidParameterError(f"need {self.dim} axes")
+        axes = [_points([ax], f"axes[{j}]")[0] for j, ax in enumerate(axes)]
         if self.components is not None:
             out = None
             for w, comp in self.components:
@@ -369,7 +371,10 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
         raise InvalidParameterError(
             f"violated: A <= plateau (kappa_scale/N)^dim = {plateau!r} (got A={A!r})"
         )
-    w = np.asarray(w).ravel()
+    try:
+        w = np.asarray(w).ravel()
+    except ValueError:
+        raise InvalidParameterError("w must be a 0/1 vector, got ragged rows") from None
     total = int(np.prod(counts))
     if w.size != total:
         raise InvalidParameterError(f"w must have length prod(counts) = {total}, got {w.size}")
@@ -444,9 +449,10 @@ def _verify_perturbed(dens: PerturbedDensity) -> None:
 def build_f_theta(N: float, theta: float, dim: int) -> TrueDensity:
     """Two-scale flat-top mixture with a prescribed tail index.
 
-    A fraction N^(dim*(1-1/theta)) of the mass is spread over a box
-    wider by N^(1/theta-1), holding the plateau height of both parts
-    equal. theta = 1 collapses to the plain flat-top.
+    The plain flat-top (plateau N^-dim) holds 1 - p_N of the mass. The
+    rest, p_N = N^(dim*(1-1/theta)), sits on a flat-top narrower by
+    s = N^(1/theta-1) per axis and taller by s^dim, so both weighted
+    plateaus are about N^-dim. theta = 1 collapses to the plain flat-top.
     """
     label = f"f_theta(N={N}, theta={theta})"  # as given
     theta = _real(theta, "theta", above=0.0)
@@ -456,18 +462,18 @@ def build_f_theta(N: float, theta: float, dim: int) -> TrueDensity:
     p_mass = N ** (dim * (1.0 - 1.0 / theta))
     if p_mass > 1.0 + 1e-12:
         raise InvalidParameterError(f"tail mass p_N = {p_mass} exceeds 1; increase N or theta")
-    narrow = flat_top_density(N, dim, 1.0)
+    plain = flat_top_density(N, dim, 1.0)
     if theta == 1.0:
-        return narrow
+        return plain
     scale = N ** (1.0 / theta - 1.0)
-    wide = flat_top_density(N, dim, scale)
+    concentrated = flat_top_density(N, dim, scale)
     half = (N / 2.0 + 1.0) / min(1.0, scale)
     return TrueDensity(
         label=label,
         dim=dim,
         box=_box(dim, -half, half),
-        sup_bound=(1.0 - p_mass) * narrow.sup_bound + p_mass * wide.sup_bound,
-        components=((1.0 - p_mass, narrow), (p_mass, wide)),
+        sup_bound=(1.0 - p_mass) * plain.sup_bound + p_mass * concentrated.sup_bound,
+        components=((1.0 - p_mass, plain), (p_mass, concentrated)),
     )
 
 

@@ -344,7 +344,7 @@ class EstimationSetup:
     reads every row.
 
     oracle_plans holds, per quadrature node count, the oracle's
-    x-independent truth layout (`oracle._plan`), built on the first
+    x-independent truth plan (`oracle._plan`), built on the first
     oracle call at that count and kept with the setup.
     """
 

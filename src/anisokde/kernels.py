@@ -46,7 +46,10 @@ def _interp_uniform(lo: float, step: float, values: np.ndarray, y) -> np.ndarray
     """Linear interpolation on a uniform grid, exactly 0 outside the table;
     tables stacked along the leading axes of values share one index and
     fraction computation."""
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
+    if y.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"y must be real numbers, got {y.dtype} entries")
+    y = y.astype(float, copy=False)
     bad = ~np.isfinite(y)
     if bad.any():
         raise InvalidParameterError(f"y must be finite, got {y[bad][0]}")

@@ -12,36 +12,36 @@ residual terms.
 Every true quantity is a smoothing of f at x: by K_h (single-estimate
 means), |K_h| and the envelope (true kernel averages) and q_r at the
 join bandwidth (pair means; per axis q_r is K_h * K_eta, so these are
-also the double smoothings behind the smoothed bias). Each quantity is
-a family of table rows (`_single_rows`: one per kernel and exponent;
-`_pair_rows`: one per per-axis (join, ratio) key), and
-`_Smoothing.tables` sums every row of a `_Layout` from one pass: each
-of f's factors is called once for all the scale vectors the rows need,
-x + 2^-t u on the [-1, 1] trapezoid nodes (t = 0..E+1; K at 2^-a is
-t = a+1), and each row is summed on its own from those values. A
-product-form density (or a mixture of them) has one group per axis:
-E+2 point sets of `nodes` points per axis and component, one call each
-while they fit in a block. Any other density is one group of all axes,
-(E+2)**dim sets of nodes**dim points, each family's combinations formed
-on their own.
+also the double smoothings behind the smoothed bias). Each is f's
+values summed against one weight row per axis (trapezoid weights times
+a kernel factor on the [-1, 1] nodes u) at a dyadic scale vector 2^-t
+(t = 0..E+1; K at 2^-a is t = a+1), so one pass serves them all. Per
+axis group of f (`_factors`: one per axis for a product-form density or
+a mixture of them, else one group of all axes) `_Pass.tables` calls f
+once per block of whole scale vectors, at x + 2^-t u on the group mesh,
+and sums each block against every weight row on each node axis in turn:
+a dense table T[g, c, t, w_0..w_{k-1}]. A read (`_single`, `_pair`)
+names per axis the (scale, weight row) of every entry it wants; its
+pass turns these into per-axis keys into the flat table, and
+`_Smoothing.read` multiplies the groups' entries and adds the mixture
+components in order.
 
 What does not depend on f or x is built once per setup and node count
 (`_plan`, kept in `EstimationSetup.oracle_plans`): the nodes, the
-kernel, envelope and q_r weight rows, both row families and their
-one-axis layout with its weight products. Per instance `_TrueTables`
-splits f into its factors, evaluates them, sums the rows, reads the
-tables and takes f(x) and the majorants. A density without product form
-builds its all-axes layout per call, since it grows as nodes**dim.
+weight rows, both reads and, on first use, the pass of each group size
+with its scale vectors, mesh and read keys. Per instance `_TrueTables`
+evaluates f's tables, reads the single means and takes f(x) and the
+majorants.
 `_oracle_terms` walks the (H, H) pair means once, in blocks of lattice
-rows (`_row_blocks`), each row on its own, and takes the smoothed bias
-and zeta's pair part from each block. `bias`, `bias_bar` and
-`majorant_true` build the same rows at their bandwidths, so each equals
-its entry in the oracle terms.
+rows (`_row_blocks`), and takes the smoothed bias and zeta's pair part
+from each block. `bias`, `bias_bar` and `majorant_true` run passes of
+their own weight rows, so each equals its entry in the oracle terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -63,11 +63,9 @@ from .estimator import (
 from .kernels import _interp_uniform, convolve_ratio
 from .quadrature import DEFAULT_NODES, trapezoid_rule
 
-# Most quadrature points `_Smoothing` evaluates at once, and most row
-# weights it multiplies and sums at once (all the rows of a pass over a
-# product-form density at the usual node counts).
+# Most quadrature points `_Pass.tables` evaluates at once, in blocks of
+# whole scale vectors (at least one).
 _BLOCK_POINTS = 2**12
-_BLOCK_WEIGHTS = 2**15
 
 
 def _factors(f: TrueDensity):
@@ -98,168 +96,117 @@ def _node_weights(g, nodes: int):
     return us, (wts * np.asarray(g.factor(us), dtype=float))[None, :]
 
 
-def _distinct(values: np.ndarray):
-    """np.unique(values, return_inverse=True) for non-negative integers."""
-    seen = np.bincount(values.ravel()) > 0
-    return seen.nonzero()[0], (seen.cumsum() - 1)[values]
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for non-negative integers."""
+    return np.flatnonzero(np.bincount(values.ravel()))
 
 
-class _Rows(NamedTuple):
-    """A family of table rows and how to read it. Key p of channel c is
-    the weight row wtab[wid[c, p]] (trapezoid weights times a kernel
-    factor on the nodes) at scale 2^-sid[c, p]; per channel, a group's
-    rows are every combination of one key per axis of the group. idx[j]
-    holds axis j's key positions (broadcasting together), and the read,
-    channels first, is reshaped to shape."""
+def _single(exps: np.ndarray, shifts) -> tuple[list, list]:
+    """The read of the smoothing by weight row c at 2^-(a + shifts[c]) on
+    each axis, for every channel c and row a of the exponent matrix exps:
+    per axis the (scale exponent, weight row) indices, shaped (channels,
+    rows)."""
+    shifts = np.asarray(shifts)[:, None]
+    return [col + shifts for col in exps.T], [np.arange(shifts.size)[:, None]] * exps.shape[1]
+
+
+def _pair(exp_h: np.ndarray, exp_eta: np.ndarray, first: int) -> tuple[list, list]:
+    """The read of the pair estimate's mean for every pair (h, eta) of a
+    row of exp_h and a row of exp_eta, whose rows are the full lattice
+    {0..max}^d in C order: on each axis q_r, r = 2^-|a - b| (weight row
+    first + |a - b|), smoothing f at the join scale 2^-min(a, b). Per axis
+    the (scale exponent, weight row) indices, shaped by `_per_axis`."""
+    a, b = np.arange(exp_h.max() + 1)[:, None], np.arange(exp_eta.max() + 1)
+    d = exp_h.shape[1]
+    return (_per_axis([np.minimum(a, b)] * d, exp_h),
+            _per_axis([first + np.abs(a - b)] * d, exp_h))
+
+
+class _Pass(NamedTuple):
+    """One smoothing pass over groups of k axes, whatever f and x: the
+    C-contiguous weight rows wtab (trapezoid weights times a kernel factor
+    on the nodes), the flat codes (base span) and scales 2^-t of the
+    scale vectors t its reads need, the group mesh of the nodes, and per
+    read and axis the keys of its entries in a flat table (`tables`)."""
 
     wtab: np.ndarray
-    wid: np.ndarray
-    sid: np.ndarray
-    idx: list
-    shape: tuple
+    span: int
+    codes: np.ndarray
+    scales: np.ndarray
+    mesh: np.ndarray
+    keys: list
+
+    def tables(self, x: np.ndarray, groups) -> np.ndarray:
+        """T[g, c, flat (t, w_0, .., w_{k-1})]: component c of group g
+        (cols, fns) at x[cols] + 2^-t u, summed over the mesh u against
+        weight row w_j on each node axis j in turn; zero at the scale
+        vectors no read needs. Each fn is called once per block of whole
+        scale vectors."""
+        (size, k), nodes, width = self.mesh.shape, self.wtab.shape[1], self.wtab.shape[0]
+        out = np.zeros((len(groups), len(groups[0][1]), self.span ** k) + (width,) * k)
+        step = max(1, _BLOCK_POINTS // size)
+        last = (0, 1, 2, *range(4, k + 3), 3)  # the first node axis left moves to the end
+        for lo in range(0, len(self.codes), step):
+            offsets = (self.scales[lo:lo + step, None, :] * self.mesh).reshape(-1, k)
+            vals = np.empty(out.shape[:2] + (len(offsets),))
+            for g, (cols, fns) in enumerate(groups):
+                pts = x[cols] + offsets
+                for c, fn in enumerate(fns):
+                    vals[g, c] = fn(pts)
+            vals = vals.reshape(out.shape[:2] + (-1,) + (nodes,) * k)
+            for _ in range(k):
+                vals = (vals.transpose(last)[..., None, :] * self.wtab).sum(axis=-1)
+            out[:, :, self.codes[lo:lo + step]] = vals
+        return out.reshape(out.shape[:2] + (-1,))
 
 
-def _single_rows(wtab: np.ndarray, exps: np.ndarray, shifts) -> _Rows:
-    """Smoothing by weight row c of wtab at 2^-(a + shifts[c]) on each
-    axis, for every channel c and row a of the exponent matrix exps."""
-    keys, inv = _distinct(exps)
-    wid = np.arange(len(shifts)).repeat(keys.size).reshape(len(shifts), -1)
-    return _Rows(wtab, wid, keys + np.array(shifts)[:, None], list(inv.T),
-                 (len(shifts), exps.shape[0]))
-
-
-def _pair_rows(q_rows: np.ndarray, exp_h: np.ndarray, exp_eta: np.ndarray) -> _Rows:
-    """Mean of the pair estimate of every pair (h, eta) of a row of exp_h
-    and a row of exp_eta, whose rows are the full lattice {0..max}^d in
-    C order: on each axis q_r, r = 2^-|a - b| (weight row q_rows[|a -
-    b|]), smoothing f at the join scale 2^-min(a, b). Each per-axis
-    (join, ratio) key is one row."""
-    a, b = np.arange(exp_h.max() + 1)[:, None], np.arange(exp_eta.max() + 1)
-    width = max(a.size, b.size)
-    code, key = _distinct(np.minimum(a, b) * width + np.abs(a - b))
-    return _Rows(q_rows, (code % width)[None], (code // width)[None],
-                 _per_axis([key] * exp_h.shape[1], exp_h), (exp_h.shape[0], -1))
-
-
-class _Layout:
-    """Where the rows of some row families read one smoothing pass over
-    f's groups of `dim` axes (every group has the same size), on the
-    nodes us: the flat codes of the scale vectors the rows need (at most
-    span scales per axis), the group mesh of the nodes, each row's code
-    position and per-axis weight ids, the blocks of at most
-    _BLOCK_POINTS points and _BLOCK_WEIGHTS weights, and each family's
-    slice of the summed rows. Nothing in it depends on f or x, only on
-    the group size. A one-axis layout is small, (E+2) * nodes points and
-    rows * nodes weights, so it keeps its offsets 2^-t u and each
-    block's weight products; an all-axes layout forms them block by
-    block during the pass, after `_Smoothing._values` has checked its
-    size."""
-
-    def __init__(self, us: np.ndarray, dim: int, families):
-        self.span = 1 + max(int(fam.sid.max()) for fam in families)
-        node = np.indices((us.size,) * dim).reshape(dim, -1)
-        self.wtab = np.concatenate([fam.wtab for fam in families])
-        wid, need, self.parts, off, lo = [], [], [], 0, 0
-        for fam in families:  # (channel, key per axis) of every row, C order
-            rows = np.indices(fam.wid.shape[:1] + (fam.wid.shape[1],) * dim).reshape(dim + 1, -1)
-            wid.append(fam.wid[rows[0], rows[1:]] + off)
-            need.append(np.ravel_multi_index(fam.sid[rows[0], rows[1:]], (self.span,) * dim))
-            off += fam.wtab.shape[0]
-            self.parts.append((lo, lo + rows.shape[1],
-                               fam.wid.shape[:1] + (fam.wid.shape[1],) * dim))
-            lo += rows.shape[1]
-        self.wid = np.concatenate(wid, axis=1)
-        self.codes, self.pos = _distinct(np.concatenate(need))
-        self.node, self.mesh = node, us[node.T]
-        step = max(1, _BLOCK_WEIGHTS // node.shape[1])
-        self.blocks = [slice(lo, lo + step) for lo in range(0, self.pos.size, step)]
-        kept = dim == 1
-        self.points = list(self._points()) if kept else None
-        self.products = [self._products(blk) for blk in self.blocks] if kept else None
-
-    def point_blocks(self):
-        """(flat slice, offsets 2^-t u) of each block of mesh points, the
-        scale vectors t of the codes in order."""
-        return self._points() if self.points is None else self.points
-
-    def weight_blocks(self):
-        """(row slice, per row the product over axes of its weight rows on
-        the mesh) of each block of rows."""
-        if self.products is None:
-            return ((blk, self._products(blk)) for blk in self.blocks)
-        return zip(self.blocks, self.products)
-
-    def _points(self):
-        size, dim = self.mesh.shape
-        scales = 2.0 ** -np.array(np.unravel_index(self.codes, (self.span,) * dim)).T
-        total = self.codes.size * size
-        for lo in range(0, total, _BLOCK_POINTS):
-            vec, node = np.divmod(np.arange(lo, min(lo + _BLOCK_POINTS, total)), size)
-            yield slice(lo, lo + node.size), scales[vec] * self.mesh[node]
-
-    def _products(self, blk: slice) -> np.ndarray:
-        w = self.wtab[self.wid[0, blk, None], self.node[0]]
-        for j in range(1, self.node.shape[0]):
-            w = w * self.wtab[self.wid[j, blk, None], self.node[j]]
-        return w
+def _pass(us: np.ndarray, wtab: np.ndarray, k: int, reads) -> _Pass:
+    """The pass over groups of k axes on the nodes us for the reads (ts,
+    ws): per read and group, every combination of the read's distinct
+    scales on the group's axes. An entry's key is the sum over the
+    group's axes of their keys. Its tables (per component) and one block
+    (points, values and the product with every weight row) must fit in
+    MAX_LATTICE_BYTES; that is checked before the mesh is built."""
+    span = 1 + max(int(t.max()) for ts, _ in reads for t in ts)
+    seen = np.zeros((span,) * k, dtype=bool)
+    for ts, _ in reads:
+        for lo in range(0, len(ts), k):
+            seen[np.ix_(*(_distinct(t) for t in ts[lo:lo + k]))] = True
+    size, width = us.size ** k, wtab.shape[0]
+    block = min(int(seen.sum()), max(1, _BLOCK_POINTS // size)) * size
+    need = 8 * ((span * width) ** k + block * (k + 1 + width))
+    if need > MAX_LATTICE_BYTES:
+        raise InvalidParameterError(
+            f"the smoothing pass holds tables of {span}^{k} scale vectors times "
+            f"{width}^{k} weight rows and blocks of {block} mesh points, about "
+            f"{need / 2**30:.1f} GiB (MAX_LATTICE_BYTES is "
+            f"{MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower nodes")
+    # axis j's part of the flat index of (t_0.., w_0..) in a table's row (g, c)
+    keys = [[t * (span ** (k - 1 - j % k) * width**k) + w * width ** (k - 1 - j % k)
+             for j, (t, w) in enumerate(zip(ts, ws))] for ts, ws in reads]
+    mesh = us[np.indices((us.size,) * k).reshape(k, -1).T]
+    return _Pass(np.ascontiguousarray(wtab), span, np.flatnonzero(seen),
+                 2.0 ** -np.argwhere(seen), mesh, keys)
 
 
 class _Smoothing:
-    """Smoothings of f at x by kernel weight rows at dyadic scales.
+    """Smoothings of f at x by kernel weight rows at dyadic scales: the
+    tables of f's axis groups (one axis each, or all axes) from the pass
+    of that group size, given by passes, and reads of them."""
 
-    `tables` makes one pass over f's axis groups, which all have the
-    same size (one axis each, or all axes), for every row of a `_Layout`
-    of that group size: it evaluates each of f's factors once at x +
-    2^-t u for every scale vector t any row needs (u the group mesh of
-    the nodes), multiplies the values by each block's weight products
-    and sums each row on its own, so a row's value does not depend on
-    the other rows or families."""
-
-    def __init__(self, f: TrueDensity, x: np.ndarray):
+    def __init__(self, f: TrueDensity, x: np.ndarray, passes):
         self.weights, self.groups = _factors(f)
-        self.x, self.dim = x, len(self.groups[0][0])
+        self.pas = passes(len(self.groups[0][0]))
+        self.tabs = self.pas.tables(x, self.groups)
 
-    def _values(self, lay: _Layout) -> np.ndarray:
-        """f's factors (groups, components, scale vectors, mesh) at
-        x + 2^-t u for the scale vectors t of the layout's codes."""
-        codes, mesh = lay.codes, lay.mesh
-        need = 8 * len(self.groups) * self.weights.size * codes.size * mesh.shape[0]
-        if need > MAX_LATTICE_BYTES:
-            raise InvalidParameterError(
-                f"the smoothing pass holds f at {codes.size} scale vectors times "
-                f"{mesh.shape[0]} mesh points, about {need / 2**30:.1f} GiB "
-                f"(MAX_LATTICE_BYTES is {MAX_LATTICE_BYTES / 2**30:.1f} GiB); lower nodes")
-        vals = np.empty((len(self.groups), self.weights.size, codes.size * mesh.shape[0]))
-        for blk, offsets in lay.point_blocks():
-            for g, (cols, fns) in enumerate(self.groups):
-                pts = self.x[cols] + offsets
-                for c, fn in enumerate(fns):
-                    vals[g, c, blk] = fn(pts)
-        return vals.reshape(vals.shape[:2] + (codes.size, -1))
-
-    def tables(self, lay: _Layout) -> list:
-        """Every family's per-group key tables, channels after the
-        components, from one pass over f's groups."""
-        vals = self._values(lay)
-        sums = np.empty(vals.shape[:2] + lay.pos.shape)
-        for blk, w in lay.weight_blocks():
-            sums[..., blk] = (vals[:, :, lay.pos[blk]] * w).sum(axis=-1)
-        return [[tab[:, lo:hi].reshape((self.weights.size,) + shape) for tab in sums]
-                for lo, hi, shape in lay.parts]
-
-    def means(self, us: np.ndarray, *families: _Rows) -> list:
-        """Every family's smoothings on the nodes us, from one pass over
-        f's groups."""
-        return [self.read(tabs, fam.idx).reshape(fam.shape)
-                for tabs, fam in zip(self.tables(_Layout(us, self.dim, families)), families)]
-
-    def read(self, tabs: list, idx: list) -> np.ndarray:
-        """sum_c weights[c] * prod over groups of tab[c, :][idx[j] for j
-        in cols], channels first, the components added in order; idx[j]
-        holds axis j's key positions, broadcasting together."""
+    def read(self, i: int, rows=slice(None)) -> np.ndarray:
+        """sum_c weights[c] * prod over groups of their table entries of
+        the pass's read i (its rows `rows` along the first axis), the
+        components added in order."""
+        keys = [key[rows] for key in self.pas.keys[i]]
         out = self.weights
-        for tab, (cols, _) in zip(tabs, self.groups):
-            term = tab[(slice(None),) * 2 + tuple(idx[j] for j in cols)]
+        for tab, (cols, _) in zip(self.tabs, self.groups):
+            term = tab.take(reduce(np.add, [keys[j] for j in cols]), axis=1)
             out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
         total = out[0]
         for part in out[1:]:
@@ -277,14 +224,21 @@ def _wide_rows(wide: np.ndarray, nodes: int):
 
 class _Plan(NamedTuple):
     """What `_TrueTables` reads at one setup and node count, whatever f
-    and x: the [-1, 1] nodes, the kernel, |kernel| and envelope rows
-    (three channels of one family), the pair rows, and the one-axis
-    layout of both families."""
+    and x: the [-1, 1] nodes, the weight rows (kernel, |kernel|,
+    envelope, q_0..q_E), the single read (three channels), the pair
+    read and the passes by group size, each built on first use."""
 
     us: np.ndarray
-    single: _Rows
-    pairs: _Rows
-    layout: _Layout
+    wtab: np.ndarray
+    single: tuple
+    pairs: tuple
+    passes: dict
+
+    def pass_of(self, k: int) -> _Pass:
+        """The pass over groups of k axes for both reads."""
+        if k not in self.passes:
+            self.passes[k] = _pass(self.us, self.wtab, k, (self.single, self.pairs))
+        return self.passes[k]
 
 
 def _plan(setup: EstimationSetup, nodes: int) -> _Plan:
@@ -296,11 +250,9 @@ def _plan(setup: EstimationSetup, nodes: int) -> _Plan:
         exp = setup.tables.exp
         us, wide = _wide_rows(setup.stack[1:], nodes)
         k_row = _node_weights(setup.kernel, nodes)[1]
-        single = _single_rows(np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1])]), exp,
-                              (1, 1, 0))
-        pairs = _pair_rows(wide[1:], exp, exp)
-        plan = setup.oracle_plans[nodes] = _Plan(us, single, pairs,
-                                                 _Layout(us, 1, (single, pairs)))
+        wtab = np.concatenate([k_row, np.abs(k_row), np.abs(wide[:1]), wide[1:]])
+        plan = setup.oracle_plans[nodes] = _Plan(us, wtab, _single(exp, (1, 1, 0)),
+                                                 _pair(exp, exp, 3), {})
     return plan
 
 
@@ -330,9 +282,10 @@ def _checked_point(f: TrueDensity, x, *parts) -> np.ndarray:
 def _at(f: TrueDensity, g, h: Bandwidth, x, nodes: int, absolute: bool = False) -> float:
     """int g_h(t - x) f(t) dt, |g_h| when absolute, on g's own nodes."""
     us, row = _node_weights(g, nodes)
-    exps = np.asarray(h.exponents, dtype=np.int64)[None, :]
-    rows = _single_rows(np.abs(row) if absolute else row, exps, (0,))
-    return float(_Smoothing(f, x).means(us, rows)[0][0, 0])
+    read = _single(np.asarray(h.exponents, dtype=np.int64)[None, :], (0,))
+    wtab = np.abs(row) if absolute else row
+    sm = _Smoothing(f, x, lambda k: _pass(us, wtab, k, [read]))
+    return float(sm.read(0)[0, 0])
 
 
 def bias(f: TrueDensity, K, h: Bandwidth, x, nodes: int = DEFAULT_NODES) -> float:
@@ -356,11 +309,11 @@ def bias_bar(f: TrueDensity, K, grid: BandwidthGrid, h: Bandwidth, x,
     top = max(grid.max_exponent, int(h_exp.max()))
     us, q_rows = _wide_rows(np.stack([convolve_ratio(K.factor, 2.0 ** -k).profile.values
                                       for k in range(top + 1)]), nodes)
-    k_row = _node_weights(K, nodes)[1]
-    means, pair_mean = _Smoothing(f, x).means(
-        us, _single_rows(k_row, np.concatenate([h_exp, exp]), (1,)),
-        _pair_rows(q_rows, h_exp, exp))
-    return float(_bias_bar(means[0, :1] - f(x), pair_mean, means[0, 1:])[0])
+    single, pairs = _single(np.concatenate([h_exp, exp]), (1,)), _pair(h_exp, exp, 1)
+    wtab = np.concatenate([_node_weights(K, nodes)[1], q_rows])
+    sm = _Smoothing(f, x, lambda k: _pass(us, wtab, k, (single, pairs)))
+    means = sm.read(0)[0]
+    return float(_bias_bar(means[:1] - f(x), sm.read(1).reshape(1, -1), means[1:])[0])
 
 
 def majorant_true(f: TrueDensity, g, h: Bandwidth, x, policy: KappaPolicy,
@@ -395,12 +348,8 @@ class _TrueTables:
     def __init__(self, f: TrueDensity, x: np.ndarray, policy: KappaPolicy,
                  setup: EstimationSetup, n: int, nodes: int):
         plan = _plan(setup, nodes)
-        self.sm = _Smoothing(f, x)
-        single, self.pairs = plan.single, plan.pairs
-        layout = (plan.layout if self.sm.dim == 1
-                  else _Layout(plan.us, self.sm.dim, (single, self.pairs)))
-        tabs, self.pair_tabs = self.sm.tables(layout)
-        singles = self.sm.read(tabs, single.idx).reshape(single.shape)
+        self.sm = _Smoothing(f, x, plan.pass_of)
+        singles = self.sm.read(0)
         self.mean_f, self.a_k, self.a_q = singles
         self.fx = f(x)
         self.bias = self.mean_f - self.fx
@@ -409,8 +358,8 @@ class _TrueTables:
     def pair_mean(self, rows: slice) -> np.ndarray:
         """The pair means of the lattice rows `rows` (row h) against every
         lattice row (column eta)."""
-        idx = [part[rows] for part in self.pairs.idx]
-        return self.sm.read(self.pair_tabs, idx).reshape(idx[0].shape[0], -1)
+        means = self.sm.read(1, rows)
+        return means.reshape(len(means), -1)
 
 
 def _oracle_terms(data, f, x, policy, setup, nodes

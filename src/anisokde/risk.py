@@ -218,9 +218,7 @@ def _truth_on_grid(plan: ExperimentPlan) -> np.ndarray:
 
 def risk_replicate(plan: ExperimentPlan, n: int, seed: int) -> float:
     """One Monte-Carlo draw: returns the p-th power error, not its root."""
-    n, seed = _index(n, "n"), _index(seed, "seed")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
+    n, seed = _index(n, "n"), _index(seed, "seed", 0)
     setup = plan.setup_for(n)
     return _replicate_value(plan, n, seed, setup, plan.policy_for(setup),
                             _truth_on_grid(plan))

@@ -227,6 +227,8 @@ REAL_SITES = {
         c.rc1, GridSpec(box=((-1.0, 1.0),), nodes=(9,)), (v,)), 1, False, 0.0),
     "tail_quasi_norm.theta": ("theta", lambda c, v: tail_quasi_norm(c.field, v), 1, False, 0.0),
     "g_lp_norm.p": ("p", lambda c, v: g_lp_norm(v, 65), 2, False, 0.5),
+    # offsets of any shape; 1j and "a" raised a raw TypeError and ValueError
+    "Tabulated1D.__call__": ("y", lambda c, v: c.setup.marginal.profile(v), 0.1, False, None),
 }
 
 
@@ -339,6 +341,24 @@ POINT_SITES = {
     "oracle_terms": ("x", lambda c, v: oracle_terms(
         c.data, c.rc2, v, c.policy, c.setup, nodes=17).bound, POINT),
 }
+
+# site: (the argument's name, a call with a bad array); each once returned
+# a number or raised a raw error
+BAD_ARRAYS = {
+    "grid_values nan node": ("axes[0]", lambda c: c.rc2.grid_values([[np.nan, 0.0], [0.0]])),
+    "grid_values inf node": ("axes[0]", lambda c: c.rc2.grid_values([[np.inf], [0.0]])),
+    "grid_values complex node": ("axes[0]", lambda c: c.rc2.grid_values([[1j], [0.0]])),
+    "grid_values ragged axis": ("axes[1]", lambda c: c.rc2.grid_values([[0.0], [[0.0], 1.0]])),
+    "build_perturbed ragged w": (
+        "w", lambda c: build_perturbed(16.0, (0.05,), 1e-3, [[0] * 8, [0] * 9], 1)),
+}
+
+
+@pytest.mark.parametrize("site", list(BAD_ARRAYS))
+def test_bad_array_is_refused_by_name(ctx2, site):
+    name, call = BAD_ARRAYS[site]
+    with _refused(name):
+        call(ctx2)
 
 
 def _entry(good: np.ndarray, entry) -> list:

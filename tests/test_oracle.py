@@ -158,14 +158,16 @@ class TestBiasBar:
         # per axis K_h * K_eta is q_r at the join bandwidth, so the pair
         # means (fine nodes) and the nested double smoothing (fine nodes)
         # are one quantity up to quadrature error
-        from anisokde.oracle import _pair_rows, _Smoothing, _wide_rows
+        from anisokde.oracle import _pair, _pass, _Smoothing, _wide_rows
 
         f = smooth_product_density("raised_cosine", dim)
         setup = make_setup(256, dim, max_exponent=3)
         exp = setup.tables.exp
         x = np.array([0.13, -0.31][:dim])
         us, q_rows = _wide_rows(setup.stack[2:], 1025)
-        means = _Smoothing(f, x).means(us, _pair_rows(q_rows, exp, exp))[0]
+        pairs = _pair(exp, exp, 0)
+        means = _Smoothing(f, x, lambda k: _pass(us, q_rows, k, [pairs])).read(0)
+        means = means.reshape(len(exp), -1)
         rows = range(len(exp)) if dim == 1 else (0, 5, 9, 15)
         for i in rows:
             for j in rows:
@@ -492,6 +494,47 @@ class TestTrueTables:
         assert max(blocks) <= _BLOCK_POINTS
         assert len(blocks) <= math.ceil(sum(blocks) / _BLOCK_POINTS)
 
+    @pytest.mark.parametrize("kind", ["f_theta", "non_product"])
+    def test_blocks_of_one_scale_vector_keep_the_bytes(self, monkeypatch, kind):
+        # each (scale vector, weight row) entry is summed on its own, so
+        # the blocks f is evaluated in do not move a bit
+        import anisokde.oracle as orc
+
+        prod = (build_f_theta(16.0, 0.3, 2) if kind == "f_theta"
+                else smooth_product_density("raised_cosine", 2))
+        f = wrap_non_product(prod) if kind == "non_product" else prod
+        setup = make_setup(64, 2, table_size=256)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        x = np.array([7.6, -8.2]) if kind == "f_theta" else np.array([0.1, -0.2])
+        whole = orc._TrueTables(f, x, policy, setup, 64, 17)
+        monkeypatch.setattr(orc, "_BLOCK_POINTS", 1)
+        calls = {}
+        one = orc._TrueTables(counting(f, {}, calls=calls), x, policy, setup, 64, 17)
+        mesh = 17 if kind == "f_theta" else 17 ** 2
+        assert all(sorted(set(sizes)) == [1, mesh] for sizes in calls.values())
+        for name in TABLE_FIELDS:
+            assert table_field(one, name).tobytes() == table_field(whole, name).tobytes(), name
+
+    def test_non_product_pass_keeps_a_small_peak(self):
+        # the pass holds its tables and one block of f's values and
+        # their products with the weight rows, not f at every scale vector
+        import tracemalloc
+
+        from anisokde.oracle import _TrueTables
+
+        f = wrap_non_product(smooth_product_density("raised_cosine", 2))
+        setup = make_setup(256, 2)
+        policy = kappa_default(2, 2.0, setup.kernel.k_inf)
+        x = np.array([0.1, -0.2])
+        _TrueTables(f, x, policy, setup, 256, 65)  # builds the plan and its pass
+        tracemalloc.start()
+        try:
+            _TrueTables(f, x, policy, setup, 256, 65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_pair_row_blocks_keep_every_term(self, monkeypatch):
         # zeta's pair part and bias_bar are maxima per lattice row, so
         # blocks of four rows give the terms of one block, bit for bit;
@@ -513,10 +556,10 @@ class TestTrueTables:
         assert len(est._row_blocks(setup.tables)) >= 3
         read, pair_reads = _Smoothing.read, []
 
-        def counted(sm, tabs, idx):  # the pair family's keys are (rows, lattice) shaped
-            if idx[0].ndim > 1:
-                pair_reads.append(idx[0].shape[0])
-            return read(sm, tabs, idx)
+        def counted(sm, i, rows=slice(None)):  # read 1 is the pair means
+            if i == 1:
+                pair_reads.append(rows)
+            return read(sm, i, rows)
         monkeypatch.setattr(_Smoothing, "read", counted)
         for x, want in zip(xs, whole):
             pair_reads.clear()
@@ -527,16 +570,17 @@ class TestTrueTables:
                         == np.asarray(getattr(want, field.name)).tobytes()), field.name
 
     def test_non_product_pass_is_bounded(self):
-        # without product form, f at up to (E+2)^3 scale vectors times
-        # 65^3 mesh points is about 2.1 GB: refused before it is allocated
+        # without product form, one block of f at 257^3 mesh points and
+        # its product with every weight row is about 2.0 GiB: refused
+        # before the mesh is built; the product route stays small
         f = smooth_product_density("raised_cosine", 3)
         setup = make_setup(256, 3)
         policy = kappa_default(3, 2.0, setup.kernel.k_inf)
         data = sample(f, 256, np.random.default_rng(5))
         x = np.array([0.1, -0.2, 0.05])
         with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES.*lower nodes"):
-            oracle_terms(data, wrap_non_product(f), x, policy, setup, nodes=65)
-        assert oracle_terms(data, f, x, policy, setup, nodes=65).bound > 0
+            oracle_terms(data, wrap_non_product(f), x, policy, setup, nodes=257)
+        assert oracle_terms(data, f, x, policy, setup, nodes=257).bound > 0
 
     def test_d3_terms_stay_fast(self):
         f = smooth_product_density("raised_cosine", 3)
@@ -585,8 +629,8 @@ def instances(f, n, count, seed):
 
 
 class TestTruthPlan:
-    """The x-independent part of the true tables (nodes, weight rows, row
-    families, layout and weight products) is built once per setup and
+    """The x-independent part of the true tables (nodes, weight rows,
+    reads and the pass of each group size) is built once per setup and
     node count and kept on the setup."""
 
     @staticmethod
@@ -594,7 +638,7 @@ class TestTruthPlan:
         import anisokde.oracle as orc
 
         counts = {}
-        for name in ("_pair_rows", "_single_rows", "_node_weights", "_Layout"):
+        for name in ("_pair", "_single", "_node_weights", "_pass"):
             def counted(*args, _fn=getattr(orc, name), _name=name):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _fn(*args)
@@ -607,9 +651,10 @@ class TestTruthPlan:
         policy = kappa_default(2, 2.0, setup.kernel.k_inf)
         draws = instances(f, 64, 5, 41)
         counts = self.count_builders(monkeypatch)
-        for data, x in draws:
-            assert_oracle_inequality(data, f, x, policy, setup, nodes=33)
-        assert counts == {"_pair_rows": 1, "_single_rows": 1, "_node_weights": 1, "_Layout": 1}
+        for data, x in draws:  # one pass per group size: one axis, and both axes
+            for g in (f, wrap_non_product(f)):
+                assert_oracle_inequality(data, g, x, policy, setup, nodes=33)
+        assert counts == {"_pair": 1, "_single": 1, "_node_weights": 1, "_pass": 2}
         assert list(setup.oracle_plans) == [33]
 
     @pytest.mark.parametrize("kind, dim", [("raised_cosine", 1), ("raised_cosine", 2),
@@ -676,11 +721,10 @@ class TestTruthPlan:
             policy = kappa_default(2, 2.0, setup.kernel.k_inf)
             got[id(setup)] = terms_and_record(data, f, x, policy, setup, 33)
             plan = setup.oracle_plans[33]
-            assert np.array_equal(plan.pairs.wtab, _wide_rows(setup.stack[1:], 33)[1][1:])
+            assert np.array_equal(plan.wtab[3:], _wide_rows(setup.stack[1:], 33)[1][1:])
         assert small.oracle_plans[33] is not again.oracle_plans[33]
         assert large.oracle_plans[33] is not small.oracle_plans[33]
-        assert not np.array_equal(large.oracle_plans[33].pairs.wtab,
-                                  small.oracle_plans[33].pairs.wtab)
+        assert not np.array_equal(large.oracle_plans[33].wtab, small.oracle_plans[33].wtab)
         assert got[id(small)] == got[id(again)]
 
     @pytest.mark.parametrize("components", [2, 3, 12])
@@ -702,28 +746,26 @@ class TestTruthPlan:
                         components=tuple(zip(weights, parts)))
         setup = make_setup(256, 2, table_size=256)
         plan = _plan(setup, 33)
-        sm = _Smoothing(f, np.array([7.6, -8.2]))
+        sm = _Smoothing(f, np.array([7.6, -8.2]), plan.pass_of)
         assert sm.weights.size == components
-        single_tabs, pair_tabs = sm.tables(plan.layout)
-        block = [part[2:5] for part in plan.pairs.idx]
-        for tabs, idx in ((single_tabs, plan.single.idx), (pair_tabs, plan.pairs.idx),
-                          (pair_tabs, block)):
+        for i, rows in ((0, slice(None)), (1, slice(None)), (1, slice(2, 5))):
+            keys = [key[rows] for key in sm.pas.keys[i]]
             out = sm.weights
-            for tab, (cols, _) in zip(tabs, sm.groups):
-                term = tab[(slice(None),) * 2 + tuple(idx[j] for j in cols)]
+            for tab, (cols, _) in zip(sm.tabs, sm.groups):
+                (key,) = (keys[j] for j in cols)  # one axis a group
+                term = tab[:, key]
                 out = out.reshape(out.shape + (1,) * (term.ndim - out.ndim)) * term
             want = out[0]
             for part in out[1:]:
                 want = want + part
-            got = sm.read(tabs, idx)
+            got = sm.read(i, rows)
             assert got.tobytes() == want.tobytes()
             assert np.abs(got).max() > 0
             if components <= 3:
                 assert got.tobytes() == out.sum(axis=0).tobytes()
             else:
                 np.testing.assert_allclose(got, out.sum(axis=0), rtol=1e-14, atol=0.0)
-        assert (sm.read(pair_tabs, block).tobytes()
-                == sm.read(pair_tabs, plan.pairs.idx)[:, 2:5].tobytes())
+        assert sm.read(1, slice(2, 5)).tobytes() == sm.read(1)[2:5].tobytes()
 
 
 H1 = Bandwidth((1,))

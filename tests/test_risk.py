@@ -249,7 +249,7 @@ class TestRiskReplicate:
         (64.9, 0, "n must be an integer"),
         (float("nan"), 0, "n must be an integer"),
         (64, 0.5, "seed must be an integer"),
-        (64, -1, "seed must be a non-negative integer"),
+        (64, -1, "seed must be >= 0"),
         (True, 0, "n must be an integer"),
         (64, True, "seed must be an integer"),
     ], ids=["n_64.9", "n_nan", "seed_0.5", "seed_-1", "n_True", "seed_True"])
