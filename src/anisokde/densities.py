@@ -225,9 +225,9 @@ def flat_top_density(N: float, dim: int, kappa_scale: float) -> TrueDensity:
     support is the slightly larger box with +-1 smoothing collars,
     all divided by kappa_scale.
     """
-    label = f"flat_top(N={N}, kappa_scale={kappa_scale})"  # as given
     N, dim = _real(N, "N", above=8.0), _index(dim, "dim", 1)
     kappa_scale = _real(kappa_scale, "kappa_scale", above=0.0)
+    label = f"flat_top(N={N}, kappa_scale={kappa_scale})"
     marg = _flat_top_marginal(N, kappa_scale)
     half = (N / 2.0 + 1.0) / kappa_scale
     return TrueDensity(
@@ -344,12 +344,12 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
     probability density whenever they all hold, which a verification
     grid re-confirms before return.
     """
-    label = f"perturbed(N={N}, A={A}, dim={dim})"  # as given
     dim = _index(dim, "dim", 1)
     N = _real(N, "N", above=8.0)
     kappa_scale = _real(kappa_scale, "kappa_scale", above=0.0)
     sigma = tuple(_real(s, "sigma", above=0.0) for s in (sigma if np.ndim(sigma) else (sigma,)))
     A = _real(A, "A", above=0.0)
+    label = f"perturbed(N={N}, A={A}, dim={dim})"
     if len(sigma) != dim:
         raise InvalidParameterError(f"sigma must have length {dim}, got {len(sigma)}")
     counts = []
@@ -454,11 +454,11 @@ def build_f_theta(N: float, theta: float, dim: int) -> TrueDensity:
     s = N^(1/theta-1) per axis and taller by s^dim, so both weighted
     plateaus are about N^-dim. theta = 1 collapses to the plain flat-top.
     """
-    label = f"f_theta(N={N}, theta={theta})"  # as given
     theta = _real(theta, "theta", above=0.0)
     if theta > 1:
         raise InvalidParameterError(f"theta must lie in (0, 1], got {theta!r}")
     N, dim = _real(N, "N", above=8.0), _index(dim, "dim", 1)
+    label = f"f_theta(N={N}, theta={theta})"
     p_mass = N ** (dim * (1.0 - 1.0 / theta))
     if p_mass > 1.0 + 1e-12:
         raise InvalidParameterError(f"tail mass p_N = {p_mass} exceeds 1; increase N or theta")

@@ -13,10 +13,11 @@ One internal function, `_select_points`, runs the whole rule at the
 points of a call, in blocks of points, and yields, per point, the raw
 sums, the selected lattice index and the candidate count. It
 evaluates the criterion for a whole block at once (`_select_block`),
-only on the (point, row) pairs that a lower bound does not rule out,
-or on every row for `keep_criterion` and at d = 1. A lone point is a
-block of one. The oracle lab reads the pair estimates from a record's
-contracted key sums, in blocks of lattice rows (`_row_blocks`).
+at every d, only on the (point, row) pairs that a lower bound does not
+rule out; `keep_criterion` evaluates every row by the same pass. A
+lone point is a block of one. The oracle lab reads the pair estimates
+from a record's contracted key sums, in blocks of lattice rows
+(`_row_blocks`).
 
 An `EstimationSetup` owns every table the rule reads: the product
 kernel, the q_r table of each lattice ratio 2^0..2^-E (tabulated once,
@@ -28,15 +29,15 @@ Each per-point quantity is a sum over candidates of a product of
 per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
 keys per axis. Each in-support (candidate, scale) entry of an axis
 takes one index and fraction into `EstimationSetup.stack`, stored node
-by node, and one gather gives all its factors (`_entry_rows`). At d = 1
-a block of points takes its entries in passes of at most _BLOCK_ENTRIES
-and sums every (point, scale) window with one `bincount` per pass,
-bit for bit the one-point sums (`_window_sums`). At d >= 2 each point
-of a block writes its sums into the block's arrays (`_point_tables`):
-per-axis (candidates x columns) matrices, contracted (outer products,
-then one GEMM), in chunks of candidates so memory does not grow with
-n; a block holds at most _BLOCK_PAIRS contracted key sums, and at
-least one point. A factor of axis j depends only on the
+by node, and one gather gives all its factors (`_entry_rows`). A block
+holds at most _BLOCK_PAIRS contracted key sums, and at least one point.
+At d = 1 a block of points takes its entries in passes of at most
+_BLOCK_ENTRIES and sums every (point, scale) window with one `bincount`
+per pass, bit for bit the one-point sums (`_window_sums`). At d >= 2
+each point of a block writes its sums into the block's arrays
+(`_point_tables`): per-axis (candidates x columns) matrices, contracted
+(outer products, then one GEMM), in chunks of candidates so memory
+does not grow with n. A factor of axis j depends only on the
 observation and on x_j, so on a tensor grid the points of one grid
 line read the same rows: an axis whose coordinate a later point shares
 takes its rows from that line's matrix, built once over every
@@ -78,10 +79,10 @@ MAX_LATTICE_BYTES = 2**30
 _BLOCK_BYTES = 2**24
 # Most bytes of per-axis line matrices `_Lines` keeps at d >= 2.
 _LINE_BYTES = 2**22
-# Most (row, lattice row) pairs of one block of criterion or oracle rows
-# (`_row_blocks`): a few hundred kB each run faster than one (H, H) pass
-# at d = 3. Also the most contracted key sums (d >= 2) or (row, row) pairs
-# (d = 1) of one block of points (`_block_points`).
+# Most (row, lattice row) pairs of one chunk of criterion or oracle rows
+# (`_select_block`, `_row_blocks`): a few hundred kB each run faster than
+# one (H, H) pass at d = 3. Also the most contracted key sums of one block
+# of points (`_block_points`).
 _BLOCK_PAIRS = 2**16
 # Most (candidate, scale) entries one pass of `_window_sums` interpolates
 # at d = 1.
@@ -243,7 +244,7 @@ class _GridTables:
     @cached_property
     def every_pair(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The key and join tables' `_per_axis` parts for every lattice
-        row, built on first use; a block of criterion rows reads its
+        row, built on first use; the criterion and the oracle read their
         rows of them."""
         return _per_axis(self.pair_axes, self.exp), _per_axis(self.join_axes, self.exp)
 
@@ -263,15 +264,14 @@ def _pair_read(values: np.ndarray, parts: list[np.ndarray], rows=slice(None),
     """values at every pair (row, lattice row) of the given lattice rows
     (all by default), one row each, from the `_per_axis` parts of
     per-axis flat-index tables: a pair's flat index is the sum of its
-    parts. values may have leading axes (one per point of a block),
-    kept in front; with points, row i reads values[points[i]] instead."""
+    parts. With points, values has one row per point of a block and row
+    i reads values[points[i]]."""
     parts = [part[rows] for part in parts]
     if points is not None:  # a row's offset joins its first (smallest) part
         parts[0] = parts[0] + (points * values.shape[-1]).reshape((-1,) + (1,) * len(parts))
-        values = values.reshape(-1)
     # the last axes first: the full-size sums then run along long rows
     flat = reduce(np.add, reversed(parts))
-    return values.take(flat, axis=-1).reshape(values.shape[:-1] + (flat.shape[0], -1))
+    return values.take(flat).reshape(flat.shape[0], -1)
 
 
 def _coarser_sup(values: np.ndarray, tables: _GridTables) -> np.ndarray:
@@ -304,27 +304,26 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     """Peak bytes of one selection (a block of points, `_block_points`);
     the lattice tables, O(H d E) values, are not counted.
 
-    At d >= 2 a block holds its points' sums (the P^d contracted key
-    sums and three lattice rows each, P = (E+1)(E+2)/2), counted twice
-    since a caller may still hold a record of the block before; a point
-    adds one chunk's P^d key sums, the kept line matrices (_LINE_BYTES)
-    and either one chunk of candidates (_BLOCK_BYTES, or one
-    `_row_floats` row if more; building a line takes less) or one block
-    of criterion or oracle pairs (`_row_blocks`): about five 8-byte
-    arrays of max(_BLOCK_PAIRS, H) values. No (H, H) array is held. A
-    d = 1 block holds its points' sums and criterion rows, about eight
-    floats per (point, row, row) triple, at most max(_BLOCK_PAIRS, H^2),
-    and one pass of at most _BLOCK_ENTRIES entries. Candidate offsets, a
-    slice of the sample, are not counted, so the estimate does not
-    depend on n.
+    A block holds its points' sums (the P^d contracted key sums and
+    three lattice rows each, P = (E+1)(E+2)/2), counted twice since a
+    caller may still hold a record of the block before, and either the
+    work that fills them or one chunk of criterion or oracle pairs
+    (`_row_blocks`): about five 8-byte arrays of max(_BLOCK_PAIRS, H)
+    values. No (H, H) array is held. At d >= 2 a point's work is one
+    chunk's P^d key sums, the kept line matrices (_LINE_BYTES) and one
+    chunk of candidates (_BLOCK_BYTES, or one `_row_floats` row if more;
+    building a line takes less). At d = 1 it is one `_window_sums` pass
+    of at most _BLOCK_ENTRIES entries, next to the block's (point,
+    scale) window sums and their scaled copy. Candidate offsets, a slice
+    of the sample, are not counted, so the estimate does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
-    if d == 1:
-        return (8 * _BLOCK_ENTRIES * _row_floats(1, E)
-                + 64 * max(_BLOCK_PAIRS, len(grid) ** 2))
     keys = (E + 1) * (E + 2) // 2
     block = _block_points(grid) * (keys ** d + 3 * len(grid))
     pairs = 40 * max(_BLOCK_PAIRS, len(grid))
+    if d == 1:
+        windows = 2 * _block_points(grid) * (E + 1) * (E + 4)
+        return 16 * block + max(8 * (_BLOCK_ENTRIES * _row_floats(1, E) + windows), pairs)
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), pairs)
     return 8 * (2 * block + keys ** d + 3 * (E + 1) + keys + 1) + _LINE_BYTES + chunk
 
@@ -725,12 +724,13 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray | l
     (point, row) pairs), then every other row whose LB is at most that
     criterion: any row left out has a criterion strictly above the
     point's minimum, so the minimum and all its ties are evaluated.
-    keep_criterion, and every d = 1 block, evaluate every row of every
-    point; keep_criterion keeps the criterion. Pairs are evaluated in
-    chunks of at most about _BLOCK_PAIRS (pair, lattice row) values,
-    each value by the same arithmetic whatever the block and chunk. Per
-    point the least (criterion, exponent sum, row) is the documented
-    tie-break, since lattice rows are in lexicographic order.
+    keep_criterion is the same pass with an infinite stop: it evaluates
+    every row of every point and keeps the criterion. Pairs are
+    evaluated in chunks of at most about _BLOCK_PAIRS (pair, lattice
+    row) values, each value by the same arithmetic whatever the block
+    and chunk. Per point the least (criterion, exponent sum, row) is
+    the documented tie-break, since lattice rows are in lexicographic
+    order.
     """
     fhat, a_k, a_q, keys = sums
     tables = setup.tables
@@ -741,33 +741,27 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray | l
     key, join = tables.every_pair
 
     def evaluate(p, r):
-        """The criterion at the pairs (point p[i], lattice row r[i]), or,
-        p None, of every point at the rows r (a slice)."""
-        if p is None:
-            at, f, m = np.s_[:, r], fhat[:, None], m_k[:, None]
-        else:
-            at, f, m = (p, r), fhat[p], m_k[p]
-        bracket = np.abs(_pair_read(keys, key, r, p) - f) - _pair_read(m_q, join, r, p) - m
+        """The criterion at the pairs (point p[i], lattice row r[i])."""
+        bracket = _pair_read(keys, key, r, p)
+        bracket -= fhat[p]
+        np.abs(bracket, out=bracket)
+        bracket -= _pair_read(m_q, join, r, p)
+        bracket -= m_k[p]
         np.maximum(bracket, 0.0, out=bracket)
-        criterion[at] = bracket.max(axis=-1) + sup_q[at] + m_k[at]
+        criterion[p, r] = bracket.max(axis=-1) + sup_q[p, r] + m_k[p, r]
 
     # a row left out stays above its point's least criterion
     criterion = np.full(fhat.shape, np.inf)
-    # at d = 1 (H = E + 1 rows) one pass over every row is faster than two
-    if keep_criterion or setup.grid.dim == 1:
-        for rows in _row_blocks(tables, len(xs)):
-            evaluate(None, rows)
-    else:
-        every = np.arange(len(xs))
-        lb = sup_q + m_k
-        first = lb.argmin(axis=1)
-        evaluate(every, first)
-        more = lb <= criterion[every, first][:, None]
-        more[every, first] = False
-        pts, rows = np.nonzero(more)
-        step = max(1, _BLOCK_PAIRS // tables.size)
-        for lo in range(0, pts.size, step):
-            evaluate(pts[lo:lo + step], rows[lo:lo + step])
+    every = np.arange(len(xs))
+    lb = sup_q + m_k
+    first = lb.argmin(axis=1)
+    evaluate(every, first)
+    more = lb <= (np.inf if keep_criterion else criterion[every, first][:, None])
+    more[every, first] = False
+    pts, rows = np.nonzero(more)
+    step = max(1, _BLOCK_PAIRS // tables.size)
+    for lo in range(0, pts.size, step):
+        evaluate(pts[lo:lo + step], rows[lo:lo + step])
     # rows ascend, so the first least exponent sum among the least
     # criteria is the documented choice
     tied = criterion == criterion.min(axis=1, keepdims=True)
@@ -778,20 +772,18 @@ def _select_block(xs: np.ndarray, sums: list[np.ndarray], counts: np.ndarray | l
             for i, (x, b) in enumerate(zip(xs, best))]
 
 
-def _row_blocks(tables: _GridTables, points: int = 1) -> list[slice]:
+def _row_blocks(tables: _GridTables) -> list[slice]:
     """Consecutive slices of the lattice rows, each of at most about
-    _BLOCK_PAIRS (point, row, lattice row) values and at least one row."""
-    step = max(1, _BLOCK_PAIRS // (points * tables.size))
+    _BLOCK_PAIRS (row, lattice row) pairs and at least one row."""
+    step = max(1, _BLOCK_PAIRS // tables.size)
     return [slice(lo, lo + step) for lo in range(0, tables.size, step)]
 
 
 def _block_points(grid: BandwidthGrid) -> int:
-    """Points of one block of `_select_points`: at d = 1 their (row, row)
-    pairs, at d >= 2 their key sums (P^d each), at most _BLOCK_PAIRS;
-    at least one point."""
+    """Points of one block of `_select_points`: their key sums, P^d each
+    (P = (E+1)(E+2)/2), at most _BLOCK_PAIRS; at least one point."""
     E = grid.max_exponent
-    per = len(grid) ** 2 if grid.dim == 1 else ((E + 1) * (E + 2) // 2) ** grid.dim
-    return max(1, _BLOCK_PAIRS // per)
+    return max(1, _BLOCK_PAIRS // ((E + 1) * (E + 2) // 2) ** grid.dim)
 
 
 def _select_points(data: Dataset, xs: np.ndarray, policy: KappaPolicy,

@@ -8,11 +8,12 @@ double the node count rather than switching schemes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, _index, _real
+from .errors import InvalidParameterError, NumericError, _index, _points, _real
 
 DEFAULT_NODES = 129
 
@@ -72,6 +73,14 @@ def tensor_integral(fn, box: np.ndarray, nodes: int = DEFAULT_NODES) -> float:
     return contract(shaped, weights_list)
 
 
+def _items(value, name: str) -> tuple:
+    """value's items; a value that is not a sequence is refused by name."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned tensor grid: a box plus per-axis node counts, stored
@@ -81,10 +90,15 @@ class GridSpec:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.box) != len(self.nodes) or not self.box:
+        box, nodes = _items(self.box, "box"), _items(self.nodes, "nodes")
+        if len(box) != len(nodes) or not box:
             raise InvalidParameterError("box and nodes must have equal positive length")
-        object.__setattr__(self, "nodes", tuple(_index(k, "nodes", 2) for k in self.nodes))
-        box = tuple((_real(lo, "box"), _real(hi, "box")) for lo, hi in self.box)
+        object.__setattr__(self, "nodes", tuple(_index(k, "nodes", 2) for k in nodes))
+        box = [_items(interval, "box") for interval in box]
+        if any(len(interval) != 2 for interval in box):
+            raise InvalidParameterError(
+                f"box must be a sequence of (lo, hi) pairs, got {self.box!r}")
+        box = tuple((_real(lo, "box"), _real(hi, "box")) for lo, hi in box)
         if any(not lo < hi for lo, hi in box):
             raise InvalidParameterError(f"every box interval needs lo < hi, got {box!r}")
         object.__setattr__(self, "box", box)
@@ -112,5 +126,18 @@ class GridSpec:
 
     def integrate_values(self, values: np.ndarray) -> float:
         """Trapezoid integral of values laid out in this grid's shape."""
-        vals = np.asarray(values, dtype=float).reshape(self.shape)
-        return contract(vals, self.axis_weights())
+        return contract(self._field(values, "values"), self.axis_weights())
+
+    def _field(self, values, name: str) -> np.ndarray:
+        """values, given in this grid's shape or flat, as finite floats in
+        its shape; the entries are checked by `_points` as one row, so
+        bool, complex, string and None entries and nan or inf are refused
+        by name."""
+        try:
+            vals = np.asarray(values)
+        except ValueError:
+            raise InvalidParameterError(f"{name} must be an array, got ragged rows") from None
+        if vals.shape not in (self.shape, (math.prod(self.shape),)):
+            raise InvalidParameterError(
+                f"{name} shape {vals.shape} does not match grid shape {self.shape}")
+        return _points(vals.reshape(1, -1), name)[0].reshape(self.shape)

@@ -28,7 +28,7 @@ from .estimator import (
     make_setup,
 )
 from .kernels import _check_order_and_table, build_base, build_composite, convolve_ratio
-from .quadrature import GridSpec
+from .quadrature import GridSpec, contract
 
 # Kernel support never exceeds one bandwidth unit and bandwidths top out
 # at 1, so estimator mass lives within 1 of the data.
@@ -85,8 +85,7 @@ class ExperimentPlan:
                     f"{SUPPORT_MARGIN} on each side"
                 )
         if self.kappa is not None:
-            # checked but kept as given: the plan hash is JSON of the fields
-            _real(self.kappa, "kappa", above=0.0)
+            object.__setattr__(self, "kappa", _real(self.kappa, "kappa", above=0.0))
         ell, table_size = _check_order_and_table(self.ell, self.table_size)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "table_size", table_size)
@@ -119,7 +118,7 @@ class ExperimentPlan:
             "grid_box": [list(b) for b in self.grid.box],
             "grid_nodes": list(self.grid.nodes),
             "seed": self.seed,
-            "kappa": np.asarray(self.kappa).item(),  # a numpy kappa as its Python value
+            "kappa": self.kappa,
             "ell": self.ell,
             "table_size": self.table_size,
             "max_exponent": self.max_exponent,
@@ -196,20 +195,8 @@ class GapReport:
 def lp_norm_on_grid(field_a, field_b, p: float, grid: GridSpec) -> float:
     """(tensor-trapezoid integral of |a - b|^p)^(1/p) over the grid box."""
     p = _real(p, "p", 1.0)
-    a = _as_grid_field(field_a, grid)
-    b = _as_grid_field(field_b, grid)
-    return float(grid.integrate_values(np.abs(a - b) ** p) ** (1.0 / p))
-
-
-def _as_grid_field(field, grid: GridSpec) -> np.ndarray:
-    vals = np.asarray(field, dtype=float)
-    if vals.shape == grid.shape:
-        return vals
-    if vals.ndim == 1 and vals.size == int(np.prod(grid.shape)):
-        return vals.reshape(grid.shape)
-    raise InvalidParameterError(
-        f"field shape {vals.shape} does not match grid shape {grid.shape}"
-    )
+    a, b = grid._field(field_a, "field_a"), grid._field(field_b, "field_b")
+    return float(contract(np.abs(a - b) ** p, grid.axis_weights()) ** (1.0 / p))
 
 
 def _truth_on_grid(plan: ExperimentPlan) -> np.ndarray:

@@ -834,7 +834,7 @@ class TestRiskCommand:
 
     def test_rate_fit_appears_with_three_points(self, tmp_path):
         cfg = toy_risk_config(tmp_path)
-        doc = json.load(open(cfg))
+        doc = read_json(cfg)
         doc["risk"]["n_schedule"] = [4, 8, 16]
         cfg = write_config(tmp_path, doc, name="three.json")
         out = tmp_path / "run"

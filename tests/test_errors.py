@@ -276,10 +276,12 @@ def test_numpy_and_python_reals_are_accepted(ctx, site, real):
     call(ctx, real(good))
 
 
-def test_plan_kappa_is_checked_and_kept_as_given(ctx):
-    # None means the theory floor; the plan hash reads kappa as given
+def test_plan_kappa_is_checked_and_stored_as_a_float(ctx):
+    # None means the theory floor; an integer kappa is stored as its float,
+    # so kappa=2 and kappa=2.0 are one experiment with one plan hash
     assert ctx.plan(kappa=None).kappa is None
-    assert type(ctx.plan(kappa=2).kappa) is int
+    assert type(ctx.plan(kappa=2).kappa) is float
+    assert ctx.plan(kappa=2).plan_hash == ctx.plan(kappa=2.0).plan_hash
     for value in (True, "2", float("nan"), float("inf"), 0.0):
         with _refused("kappa"):
             ctx.plan(kappa=value)
@@ -291,6 +293,21 @@ def test_plan_hash_reads_a_numpy_kappa_as_its_python_value(ctx):
             == ctx.plan(kappa=float(np.float32(0.05))).plan_hash)
     assert ctx.plan(kappa=np.int64(2)).plan_hash == ctx.plan(kappa=2).plan_hash
     assert ctx.plan(kappa=np.asarray(2.5)).plan_hash == ctx.plan(kappa=2.5).plan_hash
+
+
+def test_density_labels_read_the_checked_values(ctx):
+    # the labels were built from the arguments as given, so an integer N
+    # gave a second label, and a second plan hash, for one density
+    as_ints, as_floats = flat_top_density(16, 1, 1), flat_top_density(16.0, 1, 1.0)
+    assert as_ints.label == as_floats.label == "flat_top(N=16.0, kappa_scale=1.0)"
+    assert build_f_theta(16, 1, 1).label == as_floats.label
+    assert build_f_theta(16, 0.8, 1).label == build_f_theta(16.0, 0.8, 1).label
+    assert (build_perturbed(16, (0.05,), 1e-3, np.zeros(16), 1).label
+            == ctx.perturbed.label == "perturbed(N=16.0, A=0.001, dim=1)")
+    plan = dict(p=2.0, n_schedule=(4, 8), replicates=2, seed=11)
+    hashes = {ExperimentPlan(density=dens, grid=default_grid(dens, 9), **plan).plan_hash
+              for dens in (as_ints, as_floats)}
+    assert len(hashes) == 1
 
 
 def test_real_sites_return_floats(ctx):
@@ -342,6 +359,8 @@ POINT_SITES = {
         c.data, c.rc2, v, c.policy, c.setup, nodes=17).bound, POINT),
 }
 
+FIVE = GridSpec(box=((0.0, 1.0),), nodes=(5,))
+
 # site: (the argument's name, a call with a bad array); each once returned
 # a number or raised a raw error
 BAD_ARRAYS = {
@@ -351,6 +370,24 @@ BAD_ARRAYS = {
     "grid_values ragged axis": ("axes[1]", lambda c: c.rc2.grid_values([[0.0], [[0.0], 1.0]])),
     "build_perturbed ragged w": (
         "w", lambda c: build_perturbed(16.0, (0.05,), 1e-3, [[0] * 8, [0] * 9], 1)),
+    # grid fields: complex values lost their imaginary part, strings and
+    # bools were cast, None gave nan, and nan or inf passed through
+    **{f"integrate_values {kind}": ("values", lambda c, v=v: FIVE.integrate_values(v))
+       for kind, v in (("complex", np.full(5, 1 + 1j)), ("strings", ["1"] * 5),
+                       ("bools", [True] * 5), ("None entries", [None] * 5),
+                       ("nan", [0.0, np.nan, 0.0, 0.0, 0.0]), ("inf", np.full(5, np.inf)),
+                       ("ragged", [[0.0], [0.0, 1.0]]))},
+    "lp_norm_on_grid complex field_a": ("field_a", lambda c: lp_norm_on_grid(
+        np.full(5, 1 + 1j), np.zeros(5), 2.0, FIVE)),
+    "lp_norm_on_grid nan field_b": ("field_b", lambda c: lp_norm_on_grid(
+        np.zeros(5), [0.0, 0.0, np.nan, 0.0, 0.0], 2.0, FIVE)),
+    "lp_norm_on_grid string field_b": ("field_b", lambda c: lp_norm_on_grid(
+        np.zeros((5,)), ["0"] * 5, 2.0, FIVE)),
+    # a malformed box or nodes raised a raw ValueError or TypeError
+    "GridSpec box of triples": ("box", lambda c: GridSpec(box=((0.0, 1.0, 2.0),), nodes=(5,))),
+    "GridSpec box of scalars": ("box", lambda c: GridSpec(box=(0.0,), nodes=(5,))),
+    "GridSpec None box": ("box", lambda c: GridSpec(box=None, nodes=(5,))),
+    "GridSpec scalar nodes": ("nodes", lambda c: GridSpec(box=((0.0, 1.0),), nodes=5)),
 }
 
 

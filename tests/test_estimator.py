@@ -506,9 +506,9 @@ def hand_built(sums):
 
 class TestPrunedSelection:
     """The selector evaluates only the rows whose lower bound
-    sup_q + m_k is at most a criterion it has seen; its choice must be
-    the full record's argmin, exact ties and tie-break included (d = 1
-    lattices are evaluated whole)."""
+    sup_q + m_k is at most a criterion it has seen, at every d; its
+    choice must be the full record's argmin, exact ties and tie-break
+    included."""
 
     @pytest.mark.parametrize("d, n, ell, table_size", [
         (1, 256, 1, 64), (1, 128, 2, 65), (2, 128, 2, 256), (2, 256, 1, 65),
@@ -522,6 +522,35 @@ class TestPrunedSelection:
             policy = KappaPolicy(kappa=kappa, d=d, p=2.0, k_inf=setup.kernel.k_inf)
             for x in [*rng.uniform(-1.0, 1.0, size=(4, d)), np.full(d, 9.0)]:
                 assert_pruned_matches_full(data, x, policy, setup)
+
+    @pytest.mark.parametrize("n, ell, table_size", [(256, 1, 64), (128, 2, 65)])
+    def test_d1_reads_every_pair_only_to_keep_the_criterion(self, monkeypatch, n, ell,
+                                                             table_size):
+        """At d = 1 the pruned pass reads fewer (point, row) pair estimates
+        than points x H, keep_criterion reads all of them, and each choice
+        is the full record's argmin."""
+        import anisokde.estimator as est
+
+        rng = np.random.default_rng(127)
+        data = build_dataset(rng.normal(0.0, 0.4, size=(n, 1)))
+        setup = make_setup(n, 1, ell=ell, table_size=table_size)
+        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
+        pts = np.concatenate([rng.uniform(-1.0, 1.0, size=(8, 1)), [[9.0]]])
+        H, pair_read, read = setup.tables.size, est._pair_read, []
+
+        def spy(values, parts, rows=slice(None), points=None):
+            if parts is setup.tables.every_pair[0]:  # the pair estimates, not m_q
+                read.append(len(points))
+            return pair_read(values, parts, rows, points)
+
+        monkeypatch.setattr(est, "_pair_read", spy)
+        full = list(est._select_points(data, pts, policy, setup, keep_criterion=True))
+        assert sum(read) == len(pts) * H
+        read.clear()
+        pruned = list(est._select_points(data, pts, policy, setup))
+        assert len(pts) <= sum(read) < len(pts) * H
+        for rec, ref in zip(pruned, full):
+            assert rec.best == ref.best == full_record_argmin(ref, setup)
 
     def test_rows_tied_by_swapping_axes(self):
         # observations on the diagonal, evaluated on the diagonal: the
@@ -670,7 +699,8 @@ class TestBlockSelection:
         H = setup.tables.size
         # passes of `entries` candidates cut every window; blocks of `points` points
         monkeypatch.setattr(est, "_BLOCK_ENTRIES", entries * H)
-        monkeypatch.setattr(est, "_BLOCK_PAIRS", points * H * H)
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", points * setup.tables.n_keys)
+        assert est._block_points(setup.grid) == points
         fits = estimate_on_grid(data, pts, policy, setup, keep_criterion=keep)
         assert max(f.counts for f in fits) > 2 * entries or entries > 300
         assert fits[-3].counts == fits[-2].counts == 0
@@ -794,7 +824,8 @@ class TestBlockSelection:
         want = plan.grid.integrate_values(
             np.abs(np.reshape(est_pts, plan.grid.shape) - truth) ** plan.p)
         monkeypatch.setattr(est, "_BLOCK_ENTRIES", 50)
-        monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.size ** 2)
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.n_keys)
+        assert est._block_points(setup.grid) == 4
         assert risk_replicate(plan, 256, 17) == want
 
 
