@@ -25,15 +25,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .densities import (
-    TrueDensity,
-    build_f_theta,
-    build_perturbed,
-    flat_top_density,
-    sample,
-    smooth_product_density,
-    vg_packing,
-)
 from .errors import (
     ConfigError,
     ConstructionFailureError,
@@ -57,10 +48,7 @@ from .kernels import (
     build_majorant,
     convolve_ratio,
 )
-from .oracle import assert_oracle_inequality
 from .quadrature import GridSpec
-from .regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
-from .risk import ExperimentPlan, default_grid, fit_rate, run_plan
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +317,10 @@ def _resolve(doc, command: str, seed_flag: int | None) -> dict:
     return out
 
 
-def _density(sec: dict) -> TrueDensity:
+def _density(sec: dict):
+    """The configured TrueDensity."""
+    from .densities import build_f_theta, flat_top_density, smooth_product_density
+
     params = sec["params"]
     if sec["kind"] == "flat_top":
         return flat_top_density(params["N"], sec["dim"], params["kappa_scale"])
@@ -506,6 +497,9 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
 @_run_options
 def cmd_oracle(config_path, seed, threads, out_flag, header):
     """Check the pointwise error bound on seeded sampled instances."""
+    from .densities import sample
+    from .oracle import assert_oracle_inequality
+
     resolved = _resolve(load_config(config_path), "oracle", seed)
     run = _Run(resolved, "oracle", out_flag)
     sec = resolved["oracle"]
@@ -540,6 +534,8 @@ def cmd_oracle(config_path, seed, threads, out_flag, header):
 @_run_options
 def cmd_regime(config_path, seed, threads, out_flag, header):
     """Classify the rate regime for a smoothness class and norm index."""
+    from .regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
+
     resolved = _resolve(load_config(config_path), "regime", seed)
     run = _Run(resolved, "regime", out_flag)
     sec = resolved["class"]
@@ -561,6 +557,8 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
 @_run_options
 def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     """Build a packing and a perturbed hard density; write a slice."""
+    from .densities import build_perturbed, flat_top_density, vg_packing
+
     resolved = _resolve(load_config(config_path), "lowerbound", seed)
     run = _Run(resolved, "lowerbound", out_flag)
     sec = resolved["lowerbound"]
@@ -602,6 +600,8 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
 @_run_options
 def cmd_risk(config_path, seed, threads, out_flag, header):
     """Monte-Carlo risk curve over the sample-size schedule."""
+    from .risk import ExperimentPlan, default_grid, fit_rate, run_plan
+
     resolved = _resolve(load_config(config_path), "risk", seed)
     run = _Run(resolved, "risk", out_flag)
     sec = resolved["risk"]

@@ -582,6 +582,8 @@ def sample(density: TrueDensity, n: int, rng: np.random.Generator) -> Dataset:
     composition, everything else uses rejection from the uniform
     envelope over the bounding box.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
     return build_dataset(_draw(density, _index(n, "n", 0), rng))
 
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from itertools import repeat
 
 import numpy as np
 
@@ -864,5 +865,6 @@ def estimate_on_grid(
     pts = _points(eval_points, "eval_points", setup.grid.dim)
     if not len(pts):
         return []
-    return [_fit(rec, setup, keep_criterion)
-            for rec in _select_points(data, pts, policy, setup, keep_criterion)]
+    # map holds no record while the next block is summed
+    return list(map(_fit, _select_points(data, pts, policy, setup, keep_criterion),
+                    repeat(setup), repeat(keep_criterion)))

@@ -12,6 +12,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -62,9 +63,18 @@ class ExperimentPlan:
     threads: int = 1  # validated, never changes results: replicates run serially
 
     def __post_init__(self):
+        for name, kind in (("density", TrueDensity), ("grid", GridSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParameterError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         object.__setattr__(self, "p", _real(self.p, "p", 1.0))
+        try:
+            schedule = tuple(self.n_schedule)
+        except TypeError:
+            raise InvalidParameterError(
+                f"n_schedule must be a sequence of integers, got {self.n_schedule!r}") from None
         object.__setattr__(
-            self, "n_schedule", tuple(_index(v, "n_schedule entry", 2) for v in self.n_schedule)
+            self, "n_schedule", tuple(_index(v, "n_schedule entry", 2) for v in schedule)
         )
         if not self.n_schedule:
             raise InvalidParameterError("n_schedule must be non-empty")
@@ -215,8 +225,9 @@ def _replicate_value(plan: ExperimentPlan, n: int, seed: int, setup: EstimationS
                      policy: KappaPolicy, truth: np.ndarray) -> float:
     rng = np.random.default_rng(seed)
     data = sample(plan.density, n, rng)
-    selected = np.array([rec.estimate
-                         for rec in _select_points(data, plan.grid.mesh(), policy, setup)])
+    # map holds no record while the next block is summed
+    selected = np.fromiter(map(attrgetter("estimate"),
+                               _select_points(data, plan.grid.mesh(), policy, setup)), float)
     diff = np.abs(selected.reshape(plan.grid.shape) - truth) ** plan.p
     return float(plan.grid.integrate_values(diff))
 
@@ -312,8 +323,10 @@ def oracle_gap(plan: ExperimentPlan, n: int, replicates: int) -> GapReport:
     for k in range(replicates):
         rng = np.random.default_rng(plan.seed + k)
         data = sample(plan.density, n, rng)
-        for i, rec in enumerate(_select_points(data, mesh, policy, setup)):
-            selected[i], per_h[i] = rec.estimate, rec.fhat
+        # map holds no record while the next block is summed
+        fits = map(attrgetter("estimate", "fhat"), _select_points(data, mesh, policy, setup))
+        for i, (estimate, fhat) in enumerate(fits):
+            selected[i], per_h[i] = estimate, fhat
         num = lp_norm_on_grid(selected, truth, plan.p, plan.grid)
         den = min(
             lp_norm_on_grid(per_h[:, j], truth, plan.p, plan.grid)

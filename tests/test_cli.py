@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from anisokde.cli import _DENSITY_PARAMS, _READS, _SECTIONS, _SEED, main
+from anisokde.cli import _DENSITY_PARAMS, _READS, _SECTIONS, _SEED, cli, main
 from anisokde.densities import build_dataset, build_f_theta
 from anisokde.errors import EfficiencyError
 from anisokde.estimator import make_setup, kappa_default, select_and_estimate
@@ -599,7 +599,7 @@ class TestOracleCommand:
         def broken_sample(density, n, rng):
             raise EfficiencyError("acceptance rate collapsed")
 
-        monkeypatch.setattr("anisokde.cli.sample", broken_sample)
+        monkeypatch.setattr("anisokde.densities.sample", broken_sample)
         cfg = write_config(tmp_path, {
             "density": {"kind": "raised_cosine", "dim": 1},
             "oracle": {"instances": 1, "n": 16, "nodes": 33},
@@ -912,3 +912,25 @@ class TestReproducibility:
         self.rerun_from_manifest(
             tmp_path, "estimate", cfg, ["fits.csv"], extra=[str(data)],
         )
+
+
+class TestHelp:
+    # a statement above a command's docstring leaves the command without
+    # help, and --help then lists it with an empty summary
+    COMMANDS = ["estimate", "kernel-check", "lowerbound", "oracle", "regime", "risk"]
+
+    def test_group_help_lists_every_command_summary(self, capsys):
+        assert main(["--help"]) == 0
+        listing = capsys.readouterr().out.split("Commands:\n", 1)[1]
+        rows = {line.split()[0]: line.split(None, 1)[1:] for line in listing.splitlines()}
+        assert sorted(rows) == self.COMMANDS
+        for name, summary in rows.items():
+            doc = cli.commands[name].callback.__doc__
+            assert doc and summary, name
+            assert doc.startswith(summary[0].removesuffix("...")), name
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_help_prints_its_docstring(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        doc = cli.commands[name].callback.__doc__
+        assert doc and doc in capsys.readouterr().out

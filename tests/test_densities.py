@@ -338,6 +338,11 @@ class TestSampling:
         with pytest.raises(InvalidParameterError):
             sample(rc1, -1, np.random.default_rng(0))
 
+    def test_seed_for_a_generator_rejected(self, rc1):
+        # raised a raw AttributeError: 'int' object has no attribute 'random'
+        with pytest.raises(InvalidParameterError, match="^rng must be a numpy.random.Generator"):
+            sample(rc1, 10, 5)
+
     def test_product_sampler_marginals(self, rc2):
         data = sample(rc2, 4096, np.random.default_rng(21))
         marg = rc2.marginals[0]

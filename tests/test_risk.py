@@ -1,6 +1,7 @@
 """Monte-Carlo risk engine: grid norms, plans, replicates, rate fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,18 @@ class TestExperimentPlan:
         # (64.5, 128) was stored as (64, 128)
         with pytest.raises(InvalidParameterError, match="n_schedule entry must be an integer"):
             small_plan(rc1, n_schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [5, None], ids=repr)
+    def test_schedule_that_is_not_a_sequence_rejected(self, rc1, schedule):
+        # raised a raw TypeError: 'int' object is not iterable
+        with pytest.raises(InvalidParameterError, match="^n_schedule must be a sequence"):
+            small_plan(rc1, n_schedule=schedule)
+
+    @pytest.mark.parametrize("name", ["density", "grid"])
+    def test_missing_density_or_grid_rejected(self, rc1, name):
+        # raised a raw AttributeError: 'NoneType' object has no attribute 'dim'
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be a"):
+            replace(small_plan(rc1), **{name: None})
 
     def test_non_increasing_schedule_rejected(self, rc1):
         for schedule in ((8, 8), (8, 4)):
