@@ -32,8 +32,8 @@ takes one index and fraction into `EstimationSetup.stack`, stored node
 by node, and one gather gives all its factors (`_entry_rows`). A block
 holds at most _BLOCK_PAIRS contracted key sums, and at least one point.
 At d = 1 a block of points takes its entries in passes of at most
-_BLOCK_ENTRIES and sums every (point, scale) window with one `bincount`
-per pass, bit for bit the one-point sums (`_window_sums`). At d >= 2
+_BLOCK_ENTRIES, each added in place into the (point, scale) window sums
+(`np.add.at`), bit for bit the one-point sums (`_window_sums`). At d >= 2
 each point of a block writes its sums into the block's arrays
 (`_point_tables`): per-axis (candidates x columns) matrices, contracted
 (outer products, then one GEMM), in chunks of candidates so memory
@@ -86,7 +86,7 @@ _LINE_BYTES = 2**22
 # of points (`_block_points`).
 _BLOCK_PAIRS = 2**16
 # Most (candidate, scale) entries one pass of `_window_sums` interpolates
-# at d = 1.
+# at d = 1; on d = 1 risk replicates 2^13 ran faster than 1.5 * 2^13 and 2^14.
 _BLOCK_ENTRIES = 2**13
 
 
@@ -292,10 +292,11 @@ def _row_floats(dim: int, max_exponent: int) -> int:
     temporaries (2(E+3) + 10, above the tracemalloc peak, the scatter
     index included), its per-axis matrix rows, their |kernel| copies and
     two outer-product rows of `_contract`. At d = 1, the floats one
-    (candidate, scale) entry holds in a `_window_sums` pass: its weights
-    and keys (E+4 each), its two stack gathers and index temporaries."""
+    (candidate, scale) entry holds in a `_window_sums` pass: its two
+    stack gathers (E+3 each), the last pass's rows, still held, and
+    index temporaries; its keys take the place of the second gather."""
     if dim == 1:
-        return 4 * (max_exponent + 3) + 12
+        return 3 * (max_exponent + 3) + 10
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
     entries = cols * (2 * (max_exponent + 3) + 10)
     return dim * (entries + 3 * cols + keys + 1) + 2 * keys ** (dim - 1)
@@ -481,13 +482,14 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
 
     The candidates of every point, its `box_indices` in order, are
     taken in one sequence, at most _BLOCK_ENTRIES (candidate, scale)
-    entries at a time; candidate y is in support at the scales 2^a with
-    |y| 2^a <= 1, a run from a = 0. Each (point, scale) window is summed
-    by one `bincount` keyed by (window, stack row), which adds in entry
-    order; a window cut by a pass carries its sums into the next one,
-    added first, so every window is one sequential sum as if in one
-    pass. The 2^a of scale a is applied to the window sums (exact for a
-    power of two)."""
+    entries at a time (the worst case of `cols` scales per candidate);
+    candidate y is in support at the scales 2^a with |y| 2^a <= 1, a run
+    from a = 0. Each pass adds its entries' stack rows, then their
+    |kernel|, straight into the (window, slot) sums with `np.add.at`,
+    which adds in index order after the passes before, so every window
+    is one sequential sum in candidate order from +0.0, whatever the
+    passes. The 2^a of scale a is applied to the window sums (exact for
+    a power of two)."""
     tables = setup.tables
     cols, rows = tables.scales.size, setup.stack.shape[0]
     edges = 1.0 / tables.scales[::-1]
@@ -497,6 +499,7 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
     ends = np.cumsum(counts)
     shift = first - ends + counts  # candidate c of point p is sv[c + shift[p]]
     sums = np.zeros((x.size * cols, rows + 1))  # per window: stack rows, |kernel|
+    flat = sums.reshape(-1)
     step = max(1, _BLOCK_ENTRIES // cols)
     for lo in range(0, int(ends[-1]), step):
         c = np.arange(lo, min(lo + step, int(ends[-1])))
@@ -505,19 +508,13 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
         inside = cols - np.searchsorted(edges, np.abs(y), side="left")
         cand = np.repeat(np.arange(c.size), inside)
         scale = np.arange(cand.size) - (np.cumsum(inside) - inside)[cand]
-        w0 = pt[0] * cols
-        carry = sums[w0:(pt[-1] + 1) * cols]
-        # the carried sums, then every entry's rows and |kernel|, row by row
-        wts = np.empty(carry.size + (rows + 1) * cand.size)
-        wts[:carry.size] = carry.ravel()
-        vals = wts[carry.size:].reshape(rows + 1, -1)
-        vals[:rows] = _entry_rows(y[cand] * tables.scales[scale], setup).T
-        np.abs(vals[0], out=vals[rows])
-        key = np.empty(wts.size, dtype=np.int64)
-        key[:carry.size] = np.arange(carry.size)
-        win = ((pt * cols - w0)[cand] + scale) * (rows + 1)
-        np.add(win, np.arange(rows + 1)[:, None], out=key[carry.size:].reshape(rows + 1, -1))
-        carry[:] = np.bincount(key, wts, minlength=carry.size).reshape(carry.shape)
+        win = ((pt * cols)[cand] + scale) * (rows + 1)
+        vals = _entry_rows(y[cand] * tables.scales[scale], setup)
+        # raveled keys and values take numpy's fast path of `add.at`; the
+        # |kernel| slots take a call of their own, cheaper than a copy of
+        # the rows joined with them
+        np.add.at(flat, (win[:, None] + np.arange(rows)).ravel(), vals.ravel())
+        np.add.at(flat, win + rows, np.abs(vals[:, 0]))
     sums = sums.reshape(x.size, cols, rows + 1) * tables.scales[:, None]
     avg = sums.reshape(x.size, -1)[:, tables.window_cols] / data.n
     return [avg[:, :cols], avg[:, cols:2 * cols], avg[:, 2 * cols:3 * cols],

@@ -712,6 +712,33 @@ class TestBlockSelection:
             for name in ("fhat", "a_k", "a_q", "keys"):
                 assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 
+    def test_default_passes_give_point_records(self):
+        """At the scale of a d = 1 risk replicate (n = 2048, the 65-node
+        default grid, table size 4096) and the default pass size, some
+        window spans three passes or more; every record must equal the
+        one-point call's, bit for bit."""
+        import anisokde.estimator as est
+        from anisokde.densities import sample, smooth_product_density
+        from anisokde.risk import default_grid
+
+        density = smooth_product_density("raised_cosine", 1)
+        data = sample(density, 2048, np.random.default_rng(151))
+        setup = make_setup(2048, 1, ell=1, table_size=4096)
+        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
+        pts = default_grid(density, 65).mesh()
+        recs = list(est._select_points(data, pts, policy, setup))
+        assert est._block_points(setup.grid) >= len(pts)  # one block
+        # a pass takes _BLOCK_ENTRIES // (E+1) candidates; a point's scale-0
+        # window holds every candidate of the point, so more than two
+        # passes' worth of candidates spans at least three passes
+        step = est._BLOCK_ENTRIES // setup.tables.scales.size
+        assert max(rec.counts for rec in recs) > 2 * step
+        for rec, x in zip(recs, pts):
+            ref = est._select_point(data, x, policy, setup)
+            assert rec.best == ref.best and rec.counts == ref.counts
+            for name in ("fhat", "a_k", "a_q", "keys"):
+                assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes(), name
+
     @staticmethod
     def mesh_fixture(d):
         rng = np.random.default_rng(149 + d)

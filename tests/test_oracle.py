@@ -609,6 +609,83 @@ class TestTrueTables:
         assert generic.argmin == prod.argmin
 
 
+class TestMonteCarloMeans:
+    """The selector's empirical sums against the oracle's true tables.
+
+    E[fhat_h(x)] = (K_h * f)(x), and a_k, a_q and every pair estimate
+    have their means in `_TrueTables` too. The two sides share no code
+    path: the selector reads the data through interpolated stack tables,
+    the truth is a trapezoid smoothing of f. `holds` cannot catch a wrong
+    empirical sum (zeta and chi absorb it), so this check is the one that
+    compares the sums with the truth. Over the draws, every lattice row
+    (and every pair) must stay within a Bonferroni bound of its true
+    mean, in standard errors; a gross fault must not."""
+
+    DRAWS = 400
+    # family-wise level of the bound, over every row and field of a case
+    LEVEL = 1e-3
+
+    @staticmethod
+    def z_scores(d: int) -> tuple[dict, float]:
+        """max |z| per field (fhat, a_k, a_q, the (H, H) pair estimates)
+        over DRAWS samples (n = 256, raised cosine, ell = 1) at one x,
+        and the Bonferroni bound over all of them."""
+        from statistics import NormalDist
+
+        from anisokde.estimator import _pair_read, _select_point
+        from anisokde.oracle import _TrueTables
+
+        f = smooth_product_density("raised_cosine", d)
+        x = np.array([0.13, -0.27][:d])
+        setup = make_setup(256, d, ell=1, table_size=1024)
+        policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+        key = setup.tables.every_pair[0]
+        rng = np.random.default_rng(211 + d)
+        got = {name: [] for name in ("fhat", "a_k", "a_q", "pair")}
+        for _ in range(TestMonteCarloMeans.DRAWS):
+            rec = _select_point(sample(f, 256, rng), x, policy, setup)
+            for name in ("fhat", "a_k", "a_q"):
+                got[name].append(getattr(rec, name))
+            got["pair"].append(_pair_read(rec.keys, key).ravel())
+        truth = _TrueTables(f, x, policy, setup, 256, 257)
+        want = {"fhat": truth.mean_f, "a_k": truth.a_k, "a_q": truth.a_q,
+                "pair": truth.pair_mean(slice(None)).ravel()}
+        z = {}
+        for name, rows in got.items():
+            rows = np.array(rows)
+            se = rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+            assert se.all(), name  # every row sees data in some draw
+            z[name] = float(np.max(np.abs(rows.mean(axis=0) - want[name]) / se))
+        tests = 3 * setup.tables.size + setup.tables.size ** 2
+        return z, NormalDist().inv_cdf(1 - TestMonteCarloMeans.LEVEL / (2 * tests))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sums_are_unbiased(self, d):
+        # largest |z| at these seeds: 2.2 (d = 1) and 2.9 (d = 2), against
+        # bounds of 4.4 and 5.3
+        z, bound = self.z_scores(d)
+        assert max(z.values()) < bound, (z, bound)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("field, name", [(0, "fhat"), (2, "a_q"), (3, "pair")],
+                             ids=["fhat", "a_q", "keys"])
+    def test_a_gross_fault_fails(self, monkeypatch, d, field, name):
+        """Every fhat, a_q or key sum of the selector scaled by 1.05: the
+        check must fail, on that field (z 18-49 at these seeds)."""
+        import anisokde.estimator as est
+
+        select_block = est._select_block
+
+        def faulty(xs, sums, *args):
+            sums = list(sums)
+            sums[field] = sums[field] * 1.05
+            return select_block(xs, sums, *args)
+
+        monkeypatch.setattr(est, "_select_block", faulty)
+        z, bound = self.z_scores(d)
+        assert z[name] > 2 * bound, (z, bound)
+
+
 def terms_and_record(data, f, x, policy, setup, nodes):
     """Every `OracleTerms` field as bytes, and the assertion's record."""
     from dataclasses import fields
