@@ -45,7 +45,7 @@ from .kernels import (
     _check_order_and_table,
     build_base,
     build_composite,
-    build_majorant,
+    build_envelope,
     convolve_ratio,
 )
 from .quadrature import GridSpec
@@ -55,11 +55,7 @@ from .quadrature import GridSpec
 # formatting and atomic persistence
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    return str(v) if isinstance(v, int) else format(float(v), ".17g")
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -69,39 +65,19 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+def _json_bytes(doc) -> bytes:
+    """doc as sorted, indented JSON. Every output is built from native
+    Python values (dict, list, tuple, str, int, float, bool, None), so
+    it is dumped as given."""
+    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                       ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def _csv_bytes(header: list[str], rows, include_header: bool) -> bytes:
-    lines = []
-    if include_header:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-
-
-def _dat_bytes(rows) -> bytes:
-    return ("".join(" ".join(_fmt(v) for v in row) + "\n" for row in rows)
-            ).encode("utf-8")
+def _table_bytes(rows, sep: str, header: list[str] | None = None) -> bytes:
+    """One line per row of int and float cells joined by sep, after the
+    header line if one is given."""
+    lines = [] if header is None else [sep.join(header)]
+    lines += [sep.join(map(_fmt, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 @contextlib.contextmanager
@@ -396,8 +372,8 @@ def cmd_kernel_check(config_path, seed, threads, out_flag, header):
         ts = np.linspace(-0.5, 0.5, 2001)
         record("symmetry_defect", np.abs(composite(ts) - composite(-ts)).max(), 1e-12)
 
-        ratios = tuple(2.0 ** -k for k in range(11))
-        env = build_majorant(composite, ratios, 1).factor.profile
+        tables = [convolve_ratio(composite, 2.0 ** -k) for k in range(11)]
+        env = build_envelope(tables, 1).factor.profile
         record("envelope_sup_excess",
                env.sup_norm() - composite.sup_norm ** 2, 1e-12)
         env_lo, env_hi = env.support()
@@ -406,8 +382,7 @@ def cmd_kernel_check(config_path, seed, threads, out_flag, header):
         tt = np.linspace(-1.0, 1.0, 4001)
         worst = -np.inf
         for _ in range(20):
-            ratio = float(ratios[rng.integers(0, len(ratios))])
-            conv = convolve_ratio(composite, ratio)
+            conv = tables[rng.integers(0, len(tables))]
             worst = max(worst, float((np.abs(conv(tt)) - env(tt)).max()))
         record("domination_defect", worst, 1e-10)
     passed = all(c["passed"] for c in checks)
@@ -488,7 +463,7 @@ def cmd_estimate(data_file, clamp, config_path, seed, threads, out_flag, header)
                 + [f"k_{j + 1}" for j in range(dim)])
         rows = [list(f.x) + [max(f.estimate, 0.0) if clamp else f.estimate]
                 + list(f.selected.exponents) for f in fits]
-        run.emit("fits.csv", _csv_bytes(cols, rows, header))
+        run.emit("fits.csv", _table_bytes(rows, ",", cols if header else None))
     run.finish()
     click.echo(f"estimate: {len(fits)} fits ({data.n} points) -> {run.outdir}")
 
@@ -568,11 +543,8 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
         N, kappa_scale, sigma = float(sec["N"]), float(sec["kappa_scale"]), tuple(sec["sigma"])
         base = flat_top_density(N, dim, kappa_scale)
         counts = tuple(int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
-        m = 1
-        for c in counts:
-            m *= c
         rng = np.random.default_rng(resolved["seed"])
-        packing = vg_packing(m, rng)
+        packing = vg_packing(math.prod(counts), rng)
         w = packing.members[0]
         density = build_perturbed(N, sigma, sec["amplitude"], w, dim, kappa_scale=kappa_scale)
 
@@ -580,9 +552,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     xs = np.linspace(lo, hi, slice_nodes)
     pts = np.zeros((slice_nodes, dim))
     pts[:, 0] = xs
-    rows = [(x, fv, bv) for x, fv, bv in
-            zip(xs, density(pts), base(pts))]
-    run.emit("plot/fw_slice.dat", _dat_bytes(rows))
+    run.emit("plot/fw_slice.dat", _table_bytes(zip(xs, density(pts), base(pts)), " "))
     run.emit("lowerbound.json", _json_bytes({
         "N": N, "dim": dim, "sigma": list(density.sigma), "amplitude": density.amplitude,
         "kappa_scale": kappa_scale, "wiggles_per_axis": list(counts),
@@ -626,13 +596,12 @@ def cmd_risk(config_path, seed, threads, out_flag, header):
                            "residual_stderr": fit.residual_stderr}
     else:
         doc["rate_fit"] = None
-    run.emit("risk.csv", _csv_bytes(
-        ["n", "mean_risk_p", "stderr", "risk"],
-        [(r.n, r.mean_risk_p, r.stderr, r.risk) for r in report.rows],
-        header))
+    run.emit("risk.csv", _table_bytes(
+        [(r.n, r.mean_risk_p, r.stderr, r.risk) for r in report.rows], ",",
+        ["n", "mean_risk_p", "stderr", "risk"] if header else None))
     run.emit("risk.json", _json_bytes(doc))
-    run.emit("plot/risk.dat", _dat_bytes(
-        [(r.n, r.mean_risk_p, r.stderr) for r in report.rows]))
+    run.emit("plot/risk.dat", _table_bytes(
+        [(r.n, r.mean_risk_p, r.stderr) for r in report.rows], " "))
     run.finish()
     click.echo(f"risk: {len(report.rows)} schedule points -> {run.outdir}")
 

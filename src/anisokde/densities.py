@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    MAX_LATTICE_BYTES,
     ConstructionFailureError,
     EfficiencyError,
     InvalidParameterError,
@@ -31,7 +32,7 @@ from .errors import (
     _points,
     _real,
 )
-from .estimator import MAX_LATTICE_BYTES, Dataset, build_dataset
+from .estimator import Dataset, build_dataset
 from .quadrature import GridSpec
 
 

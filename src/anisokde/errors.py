@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and `_index`, `_real` and
+"""Exception types shared across the package; `_index`, `_real` and
 `_points`, the one check of integer arguments, of real arguments and of
-arrays of points.
+arrays of points; and MAX_LATTICE_BYTES, the one memory bound.
 
 The CLI maps these onto its exit-code contract: configuration problems
 exit 1, verification failures exit 2, numeric failures exit 3.
@@ -11,6 +11,11 @@ import numbers
 import operator
 
 import numpy as np
+
+# Largest peak one selection's lattice tables (`estimator._lattice_bytes`),
+# an oracle smoothing pass, a packing check or an evaluation grid's mesh
+# and values may need; bigger ones are refused by name before they are built.
+MAX_LATTICE_BYTES = 2**30
 
 
 class InvalidParameterError(ValueError):

@@ -59,7 +59,7 @@ from itertools import repeat
 import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid, build_grid
-from .errors import InvalidParameterError, _index, _points, _real
+from .errors import MAX_LATTICE_BYTES, InvalidParameterError, _index, _points, _real
 from .kernels import (
     DEFAULT_TABLE_SIZE,
     Kernel1D,
@@ -73,9 +73,6 @@ from .kernels import (
     convolve_ratio,
 )
 
-# Largest peak the lattice tables and one point's selection may need,
-# as estimated by `_lattice_bytes`; make_setup refuses bigger lattices.
-MAX_LATTICE_BYTES = 2**30
 # Largest working set of one chunk of candidates in `_point_tables`.
 _BLOCK_BYTES = 2**24
 # Most bytes of per-axis line matrices `_Lines` keeps at d >= 2.
@@ -293,10 +290,10 @@ def _row_floats(dim: int, max_exponent: int) -> int:
     index included), its per-axis matrix rows, their |kernel| copies and
     two outer-product rows of `_contract`. At d = 1, the floats one
     (candidate, scale) entry holds in a `_window_sums` pass: its two
-    stack gathers (E+3 each), the last pass's rows, still held, and
-    index temporaries; its keys take the place of the second gather."""
+    stack gathers (E+3 each) and index temporaries; its keys take the
+    place of the second gather."""
     if dim == 1:
-        return 3 * (max_exponent + 3) + 10
+        return 2 * (max_exponent + 3) + 10
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
     entries = cols * (2 * (max_exponent + 3) + 10)
     return dim * (entries + 3 * cols + keys + 1) + 2 * keys ** (dim - 1)
@@ -335,7 +332,9 @@ class EstimationSetup:
     """Immutable bundle the selection rule needs besides data and policy.
 
     pair_tables[k] is the q_r table for the axis ratio r = 2^-k, one for
-    each exponent difference k = 0..E the lattice can realize.
+    each exponent difference k = 0..E the lattice can realize, each of
+    the kernel's order; the majorant's factor is their pointwise max of
+    |q_r| (`build_envelope`). Anything else is refused.
 
     stack has as rows, on the [-1, 1] grid of the q_r tables (step 1/m),
     the kernel zero-padded (zeros for an odd table size m, whose kernel
@@ -362,11 +361,20 @@ class EstimationSetup:
             raise InvalidParameterError(
                 f"need one q_r table per lattice ratio ({self.grid.max_exponent + 1}), "
                 f"got {len(self.pair_tables)}")
-        m = self.kernel.factor.table_size
+        m, ell = self.kernel.factor.table_size, self.kernel.factor.ell
         wide = (self.majorant.factor, *self.pair_tables)
         if any(t.profile.support() != (-1.0, 1.0) or t.table_size != 2 * m for t in wide):
             raise InvalidParameterError(
                 f"envelope and q_r tables need {2 * m} steps on [-1, 1]")
+        names = ("majorant", *(f"pair_tables[{k}]" for k in range(len(self.pair_tables))))
+        for name, t in zip(names, wide):
+            if t.ell != ell:
+                raise InvalidParameterError(f"{name} has kernel order {t.ell}, the kernel {ell}")
+        # a max is exact, so the envelope of these tables has these bits
+        envelope = map(np.abs, (q.profile.values for q in self.pair_tables))
+        if not np.array_equal(self.majorant.factor.profile.values, reduce(np.maximum, envelope)):
+            raise InvalidParameterError("majorant must be the pointwise max of |q_r| "
+                                        "over pair_tables")
         kernel = self.kernel.factor.profile.values
         pad = np.zeros(2 * m + 1) if m % 2 else np.pad(kernel, m // 2)
         nodes = np.stack([pad, *(t.profile.values for t in wide)], axis=1)
@@ -515,6 +523,7 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
         # the rows joined with them
         np.add.at(flat, (win[:, None] + np.arange(rows)).ravel(), vals.ravel())
         np.add.at(flat, win + rows, np.abs(vals[:, 0]))
+        del vals  # not held while the next pass gathers
     sums = sums.reshape(x.size, cols, rows + 1) * tables.scales[:, None]
     avg = sums.reshape(x.size, -1)[:, tables.window_cols] / data.n
     return [avg[:, :cols], avg[:, cols:2 * cols], avg[:, 2 * cols:3 * cols],

@@ -48,9 +48,8 @@ import numpy as np
 
 from .bandwidths import Bandwidth, BandwidthGrid
 from .densities import TrueDensity
-from .errors import InvalidParameterError, _index, _points, _real
+from .errors import MAX_LATTICE_BYTES, InvalidParameterError, _index, _points, _real
 from .estimator import (
-    MAX_LATTICE_BYTES,
     EstimationSetup,
     KappaPolicy,
     _coarser_sup,

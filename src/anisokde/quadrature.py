@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, _index, _points, _real
+from .errors import MAX_LATTICE_BYTES, InvalidParameterError, NumericError, _index, _points, _real
 
 DEFAULT_NODES = 129
 
@@ -84,7 +84,8 @@ def _items(value, name: str) -> tuple:
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned tensor grid: a box plus per-axis node counts, stored
-    as floats and ints."""
+    as floats and ints. A grid whose mesh and one value a node, (d + 1)
+    floats a node, would pass MAX_LATTICE_BYTES is refused."""
 
     box: tuple[tuple[float, float], ...]
     nodes: tuple[int, ...]
@@ -94,6 +95,12 @@ class GridSpec:
         if len(box) != len(nodes) or not box:
             raise InvalidParameterError("box and nodes must have equal positive length")
         object.__setattr__(self, "nodes", tuple(_index(k, "nodes", 2) for k in nodes))
+        need = 8 * (len(nodes) + 1) * math.prod(self.nodes)
+        if need > MAX_LATTICE_BYTES:
+            raise InvalidParameterError(
+                f"nodes must keep the mesh and one value a node within MAX_LATTICE_BYTES "
+                f"({MAX_LATTICE_BYTES / 2**30:.1f} GiB), got {self.nodes}: about "
+                f"{need / 2**30:.3g} GiB; lower nodes")
         box = [_items(interval, "box") for interval in box]
         if any(len(interval) != 2 for interval in box):
             raise InvalidParameterError(

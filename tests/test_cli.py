@@ -494,6 +494,17 @@ class TestEstimateCommand:
         assert "MAX_LATTICE_BYTES" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_grid_rejected(self, tmp_path, capsys):
+        # a 10^6 x 10^6 mesh would need terabytes: refused by name, no traceback
+        data = self.data_file(tmp_path, "0.1 0.2\n-0.3 0.4\n0.5 -0.6\n")
+        cfg = write_config(tmp_path, {"estimate": {"box": [[-1.0, 1.0], [-1.0, 1.0]],
+                                                   "grid_nodes": 1000000}})
+        out = tmp_path / "o"
+        assert main(["estimate", data, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: nodes must") and "MAX_LATTICE_BYTES" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_ragged_points_rejected(self, tmp_path, capsys):
         data = self.data_file(tmp_path, "0.0 0.1\n0.5 0.2\n")
         cfg = write_config(tmp_path, {
@@ -772,6 +783,9 @@ class TestRiskCommand:
         pytest.param({"density": {"kind": "raised_cosine", "dim": 4},
                       "risk": {"n_schedule": [4096, 8192], "replicates": 2, "grid_nodes": 3}},
                      "MAX_LATTICE_BYTES", id="lattice"),
+        pytest.param({"density": {"kind": "raised_cosine", "dim": 2},
+                      "risk": {"n_schedule": [4, 8], "replicates": 2, "grid_nodes": 1000000}},
+                     "nodes must keep the mesh", id="grid"),
     ])
     def test_rejected_setup_leaves_no_directory(self, tmp_path, capsys, extra, message):
         cfg = toy_risk_config(tmp_path, **extra)

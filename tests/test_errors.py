@@ -388,6 +388,7 @@ BAD_ARRAYS = {
     "GridSpec box of scalars": ("box", lambda c: GridSpec(box=(0.0,), nodes=(5,))),
     "GridSpec None box": ("box", lambda c: GridSpec(box=None, nodes=(5,))),
     "GridSpec scalar nodes": ("nodes", lambda c: GridSpec(box=((0.0, 1.0),), nodes=5)),
+    "kernel ragged y": ("y", lambda c: build_composite(build_base(1, 64))([[0.1, 0.2], [0.3]])),
 }
 
 

@@ -1018,6 +1018,23 @@ class TestSetupOwnsTables:
             EstimationSetup(kernel=a.kernel, majorant=a.majorant, grid=a.grid,
                             pair_tables=b.pair_tables)
 
+    def test_tables_of_another_kernel_or_lattice_rejected(self):
+        from anisokde.estimator import EstimationSetup
+
+        a = make_setup(64, 1, table_size=64)
+        other_order = make_setup(64, 1, ell=2, table_size=64)
+        smaller = make_setup(8, 1, table_size=64)
+        assert smaller.grid.max_exponent < a.grid.max_exponent
+        with pytest.raises(InvalidParameterError, match="majorant has kernel order 2"):
+            EstimationSetup(kernel=a.kernel, majorant=other_order.majorant, grid=a.grid,
+                            pair_tables=a.pair_tables)
+        with pytest.raises(InvalidParameterError, match=r"pair_tables\[0\] has kernel order 2"):
+            EstimationSetup(kernel=a.kernel, majorant=a.majorant, grid=a.grid,
+                            pair_tables=other_order.pair_tables)
+        with pytest.raises(InvalidParameterError, match=r"pointwise max of \|q_r\|"):
+            EstimationSetup(kernel=a.kernel, majorant=smaller.majorant, grid=a.grid,
+                            pair_tables=a.pair_tables)
+
     def test_each_lattice_ratio_is_tabulated_once(self, monkeypatch, rc2):
         import anisokde.estimator as est
         import anisokde.kernels as kern

@@ -624,23 +624,46 @@ class TestMonteCarloMeans:
     DRAWS = 400
     # family-wise level of the bound, over every row and field of a case
     LEVEL = 1e-3
+    X = 0.13, -0.27
+    # case: (d, ell, table size, density, seed); x is X[:d]
+    CASES = {
+        1: (1, 1, 1024, "raised_cosine", 212),
+        2: (2, 1, 1024, "raised_cosine", 213),
+        "ell2": (1, 2, 1024, "raised_cosine", 311),
+        "table1023": (1, 1, 1023, "raised_cosine", 312),
+        "mixture": (1, 1, 1024, "mixture", 313),
+    }
 
     @staticmethod
-    def z_scores(d: int) -> tuple[dict, float]:
+    def density(kind: str, d: int):
+        """The raised cosine, or ("mixture", d = 1) half of it and half a
+        narrow bump at x, a `TrueDensity` of two components."""
+        f = smooth_product_density("raised_cosine", d)
+        if kind == "raised_cosine":
+            return f
+        bump = smooth_product_density("bump_mixture", 1, {
+            "centers": [TestMonteCarloMeans.X[0]], "scales": [0.1], "weights": [1.0]})
+        return TrueDensity(label="raised cosine + bump at x", dim=1, box=f.box,
+                           sup_bound=0.5 * (f.sup_bound + bump.sup_bound),
+                           components=((0.5, f), (0.5, bump)))
+
+    @staticmethod
+    def z_scores(case) -> tuple[dict, float]:
         """max |z| per field (fhat, a_k, a_q, the (H, H) pair estimates)
-        over DRAWS samples (n = 256, raised cosine, ell = 1) at one x,
-        and the Bonferroni bound over all of them."""
+        over DRAWS samples (n = 256) of one case at its x, and the
+        Bonferroni bound over all of them."""
         from statistics import NormalDist
 
         from anisokde.estimator import _pair_read, _select_point
         from anisokde.oracle import _TrueTables
 
-        f = smooth_product_density("raised_cosine", d)
-        x = np.array([0.13, -0.27][:d])
-        setup = make_setup(256, d, ell=1, table_size=1024)
+        d, ell, table_size, kind, seed = TestMonteCarloMeans.CASES[case]
+        f = TestMonteCarloMeans.density(kind, d)
+        x = np.array(TestMonteCarloMeans.X[:d])
+        setup = make_setup(256, d, ell=ell, table_size=table_size)
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         key = setup.tables.every_pair[0]
-        rng = np.random.default_rng(211 + d)
+        rng = np.random.default_rng(seed)
         got = {name: [] for name in ("fhat", "a_k", "a_q", "pair")}
         for _ in range(TestMonteCarloMeans.DRAWS):
             rec = _select_point(sample(f, 256, rng), x, policy, setup)
@@ -659,19 +682,21 @@ class TestMonteCarloMeans:
         tests = 3 * setup.tables.size + setup.tables.size ** 2
         return z, NormalDist().inv_cdf(1 - TestMonteCarloMeans.LEVEL / (2 * tests))
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_sums_are_unbiased(self, d):
-        # largest |z| at these seeds: 2.2 (d = 1) and 2.9 (d = 2), against
-        # bounds of 4.4 and 5.3
-        z, bound = self.z_scores(d)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sums_are_unbiased(self, case):
+        # largest |z| at these seeds: 2.2 (d = 1), 2.9 (d = 2), 0.9 (ell2),
+        # 2.2 (table1023) and 1.3 (mixture), against 4.4 (d = 1) and 5.3 (d = 2)
+        z, bound = self.z_scores(case)
         assert max(z.values()) < bound, (z, bound)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("field, name", [(0, "fhat"), (2, "a_q"), (3, "pair")],
-                             ids=["fhat", "a_q", "keys"])
-    def test_a_gross_fault_fails(self, monkeypatch, d, field, name):
-        """Every fhat, a_q or key sum of the selector scaled by 1.05: the
-        check must fail, on that field (z 18-49 at these seeds)."""
+    @pytest.mark.parametrize("field, name, case", [
+        pytest.param(field, name, case, id=f"{fault}-{case}") for case in CASES
+        for field, name, fault in ((0, "fhat", "fhat"), (2, "a_q", "a_q"), (3, "pair", "keys"))
+        if case in (1, 2) or fault == "keys"])
+    def test_a_gross_fault_fails(self, monkeypatch, field, name, case):
+        """Every fhat, a_q or key sum of the selector scaled by 1.05 (the
+        key sums only, beyond d = 1 and 2): the check must fail, on that
+        field (z 11-66 at these seeds)."""
         import anisokde.estimator as est
 
         select_block = est._select_block
@@ -682,7 +707,7 @@ class TestMonteCarloMeans:
             return select_block(xs, sums, *args)
 
         monkeypatch.setattr(est, "_select_block", faulty)
-        z, bound = self.z_scores(d)
+        z, bound = self.z_scores(case)
         assert z[name] > 2 * bound, (z, bound)
 
 

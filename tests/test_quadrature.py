@@ -127,3 +127,14 @@ class TestGridSpec:
         g = GridSpec(box=((0.0, 1.0), (0.0, 1.0)), nodes=(np.int64(5), 7))
         assert g.nodes == (5, 7) and all(type(k) is int for k in g.nodes)
         assert g.mesh().shape == (35, 2)
+
+    # (d + 1) floats a node: 2^26 nodes at d = 1 and 322^3 at d = 3 fit
+    # in MAX_LATTICE_BYTES (1 GiB); 2^26 + 1 and 323^3 do not
+    @pytest.mark.parametrize("nodes", [(2**26 + 1,), (323, 323, 323), (10**6, 10**6)])
+    def test_grid_past_the_memory_bound_is_refused_by_name(self, nodes):
+        with pytest.raises(InvalidParameterError, match=r"^nodes must .* MAX_LATTICE_BYTES"):
+            GridSpec(box=((0.0, 1.0),) * len(nodes), nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", [(2**26,), (322, 322, 322)])
+    def test_grid_at_the_memory_bound_is_kept(self, nodes):
+        assert GridSpec(box=((0.0, 1.0),) * len(nodes), nodes=nodes).nodes == nodes
