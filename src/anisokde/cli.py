@@ -43,6 +43,7 @@ from .estimator import (
 )
 from .kernels import (
     _check_order_and_table,
+    _unit_integral,
     build_base,
     build_composite,
     build_envelope,
@@ -305,16 +306,20 @@ def _density(sec: dict):
     return smooth_product_density(sec["kind"], sec["dim"], params)
 
 
-def _kernel_keys(resolved: dict) -> tuple[int, int]:
-    """kernel.ell and kernel.table_size, checked against the kernel's bounds."""
+def _kernel_keys(resolved: dict, setup: bool = False) -> tuple[int, int]:
+    """kernel.ell and kernel.table_size, checked against the kernel's bounds
+    and, for a setup, the composite kernel's integral."""
+    ell, table_size = resolved["kernel"]["ell"], resolved["kernel"]["table_size"]
     try:
-        return _check_order_and_table(resolved["kernel"]["ell"], resolved["kernel"]["table_size"])
+        if setup:
+            _unit_integral(build_composite(build_base(ell, table_size)))
+        return _check_order_and_table(ell, table_size)
     except InvalidParameterError as exc:
         raise ConfigError(f"config key 'kernel.ell' or 'kernel.table_size': {exc}") from exc
 
 
 def _kernel_args(resolved: dict) -> dict:
-    ell, table_size = _kernel_keys(resolved)
+    ell, table_size = _kernel_keys(resolved, setup=True)
     return {"ell": ell, "table_size": table_size,
             "max_exponent": resolved["estimator"]["max_exponent"]}
 

@@ -31,8 +31,9 @@ keys per axis. Each in-support (candidate, scale) entry of an axis
 takes one index and fraction into `EstimationSetup.stack`, stored node
 by node, and one gather gives all its factors (`_entry_rows`). A block
 holds at most _BLOCK_PAIRS contracted key sums, and at least one point.
-At d = 1 a block of points takes its entries in passes of at most
-_BLOCK_ENTRIES, each added in place into the (point, scale) window sums
+At d = 1 a block of points lays out its entries in passes of at most
+_BLOCK_ENTRIES (2^15) and adds them, in chunks of _CHUNK_ENTRIES (2^11)
+that stay in L2, in place into the (point, scale) window sums
 (`np.add.at`), bit for bit the one-point sums (`_window_sums`). At d >= 2
 each point of a block writes its sums into the block's arrays
 (`_point_tables`): per-axis (candidates x columns) matrices, contracted
@@ -66,6 +67,7 @@ from .kernels import (
     ProductKernel,
     Tabulated1D,
     _check_order_and_table,
+    _unit_integral,
     build_base,
     build_composite,
     build_envelope,
@@ -82,9 +84,10 @@ _LINE_BYTES = 2**22
 # one (H, H) pass at d = 3. Also the most contracted key sums of one block
 # of points (`_block_points`).
 _BLOCK_PAIRS = 2**16
-# Most (candidate, scale) entries one pass of `_window_sums` interpolates
-# at d = 1; on d = 1 risk replicates 2^13 ran faster than 1.5 * 2^13 and 2^14.
-_BLOCK_ENTRIES = 2**13
+# Most (candidate, scale) entries of one d = 1 layout pass of `_window_sums`
+# (E+1 scales a candidate) and of one of its chunks; sized on risk_d1 (README).
+_BLOCK_ENTRIES = 2**15
+_CHUNK_ENTRIES = 2**11
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,9 +292,9 @@ def _row_floats(dim: int, max_exponent: int) -> int:
     temporaries (2(E+3) + 10, above the tracemalloc peak, the scatter
     index included), its per-axis matrix rows, their |kernel| copies and
     two outer-product rows of `_contract`. At d = 1, the floats one
-    (candidate, scale) entry holds in a `_window_sums` pass: its two
-    stack gathers (E+3 each) and index temporaries; its keys take the
-    place of the second gather."""
+    (candidate, scale) entry holds in a `_window_sums` chunk: its two
+    stack gathers (E+3 each) and index temporaries; its keys, from the
+    key table, take the place of the second gather."""
     if dim == 1:
         return 2 * (max_exponent + 3) + 10
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
@@ -311,18 +314,20 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     values. No (H, H) array is held. At d >= 2 a point's work is one
     chunk's P^d key sums, the kept line matrices (_LINE_BYTES) and one
     chunk of candidates (_BLOCK_BYTES, or one `_row_floats` row if more;
-    building a line takes less). At d = 1 it is one `_window_sums` pass
-    of at most _BLOCK_ENTRIES entries, next to the block's (point,
-    scale) window sums and their scaled copy. Candidate offsets, a slice
-    of the sample, are not counted, so the estimate does not depend on n.
+    building a line takes less). At d = 1 it is a `_window_sums` layout
+    pass (six floats for each of _BLOCK_ENTRIES entries) and chunk
+    (_CHUNK_ENTRIES `_row_floats` rows) beside the block's window sums,
+    their scaled copy and key table. Candidate offsets, a slice of the
+    sample, are not counted, so the estimate does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
     keys = (E + 1) * (E + 2) // 2
     block = _block_points(grid) * (keys ** d + 3 * len(grid))
     pairs = 40 * max(_BLOCK_PAIRS, len(grid))
     if d == 1:
-        windows = 2 * _block_points(grid) * (E + 1) * (E + 4)
-        return 16 * block + max(8 * (_BLOCK_ENTRIES * _row_floats(1, E) + windows), pairs)
+        windows = _block_points(grid) * (E + 1) * (2 * (E + 4) + E + 3)
+        work = 6 * _BLOCK_ENTRIES + _CHUNK_ENTRIES * _row_floats(1, E) + windows
+        return 16 * block + max(8 * work, pairs)
     chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), pairs)
     return 8 * (2 * block + keys ** d + 3 * (E + 1) + keys + 1) + _LINE_BYTES + chunk
 
@@ -427,13 +432,13 @@ def make_setup(
 ) -> EstimationSetup:
     """Build kernel, q_r tables, envelope, and lattice for sample size n.
 
-    Every argument is checked first (`_checked_grid`), before any table
-    is built. Then each lattice ratio 2^0..2^-E is tabulated exactly
-    once; the setup keeps those tables, the envelope is their pointwise
-    max, and fits and the oracle only read them.
+    Every argument is checked first (`_checked_grid`), then the kernel's
+    integral, before any q_r table is built. Each lattice ratio 2^0..2^-E
+    is tabulated exactly once; the setup keeps those tables, the envelope
+    is their pointwise max, and fits and the oracle only read them.
     """
     grid = _checked_grid(n, dim, ell, table_size, max_exponent)
-    composite = build_composite(build_base(ell, table_size))
+    composite = _unit_integral(build_composite(build_base(ell, table_size)))
     return _setup_on(grid, composite, [convolve_ratio(composite, r) for r in grid.ratios()])
 
 
@@ -489,15 +494,16 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
     counts.
 
     The candidates of every point, its `box_indices` in order, are
-    taken in one sequence, at most _BLOCK_ENTRIES (candidate, scale)
-    entries at a time (the worst case of `cols` scales per candidate);
+    taken in one sequence, laid out _BLOCK_ENTRIES (candidate, scale)
+    entries a pass (the worst case of `cols` scales per candidate);
     candidate y is in support at the scales 2^a with |y| 2^a <= 1, a run
-    from a = 0. Each pass adds its entries' stack rows, then their
-    |kernel|, straight into the (window, slot) sums with `np.add.at`,
-    which adds in index order after the passes before, so every window
-    is one sequential sum in candidate order from +0.0, whatever the
-    passes. The 2^a of scale a is applied to the window sums (exact for
-    a power of two)."""
+    from a = 0. Each chunk of _CHUNK_ENTRIES entries of a pass adds
+    their stack rows, then their |kernel|, straight into the (window,
+    slot) sums with `np.add.at`, its keys one `take` of the (window,
+    stack row) key table; it adds in index order after the chunks
+    before, so every window is one sequential sum in candidate order
+    from +0.0, whatever the cuts. The 2^a of scale a is applied to the
+    window sums (exact for a power of two)."""
     tables = setup.tables
     cols, rows = tables.scales.size, setup.stack.shape[0]
     edges = 1.0 / tables.scales[::-1]
@@ -508,6 +514,7 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
     shift = first - ends + counts  # candidate c of point p is sv[c + shift[p]]
     sums = np.zeros((x.size * cols, rows + 1))  # per window: stack rows, |kernel|
     flat = sums.reshape(-1)
+    keys = np.arange(0, flat.size, rows + 1)[:, None] + np.arange(rows)
     step = max(1, _BLOCK_ENTRIES // cols)
     for lo in range(0, int(ends[-1]), step):
         c = np.arange(lo, min(lo + step, int(ends[-1])))
@@ -516,14 +523,19 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
         inside = cols - np.searchsorted(edges, np.abs(y), side="left")
         cand = np.repeat(np.arange(c.size), inside)
         scale = np.arange(cand.size) - (np.cumsum(inside) - inside)[cand]
-        win = ((pt * cols)[cand] + scale) * (rows + 1)
-        vals = _entry_rows(y[cand] * tables.scales[scale], setup)
-        # raveled keys and values take numpy's fast path of `add.at`; the
-        # |kernel| slots take a call of their own, cheaper than a copy of
-        # the rows joined with them
-        np.add.at(flat, (win[:, None] + np.arange(rows)).ravel(), vals.ravel())
-        np.add.at(flat, win + rows, np.abs(vals[:, 0]))
-        del vals  # not held while the next pass gathers
+        win = (pt * cols)[cand] + scale
+        ys = y[cand]
+        ys *= tables.scales[scale]
+        del c, pt, y, inside, cand, scale  # a chunk holds only its layout
+        for at in range(0, win.size, _CHUNK_ENTRIES):
+            w = win[at:at + _CHUNK_ENTRIES]
+            vals = _entry_rows(ys[at:at + _CHUNK_ENTRIES], setup)
+            # raveled keys and values take numpy's fast path of `add.at`; the
+            # |kernel| slots take a call of their own, cheaper than a joined copy
+            np.add.at(flat, keys.take(w, axis=0).ravel(), vals.ravel())
+            np.add.at(flat, w * (rows + 1) + rows, np.abs(vals[:, 0]))
+            del vals  # not held while the next chunk gathers
+        del win, ys  # nor the layout while the next pass lays out
     sums = sums.reshape(x.size, cols, rows + 1) * tables.scales[:, None]
     avg = sums.reshape(x.size, -1)[:, tables.window_cols] / data.n
     return [avg[:, :cols], avg[:, cols:2 * cols], avg[:, 2 * cols:3 * cols],

@@ -235,6 +235,16 @@ def build_composite(base: Kernel1D) -> Kernel1D:
     return Kernel1D(ell=base.ell, profile=Tabulated1D(-0.5, 0.5, values))
 
 
+def _unit_integral(composite: Kernel1D) -> Kernel1D:
+    """composite, refused as a setup's kernel if its integral is off 1 by
+    more than 1e-3: the mixture's weights amplify each dilate's error."""
+    if abs(defect := composite.profile.integral() - 1.0) > 1e-3:
+        raise InvalidParameterError(
+            f"the kernel of order {composite.ell} on {composite.table_size} steps integrates "
+            f"to 1 {defect:+.1e}; lower ell or raise table_size")
+    return composite
+
+
 def build_product(composite: Kernel1D, dim: int) -> ProductKernel:
     """Tensor product of the composite profile across dim axes."""
     return ProductKernel(dim=dim, factor=composite)

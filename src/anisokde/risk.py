@@ -28,7 +28,8 @@ from .estimator import (
     _setup_on,
     make_setup,
 )
-from .kernels import _check_order_and_table, build_base, build_composite, convolve_ratio
+from .kernels import (_check_order_and_table, _unit_integral, build_base, build_composite,
+                      convolve_ratio)
 from .quadrature import GridSpec, contract
 
 # Kernel support never exceeds one bandwidth unit and bandwidths top out
@@ -248,7 +249,7 @@ def run_plan(plan: ExperimentPlan) -> RiskReport:
     t0 = time.perf_counter()
     grids = [_checked_grid(n, plan.density.dim, plan.ell, plan.table_size, plan.max_exponent)
              for n in plan.n_schedule]
-    composite = build_composite(build_base(plan.ell, plan.table_size))
+    composite = _unit_integral(build_composite(build_base(plan.ell, plan.table_size)))
     widest = max(grids, key=lambda grid: grid.max_exponent)
     tables = [convolve_ratio(composite, r) for r in widest.ratios()]
     timings = {"kernel_tables": time.perf_counter() - t0, "truth_grid": t0 - start,

@@ -289,6 +289,27 @@ class TestConfigTable:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["estimate", "oracle", "risk"])
+    def test_kernel_off_unit_integral_names_its_keys(self, tmp_path, capsys, command):
+        # the composite kernel of order 30 on 4096 steps integrates to 1 + 3.8e-3
+        doc = copy.deepcopy(TABLE_BASE[command])
+        doc["kernel"] = {"ell": 30, "table_size": 4096}
+        code, out = run_config(tmp_path, command, doc, "o")
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "config error: config key 'kernel.ell' or 'kernel.table_size'" in err
+        assert "integrates to 1 +3.8e-03" in err
+        assert not out.exists()
+
+    def test_kernel_check_keeps_its_own_integral_bound(self, tmp_path, capsys):
+        # a kernel off unit integral by 3.8e-3, which no setup takes, is
+        # still checked and fails verification, not configuration
+        code, out = run_config(tmp_path, "kernel-check",
+                               {"kernel": {"ell": 30, "table_size": 4096}}, "o")
+        assert code == 2 and "verification failure" in capsys.readouterr().err
+        doc = read_json(out, "kernel_check.json")
+        assert "integral_defect" in {c["name"] for c in doc["checks"] if not c["passed"]}
+
+    @pytest.mark.parametrize("command", ["estimate", "oracle", "risk"])
     def test_kernel_bound_names_its_keys(self, tmp_path, capsys, command):
         doc = copy.deepcopy(TABLE_BASE[command])
         doc["kernel"]["ell"] = 0

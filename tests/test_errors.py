@@ -135,6 +135,33 @@ def test_numpy_and_python_integers_are_accepted(ctx, site, integer):
     call(ctx, integer(good))
 
 
+# (ell, table_size, refused): the composite kernel's integral is off 1 by
+# 3.8e-3 at (30, 4096) and 0.83 at (40, 4096), which a setup refuses; by
+# 2.8e-5 at (20, 4096) and at most 1.7e-4 for ell <= 3 on 64 or 65 steps,
+# which it takes
+KERNEL_INTEGRALS = [(30, 4096, True), (40, 4096, True), (20, 4096, False),
+                    *((ell, m, False) for ell in (1, 2, 3) for m in (64, 65))]
+
+
+@pytest.mark.parametrize("ell, table_size, refused", KERNEL_INTEGRALS)
+def test_setup_kernel_off_unit_integral_is_refused_by_name(ctx, monkeypatch, ell, table_size,
+                                                           refused):
+    import anisokde.risk as risk
+
+    defect = abs(build_composite(build_base(ell, table_size)).profile.integral() - 1.0)
+    assert (defect > 1e-3) is refused
+    if not refused:
+        assert make_setup(16, 1, ell=ell, table_size=table_size).kernel.factor.ell == ell
+        return
+    with pytest.raises(InvalidParameterError, match=rf"order {ell} on {table_size} steps "
+                                                    r"integrates to 1 \+\d"):
+        make_setup(16, 1, ell=ell, table_size=table_size)
+    # run_plan builds its own composite, and refuses it before any fit
+    monkeypatch.setattr(risk, "_select_points", lambda *a, **k: pytest.fail("fitted"))
+    with pytest.raises(InvalidParameterError, match="integrates to 1"):
+        risk.run_plan(ctx.plan(ell=ell, table_size=table_size))
+
+
 def test_plan_stores_python_ints(ctx):
     # the plan hash is JSON of the plan's fields; a numpy max_exponent
     # used to make it raise a raw TypeError

@@ -411,6 +411,29 @@ def assert_pruned_matches_full(data, x, policy, setup):
     return full
 
 
+def window_spans(data, pts, setup):
+    """Layout passes and chunks that the entries of each d = 1 window of
+    `_window_sums` fall in, for the block of points pts (points, 1) at
+    the current _BLOCK_ENTRIES and _CHUNK_ENTRIES: two arrays, one value
+    per window that holds an entry."""
+    import anisokde.estimator as est
+
+    scales, sv = setup.tables.scales, data.sorted_vals[0]
+    near = [sv[(sv >= x - 1.0) & (sv <= x + 1.0)] - x for x in pts[:, 0]]
+    point = np.repeat(np.arange(len(pts)), [len(y) for y in near])
+    # entries in candidate order, each candidate's scales from 0
+    cand, scale = np.nonzero(np.abs(np.concatenate(near))[:, None] <= 1.0 / scales)
+    passes = cand // max(1, est._BLOCK_ENTRIES // scales.size)
+    at = np.arange(cand.size) - np.searchsorted(passes, passes)
+    chunks = passes * cand.size + at // est._CHUNK_ENTRIES
+    window = point[cand] * scales.size + scale
+
+    def spans(ids):  # distinct ids per window
+        return np.unique(np.unique(np.stack([window, ids]), axis=1)[0], return_counts=True)[1]
+
+    return spans(passes), spans(chunks)
+
+
 def assert_record_matches_reference(data, x, setup):
     policy = KappaPolicy(kappa=0.05, d=data.dim, p=2.0, k_inf=setup.kernel.k_inf)
     rec = assert_pruned_matches_full(data, x, policy, setup)
@@ -466,11 +489,21 @@ class TestRecordAgainstReference:
         data = build_dataset(np.vstack([x + offs, rng.uniform(-1, 1.5, size=(8, d))]))
         assert np.array_equal(data.points[:edges.size, 0] - x[0], edges)
         setup = make_setup(data.n, d, ell=ell, table_size=table_size, max_exponent=E)
-        # five candidates per chunk (d >= 2) or pass (d = 1), so the loop runs many times
+        policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
+        whole = est._select_point(data, x, policy, setup)
+        # five candidates per chunk (d >= 2) or layout pass (d = 1), and
+        # three entries per d = 1 chunk, so the loops run many times
         monkeypatch.setattr(est, "_BLOCK_BYTES", 8 * 5 * est._row_floats(d, E))
         monkeypatch.setattr(est, "_BLOCK_ENTRIES", 5 * (E + 1))
+        monkeypatch.setattr(est, "_CHUNK_ENTRIES", 3)
         rec = assert_record_matches_reference(data, x, setup)
         assert rec.counts > 10
+        if d == 1:
+            passes, chunks = window_spans(data, x[None], setup)
+            assert ((passes >= 3) & (chunks >= 6)).any()
+            # each window is one sequential sum, whatever cuts it
+            for name in ("fhat", "a_k", "a_q", "keys"):
+                assert getattr(rec, name).tobytes() == getattr(whole, name).tobytes(), name
         far = assert_record_matches_reference(data, np.full(d, 9.0), setup)
         assert far.counts == 0 and not pair_matrix(far, setup).any()
 
@@ -632,15 +665,22 @@ class TestPerAxisEngine:
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         x = rng.uniform(-0.3, 0.3, size=d)
         whole = est._select_point(data, x, policy, setup, keep_criterion=True)
-        # seven candidates per chunk or pass, so every contraction is chunked
+        # seven candidates per chunk or layout pass, and five entries per
+        # d = 1 chunk, so every contraction and window sum is chunked
         monkeypatch.setattr(est, "_BLOCK_BYTES",
                             8 * 7 * est._row_floats(d, setup.grid.max_exponent))
         monkeypatch.setattr(est, "_BLOCK_ENTRIES", 7 * (setup.grid.max_exponent + 1))
+        monkeypatch.setattr(est, "_CHUNK_ENTRIES", 5)
+        if d == 1:
+            passes, chunks = window_spans(data, x[None], setup)
+            assert ((passes >= 3) & (chunks >= 6)).any()
         chunked = assert_pruned_matches_full(data, x, policy, setup)
         assert chunked.best == whole.best
         for name in ("fhat", "a_k", "a_q", "keys", "criterion"):
             got, want = getattr(chunked, name), getattr(whole, name)
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13), name
+            # at d = 1 each window is one sequential sum, whatever cuts it
+            assert d > 1 or got.tobytes() == want.tobytes(), name
         assert np.allclose(pair_matrix(chunked, setup), pair_matrix(whole, setup),
                            rtol=1e-13, atol=1e-13)
 
@@ -671,11 +711,12 @@ class TestPerAxisEngine:
 
 
 class TestBlockSelection:
-    """A grid is selected in blocks of points: at d = 1 each summed in
-    passes of at most _BLOCK_ENTRIES entries, at d >= 2 point by point,
-    reading the grid lines the points share; every record must equal the
-    one-point call's, bit for bit, whatever the block, pass and line
-    sizes."""
+    """A grid is selected in blocks of points: at d = 1 each laid out in
+    passes of at most _BLOCK_ENTRIES entries (2^15) and summed in chunks
+    of at most _CHUNK_ENTRIES (2^11), at d >= 2 point by point, reading
+    the grid lines the points share; every record must equal the
+    one-point call's, bit for bit, whatever the block, pass, chunk and
+    line sizes."""
 
     @staticmethod
     def fixture():
@@ -697,12 +738,17 @@ class TestBlockSelection:
         solo = [select_and_estimate(data, x, policy, setup, keep_criterion=keep) for x in pts]
         solo_recs = [est._select_point(data, x, policy, setup) for x in pts]
         H = setup.tables.size
-        # passes of `entries` candidates cut every window; blocks of `points` points
+        # layout passes of `entries` candidates and chunks of `entries` + 1
+        # entries cut every window; blocks of `points` points
         monkeypatch.setattr(est, "_BLOCK_ENTRIES", entries * H)
+        monkeypatch.setattr(est, "_CHUNK_ENTRIES", entries + 1)
         monkeypatch.setattr(est, "_BLOCK_PAIRS", points * setup.tables.n_keys)
         assert est._block_points(setup.grid) == points
         fits = estimate_on_grid(data, pts, policy, setup, keep_criterion=keep)
         assert max(f.counts for f in fits) > 2 * entries or entries > 300
+        if entries < 300:
+            passes, chunks = window_spans(data, pts[:points], setup)
+            assert ((passes >= 3) & (chunks >= 3)).any()
         assert fits[-3].counts == fits[-2].counts == 0
         for fit, ref in zip(fits, solo):
             assert fit.selected is ref.selected
@@ -714,9 +760,10 @@ class TestBlockSelection:
 
     def test_default_passes_give_point_records(self):
         """At the scale of a d = 1 risk replicate (n = 2048, the 65-node
-        default grid, table size 4096) and the default pass size, some
-        window spans three passes or more; every record must equal the
-        one-point call's, bit for bit."""
+        default grid, table size 4096) and the default pass and chunk
+        sizes, some window spans two layout passes or more and three
+        chunks or more; every record must equal the one-point call's,
+        bit for bit."""
         import anisokde.estimator as est
         from anisokde.densities import sample, smooth_product_density
         from anisokde.risk import default_grid
@@ -728,11 +775,8 @@ class TestBlockSelection:
         pts = default_grid(density, 65).mesh()
         recs = list(est._select_points(data, pts, policy, setup))
         assert est._block_points(setup.grid) >= len(pts)  # one block
-        # a pass takes _BLOCK_ENTRIES // (E+1) candidates; a point's scale-0
-        # window holds every candidate of the point, so more than two
-        # passes' worth of candidates spans at least three passes
-        step = est._BLOCK_ENTRIES // setup.tables.scales.size
-        assert max(rec.counts for rec in recs) > 2 * step
+        passes, chunks = window_spans(data, pts, setup)
+        assert ((passes >= 2) & (chunks >= 3)).any()
         for rec, x in zip(recs, pts):
             ref = est._select_point(data, x, policy, setup)
             assert rec.best == ref.best and rec.counts == ref.counts
@@ -850,9 +894,14 @@ class TestBlockSelection:
         truth = np.asarray(density.grid_values(plan.grid.axes()), dtype=float)
         want = plan.grid.integrate_values(
             np.abs(np.reshape(est_pts, plan.grid.shape) - truth) ** plan.p)
+        # layout passes of five candidates, chunks of seven entries
         monkeypatch.setattr(est, "_BLOCK_ENTRIES", 50)
+        monkeypatch.setattr(est, "_CHUNK_ENTRIES", 7)
         monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.n_keys)
         assert est._block_points(setup.grid) == 4
+        mesh = plan.grid.mesh()
+        spans = [window_spans(data, mesh[lo:lo + 4], setup) for lo in range(0, len(mesh), 4)]
+        assert any(((passes >= 3) & (chunks >= 3)).any() for passes, chunks in spans)
         assert risk_replicate(plan, 256, 17) == want
 
 
@@ -1211,4 +1260,26 @@ class TestLatticeMemoryGuard:
         finally:
             tracemalloc.stop()
         assert rec.counts == n
+        assert peak <= _lattice_bytes(setup.grid)
+
+    def test_d1_block_with_every_entry_in_support_stays_under_the_estimate(self):
+        import tracemalloc
+
+        from anisokde.estimator import _block_points, _lattice_bytes, _select_points
+
+        # a full block of points on one spot, every observation at it: full
+        # layout passes and chunks beside a full block's window sums and
+        # (window, stack row) key table, then a second block
+        data = build_dataset(np.zeros((128, 1)))
+        setup = make_setup(128, 1, table_size=64)
+        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
+        pts = np.zeros((_block_points(setup.grid) + 2, 1))
+        assert setup.tables.size == len(setup.grid)  # lattice tables built outside
+        tracemalloc.start()
+        try:
+            counts = [rec.counts for rec in _select_points(data, pts, policy, setup)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [128] * len(pts)
         assert peak <= _lattice_bytes(setup.grid)
