@@ -29,22 +29,23 @@ Each per-point quantity is a sum over candidates of a product of
 per-axis factors, with only E+1 scales and (E+1)(E+2)/2 (join, ratio)
 keys per axis. Each in-support (candidate, scale) entry of an axis
 takes one index and fraction into `EstimationSetup.stack`, stored node
-by node, and one gather gives all its factors (`_entry_rows`). A block
-holds at most _BLOCK_PAIRS contracted key sums, and at least one point.
-At d = 1 a block of points lays out its entries in passes of at most
-_BLOCK_ENTRIES (2^15) and adds them, in chunks of _CHUNK_ENTRIES (2^11)
-that stay in L2, in place into the (point, scale) window sums
-(`np.add.at`), bit for bit the one-point sums (`_window_sums`). At d >= 2
-each point of a block writes its sums into the block's arrays
-(`_point_tables`): per-axis (candidates x columns) matrices, contracted
-(outer products, then one GEMM), in chunks of candidates so memory
-does not grow with n. A factor of axis j depends only on the
+by node, and one gather gives all its factors (`_entry_rows`), written
+at every d to one [kernel | envelope | keys | spare] row layout
+(`_GridTables.col_map`). A block holds at most _BLOCK_PAIRS contracted
+key sums, and at least one point. At d = 1 a block of points lays out
+its entries in passes of at most _BLOCK_ENTRIES (2^15) and adds them,
+in chunks of _CHUNK_ENTRIES (2^11) that stay in L2, in place into each
+point's row (`np.add.at`), bit for bit the one-point sums
+(`_window_sums`). At d >= 2 each point of a block writes its sums into
+the block's arrays (`_point_tables`), in chunks of candidates so memory
+does not grow with n: each axis's (candidates x width) rows, written
+by one pass over its entries (`_axis_rows`), are contracted (outer
+products, then one GEMM). A factor of axis j depends only on the
 observation and on x_j, so on a tensor grid the points of one grid
 line read the same rows: an axis whose coordinate a later point shares
-takes its rows from that line's matrix, built once over every
-observation within 1 of the coordinate and kept within _LINE_BYTES
-(`_Lines`); the point's other axes take one pass over their entries,
-as a lone point does.
+takes its rows from that line's matrix, written by the same pass over
+every observation within 1 of the coordinate and kept within
+_LINE_BYTES (`_Lines`).
 A pair estimate reads the contracted keys through per-axis
 (E+1) x (E+1) tables (`_pair_read`), only for the rows the selection
 evaluates. Everything runs on one thread.
@@ -232,12 +233,6 @@ class _GridTables:
         key_at = np.where(a + b <= E, self.key_starts[b] + a, self.n_keys)  # by (scale, k)
         self.col_map = np.column_stack((a[:, 0], a[:, 0] + E + 1, key_at + 2 * (E + 1)))
         self.width = 2 * (E + 1) + self.n_keys + 1
-        # at d = 1 the sums come per (scale, stack row or |kernel|) slot;
-        # window_cols reads them as [kernel | |kernel| | envelope | keys]
-        slot = a[:, :1] * (E + 4) + np.arange(E + 3)
-        src = np.empty(self.width, dtype=np.int64)
-        src[self.col_map] = slot
-        self.window_cols = np.concatenate((src[:E + 1], slot[:, 0] + E + 3, src[E + 1:-1]))
         strides = range(grid.dim - 1, -1, -1)
         self.pair_axes = [key_of * self.n_keys ** s for s in strides]
         self.join_axes = [np.minimum(a, b) * (E + 1) ** s for s in strides]
@@ -293,8 +288,8 @@ def _row_floats(dim: int, max_exponent: int) -> int:
     index included), its per-axis matrix rows, their |kernel| copies and
     two outer-product rows of `_contract`. At d = 1, the floats one
     (candidate, scale) entry holds in a `_window_sums` chunk: its two
-    stack gathers (E+3 each) and index temporaries; its keys, from the
-    key table, take the place of the second gather."""
+    stack gathers (E+3 each), index temporaries and `np.add.at` buffer;
+    its keys, from the key table, take the place of the second gather."""
     if dim == 1:
         return 2 * (max_exponent + 3) + 10
     cols, keys = max_exponent + 1, (max_exponent + 1) * (max_exponent + 2) // 2
@@ -306,29 +301,33 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     """Peak bytes of one selection (a block of points, `_block_points`);
     the lattice tables, O(H d E) values, are not counted.
 
-    A block holds its points' sums (the P^d contracted key sums and
-    three lattice rows each, P = (E+1)(E+2)/2), counted twice since a
-    caller may still hold a record of the block before, and either the
-    work that fills them or one chunk of criterion or oracle pairs
-    (`_row_blocks`): about five 8-byte arrays of max(_BLOCK_PAIRS, H)
-    values. No (H, H) array is held. At d >= 2 a point's work is one
-    chunk's P^d key sums, the kept line matrices (_LINE_BYTES) and one
-    chunk of candidates (_BLOCK_BYTES, or one `_row_floats` row if more;
-    building a line takes less). At d = 1 it is a `_window_sums` layout
-    pass (six floats for each of _BLOCK_ENTRIES entries) and chunk
-    (_CHUNK_ENTRIES `_row_floats` rows) beside the block's window sums,
-    their scaled copy and key table. Candidate offsets, a slice of the
-    sample, are not counted, so the estimate does not depend on n.
+    A block holds its points' sums and kept criteria (the P^d contracted
+    key sums and four lattice rows each, P = (E+1)(E+2)/2), counted
+    twice since a caller may still hold a record of the block before,
+    and either the work that fills them or the criterion pass: a chunk
+    of criterion or oracle pairs (`_row_blocks`, five 8-byte arrays of
+    max(_BLOCK_PAIRS, H) values) or the block's records (about 1 KiB
+    each) and eight (point, lattice row) arrays. No (H, H) array is
+    held. At d >= 2 a point's work is one chunk's P^d key sums, the kept
+    line matrices (_LINE_BYTES) and one chunk of candidates
+    (_BLOCK_BYTES, or one `_row_floats` row if more; building a line
+    takes less). At d = 1 it is the block's key table, spare column and
+    candidate bounds beside the larger of a `_window_sums` layout pass
+    (five floats an entry and four a candidate) and a chunk (its
+    `_row_floats` rows beside its pass's windows and offsets).
+    Candidate offsets, a slice of the sample, are not counted, so the
+    estimate does not depend on n.
     """
     d, E = grid.dim, grid.max_exponent
-    keys = (E + 1) * (E + 2) // 2
-    block = _block_points(grid) * (keys ** d + 3 * len(grid))
-    pairs = 40 * max(_BLOCK_PAIRS, len(grid))
+    keys, points = (E + 1) * (E + 2) // 2, _block_points(grid)
+    block = points * (keys ** d + 4 * len(grid))
+    select = max(40 * max(_BLOCK_PAIRS, len(grid)), points * (1024 + 64 * len(grid)))
     if d == 1:
-        windows = _block_points(grid) * (E + 1) * (2 * (E + 4) + E + 3)
-        work = 6 * _BLOCK_ENTRIES + _CHUNK_ENTRIES * _row_floats(1, E) + windows
-        return 16 * block + max(8 * work, pairs)
-    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), pairs)
+        layout = 5 * _BLOCK_ENTRIES + 4 * max(1, _BLOCK_ENTRIES // (E + 1))
+        chunk = 2 * _BLOCK_ENTRIES + _CHUNK_ENTRIES * _row_floats(1, E)
+        work = points * (5 + (E + 1) * (E + 3)) + max(layout, chunk)
+        return 16 * block + max(8 * work, select)
+    chunk = max(_BLOCK_BYTES, 8 * _row_floats(d, E), select)
     return 8 * (2 * block + keys ** d + 3 * (E + 1) + keys + 1) + _LINE_BYTES + chunk
 
 
@@ -498,23 +497,24 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
     entries a pass (the worst case of `cols` scales per candidate);
     candidate y is in support at the scales 2^a with |y| 2^a <= 1, a run
     from a = 0. Each chunk of _CHUNK_ENTRIES entries of a pass adds
-    their stack rows, then their |kernel|, straight into the (window,
-    slot) sums with `np.add.at`, its keys one `take` of the (window,
-    stack row) key table; it adds in index order after the chunks
-    before, so every window is one sequential sum in candidate order
-    from +0.0, whatever the cuts. The 2^a of scale a is applied to the
-    window sums (exact for a power of two)."""
+    their stack rows straight into the point's `col_map` row of the
+    (point, width) sums, and their |kernel| into the (point, scale)
+    sums, with `np.add.at`, its keys one `take` of the (window, stack
+    row) key table; it adds in index order after the chunks before, so
+    every sum is one sequential sum in candidate order from +0.0,
+    whatever the cuts. The 2^a of scale a is applied to the sums (exact
+    for a power of two)."""
     tables = setup.tables
-    cols, rows = tables.scales.size, setup.stack.shape[0]
+    cols, width = tables.scales.size, tables.width
     edges = 1.0 / tables.scales[::-1]
     sv, x = data.sorted_vals[0], xs[:, 0]
     first = np.searchsorted(sv, x - 1.0, side="left")
     counts = np.searchsorted(sv, x + 1.0, side="right") - first
     ends = np.cumsum(counts)
     shift = first - ends + counts  # candidate c of point p is sv[c + shift[p]]
-    sums = np.zeros((x.size * cols, rows + 1))  # per window: stack rows, |kernel|
+    sums, abs_k = np.zeros((x.size, width)), np.zeros(x.size * cols)
     flat = sums.reshape(-1)
-    keys = np.arange(0, flat.size, rows + 1)[:, None] + np.arange(rows)
+    keys = ((np.arange(x.size) * width)[:, None, None] + tables.col_map).reshape(x.size * cols, -1)
     step = max(1, _BLOCK_ENTRIES // cols)
     for lo in range(0, int(ends[-1]), step):
         c = np.arange(lo, min(lo + step, int(ends[-1])))
@@ -530,60 +530,53 @@ def _window_sums(data: Dataset, xs: np.ndarray, setup: EstimationSetup):
         for at in range(0, win.size, _CHUNK_ENTRIES):
             w = win[at:at + _CHUNK_ENTRIES]
             vals = _entry_rows(ys[at:at + _CHUNK_ENTRIES], setup)
-            # raveled keys and values take numpy's fast path of `add.at`; the
-            # |kernel| slots take a call of their own, cheaper than a joined copy
+            # raveled keys and values take numpy's fast path of `add.at`
             np.add.at(flat, keys.take(w, axis=0).ravel(), vals.ravel())
-            np.add.at(flat, w * (rows + 1) + rows, np.abs(vals[:, 0]))
-            del vals  # not held while the next chunk gathers
+            np.add.at(abs_k, w, np.abs(vals[:, 0]))
+            del vals, w  # not held while the next chunk gathers or pass lays out
         del win, ys  # nor the layout while the next pass lays out
-    sums = sums.reshape(x.size, cols, rows + 1) * tables.scales[:, None]
-    avg = sums.reshape(x.size, -1)[:, tables.window_cols] / data.n
-    return [avg[:, :cols], avg[:, cols:2 * cols], avg[:, 2 * cols:3 * cols],
-            avg[:, 3 * cols:]], counts
+    col_scale = np.empty(width)
+    col_scale[tables.col_map] = tables.scales[:, None]
+    sums *= col_scale
+    sums /= data.n
+    abs_k = abs_k.reshape(x.size, cols) * tables.scales / data.n
+    return [sums[:, :cols], abs_k, sums[:, cols:2 * cols], sums[:, 2 * cols:-1]], counts
 
 
-def _entries(offs: np.ndarray, rows: np.ndarray | None,
-             setup: EstimationSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions and values of the [kernel | envelope | keys | spare]
-    row of every offset of offs (axes, candidates), each value times
-    the exact 2^a of its scale, in zeros seen as rows of
-    `_GridTables.width`: offset i (in C order) goes to row rows[i], or
-    row i if rows is None. One pass over the in-support (offset, scale)
-    entries; every value depends on its own offset only, so a row is
-    the same whatever else is filled."""
+def _axis_rows(offs: np.ndarray, setup: EstimationSetup, out: np.ndarray) -> None:
+    """Write the [kernel | envelope | keys | spare] row (`_GridTables.col_map`)
+    of every offset of offs (candidates,) on one axis into out
+    (candidates, width), C-contiguous zeros on entry: each in-support
+    (offset, scale 2^a) entry's stack rows (`_entry_rows`), times the
+    exact 2^a. A row depends on its own offset only, so it is the same
+    whatever else is filled."""
     tables = setup.tables
     cols = tables.scales.size
-    ys = offs[:, :, None] * tables.scales
+    ys = offs[:, None] * tables.scales
     entry = np.flatnonzero(np.abs(ys) <= 1.0)
     scale = entry % cols
     vals = _entry_rows(ys.take(entry), setup)
     vals *= tables.scales[scale][:, None]
     at = tables.col_map.take(scale, axis=0)
-    row = entry // cols
-    at += ((row if rows is None else rows.take(row)) * tables.width)[:, None]
-    return at, vals
+    at += (entry // cols * tables.width)[:, None]
+    out.reshape(-1)[at] = vals
 
 
-def _chunk_sums(offs: np.ndarray, setup: EstimationSetup, lines: list) -> list[np.ndarray]:
+def _chunk_sums(offs: np.ndarray, idx: np.ndarray, setup: EstimationSetup,
+                lines: list) -> list[np.ndarray]:
     """Kernel, |kernel|, envelope and key sums over one chunk of
-    candidate offsets (candidates, d), d >= 2: per-axis matrices,
-    contracted. Axis j copies its candidates' rows from lines[j], a
-    (line matrix, row of each candidate) pair, or else is filled by
-    the chunk's one `_entries` pass over every such axis."""
+    candidates, d >= 2: their offsets (candidates, d) and observation
+    indices idx. Axis j copies its candidates' rows from its line
+    lines[j] (`_Line.rows`), or else `_axis_rows` writes them; then the
+    per-axis matrices are contracted."""
     tables = setup.tables
-    cols, (k, d) = tables.scales.size, offs.shape
-    own = [j for j, line in enumerate(lines) if line is None]
-    if len(own) == d:
-        at, vals = _entries(offs.T, None, setup)
-    elif own:
-        rows = (np.array(own)[:, None] * k + np.arange(k)).ravel()
-        at, vals = _entries(offs.T[own], rows, setup)
-    mats = (np.zeros if own else np.empty)((d, k, tables.width))
+    cols = tables.scales.size
+    mats = (np.zeros if None in lines else np.empty)((len(lines), idx.size, tables.width))
     for j, line in enumerate(lines):
-        if line is not None:  # mode "clip" takes into out without a copy of it
-            line[0].take(line[1], axis=0, out=mats[j], mode="clip")
-    if own:
-        mats.reshape(-1)[at] = vals
+        if line is None:
+            _axis_rows(offs[:, j], setup, mats[j])
+        else:  # mode "clip" takes into out without a copy of it
+            line.mat.take(line.rows(idx), axis=0, out=mats[j], mode="clip")
     k_ax = mats[:, :, :cols]
     return [_contract(list(m)) for m in (k_ax, np.abs(k_ax), mats[:, :, cols:2 * cols],
                                           mats[:, :, 2 * cols:-1])]
@@ -601,19 +594,17 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: l
     on entry): estimates, absolute-kernel averages for kernel and
     envelope, and the contracted key sums that every pair estimate
     reads (`_pair_read`); returns the candidate count.
-    Per axis, each (candidate, scale 2^a) entry in support takes one
-    index and fraction into the setup's stack, and one gather gives its
-    kernel, envelope and key (a, k) (q_r table k at join scale 2^a)
-    values, times their exact 2^a; |prod k_j| = prod |k_j| gives the
-    kernel's A-hat. An axis with a line (lines[j] not None, see
-    `_Lines`) reads those rows from it instead, bit for bit the same."""
+    The candidates come in chunks of `_chunk_rows`, each passed with its
+    observation indices to `_chunk_sums`: per axis, the `_axis_rows` of
+    its offsets, or the rows of the axis's line (lines[j] not None, see
+    `_Lines`), bit for bit the same; |prod k_j| = prod |k_j| gives the
+    kernel's A-hat."""
     idx = data.box_indices(x - 1.0, x + 1.0)
     offs = data.points[idx] - x
-    at = [None if line is None else line.rows(idx) for line in lines]
     rows = _chunk_rows(setup)
     for lo in range(0, max(idx.size, 1), rows):
-        part = [None if r is None else (line.mat, r[lo:lo + rows]) for line, r in zip(lines, at)]
-        for total, chunk in zip(out, _chunk_sums(offs[lo:lo + rows], setup, part)):
+        cut = slice(lo, lo + rows)
+        for total, chunk in zip(out, _chunk_sums(offs[cut], idx[cut], setup, lines)):
             total += chunk
     for total in out:
         total /= data.n
@@ -622,9 +613,9 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: l
 
 @dataclass(eq=False)
 class _Line:
-    """The rows (`_entries`) of axis j's offsets X_ij - v of the observations
-    with |X_ij - v| <= 1, the run data.order[j][start:start + len(mat)];
-    next is the next point that reads it."""
+    """The rows (`_axis_rows`) of axis j's offsets X_ij - v of the
+    observations with |X_ij - v| <= 1, the run data.order[j][start:start
+    + len(mat)]; next is the next point that reads it."""
 
     mat: np.ndarray
     start: int
@@ -639,13 +630,14 @@ class _Lines:
     """The per-axis line matrices a block of points (d >= 2) shares.
 
     Every point whose coordinate j is v reads its candidates' axis-j rows
-    from the line (j, v), the values its own entry pass would give. A
+    from the line (j, v): one `_axis_rows` pass per chunk of the line's
+    offsets writes them, the rows the point's own pass would give. A
     line is built only when a later point reads it too, and kept while
     the kept lines fit in _LINE_BYTES; a line that the next point reads
     (the first axis of an `ij` mesh) may drop the kept lines read after
     it, latest first, to make room. A line is dropped after its last
     reader. Axes without a line, and every point that shares no
-    coordinate with a later one, take the point's own entry pass.
+    coordinate with a later one, take the point's own `_axis_rows` pass.
     """
 
     def __init__(self, data: Dataset, xs: np.ndarray, setup: EstimationSetup):
@@ -699,8 +691,7 @@ class _Lines:
         offs = sv[lo:lo + size] - v
         step = _chunk_rows(setup)
         for row in range(0, size, step):
-            at, vals = _entries(offs[None, row:row + step], None, setup)
-            mat[row:row + step].reshape(-1)[at] = vals
+            _axis_rows(offs[row:row + step], setup, mat[row:row + step])
         self.kept[j, v] = line = _Line(mat, lo, self.ranks[j], p)
         return line
 

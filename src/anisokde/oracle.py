@@ -268,13 +268,18 @@ def _majorant(a_true, kappa: float, n: int, volume):
     return np.sqrt(np.maximum(a_true, 0.0) * lam) + lam
 
 
-def _checked_point(f: TrueDensity, x, *parts) -> np.ndarray:
-    """x as a finite point of f's dimension; every kernel, bandwidth and
-    grid in parts must have that dimension too."""
+def _checked_dims(f: TrueDensity, *parts) -> None:
+    """Refuse a kernel, bandwidth or grid of another dimension than f's."""
     for part in parts:
         if part.dim != f.dim:
             raise InvalidParameterError(
                 f"{type(part).__name__} has dim {part.dim}, the density {f.dim}")
+
+
+def _checked_point(f: TrueDensity, x, *parts) -> np.ndarray:
+    """x as a finite point of f's dimension; every kernel, bandwidth and
+    grid in parts must have that dimension too."""
+    _checked_dims(f, *parts)
     return _points(x, "x", f.dim, single=True)
 
 
@@ -489,6 +494,7 @@ def bias_norm_scaling(f_family: TrueDensity, K, j: int, r_j: float, h_schedule,
     j = _index(j, "j")
     if not 0 <= j < f_family.dim:
         raise InvalidParameterError(f"axis {j} out of range for dim {f_family.dim}")
+    _checked_dims(f_family, K)
     r_j = _real(r_j, "r_j", 1.0, finite=False)
     weights, groups = _factors(f_family)
     if len(groups) < f_family.dim:

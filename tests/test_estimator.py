@@ -684,6 +684,32 @@ class TestPerAxisEngine:
         assert np.allclose(pair_matrix(chunked, setup), pair_matrix(whole, setup),
                            rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("n, ell, table_size", [(64, 1, 64), (300, 2, 65), (2048, 1, 64)])
+    def test_d1_window_sums_are_the_column_sums_of_axis_rows(self, n, ell, table_size):
+        """At d = 1 `_window_sums` adds each entry into the point's
+        [kernel | envelope | keys | spare] row, the row `_axis_rows`
+        writes for an axis at d >= 2: a point's kernel, |kernel|, envelope
+        and key sums are, byte for byte, the column sums of its
+        candidates' rows over n, the last point far from every one."""
+        import anisokde.estimator as est
+
+        rng = np.random.default_rng(157)
+        data = build_dataset(rng.normal(0.0, 0.4, size=(n, 1)))
+        setup = make_setup(n, 1, ell=ell, table_size=table_size)
+        cols = setup.tables.scales.size
+        pts = np.array([[0.1], [-0.35], [0.9], [9.0]])
+        sums, counts = est._window_sums(data, pts, setup)
+        for i, x in enumerate(pts):
+            idx = data.box_indices(x - 1.0, x + 1.0)
+            rows = np.zeros((idx.size, setup.tables.width))
+            est._axis_rows(data.points[idx, 0] - x[0], setup, rows)
+            total = rows.sum(axis=0) / n
+            want = (total[:cols], np.abs(rows[:, :cols]).sum(axis=0) / n,
+                    total[cols:2 * cols], total[2 * cols:-1])
+            assert counts[i] == idx.size and (idx.size > 0) is (i < 3)
+            for name, got, ref in zip(("kernel", "|kernel|", "envelope", "keys"), sums, want):
+                assert got[i].tobytes() == ref.tobytes(), (name, i)
+
     def test_fits_share_the_lattice_bandwidths(self):
         rng = np.random.default_rng(101)
         data = build_dataset(rng.uniform(-1, 1, size=(64, 2)))
@@ -1282,4 +1308,28 @@ class TestLatticeMemoryGuard:
         finally:
             tracemalloc.stop()
         assert counts == [128] * len(pts)
+        assert peak <= _lattice_bytes(setup.grid)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_d1_block_beside_a_held_record_stays_under_the_estimate(self, keep):
+        import tracemalloc
+
+        from anisokde.estimator import _block_points, _lattice_bytes, _select_points
+
+        # two full blocks of points on one spot, every observation at it; the
+        # caller holds the last record of the first block (its sums, and its
+        # criterion when kept) while the second is summed and selected
+        data = build_dataset(np.zeros((128, 1)))
+        setup = make_setup(128, 1, table_size=64)
+        policy = KappaPolicy(kappa=0.05, d=1, p=2.0, k_inf=setup.kernel.k_inf)
+        pts = np.zeros((2 * _block_points(setup.grid), 1))
+        assert setup.tables.size == len(setup.grid)  # lattice tables built outside
+        tracemalloc.start()
+        try:
+            for rec in _select_points(data, pts, policy, setup, keep):
+                pass  # rec holds its block while the next block is summed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.counts == 128 and (rec.criterion is None) is not keep
         assert peak <= _lattice_bytes(setup.grid)

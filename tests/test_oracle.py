@@ -15,6 +15,7 @@ from anisokde.densities import (
 )
 from anisokde.errors import InvalidParameterError
 from anisokde.estimator import KappaPolicy, kappa_default, make_setup, select_and_estimate
+from anisokde.kernels import build_product
 from anisokde.oracle import (
     assert_oracle_inequality,
     bias,
@@ -624,14 +625,16 @@ class TestMonteCarloMeans:
     DRAWS = 400
     # family-wise level of the bound, over every row and field of a case
     LEVEL = 1e-3
-    X = 0.13, -0.27
-    # case: (d, ell, table size, density, seed); x is X[:d]
+    X = 0.13, -0.27, 0.05
+    # case: (d, ell, table size, density, seed, max_exponent); x is X[:d].
+    # At d = 3 a lattice of 4^3 rows keeps each draw's pair matrix small.
     CASES = {
-        1: (1, 1, 1024, "raised_cosine", 212),
-        2: (2, 1, 1024, "raised_cosine", 213),
-        "ell2": (1, 2, 1024, "raised_cosine", 311),
-        "table1023": (1, 1, 1023, "raised_cosine", 312),
-        "mixture": (1, 1, 1024, "mixture", 313),
+        1: (1, 1, 1024, "raised_cosine", 212, None),
+        2: (2, 1, 1024, "raised_cosine", 213, None),
+        3: (3, 1, 1024, "raised_cosine", 214, 3),
+        "ell2": (1, 2, 1024, "raised_cosine", 311, None),
+        "table1023": (1, 1, 1023, "raised_cosine", 312, None),
+        "mixture": (1, 1, 1024, "mixture", 313, None),
     }
 
     @staticmethod
@@ -657,10 +660,10 @@ class TestMonteCarloMeans:
         from anisokde.estimator import _pair_read, _select_point
         from anisokde.oracle import _TrueTables
 
-        d, ell, table_size, kind, seed = TestMonteCarloMeans.CASES[case]
+        d, ell, table_size, kind, seed, top = TestMonteCarloMeans.CASES[case]
         f = TestMonteCarloMeans.density(kind, d)
         x = np.array(TestMonteCarloMeans.X[:d])
-        setup = make_setup(256, d, ell=ell, table_size=table_size)
+        setup = make_setup(256, d, ell=ell, table_size=table_size, max_exponent=top)
         policy = KappaPolicy(kappa=0.05, d=d, p=2.0, k_inf=setup.kernel.k_inf)
         key = setup.tables.every_pair[0]
         rng = np.random.default_rng(seed)
@@ -684,18 +687,19 @@ class TestMonteCarloMeans:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_sums_are_unbiased(self, case):
-        # largest |z| at these seeds: 2.2 (d = 1), 2.9 (d = 2), 0.9 (ell2),
-        # 2.2 (table1023) and 1.3 (mixture), against 4.4 (d = 1) and 5.3 (d = 2)
+        # largest |z| at these seeds: 2.2 (d = 1), 2.9 (d = 2), 2.3 (d = 3),
+        # 0.9 (ell2), 2.2 (table1023) and 1.3 (mixture), against 4.4 (d = 1),
+        # 5.3 (d = 2) and 5.2 (d = 3)
         z, bound = self.z_scores(case)
         assert max(z.values()) < bound, (z, bound)
 
     @pytest.mark.parametrize("field, name, case", [
         pytest.param(field, name, case, id=f"{fault}-{case}") for case in CASES
         for field, name, fault in ((0, "fhat", "fhat"), (2, "a_q", "a_q"), (3, "pair", "keys"))
-        if case in (1, 2) or fault == "keys"])
+        if case in (1, 2, 3) or fault == "keys"])
     def test_a_gross_fault_fails(self, monkeypatch, field, name, case):
         """Every fhat, a_q or key sum of the selector scaled by 1.05 (the
-        key sums only, beyond d = 1 and 2): the check must fail, on that
+        key sums only, beyond d = 1, 2 and 3): the check must fail, on that
         field (z 11-66 at these seeds)."""
         import anisokde.estimator as est
 
@@ -972,7 +976,7 @@ class TestBiasNormScaling:
         assert rep.r == np.inf
         assert rep.slope == pytest.approx(2.0, abs=0.2)
 
-    def test_validation(self, rc1):
+    def test_validation(self, rc1, rc2):
         setup = make_setup(8, 1)
         with pytest.raises(InvalidParameterError):
             bias_norm_scaling(rc1, setup.kernel, 0, 2.0, (0.5, 0.25))
@@ -980,6 +984,10 @@ class TestBiasNormScaling:
             bias_norm_scaling(rc1, setup.kernel, 1, 2.0, (0.5, 0.25, 0.125))
         with pytest.raises(InvalidParameterError):
             bias_norm_scaling(rc1, setup.kernel, 0, 0.5, (0.5, 0.25, 0.125))
+        # a kernel of another dimension than the density's gave a slope
+        kernel3 = build_product(setup.kernel.factor, 3)
+        with pytest.raises(InvalidParameterError, match="ProductKernel has dim 3, the density 2"):
+            bias_norm_scaling(rc2, kernel3, 0, 2.0, (1 / 8, 1 / 16, 1 / 32), grid_nodes=17)
 
     @pytest.mark.parametrize("h_schedule, grid_nodes, match", [
         ((1 / 8, 1 / 16, float("inf")), 129, "h_schedule"),
