@@ -537,7 +537,7 @@ def cmd_regime(config_path, seed, threads, out_flag, header):
 @_run_options
 def cmd_lowerbound(config_path, seed, threads, out_flag, header):
     """Build a packing and a perturbed hard density; write a slice."""
-    from .densities import build_perturbed, flat_top_density, vg_packing
+    from .densities import _wiggle_counts, build_perturbed, flat_top_density, vg_packing
 
     resolved = _resolve(load_config(config_path), "lowerbound", seed)
     run = _Run(resolved, "lowerbound", out_flag)
@@ -547,7 +547,7 @@ def cmd_lowerbound(config_path, seed, threads, out_flag, header):
         # lowerbound.json records N and kappa_scale as floats; no constructor returns them
         N, kappa_scale, sigma = float(sec["N"]), float(sec["kappa_scale"]), tuple(sec["sigma"])
         base = flat_top_density(N, dim, kappa_scale)
-        counts = tuple(int(round(N / (20.0 * kappa_scale * s))) for s in sigma)
+        counts = _wiggle_counts(N, sigma, kappa_scale, dim)
         rng = np.random.default_rng(resolved["seed"])
         packing = vg_packing(math.prod(counts), rng)
         w = packing.members[0]

@@ -61,13 +61,6 @@ def _profile_tables() -> tuple[np.ndarray, float, np.ndarray]:
     return grid, 1.0 / total, cdf
 
 
-def __getattr__(name: str):
-    # the normalizer is computed with the profile tables, on first use
-    if name == "BUMP_NORMALIZER":
-        return _profile_tables()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def bump(t) -> np.ndarray:
     """Normalized smooth bump on [-1, 1]: all derivatives vanish at the edges."""
     return _profile_tables()[1] * _raw_bump(t)
@@ -86,14 +79,6 @@ def g_profile(t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     return bump_cdf(1.0 - t) - 2.0 * bump_cdf(-t) + bump_cdf(-1.0 - t)
-
-
-def g_lp_norm(p: float, nodes: int = (1 << 15) + 1) -> float:
-    """L_p norm of the wiggle profile by high-resolution trapezoid."""
-    p = _real(p, "p", 1.0)
-    xs = np.linspace(-2.0, 2.0, _index(nodes, "nodes", 2))
-    vals = np.abs(g_profile(xs)) ** p
-    return float(np.trapezoid(vals, xs) ** (1.0 / p))
 
 
 @cache
@@ -253,14 +238,20 @@ class PackingSet:
         return self.members.shape[0]
 
 
-def _verify_packing(m: int, members: np.ndarray) -> int:
-    """The least pairwise Hamming distance (m for a single member), once
-    the size and distance bounds are checked."""
-    count = members.shape[0]
+def _hamming(packed: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Hamming distances from one np.packbits row to each row of packed."""
+    return np.bitwise_count(packed ^ row).sum(axis=-1)
+
+
+def _verify_packing(m: int, packed: np.ndarray) -> int:
+    """The least pairwise Hamming distance (m for a single member) of the
+    np.packbits rows, each compared with the later ones, once the size
+    and distance bounds are checked."""
+    count = packed.shape[0]
     if count < 2 ** (m / 8.0) - 1e-9:
         raise VerificationError(f"packing has {count} members, needs >= 2^(m/8)")
-    diff = (members[:, None, :] != members[None, :, :]).sum(axis=2)
-    least = int(diff[~np.eye(count, dtype=bool)].min(initial=m))
+    least = min((int(_hamming(packed[i + 1:], packed[i]).min()) for i in range(count - 1)),
+                default=m)
     if least < m / 8.0:
         raise VerificationError(f"packing pair at Hamming distance {least} < m/8")
     return least
@@ -270,33 +261,36 @@ def vg_packing(m: int, rng: np.random.Generator) -> PackingSet:
     """Randomized greedy packing of {0,1}^m at Hamming distance m/8.
 
     Existence is guaranteed in theory; the greedy draw is a
-    construction choice, verified exhaustively before return. That
-    check holds one byte per (member pair, bit) and about 17 more per
-    pair, so an m whose check would pass MAX_LATTICE_BYTES is refused
-    before any draw.
+    construction choice, verified exhaustively before return. Both
+    compare members as packed bits, ceil(m/8) bytes each, so an m whose
+    member pairs pass MAX_LATTICE_BYTES is refused before any draw.
     """
     m = _index(m, "m", 8)
-    target = int(np.ceil(2 ** (m / 8.0)))
-    need = target ** 2 * (m + 17)
+    with np.errstate(over="ignore"):  # inf from m = 4096 on, and refused
+        target = np.ceil(np.exp2(m / 8.0))
+        need = target ** 2 * -(-m // 8)
     if need > MAX_LATTICE_BYTES:
         raise InvalidParameterError(
-            f"a packing of {{0,1}}^{m} has {target} members, and checking it needs about "
+            f"a packing of {{0,1}}^{m} has {target:.0f} members, and checking it needs about "
             f"{need / 2**30:.3g} GiB (MAX_LATTICE_BYTES is {MAX_LATTICE_BYTES / 2**30:.1f} "
             f"GiB); lower m (fewer wiggles)")
+    target = int(target)
     min_dist = m / 8.0
     budget = 200 * target
-    accepted = np.zeros((0, m), dtype=np.uint8)
-    draws = 0
-    while accepted.shape[0] < target and draws < budget:
-        cand = rng.integers(0, 2, size=m, dtype=np.uint8)
+    packed = np.zeros((target, -(-m // 8)), dtype=np.uint8)
+    count = draws = 0
+    while count < target and draws < budget:
+        row = np.packbits(rng.integers(0, 2, size=m, dtype=np.uint8))
         draws += 1
-        if accepted.shape[0] == 0 or (accepted != cand[None, :]).sum(axis=1).min() >= min_dist:
-            accepted = np.vstack([accepted, cand[None, :]])
-    if accepted.shape[0] < target:
+        if _hamming(packed[:count], row).min(initial=m) >= min_dist:
+            packed[count] = row
+            count += 1
+    if count < target:
         raise ConstructionFailureError(
-            f"packing stalled at {accepted.shape[0]}/{target} after {draws} draws; retry with a new seed"
+            f"packing stalled at {count}/{target} after {draws} draws; retry with a new seed"
         )
-    return PackingSet(m=m, members=accepted, min_distance=_verify_packing(m, accepted))
+    return PackingSet(m=m, members=np.unpackbits(packed, axis=1, count=m),
+                      min_distance=_verify_packing(m, packed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,6 +331,25 @@ class PerturbedDensity(TrueDensity):
         return float(vals[0]) if x.ndim == 1 else vals
 
 
+def _wiggle_counts(N: float, sigma, kappa_scale: float, dim: int) -> tuple[int, ...]:
+    """The wiggle counts N/(20*kappa_scale*sigma[l]), one per axis, each a
+    positive integer with sigma[l] <= 1/(20*kappa_scale)."""
+    if len(sigma) != dim:
+        raise InvalidParameterError(f"sigma must have length {dim}, got {len(sigma)}")
+    counts = []
+    for l, s in enumerate(sigma):
+        if s > 1.0 / (20.0 * kappa_scale) + 1e-15:
+            raise InvalidParameterError(f"violated: sigma[{l}] <= 1/(20*kappa_scale) (got {s!r})")
+        m_real = N / (20.0 * kappa_scale * s)
+        m_int = round(m_real)
+        if abs(m_real - m_int) > 1e-9 or m_int < 1:
+            raise InvalidParameterError(
+                f"violated: N/(20*kappa_scale*sigma[{l}]) must be a positive integer (got {m_real!r})"
+            )
+        counts.append(m_int)
+    return tuple(counts)
+
+
 def build_perturbed(N: float, sigma, A: float, w, dim: int,
                     kappa_scale: float = 1.0) -> PerturbedDensity:
     """Attach a w-indexed grid of wiggles to the flat-top plateau.
@@ -351,22 +364,7 @@ def build_perturbed(N: float, sigma, A: float, w, dim: int,
     sigma = tuple(_real(s, "sigma", above=0.0) for s in (sigma if np.ndim(sigma) else (sigma,)))
     A = _real(A, "A", above=0.0)
     label = f"perturbed(N={N}, A={A}, dim={dim})"
-    if len(sigma) != dim:
-        raise InvalidParameterError(f"sigma must have length {dim}, got {len(sigma)}")
-    counts = []
-    for l, s in enumerate(sigma):
-        if s > 1.0 / (20.0 * kappa_scale) + 1e-15:
-            raise InvalidParameterError(
-                f"violated: sigma[{l}] <= 1/(20*kappa_scale) (got {s!r})"
-            )
-        m_real = N / (20.0 * kappa_scale * s)
-        m_int = round(m_real)
-        if abs(m_real - m_int) > 1e-9 or m_int < 1:
-            raise InvalidParameterError(
-                f"violated: N/(20*kappa_scale*sigma[{l}]) must be a positive integer (got {m_real!r})"
-            )
-        counts.append(int(m_int))
-    counts = tuple(counts)
+    counts = _wiggle_counts(N, sigma, kappa_scale, dim)
     plateau = (kappa_scale / N) ** dim
     if A > plateau + 1e-15:
         raise InvalidParameterError(

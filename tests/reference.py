@@ -9,7 +9,8 @@ the oracle's smoothed bias, by a route the package no longer takes.
 `reference_true_tables` builds the oracle's true tables by one
 quadrature per quantity, each evaluating f again on its own rows; the
 package evaluates f once per smoothing scale and must give the same
-bits on product-form densities.
+bits on product-form densities. `g_lp_norm` is the wiggle profile's
+L_p norm, which the hard-density identities are checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from anisokde.bandwidths import Bandwidth
-from anisokde.errors import InvalidParameterError
+from anisokde.densities import g_profile
+from anisokde.errors import InvalidParameterError, _index, _real
 from anisokde.estimator import select_and_estimate
 from anisokde.kernels import ProductKernel, convolve_ratio
 from anisokde.quadrature import mesh_points, trapezoid_rule
@@ -135,6 +137,15 @@ def eval_double_smoothing(f, K: ProductKernel, h: Bandwidth, eta: Bandwidth, x,
         t = x[j] - h.values[j] * us[:, None] - eta.values[j] * us[None, :]
         out *= float(w @ marg.pdf(t) @ w)
     return out
+
+
+def g_lp_norm(p: float, nodes: int = (1 << 15) + 1) -> float:
+    """L_p norm of the wiggle profile by high-resolution trapezoid; p and
+    nodes are refused by the package's own scalar rules."""
+    p = _real(p, "p", 1.0)
+    xs = np.linspace(-2.0, 2.0, _index(nodes, "nodes", 2))
+    vals = np.abs(g_profile(xs)) ** p
+    return float(np.trapezoid(vals, xs) ** (1.0 / p))
 
 
 def _ref_factors(f):

@@ -767,16 +767,64 @@ class TestLowerboundCommand:
         assert not out.exists()
 
     def test_packing_too_big_to_check_is_refused_at_once(self, tmp_path, capsys):
-        # 32 x 16 wiggles: a packing of {0,1}^512 with 2^64 members
-        doc = {"lowerbound": {"N": 32, "dim": 2, "sigma": [0.05, 0.1],
-                              "amplitude": 0.0001, "slice_nodes": 33}}
+        # packings of {0,1}^m with 2^(m/8) members, m = 121, 1024, 729, 4096
+        # and 9261; from m = 4096 the pair count leaves the float range
+        for N, dim in [(11, 2), (32, 2), (9, 3), (16, 3), (21, 3)]:
+            doc = {"lowerbound": {"N": N, "dim": dim, "sigma": [0.05] * dim,
+                                  "amplitude": 1e-5, "slice_nodes": 33}}
+            out = tmp_path / "o"
+            t0 = time.perf_counter()
+            code = main(["lowerbound", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)])
+            assert time.perf_counter() - t0 < 1.0
+            err = capsys.readouterr().err
+            assert code == 1 and "config error" in err and "MAX_LATTICE_BYTES" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("N, dim, sigma, rule", [
+        # sigma = 0.5 gives 1.6 wiggles, which rounded to a packing of {0,1}^2
+        (16, 1, [0.5], "violated: sigma[0] <= 1/(20*kappa_scale)"),
+        # 10.42 wiggles on axis 0, refused before a 5793-member packing is drawn
+        (10, 2, [0.048, 0.05], "violated: N/(20*kappa_scale*sigma[0]) must be a positive integer"),
+    ])
+    def test_sigma_is_checked_before_the_packing(self, tmp_path, capsys, monkeypatch,
+                                                 N, dim, sigma, rule):
+        monkeypatch.setattr("anisokde.densities.vg_packing",
+                            lambda *args: pytest.fail("the packing was drawn"))
+        doc = {"lowerbound": {"N": N, "dim": dim, "sigma": sigma, "amplitude": 0.001}}
         out = tmp_path / "o"
-        t0 = time.perf_counter()
         code = main(["lowerbound", "--config", write_config(tmp_path, doc), "--out", str(out)])
-        assert time.perf_counter() - t0 < 1.0
-        err = capsys.readouterr().err
-        assert code == 1 and "config error" in err and "MAX_LATTICE_BYTES" in err
+        assert code == 1 and rule in capsys.readouterr().err
         assert not out.exists()
+
+    def test_largest_checked_packing_at_dim_2_runs(self, tmp_path):
+        # N = 10: 10 x 10 wiggles, a packing of {0,1}^100; N = 11 is refused
+        doc = {"lowerbound": {"N": 10, "dim": 2, "sigma": [0.05, 0.05],
+                              "amplitude": 0.005, "slice_nodes": 33}}
+        out = tmp_path / "run"
+        assert main(["lowerbound", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        packing = read_json(out, "lowerbound.json")["packing"]
+        assert packing == {"m": 100, "size": 5793, "min_hamming_distance": 25}
+
+    # sha256 of each output as written when the packing check compared bytes
+    HASHES = {
+        1: {"lowerbound.json": "d135ab886cb2961ccac0a8d373496dbca2ae1aad88b774198466b4689394af26",
+            "plot/fw_slice.dat": "d951cd40b76fddd1d78b561639ef652dfe797428d8c767d1babbd8cd6ac34ae2"},
+        2: {"lowerbound.json": "c568550ed7810054a723a6c3e438139dc798e79a93f8e0b20baac354ba384917",
+            "plot/fw_slice.dat": "21f551fed730e3b1de86381702dd3d2e915e913791c281ca01ee7c23d5e60da0"},
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_outputs_keep_their_bytes(self, tmp_path, dim, threads):
+        doc = self.CONFIG if dim == 1 else {
+            "seed": 0, "lowerbound": {"N": 9, "dim": 2, "sigma": [0.05, 0.05],
+                                      "amplitude": 0.01, "slice_nodes": 65}}
+        out = tmp_path / "run"
+        assert main(["lowerbound", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--threads", threads]) == 0
+        assert read_json(out, "manifest.json")["outputs"] == self.HASHES[dim]
 
     def test_oversized_sigma_is_a_config_error(self, tmp_path, capsys):
         doc = {"lowerbound": {"N": 16, "dim": 1, "sigma": [0.5],

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from anisokde.densities import (
-    BUMP_NORMALIZER,
     TrueDensity,
+    _hamming,
+    _profile_tables,
+    _verify_packing,
     build_f_theta,
     build_perturbed,
     bump,
     bump_cdf,
     flat_top_density,
-    g_lp_norm,
     g_profile,
     sample,
     smooth_product_density,
@@ -25,6 +26,7 @@ from anisokde.errors import (
     VerificationError,
 )
 from anisokde.quadrature import GridSpec
+from reference import g_lp_norm
 
 KS_99 = 1.627  # one-sample Kolmogorov-Smirnov critical value at the 1% level
 
@@ -47,7 +49,7 @@ class TestBumpProfile:
         xs = np.linspace(-1, 1, 500001)
         raw = np.exp(-1.0 / (1.0 - xs[1:-1] ** 2))
         total = np.trapezoid(raw, xs[1:-1])
-        assert BUMP_NORMALIZER == pytest.approx(1.0 / total, rel=1e-8)
+        assert _profile_tables()[1] == pytest.approx(1.0 / total, rel=1e-8)
 
     def test_support_edges(self):
         assert np.array_equal(bump([-1.0, 1.0, -2.0, 3.0]), np.zeros(4))
@@ -68,7 +70,7 @@ class TestBumpProfile:
         vals[inside] = np.exp(-1.0 / (1.0 - grid[inside] ** 2))
         dx = grid[1] - grid[0]
         cdf = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * (0.5 * dx))])
-        assert BUMP_NORMALIZER == 1.0 / cdf[-1]
+        assert _profile_tables()[1] == 1.0 / cdf[-1]
         ts = np.linspace(-1.2, 1.2, 10001)
         assert np.array_equal(bump_cdf(ts), np.interp(ts, grid, cdf / cdf[-1]))
         t = grid[1:-1]
@@ -184,9 +186,33 @@ class TestPacking:
         with pytest.raises(InvalidParameterError):
             vg_packing(7, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("m", [93, 512])
+    @pytest.mark.parametrize("m", [81, 100])
+    def test_packed_distances_equal_bytewise_counts(self, m):
+        # m is not a multiple of 8, so the last packed byte carries padding
+        members = np.random.default_rng(m).integers(0, 2, size=(300, m), dtype=np.uint8)
+        packed = np.packbits(members, axis=1)
+        for i in range(members.shape[0]):
+            assert np.array_equal(_hamming(packed, packed[i]),
+                                  (members != members[i]).sum(axis=1))
+
+    def test_packed_check_finds_one_close_pair(self):
+        members = vg_packing(40, np.random.default_rng(1)).members.copy()
+        assert _verify_packing(40, np.packbits(members, axis=1)) >= 5
+        members[7] = members[3]
+        members[7, 0] ^= 1  # distance 1 to member 3, and >= 4 to the rest
+        with pytest.raises(VerificationError, match="distance 1 < m/8"):
+            _verify_packing(40, np.packbits(members, axis=1))
+
+    def test_largest_checked_packing_runs(self):
+        # m = 104: 8192 members, 8192^2 * 13 bytes of packed pairs
+        pack = vg_packing(104, np.random.default_rng(0))
+        assert len(pack) == 8192 and pack.min_distance >= 13
+
+    @pytest.mark.parametrize("m", [105, 121, 512, 4096, 9261])
     def test_packing_too_big_to_check_is_refused_before_drawing(self, m):
-        # 2^(93/8) = 3159 members: about 1.02 GiB of pair comparisons
+        # 2^(105/8) -> 8928 members: 8928^2 pairs of 14 packed bytes, about
+        # 1.04 GiB; from m = 4096 the pair count passes the float range, and
+        # from m = 8192 the member count too
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(InvalidParameterError, match="MAX_LATTICE_BYTES"):

@@ -23,7 +23,6 @@ from anisokde.densities import (
     build_f_theta,
     build_perturbed,
     flat_top_density,
-    g_lp_norm,
     sample,
     smooth_product_density,
     strong_maximal,
@@ -58,6 +57,7 @@ from anisokde.oracle import (
 from anisokde.quadrature import GridSpec, trapezoid_rule
 from anisokde.regimes import ClassSpec, TailSpec, classify, classify_tail, embedding, theta_star
 from anisokde.risk import ExperimentPlan, default_grid, lp_norm_on_grid, oracle_gap
+from reference import g_lp_norm
 
 NOT_INTEGERS = [float("nan"), float("inf"), None, 2.0, np.float64(2), True, "3"]
 
@@ -111,6 +111,7 @@ SITES = {
         c.rc1, c.setup.kernel, v, 2.0, (1 / 4, 1 / 8, 1 / 16), nodes=17, grid_nodes=17), 0),
     "estimate_on_grid.threads": ("threads", lambda c, v: estimate_on_grid(
         c.data, [[0.0]], c.policy, c.setup, threads=v), 3),
+    # the reference L_p norm of the wiggle profile takes the package's rules
     "g_lp_norm.nodes": ("nodes", lambda c, v: g_lp_norm(2.0, v), 65),
     "Tabulated1D.moment": ("k", lambda c, v: c.composite.profile.moment(v), 1),
     "PerturbedDensity.pi": ("m_index entry", lambda c, v: c.perturbed.pi((v,)), 1),
