@@ -44,8 +44,11 @@ products, then one GEMM). A factor of axis j depends only on the
 observation and on x_j, so on a tensor grid the points of one grid
 line read the same rows: an axis whose coordinate a later point shares
 takes its rows from that line's matrix, written by the same pass over
-every observation within 1 of the coordinate and kept within
-_LINE_BYTES (`_Lines`).
+every observation within 1 of the coordinate and kept, with its map
+from observation to row, within _LINE_BYTES (`_Lines`). At d = 2 a line
+is kept in its other axis's order, so a point with both lines makes no
+box query: its candidates are one slice of one line, read as a view,
+and one gather from the other.
 A pair estimate reads the contracted keys through per-axis
 (E+1) x (E+1) tables (`_pair_read`), only for the rows the selection
 evaluates. Everything runs on one thread.
@@ -309,7 +312,7 @@ def _lattice_bytes(grid: BandwidthGrid) -> int:
     max(_BLOCK_PAIRS, H) values) or the block's records (about 1 KiB
     each) and eight (point, lattice row) arrays. No (H, H) array is
     held. At d >= 2 a point's work is one chunk's P^d key sums, the kept
-    line matrices (_LINE_BYTES) and one chunk of candidates
+    line matrices and their maps (_LINE_BYTES) and one chunk of candidates
     (_BLOCK_BYTES, or one `_row_floats` row if more; building a line
     takes less). At d = 1 it is the block's key table, spare column and
     candidate bounds beside the larger of a `_window_sums` layout pass
@@ -562,24 +565,27 @@ def _axis_rows(offs: np.ndarray, setup: EstimationSetup, out: np.ndarray) -> Non
     out.reshape(-1)[at] = vals
 
 
-def _chunk_sums(offs: np.ndarray, idx: np.ndarray, setup: EstimationSetup,
-                lines: list) -> list[np.ndarray]:
-    """Kernel, |kernel|, envelope and key sums over one chunk of
-    candidates, d >= 2: their offsets (candidates, d) and observation
-    indices idx. Axis j copies its candidates' rows from its line
-    lines[j] (`_Line.rows`), or else `_axis_rows` writes them; then the
+def _chunk_sums(axes: list, cut: slice, setup: EstimationSetup) -> list[np.ndarray]:
+    """Kernel, |kernel|, envelope and key sums over the candidates cut of
+    a point, d >= 2. axes[j] gives axis j's rows: (mat, None) reads them
+    as a view of mat, (mat, rows) gathers mat's rows, and (None, offs)
+    has `_axis_rows` write the rows of the offsets offs; then the
     per-axis matrices are contracted."""
     tables = setup.tables
     cols = tables.scales.size
-    mats = (np.zeros if None in lines else np.empty)((len(lines), idx.size, tables.width))
-    for j, line in enumerate(lines):
-        if line is None:
-            _axis_rows(offs[:, j], setup, mats[j])
-        else:  # mode "clip" takes into out without a copy of it
-            line.mat.take(line.rows(idx), axis=0, out=mats[j], mode="clip")
-    k_ax = mats[:, :, :cols]
-    return [_contract(list(m)) for m in (k_ax, np.abs(k_ax), mats[:, :, cols:2 * cols],
-                                          mats[:, :, 2 * cols:-1])]
+    mats = []
+    for mat, at in axes:
+        if mat is None:
+            offs = at[cut]
+            mat = np.zeros((offs.size, tables.width))
+            _axis_rows(offs, setup, mat)
+        else:
+            mat = mat[cut] if at is None else mat.take(at[cut], axis=0)
+        mats.append(mat)
+    k_ax = [mat[:, :cols] for mat in mats]
+    return [_contract(m) for m in (k_ax, [np.abs(k) for k in k_ax],
+                                   [mat[:, cols:2 * cols] for mat in mats],
+                                   [mat[:, 2 * cols:-1] for mat in mats])]
 
 
 def _chunk_rows(setup: EstimationSetup) -> int:
@@ -594,36 +600,64 @@ def _point_tables(data: Dataset, x: np.ndarray, setup: EstimationSetup, lines: l
     on entry): estimates, absolute-kernel averages for kernel and
     envelope, and the contracted key sums that every pair estimate
     reads (`_pair_read`); returns the candidate count.
-    The candidates come in chunks of `_chunk_rows`, each passed with its
-    observation indices to `_chunk_sums`: per axis, the `_axis_rows` of
-    its offsets, or the rows of the axis's line (lines[j] not None, see
-    `_Lines`), bit for bit the same; |prod k_j| = prod |k_j| gives the
-    kernel's A-hat."""
-    idx = data.box_indices(x - 1.0, x + 1.0)
-    offs = data.points[idx] - x
+
+    A d = 2 point with both lines (see `_Lines`) takes the thinnest axis
+    j of `box_indices` (the smaller line, axis 0 on a tie): line 1 - j,
+    kept in data.order[j], holds the point's candidates in box order as
+    the one slice whose ranks fall in line j's run. Axis 1 - j's rows
+    are a view of that slice, and axis j's one gather through line j's
+    map. Any other point takes `box_indices`; an axis with a line
+    gathers its rows (`_Line.rows`), one without writes the `_axis_rows`
+    of its offsets, bit for bit the same rows. The candidates come in
+    chunks of `_chunk_rows`, each contracted by `_chunk_sums`;
+    |prod k_j| = prod |k_j| gives the kernel's A-hat."""
+    if len(lines) == 2 and None not in lines:
+        j = int(len(lines[1].mat) < len(lines[0].mat))
+        near, far = lines[j], lines[1 - j]
+        lo, hi = far.ranks.searchsorted((near.start, near.start + len(near.mat)))
+        axes = [None, None]
+        axes[1 - j] = far.mat[lo:hi], None
+        axes[j] = near.mat, near.pos.take(far.ranks[lo:hi] - near.start)
+        count = int(hi - lo)
+    else:
+        idx = data.box_indices(x - 1.0, x + 1.0)
+        offs = data.points[idx] - x
+        axes = [(None, offs[:, j]) if line is None else (line.mat, line.rows(idx))
+                for j, line in enumerate(lines)]
+        count = int(idx.size)
     rows = _chunk_rows(setup)
-    for lo in range(0, max(idx.size, 1), rows):
-        cut = slice(lo, lo + rows)
-        for total, chunk in zip(out, _chunk_sums(offs[cut], idx[cut], setup, lines)):
+    for at in range(0, max(count, 1), rows):
+        for total, chunk in zip(out, _chunk_sums(axes, slice(at, at + rows), setup)):
             total += chunk
     for total in out:
         total /= data.n
-    return int(idx.size)
+    return count
 
 
 @dataclass(eq=False)
 class _Line:
-    """The rows (`_axis_rows`) of axis j's offsets X_ij - v of the
-    observations with |X_ij - v| <= 1, the run data.order[j][start:start
-    + len(mat)]; next is the next point that reads it."""
+    """Line (j, v): the rows (`_axis_rows`) of axis j's offsets X_ij - v
+    of the observations with |X_ij - v| <= 1, the run
+    data.order[j][start:start + len(mat)], kept in data.order[o] for the
+    next axis o = (j + 1) mod d (the other axis at d = 2). ranks holds
+    the rows' places in data.order[o], ascending, and the map pos the
+    row of each observation of the run, by its place in the run; next
+    is the next point that reads it."""
 
     mat: np.ndarray
     start: int
+    ranks: np.ndarray
+    pos: np.ndarray
     rank: np.ndarray  # rank[i]: the place of observation i in data.order[j]
     next: int
 
+    @property
+    def nbytes(self) -> int:
+        return self.mat.nbytes + self.ranks.nbytes + self.pos.nbytes
+
     def rows(self, idx: np.ndarray) -> np.ndarray:
-        return self.rank.take(idx) - self.start
+        """The rows of the observations idx, each in the run."""
+        return self.pos.take(self.rank.take(idx) - self.start)
 
 
 class _Lines:
@@ -631,13 +665,16 @@ class _Lines:
 
     Every point whose coordinate j is v reads its candidates' axis-j rows
     from the line (j, v): one `_axis_rows` pass per chunk of the line's
-    offsets writes them, the rows the point's own pass would give. A
-    line is built only when a later point reads it too, and kept while
-    the kept lines fit in _LINE_BYTES; a line that the next point reads
-    (the first axis of an `ij` mesh) may drop the kept lines read after
-    it, latest first, to make room. A line is dropped after its last
-    reader. Axes without a line, and every point that shares no
-    coordinate with a later one, take the point's own `_axis_rows` pass.
+    offsets writes them, the rows the point's own pass would give. At
+    d = 2 each line is kept in its other axis's order, so a point with
+    both lines reads one slice of one and one gather from the other
+    (`_point_tables`). A line is built only when a later point reads it
+    too, and kept while the kept lines and their maps fit in
+    _LINE_BYTES; a line that the next point reads (the first axis of an
+    `ij` mesh) may drop the kept lines read after it, latest first, to
+    make room. A line is dropped after its last reader. Axes without a
+    line, and every point that shares no coordinate with a later one,
+    take the point's own `_axis_rows` pass.
     """
 
     def __init__(self, data: Dataset, xs: np.ndarray, setup: EstimationSetup):
@@ -670,29 +707,34 @@ class _Lines:
     def _build(self, j: int, v: float, p: int, nxt: int) -> _Line | None:
         """The line (j, v) for point p, whose next reader is nxt, or None
         if it does not fit."""
-        sv, setup = self.data.sorted_vals[j], self.setup
+        data, setup = self.data, self.setup
+        sv = data.sorted_vals[j]
         lo = int(np.searchsorted(sv, v - 1.0, side="left"))
         size = int(np.searchsorted(sv, v + 1.0, side="right")) - lo
-        need = 8 * size * setup.tables.width
-        used = sum(line.mat.nbytes for line in self.kept.values())
+        need = size * (8 * setup.tables.width + 16)  # the matrix, ranks and map
+        used = sum(line.nbytes for line in self.kept.values())
         if used + need > _LINE_BYTES and nxt == p + 1:
             for key in sorted(self.kept, key=lambda key: self.kept[key].next, reverse=True):
                 if used + need <= _LINE_BYTES or self.kept[key].next <= nxt:
                     break
-                used -= self.kept.pop(key).mat.nbytes
+                used -= self.kept.pop(key).nbytes
         if used + need > _LINE_BYTES:
             return None
         if not self.ranks:
-            for order in self.data.order:
+            for order in data.order:
                 rank = np.empty(order.size, dtype=np.int64)
                 rank[order] = np.arange(order.size)
                 self.ranks.append(rank)
+        run = self.ranks[(j + 1) % data.dim].take(data.order[j][lo:lo + size])
+        perm = run.argsort()
+        pos = np.empty(size, dtype=np.int64)
+        pos[perm] = np.arange(size)
         mat = np.zeros((size, setup.tables.width))
-        offs = sv[lo:lo + size] - v
+        offs = sv[lo:lo + size].take(perm) - v
         step = _chunk_rows(setup)
         for row in range(0, size, step):
             _axis_rows(offs[row:row + step], setup, mat[row:row + step])
-        self.kept[j, v] = line = _Line(mat, lo, self.ranks[j], p)
+        self.kept[j, v] = line = _Line(mat, lo, run.take(perm), pos, self.ranks[j], p)
         return line
 
 

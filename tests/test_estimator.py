@@ -871,6 +871,114 @@ class TestBlockSelection:
         else:
             assert (0 < sum(used) < shared) if budget == "some" else sum(used) == shared
 
+    @staticmethod
+    def spy_box_queries(monkeypatch):
+        """Count the `box_indices` calls from here on."""
+        import anisokde.estimator as est
+
+        queries, box_indices = [], est.Dataset.box_indices
+
+        def spy(data, lo, hi):
+            queries.append(lo)
+            return box_indices(data, lo, hi)
+
+        monkeypatch.setattr(est.Dataset, "box_indices", spy)
+        return queries
+
+    @pytest.mark.parametrize("budget", ["none", "some", "every"])
+    def test_lines_at_box_edges_ties_and_duplicates(self, monkeypatch, budget):
+        """A d = 2 point with both lines reads its candidates as a slice
+        of one line: observations exactly at x_j +- 1, duplicated
+        observations, and symmetric data, on which the two lines tie at
+        diagonal points and the thinner one flips across the mesh. Every
+        record must equal the one-point call's, bit for bit, with
+        candidates in chunks of seven."""
+        import anisokde.estimator as est
+
+        rng = np.random.default_rng(163)
+        lattice = rng.integers(-6, 7, size=(40, 2)) / 4.0
+        half = np.concatenate([lattice, lattice[:12], rng.normal(0.0, 0.5, size=(40, 2))])
+        data = build_dataset(np.concatenate([half, half[:, ::-1]]))
+        setup = make_setup(data.n, 2, ell=2, table_size=65)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        nodes = np.linspace(-1.0, 1.0, 9)
+        mesh = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([mesh, rng.permutation(mesh)])
+        # the node 0.5 has observations at 1.5 and -0.5 on both axes
+        assert {1.5, -0.5} <= set(data.points[:, 0]) and {1.5, -0.5} <= set(data.points[:, 1])
+        assert len(np.unique(data.points, axis=0)) < data.n
+        sv = data.sorted_vals[0]
+        size = (np.searchsorted(sv, nodes + 1.0, side="right")
+                - np.searchsorted(sv, nodes - 1.0, side="left"))
+        assert np.array_equal(size, np.searchsorted(data.sorted_vals[1], nodes + 1.0, "right")
+                              - np.searchsorted(data.sorted_vals[1], nodes - 1.0))
+        thinner = np.sign(size[:, None] - size[None, :])
+        assert {-1, 0, 1} <= set(thinner[~np.eye(nodes.size, dtype=bool)].tolist())
+        monkeypatch.setattr(est, "_BLOCK_BYTES",
+                            8 * 7 * est._row_floats(2, setup.grid.max_exponent))
+        solo = [est._select_point(data, x, policy, setup) for x in pts]
+        two_lines = 2 * (8 * setup.tables.width + 16) * data.n
+        monkeypatch.setattr(est, "_LINE_BYTES", {"none": 0, "some": two_lines,
+                                                 "every": 2**40}[budget])
+        queries = self.spy_box_queries(monkeypatch)
+        recs = list(est._select_points(data, pts, policy, setup))
+        assert max(rec.counts for rec in recs) > 100
+        for rec, ref in zip(recs, solo):
+            assert rec.best == ref.best and rec.counts == ref.counts
+            for name in ("fhat", "a_k", "a_q", "keys"):
+                assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes(), name
+        want = {"none": len(pts) == len(queries), "some": 0 < len(queries) < len(pts),
+                "every": not queries}
+        assert want[budget], len(queries)
+
+    def test_points_with_both_lines_make_no_box_query(self, monkeypatch):
+        """On an `ij` mesh whose lines all fit, no d = 2 point queries the
+        box, and each line is built once."""
+        import anisokde.estimator as est
+
+        data, setup, policy, _ = self.mesh_fixture(2)
+        nodes = np.linspace(-1.2, 1.2, 5)
+        mesh = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        built, build = [], est._Lines._build
+
+        def spy(lines, j, v, p, nxt):
+            built.append((j, v))
+            return build(lines, j, v, p, nxt)
+
+        monkeypatch.setattr(est._Lines, "_build", spy)
+        queries = self.spy_box_queries(monkeypatch)
+        recs = list(est._select_points(data, mesh, policy, setup))
+        assert len(recs) == len(mesh) and max(rec.counts for rec in recs) > 14
+        assert not queries
+        assert sorted(built) == [(j, v) for j in range(2) for v in nodes.tolist()]
+
+    @pytest.mark.parametrize("budget", [2**21, 3 * 2**20, None])
+    def test_kept_lines_and_their_maps_stay_within_the_budget(self, monkeypatch, budget):
+        """On a 33^2 mesh, where the lines do not all fit, the kept line
+        matrices with their ranks and maps never pass _LINE_BYTES (None:
+        the default)."""
+        import anisokde.estimator as est
+
+        if budget is not None:
+            monkeypatch.setattr(est, "_LINE_BYTES", budget)
+        density = smooth_product_density("raised_cosine", 2)
+        data = sample(density, 1024, np.random.default_rng(167))
+        setup = make_setup(1024, 2, table_size=64)
+        policy = KappaPolicy(kappa=0.05, d=2, p=2.0, k_inf=setup.kernel.k_inf)
+        kept, refused, read = [], [], est._Lines.read
+
+        def spy(lines, p):
+            got = read(lines, p)
+            refused.extend(line is None and nxt >= 0 for line, nxt in zip(got, lines.nxt[p]))
+            kept.append(sum(line.mat.nbytes + line.ranks.nbytes + line.pos.nbytes
+                            for line in lines.kept.values()))
+            return got
+
+        monkeypatch.setattr(est._Lines, "read", spy)
+        list(est._select_points(data, default_grid(density, 33).mesh(), policy, setup))
+        assert any(refused) and not all(refused)
+        assert est._LINE_BYTES / 2 < max(kept) <= est._LINE_BYTES
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("points", [1, 2, 7, None])
     @pytest.mark.parametrize("keep", [False, True])
@@ -929,6 +1037,36 @@ class TestBlockSelection:
         spans = [window_spans(data, mesh[lo:lo + 4], setup) for lo in range(0, len(mesh), 4)]
         assert any(((passes >= 3) & (chunks >= 3)).any() for passes, chunks in spans)
         assert risk_replicate(plan, 256, 17) == want
+
+    def test_d2_risk_replicate_integrates_the_point_estimates(self, monkeypatch):
+        """The d = 2 twin: a replicate's mesh points read their candidates
+        as line slices, in blocks of four points and chunks of seven
+        candidates, and the error integrates the one-point estimates."""
+        import anisokde.estimator as est
+        from anisokde.densities import sample, smooth_product_density
+        from anisokde.risk import ExperimentPlan, default_grid, risk_replicate
+
+        density = smooth_product_density("raised_cosine", 2)
+        plan = ExperimentPlan(density=density, p=2.0, n_schedule=(128, 256), replicates=2,
+                              grid=default_grid(density, 9), seed=5, kappa=0.05,
+                              table_size=64)
+        setup = plan.setup_for(256)
+        policy = plan.policy_for(setup)
+        data = sample(density, 256, np.random.default_rng(17))
+        # chunks move d >= 2 sums in their last bits, so the one-point
+        # calls take the same chunks
+        monkeypatch.setattr(est, "_BLOCK_BYTES",
+                            8 * 7 * est._row_floats(2, setup.grid.max_exponent))
+        est_pts = [select_and_estimate(data, x, policy, setup).estimate
+                   for x in plan.grid.mesh()]
+        truth = np.asarray(density.grid_values(plan.grid.axes()), dtype=float)
+        want = plan.grid.integrate_values(
+            np.abs(np.reshape(est_pts, plan.grid.shape) - truth) ** plan.p)
+        monkeypatch.setattr(est, "_BLOCK_PAIRS", 4 * setup.tables.n_keys ** 2)
+        assert est._block_points(setup.grid) == 4
+        queries = self.spy_box_queries(monkeypatch)
+        assert risk_replicate(plan, 256, 17) == want
+        assert not queries
 
 
 class TestGridEstimation:
